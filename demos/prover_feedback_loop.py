@@ -14,7 +14,7 @@ from __future__ import annotations
 import tempfile
 
 from cpl.core import Library, TheoremStatement
-from cpl.gateway import Gateway, QueueProvider, read_transcript
+from cpl.gateway import Gateway, ReplayProvider, read_transcript
 from cpl.prover import prove
 from cpl.verifier import CheckResult, Diagnostic, ScriptedVerifier
 
@@ -52,7 +52,7 @@ def main() -> None:
 
     transcript_path = tempfile.mktemp(suffix=".jsonl")
     gateway = Gateway(
-        QueueProvider({"prover": [text for text, _ in ATTEMPTS]}),
+        ReplayProvider({"prover": [text for text, _ in ATTEMPTS]}),
         transcript_path=transcript_path,
         sleep=lambda s: None,
     )

@@ -26,12 +26,11 @@ from .prompts import DEFAULT_NL_STATEMENT
 from .verifier import VerifierStartupError
 
 
-def _config_from_args(args, mode: str) -> RunConfig:
+def _config_from_args(args) -> RunConfig:
     if getattr(args, "config", None):
         config = RunConfig.from_file(args.config)
     else:
         config = RunConfig()
-    config.mode = mode
     overrides = {
         "seed": "seed_path",
         "loops": "loops",
@@ -68,7 +67,8 @@ def _build_eval_context(args, config: RunConfig, seed_source: str):
 
 def _cmd_run(args) -> int:
     mode = args.mode.replace("-", "_")
-    config = _config_from_args(args, mode)
+    config = _config_from_args(args)
+    config.mode = mode
     library = run(config)
     print(
         f"{mode} run complete: {len(library.entries)} theorem(s) in "
@@ -78,7 +78,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_reprove_all(args) -> int:
-    config = _config_from_args(args, "reprove_all")
+    config = _config_from_args(args)
     library = load_library(args.library)
     out, gateway, session, events = _build_eval_context(
         args, config, library.seed_source
@@ -108,7 +108,7 @@ def _cmd_reprove_all(args) -> int:
 
 
 def _cmd_reprove_focused(args) -> int:
-    config = _config_from_args(args, "reprove_focused")
+    config = _config_from_args(args)
     config.prompt_variant = args.variant or "false"
     statement = TheoremStatement.from_source(
         Path(args.statement).read_text(encoding="utf-8")
@@ -156,7 +156,7 @@ def _cmd_reprove_focused(args) -> int:
 
 def _cmd_nl(args) -> int:
     if args.nl_command == "run":
-        config = _config_from_args(args, "nl_session")
+        config = _config_from_args(args)
         statement_text = DEFAULT_NL_STATEMENT
         if args.statement_file:
             statement_text = Path(args.statement_file).read_text(encoding="utf-8")

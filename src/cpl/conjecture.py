@@ -130,66 +130,37 @@ def run_conjecture_phase(
             )
 
         for stmt in candidates:
+
+            def reject(reason: str, detail=None) -> None:
+                counter = f"rejected_{reason}"
+                setattr(report, counter, getattr(report, counter) + 1)
+                payload = {
+                    "reason": reason,
+                    "iteration": iteration,
+                    "name": stmt.name,
+                    "statement": stmt.source_text,
+                }
+                if detail is not None:  # a duplicate carries no detail
+                    payload["detail"] = detail
+                emit("conjecture_rejected", **payload)
+
             if accepted.contains(stmt):
-                report.rejected_duplicate += 1
-                emit(
-                    "conjecture_rejected",
-                    reason="duplicate",
-                    iteration=iteration,
-                    name=stmt.name,
-                    statement=stmt.source_text,
-                )
+                reject("duplicate")
                 continue
             check_context = render_context(
                 library, list(accepted), context_budget
             )
             try:
                 validity = session.check_validity(check_context, stmt)
-            except VerifierError as exc:
-                report.rejected_invalid += 1
-                emit(
-                    "conjecture_rejected",
-                    reason="invalid",
-                    iteration=iteration,
-                    name=stmt.name,
-                    statement=stmt.source_text,
-                    detail=f"verifier transport error: {exc}",
-                )
-                continue
-            if validity.verdict != VALID:
-                report.rejected_invalid += 1
-                emit(
-                    "conjecture_rejected",
-                    reason="invalid",
-                    iteration=iteration,
-                    name=stmt.name,
-                    statement=stmt.source_text,
-                    detail=[d.format() for d in validity.diagnostics],
-                )
-                continue
-            try:
+                if validity.verdict != VALID:
+                    reject("invalid", [d.format() for d in validity.diagnostics])
+                    continue
                 novelty = session.check_novelty(check_context, stmt)
             except VerifierError as exc:
-                report.rejected_invalid += 1
-                emit(
-                    "conjecture_rejected",
-                    reason="invalid",
-                    iteration=iteration,
-                    name=stmt.name,
-                    statement=stmt.source_text,
-                    detail=f"verifier transport error: {exc}",
-                )
+                reject("invalid", f"verifier transport error: {exc}")
                 continue
             if novelty.verdict == KNOWN:
-                report.rejected_known += 1
-                emit(
-                    "conjecture_rejected",
-                    reason="known",
-                    iteration=iteration,
-                    name=stmt.name,
-                    statement=stmt.source_text,
-                    detail=novelty.closing_term,
-                )
+                reject("known", novelty.closing_term)
                 continue
             accepted.add(stmt)
             emit(

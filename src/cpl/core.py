@@ -341,30 +341,37 @@ def parse_theorem_declarations(
                 )
             )
             continue
-        head = region[: terminator.start()]
-        name_match = _NAME_AFTER_KEYWORD.match(head)
-        if name_match is None:
+        try:
+            statement = _statement_from_head(region[: terminator.start()])
+            problem = "unnamed declaration"
+        except ValueError:
+            statement, problem = None, "empty body"
+        if statement is None:
             warnings.append(
-                ParseWarning(
-                    "skipped_declaration", f"unnamed declaration: {_snippet(region)}"
-                )
+                ParseWarning("skipped_declaration", f"{problem}: {_snippet(region)}")
             )
-            continue
-        name = name_match.group(1)
-        body = head[name_match.end() :].strip()
-        if body.startswith(":"):
-            body = body[1:].strip()
-        if not body:
-            warnings.append(
-                ParseWarning(
-                    "skipped_declaration", f"empty body: {_snippet(region)}"
-                )
-            )
-            continue
-        # Terminator spelled canonically so source_text always ends ":= sorry".
-        source_text = head.rstrip() + " := sorry"
-        found.append(TheoremStatement(name=name, body=body, source_text=source_text))
+        else:
+            found.append(statement)
     return found
+
+
+def _statement_from_head(head: str) -> TheoremStatement | None:
+    """The statement a declaration head `theorem <name> <body>` stands for.
+
+    Returns None when the head has no name; raises ValueError when the
+    body is empty. The terminator is spelled canonically, so the source
+    text always ends in `:= sorry`.
+    """
+    head = head.strip()
+    name_match = _NAME_AFTER_KEYWORD.match(head)
+    if name_match is None:
+        return None
+    body = head[name_match.end() :].strip()
+    if body.startswith(":"):
+        body = body[1:].strip()
+    return TheoremStatement(
+        name=name_match.group(1), body=body, source_text=head + " := sorry"
+    )
 
 
 def _snippet(text: str, limit: int = 60) -> str:
@@ -468,16 +475,9 @@ def parse_theorem_with_proof(
         raise ValueError("no theorem declaration found")
     decl = cleaned[start.start(1) :].strip()
     head, proof_text = split_declaration(decl)
-    name_match = _NAME_AFTER_KEYWORD.match(head)
-    if name_match is None:
+    statement = _statement_from_head(head)
+    if statement is None:
         raise ValueError("declaration has no name")
-    name = name_match.group(1)
-    body = head[name_match.end() :].strip()
-    if body.startswith(":"):
-        body = body[1:].strip()
-    statement = TheoremStatement(
-        name=name, body=body, source_text=head.rstrip() + " := sorry"
-    )
     return statement, ProofScript(text=proof_text.strip())
 
 
@@ -522,33 +522,34 @@ def save_library(library: Library, path: str | Path) -> None:
         raise
 
 
+def library_blocks(text: str) -> list[tuple[re.Match, str]]:
+    """Split a library file at its entry markers.
+
+    One (marker match, declaration text) pair per entry, in file order.
+    """
+    markers = list(ENTRY_MARKER.finditer(text))
+    ends = [m.start() for m in markers[1:]] + [len(text)]
+    return [(m, text[m.end() : end].strip()) for m, end in zip(markers, ends)]
+
+
 def load_library(text_or_path: str | Path, from_path: bool = True) -> Library:
     """Parse a library file back into a Library value."""
     if from_path:
         text = Path(text_or_path).read_text(encoding="utf-8")
     else:
         text = str(text_or_path)
-    markers = list(ENTRY_MARKER.finditer(text))
-    if not markers:
+    blocks = library_blocks(text)
+    if not blocks:
         return Library(seed_source=text)
-    seed = text[: markers[0].start()].rstrip("\n") + "\n"
+    seed = text[: blocks[0][0].start()].rstrip("\n") + "\n"
     entries: list[LibraryEntry] = []
-    for idx, marker in enumerate(markers):
-        block_end = markers[idx + 1].start() if idx + 1 < len(markers) else len(text)
-        decl_text = text[marker.end() : block_end].strip("\n")
+    for marker, decl_text in blocks:
         head, proof_text = split_declaration(decl_text)
-        name_match = _NAME_AFTER_KEYWORD.match(head.strip())
-        if name_match is None:
+        statement = _statement_from_head(head)
+        if statement is None:
             raise ValueError(
                 f"library entry {marker.group(1)} has no parsable name"
             )
-        name = name_match.group(1)
-        body = head.strip()[name_match.end() :].strip()
-        if body.startswith(":"):
-            body = body[1:].strip()
-        statement = TheoremStatement(
-            name=name, body=body, source_text=head.strip() + " := sorry"
-        )
         entries.append(
             LibraryEntry(
                 statement=statement,

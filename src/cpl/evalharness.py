@@ -468,14 +468,22 @@ def summarize_events(events_path: str | Path) -> dict:
 def emit_reports(
     run_dir: str | Path, bin_width: int = 10, metric: str = "lines"
 ) -> dict[str, Path]:
-    """Render a run directory into report.json plus plain-text tables."""
+    """Render a run directory into report.json plus plain-text tables.
+
+    An existing report.json (the run's own summary) is updated in
+    place, so the run's keys survive.
+    """
     run_dir = Path(run_dir)
     events_path = run_dir / "events.jsonl"
     if not events_path.exists():
         raise FileNotFoundError(f"missing event log: {events_path}")
     summary = summarize_events(events_path)
 
-    report: dict = {"run": summary}
+    report_path = run_dir / "report.json"
+    report: dict = {}
+    if report_path.exists():
+        report = json.loads(report_path.read_text(encoding="utf-8"))
+    report["run"] = summary
     text_lines: list[str] = ["run summary"]
     for key, value in summary.items():
         text_lines.append(f"  {key}: {value}")
@@ -522,7 +530,6 @@ def emit_reports(
         if nl["pending"]:
             text_lines.append(f"  pending grades: {len(nl['pending'])}")
 
-    report_path = run_dir / "report.json"
     report_path.write_text(
         json.dumps(report, indent=2, ensure_ascii=False) + "\n", encoding="utf-8"
     )

@@ -2,8 +2,9 @@
 
 Providers are duck-typed: anything with ``complete(request) -> str``.
 The shipped ones are an HTTP client for chat-completions endpoints, a
-deterministic replay provider fed from recorded fixtures, a recording
-wrapper, and an in-memory queue provider for tests and dry runs.
+deterministic replay provider (per-role response queues, fed from
+recorded fixtures or from memory for tests and dry runs), a recording
+wrapper, and an adapter for a plain function of the request.
 """
 
 from __future__ import annotations
@@ -128,26 +129,6 @@ class HttpChatProvider:
             raise TransportError(f"malformed provider response: {exc}") from exc
 
 
-class QueueProvider:
-    """In-memory per-role response queues (tests, dry runs)."""
-
-    name = "queue"
-
-    def __init__(self, responses: dict[str, list[str]] | None = None):
-        self._queues = {role: list(items) for role, items in (responses or {}).items()}
-
-    def push(self, role_id: str, *texts: str) -> None:
-        self._queues.setdefault(role_id, []).extend(texts)
-
-    def complete(self, request: ChatRequest) -> str:
-        queue = self._queues.get(request.role_id)
-        if not queue:
-            raise FixtureExhaustedError(
-                f"no queued response left for role {request.role_id!r}"
-            )
-        return queue.pop(0)
-
-
 class CallableProvider:
     """Adapter turning a function of the request into a provider."""
 
@@ -161,7 +142,8 @@ class CallableProvider:
 
 
 class ReplayProvider:
-    """Deterministic provider replaying recorded exchanges.
+    """Deterministic per-role response queues: recorded exchanges, or
+    responses given in memory (tests, dry runs).
 
     Replay is keyed on (role_id, per-role call index) only, never on
     prompt content, so cosmetic context changes cannot break a replay.
@@ -169,8 +151,10 @@ class ReplayProvider:
 
     name = "replay"
 
-    def __init__(self, responses: dict[str, list[str]]):
-        self._responses = {role: list(items) for role, items in responses.items()}
+    def __init__(self, responses: dict[str, list[str]] | None = None):
+        self._responses = {
+            role: list(items) for role, items in (responses or {}).items()
+        }
         self._cursor = {role: 0 for role in self._responses}
 
     @classmethod

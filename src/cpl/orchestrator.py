@@ -19,6 +19,7 @@ from .core import (
     ENTRY_MARKER,
     Library,
     dump_library,
+    library_blocks,
     parse_theorem_with_proof,
     render_context,
     save_library,
@@ -37,19 +38,12 @@ from .gateway import (
     HttpChatProvider,
     RecordingProvider,
     ReplayProvider,
-    TransportError,
 )
 from .prompts import SIMPLE_LOOP_PROMPT
-from .prover import (
-    STATUS_VERIFIED,
-    _synthetic_failure,
-    format_feedback,
-    prove,
-    verify_with_retry,
-)
-from .verifier import VERIFIED, open_session
+from .prover import STATUS_VERIFIED, Unusable, prove, run_trials
+from .verifier import open_session
 
-MODES = ("cpl", "simple_loop", "reprove_all", "reprove_focused", "nl_session", "analyze")
+MODES = ("cpl", "simple_loop")
 
 MODE_DEFAULT_LOOPS = {"cpl": 30, "simple_loop": 400}
 
@@ -67,8 +61,6 @@ _PATH_FIELDS = (
     "replay_dir",
     "verifier_fixtures",
     "lean_cwd",
-    "library_path",
-    "statement_path",
 )
 
 
@@ -87,7 +79,6 @@ class RunConfig:
     output_dir: str = "run_output"
     resume: bool = False
     prompt_variant: str = "not_provable"
-    within_loop_context_refresh: bool = False
     # provider settings
     provider: str = "http"  # http | replay
     endpoint: str = "https://api.openai.com/v1/chat/completions"
@@ -108,12 +99,6 @@ class RunConfig:
     novelty_timeout: float = 300.0
     # determinism
     clock: str | None = None  # None → "fixed" when replaying, else "system"
-    # evaluation extras
-    library_path: str | None = None
-    statement_path: str | None = None
-    repetitions: int | None = None
-    prefix: int | None = None
-    reprove_mode: str = "with_context"
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
@@ -122,7 +107,7 @@ class RunConfig:
     def resolved_loops(self) -> int:
         if self.loops is not None:
             return self.loops
-        return MODE_DEFAULT_LOOPS.get(self.mode, 1)
+        return MODE_DEFAULT_LOOPS[self.mode]
 
     def resolved_clock(self) -> str:
         if self.clock is not None:
@@ -211,15 +196,6 @@ class _ResumePoint:
     finished: bool
 
 
-def _library_blocks(text: str) -> list[tuple[str, str]]:
-    markers = list(ENTRY_MARKER.finditer(text))
-    blocks = []
-    for idx, marker in enumerate(markers):
-        end = markers[idx + 1].start() if idx + 1 < len(markers) else len(text)
-        blocks.append((marker.group(0), text[marker.end() : end].strip()))
-    return blocks
-
-
 def _load_resume_point(
     config: RunConfig, seed: str, events_path: Path, library_path: Path
 ) -> _ResumePoint:
@@ -233,10 +209,11 @@ def _load_resume_point(
     actual = library_path.read_text(encoding="utf-8")
     if actual != expected and not actual.startswith(expected.rstrip("\n")):
         # Find the first divergent entry for the error message.
-        expected_blocks = _library_blocks(expected)
-        actual_blocks = _library_blocks(actual)
-        for i, (exp, act) in enumerate(zip(expected_blocks, actual_blocks)):
-            if exp != act:
+        expected_blocks = library_blocks(expected)
+        actual_blocks = library_blocks(actual)
+        pairs = zip(expected_blocks, actual_blocks)
+        for i, ((exp_marker, exp), (act_marker, act)) in enumerate(pairs):
+            if exp_marker.group(0) != act_marker.group(0) or exp != act:
                 name = replayed.entries[i].statement.name
                 raise ResumeConsistencyError(
                     f"library file diverges from event log at entry {i} ({name})"
@@ -317,7 +294,8 @@ def _prepare_run(config: RunConfig, gateway, session, listener):
     if config.resume and not point.finished:
         rolled_back = 0
         if library_path.exists():
-            rolled_back = len(_library_blocks(library_path.read_text(encoding="utf-8")))
+            on_disk = library_path.read_text(encoding="utf-8")
+            rolled_back = len(ENTRY_MARKER.findall(on_disk))
             rolled_back -= len(point.library.entries)
         save_library(point.library, library_path)
         events.emit(
@@ -426,12 +404,9 @@ def run_cpl(
             # immediately but only enter contexts next loop.
             snapshot = library
             for stmt in report.accepted:
-                proving_library = (
-                    library if config.within_loop_context_refresh else snapshot
-                )
                 outcome = prove(
                     stmt,
-                    proving_library,
+                    snapshot,
                     session,
                     gateway,
                     max_trials=config.max_trials,
@@ -465,6 +440,19 @@ def run_cpl(
     return library
 
 
+def _read_declaration(reply: str):
+    """The simple loop's trial step: the reply is a whole declaration.
+
+    An empty reply is a failed trial here, not a surrender.
+    """
+    try:
+        if not reply.strip():
+            raise ValueError("empty response")
+        return (reply, *parse_theorem_with_proof(reply))
+    except ValueError as exc:
+        raise Unusable(reply, f"unusable declaration: {exc}") from exc
+
+
 def run_simple_loop(
     config: RunConfig, gateway=None, session=None, listener=None
 ) -> Library:
@@ -477,6 +465,23 @@ def run_simple_loop(
         events.close()
         return library
     loops = config.resolved_loops()
+
+    def emit(trial, text, statement, proof, result) -> None:
+        payload = {"loop": iteration, "trial": trial}
+        if statement is not None:
+            payload.update(
+                conjecture=statement.name, proof=statement.render_with_proof(proof)
+            )
+        else:
+            payload["proof"] = text or ""
+        events.emit(
+            "proof_attempt",
+            **payload,
+            verdict=result.verdict,
+            diagnostics=[d.format() for d in result.diagnostics],
+            empty_response=text is not None and not text.strip(),
+        )
+
     try:
         for iteration in range(point.completed_loops + 1, loops + 1):
             events.emit(
@@ -486,86 +491,39 @@ def run_simple_loop(
                 library_size=len(library),
                 gateway_calls=dict(gateway.calls_by_role),
             )
-            previous = None
-            for trial in range(1, config.max_trials + 1):
-                truncations: list[str] = []
-                context = render_context(
-                    library, [], config.context_budget, warnings=truncations
+            truncations: list[str] = []
+            context = render_context(
+                library, [], config.context_budget, warnings=truncations
+            )
+            for note in truncations:
+                events.emit("warning", message=note, where="simple_loop_context")
+            request = ChatRequest(
+                role_id="simple_loop",
+                system_prompt=SIMPLE_LOOP_PROMPT,
+                user_content=context,
+                temperature=config.temperature,
+                max_output=config.max_output,
+            )
+            outcome = run_trials(
+                session,
+                gateway,
+                request,
+                context,
+                _read_declaration,
+                config.max_trials,
+                emit,
+            )
+            if outcome.status == STATUS_VERIFIED:
+                library = _append_verified(
+                    library,
+                    library_path,
+                    events,
+                    clock,
+                    outcome.final_statement,
+                    outcome.final_proof,
+                    "simple_loop",
+                    iteration,
                 )
-                for note in truncations:
-                    events.emit(
-                        "warning", message=note, where="simple_loop_context"
-                    )
-                if previous is None:
-                    user_content = context
-                else:
-                    user_content = format_feedback(context, previous[0], previous[1])
-                request = ChatRequest(
-                    role_id="simple_loop",
-                    system_prompt=SIMPLE_LOOP_PROMPT,
-                    user_content=user_content,
-                    temperature=config.temperature,
-                    max_output=config.max_output,
-                )
-                try:
-                    response = gateway.complete(request)
-                except TransportError as exc:
-                    result = _synthetic_failure(f"gateway transport failure: {exc}")
-                    events.emit(
-                        "proof_attempt",
-                        loop=iteration,
-                        trial=trial,
-                        proof="",
-                        verdict=result.verdict,
-                        diagnostics=[d.format() for d in result.diagnostics],
-                        empty_response=False,
-                    )
-                    previous = ("", result.diagnostics)
-                    continue
-
-                raw = response.text
-                try:
-                    if not raw.strip():
-                        raise ValueError("empty response")
-                    statement, proof = parse_theorem_with_proof(raw)
-                except ValueError as exc:
-                    result = _synthetic_failure(f"unusable declaration: {exc}")
-                    events.emit(
-                        "proof_attempt",
-                        loop=iteration,
-                        trial=trial,
-                        proof=raw,
-                        verdict=result.verdict,
-                        diagnostics=[d.format() for d in result.diagnostics],
-                        empty_response=not raw.strip(),
-                    )
-                    previous = (raw, result.diagnostics)
-                    continue
-
-                result = verify_with_retry(session, context, statement, proof)
-                events.emit(
-                    "proof_attempt",
-                    loop=iteration,
-                    trial=trial,
-                    conjecture=statement.name,
-                    proof=statement.render_with_proof(proof),
-                    verdict=result.verdict,
-                    diagnostics=[d.format() for d in result.diagnostics],
-                    empty_response=False,
-                )
-                if result.verdict == VERIFIED:
-                    library = _append_verified(
-                        library,
-                        library_path,
-                        events,
-                        clock,
-                        statement,
-                        proof,
-                        "simple_loop",
-                        iteration,
-                    )
-                    break
-                previous = (raw, result.diagnostics)
             events.emit(
                 "loop_complete",
                 loop=iteration,

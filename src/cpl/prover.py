@@ -4,12 +4,13 @@ One trial per gateway call. A verified proof ends the loop as success,
 an empty response means the model declared the statement unprovable
 (or false, under the alternate prompt), and exhausting the trial
 budget ends it as failure. From the second trial on, the previous
-proof and its diagnostics are embedded in the prompt.
+proof and its diagnostics are embedded in the prompt. The simple-loop
+baseline runs the same loop (`run_trials`) with its own reply parser.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .core import Library, ProofScript, TheoremStatement, render_context, strip_code_fences
 from .gateway import ChatRequest, Gateway, TransportError
@@ -34,6 +35,7 @@ class ProofOutcome:
     status: str
     attempts: tuple[ProofAttempt, ...]
     final_proof: ProofScript | None = None
+    final_statement: TheoremStatement | None = None
 
     def __post_init__(self) -> None:
         if self.status == STATUS_VERIFIED and self.final_proof is None:
@@ -72,6 +74,65 @@ def verify_with_retry(session, context, stmt, proof) -> CheckResult:
     raise AssertionError("unreachable")
 
 
+class Unusable(Exception):
+    """Raised by a trial's `read` step for a reply that cannot be checked.
+
+    `text` stands for the attempt in feedback and in the attempt record;
+    the message becomes the trial's diagnostic.
+    """
+
+    def __init__(self, text: str, message: str):
+        super().__init__(message)
+        self.text = text
+
+
+def run_trials(
+    session, gateway: Gateway, request: ChatRequest, context, read, max_trials, emit
+) -> ProofOutcome:
+    """The retry-on-error loop shared by `prove` and the simple loop.
+
+    `request` carries the first trial's prompt; later trials append the
+    previous attempt and its diagnostics to it. `read(reply)` returns
+    `(text, statement, proof)` to verify against `context`, raises
+    `Unusable` for a failed trial, or returns None to surrender.
+    `emit(trial, text, statement, proof, result)` records each trial;
+    `text` is None when there is no attempt text (a gateway transport
+    failure or the surrender), and `result` is None for the surrender.
+    """
+    attempts: list[ProofAttempt] = []
+    previous: tuple[str, tuple[Diagnostic, ...]] | None = None
+    for trial in range(1, max_trials + 1):
+        trial_request = request
+        if previous is not None:
+            trial_request = replace(
+                request, user_content=format_feedback(request.user_content, *previous)
+            )
+        text = statement = proof = result = None
+        try:
+            reading = read(gateway.complete(trial_request).text)
+        except TransportError as exc:
+            result = _synthetic_failure(f"gateway transport failure: {exc}")
+        except Unusable as exc:
+            text, result = exc.text, _synthetic_failure(str(exc))
+        else:
+            if reading is not None:
+                text, statement, proof = reading
+                result = verify_with_retry(session, context, statement, proof)
+        attempts.append(ProofAttempt(proof_text=text or "", result=result))
+        emit(trial, text, statement, proof, result)
+        if result is None:
+            return ProofOutcome(status=STATUS_UNPROVABLE, attempts=tuple(attempts))
+        if result.verdict == VERIFIED:
+            return ProofOutcome(
+                status=STATUS_VERIFIED,
+                attempts=tuple(attempts),
+                final_proof=proof,
+                final_statement=statement,
+            )
+        previous = (text or "", result.diagnostics)
+    return ProofOutcome(status=STATUS_FAILED, attempts=tuple(attempts))
+
+
 def prove(
     conjecture: TheoremStatement,
     library: Library,
@@ -86,22 +147,33 @@ def prove(
     event_extra: dict | None = None,
 ) -> ProofOutcome:
     """Run one prover campaign for a single conjecture."""
-    system_prompt = PROVER_PROMPT_VARIANTS[prompt_variant]
     truncations: list[str] = []
     context = render_context(
         library, [conjecture], context_budget, warnings=truncations
     )
-    attempts: list[ProofAttempt] = []
-    previous: tuple[str, tuple[Diagnostic, ...]] | None = None
+    if events is not None:
+        for note in truncations:
+            payload = dict(event_extra or {})
+            payload.update(message=note, where="prover_context")
+            events.emit("warning", **payload)
 
-    def emit_attempt(trial: int, proof_text: str, result: CheckResult | None) -> None:
+    def read(reply: str):
+        text = strip_code_fences(reply).strip()
+        if not text:
+            return None  # surrender: no verifier call for this trial
+        try:
+            return text, conjecture, ProofScript(text=text)
+        except ValueError as exc:
+            raise Unusable(text, f"rejected before submission: {exc}") from exc
+
+    def emit(trial, text, statement, proof, result) -> None:
         if events is None:
             return
         payload = dict(event_extra or {})
         payload.update(
             conjecture=conjecture.name,
             trial=trial,
-            proof=proof_text,
+            proof=text or "",
             verdict=None if result is None else result.verdict,
             diagnostics=[]
             if result is None
@@ -110,60 +182,11 @@ def prove(
         )
         events.emit("proof_attempt", **payload)
 
-    if events is not None:
-        for note in truncations:
-            payload = dict(event_extra or {})
-            payload.update(message=note, where="prover_context")
-            events.emit("warning", **payload)
-
-    for trial in range(1, max_trials + 1):
-        if previous is None:
-            user_content = context
-        else:
-            user_content = format_feedback(context, previous[0], previous[1])
-        request = ChatRequest(
-            role_id="prover",
-            system_prompt=system_prompt,
-            user_content=user_content,
-            temperature=temperature,
-            max_output=max_output,
-        )
-        try:
-            response = gateway.complete(request)
-        except TransportError as exc:
-            result = _synthetic_failure(f"gateway transport failure: {exc}")
-            attempts.append(ProofAttempt(proof_text="", result=result))
-            emit_attempt(trial, "", result)
-            previous = ("", result.diagnostics)
-            continue
-
-        text = strip_code_fences(response.text).strip()
-        if not text:
-            # Surrender signal: no verifier call for this trial.
-            attempts.append(ProofAttempt(proof_text="", result=None))
-            emit_attempt(trial, "", None)
-            return ProofOutcome(
-                status=STATUS_UNPROVABLE, attempts=tuple(attempts)
-            )
-
-        try:
-            proof = ProofScript(text=text)
-        except ValueError as exc:
-            result = _synthetic_failure(f"rejected before submission: {exc}")
-            attempts.append(ProofAttempt(proof_text=text, result=result))
-            emit_attempt(trial, text, result)
-            previous = (text, result.diagnostics)
-            continue
-
-        result = verify_with_retry(session, context, conjecture, proof)
-        attempts.append(ProofAttempt(proof_text=text, result=result))
-        emit_attempt(trial, text, result)
-        if result.verdict == VERIFIED:
-            return ProofOutcome(
-                status=STATUS_VERIFIED,
-                attempts=tuple(attempts),
-                final_proof=proof,
-            )
-        previous = (text, result.diagnostics)
-
-    return ProofOutcome(status=STATUS_FAILED, attempts=tuple(attempts))
+    request = ChatRequest(
+        role_id="prover",
+        system_prompt=PROVER_PROMPT_VARIANTS[prompt_variant],
+        user_content=context,
+        temperature=temperature,
+        max_output=max_output,
+    )
+    return run_trials(session, gateway, request, context, read, max_trials, emit)

@@ -27,7 +27,7 @@ from cpl.evalharness import (
     reprove_focused,
 )
 from cpl.events import normalized_event_lines, read_events
-from cpl.gateway import CallableProvider, Gateway, QueueProvider, read_transcript
+from cpl.gateway import CallableProvider, Gateway, ReplayProvider, read_transcript
 from cpl.orchestrator import RunConfig, run, run_cpl, run_simple_loop
 from cpl.prover import prove
 from cpl.verifier import CheckResult, Diagnostic, LeanVerifier, ScriptedVerifier
@@ -217,7 +217,7 @@ def test_criterion_3_prover_state_machine(tmp_path):
     # (a) success on trial 1 stops immediately
     session = ScriptedVerifier(SEED)
     session.script("verify_proof", conj, CheckResult("verified"), "by rfl")
-    gateway = Gateway(QueueProvider({"prover": ["by rfl", "never sent"]}), sleep=lambda s: None)
+    gateway = Gateway(ReplayProvider({"prover": ["by rfl", "never sent"]}), sleep=lambda s: None)
     outcome = prove(conj, lib, session, gateway)
     assert outcome.status == "verified"
     assert len(outcome.attempts) == 1
@@ -227,7 +227,7 @@ def test_criterion_3_prover_state_machine(tmp_path):
     k = 4
     session = ScriptedVerifier(SEED)
     responses = [f"by fail{i}" for i in range(k - 1)] + [""]
-    gateway = Gateway(QueueProvider({"prover": responses}), sleep=lambda s: None)
+    gateway = Gateway(ReplayProvider({"prover": responses}), sleep=lambda s: None)
     outcome = prove(conj, lib, session, gateway)
     assert outcome.status == "declared_unprovable"
     assert len(outcome.attempts) == k
@@ -248,7 +248,7 @@ def test_criterion_3_prover_state_machine(tmp_path):
         )
     transcript = tmp_path / "transcript.jsonl"
     gateway = Gateway(
-        QueueProvider({"prover": [f"by fail{i}" for i in range(16)]}),
+        ReplayProvider({"prover": [f"by fail{i}" for i in range(16)]}),
         sleep=lambda s: None,
         transcript_path=transcript,
     )
@@ -342,7 +342,7 @@ def test_criterion_6_accounting_fidelity():
         )
         session.script("verify_proof", f"{i} = {i}", result, f"by re{i}")
     gateway = Gateway(
-        QueueProvider({"prover": [f"by re{i}" for i in range(10)]}),
+        ReplayProvider({"prover": [f"by re{i}" for i in range(10)]}),
         sleep=lambda s: None,
     )
     report = reprove_all(lib, "with_context", session, gateway, max_trials=1)

@@ -46,7 +46,7 @@ def test_run_demo_and_analyze(tmp_path, capsys):
     assert (out / "library.lean").exists()
     assert (out / "events.jsonl").exists()
     assert (out / "transcript.jsonl").exists()
-    assert (out / "report.json").exists()
+    run_report = json.loads((out / "report.json").read_text(encoding="utf-8"))
 
     assert (
         cli.main(
@@ -71,6 +71,9 @@ def test_run_demo_and_analyze(tmp_path, capsys):
     assert cli.main(["analyze", "report", "--run-dir", str(out)]) == 0
     report = json.loads((out / "report.json").read_text(encoding="utf-8"))
     assert report["run"]["theorems_added"] == 4
+    # the run's own keys survive the analysis
+    assert report["config"] == run_report["config"]
+    assert report["gateway_calls"] == run_report["gateway_calls"]
 
 
 def test_run_loops_flag_overrides_config(tmp_path):

@@ -10,7 +10,7 @@ from cpl.gateway import (
     CallableProvider,
     FatalGatewayError,
     Gateway,
-    QueueProvider,
+    ReplayProvider,
     TransportError,
 )
 from cpl.verifier import CheckResult, Diagnostic, ScriptedVerifier
@@ -19,7 +19,7 @@ SEED = "import Mathlib\n"
 
 
 def gateway_for(responses: list[str]) -> Gateway:
-    return Gateway(QueueProvider({"conjecturer": responses}), sleep=lambda s: None)
+    return Gateway(ReplayProvider({"conjecturer": responses}), sleep=lambda s: None)
 
 
 def decl(name: str, lhs: str) -> str:
@@ -227,3 +227,40 @@ def test_accepted_list_only_grows_and_events_logged(tmp_path):
     assert len(report.accepted) == 2
     kinds = [e.kind for e in read_events(log_path)]
     assert kinds.count("conjecture_accepted") == 2
+
+
+@pytest.mark.parametrize("failing_op", ["check_validity", "check_novelty"])
+def test_verifier_transport_error_rejects_candidate_as_invalid(tmp_path, failing_op):
+    from cpl.events import EventLog, FixedClock, read_events
+    from cpl.verifier import VerifierTransportError
+
+    def fail(context, stmt):
+        raise VerifierTransportError("repl died")
+
+    session = ScriptedVerifier(SEED)
+    setattr(session, failing_op, fail)
+    log_path = tmp_path / "events.jsonl"
+    with EventLog(log_path, clock=FixedClock()) as events:
+        report = run_conjecture_phase(
+            Library(seed_source=SEED),
+            session,
+            gateway_for([decl("a", "1")]),
+            iterations=1,
+            events=events,
+            loop=1,
+        )
+    assert report.rejected_invalid == 1
+    assert len(report.accepted) == 0
+    assert report.counters_consistent()
+    rejected = [e.payload for e in read_events(log_path) if e.kind == "conjecture_rejected"]
+    # Key order too: it fixes the bytes of events.jsonl.
+    assert [list(payload.items()) for payload in rejected] == [
+        [
+            ("reason", "invalid"),
+            ("iteration", 1),
+            ("name", "a"),
+            ("statement", decl("a", "1")),
+            ("detail", "verifier transport error: repl died"),
+            ("loop", 1),
+        ]
+    ]

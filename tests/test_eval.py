@@ -22,7 +22,7 @@ from cpl.evalharness import (
     reprove_focused,
     summarize_events,
 )
-from cpl.gateway import CallableProvider, Gateway, QueueProvider, TransportError
+from cpl.gateway import CallableProvider, Gateway, ReplayProvider, TransportError
 from cpl.orchestrator import RunConfig, run
 from cpl.prompts import DEFAULT_NL_STATEMENT, NL_PROVER_PROMPT
 from cpl.verifier import CheckResult, Diagnostic, ScriptedVerifier
@@ -70,7 +70,7 @@ def test_reprove_nine_of_ten_renders_ninety_percent():
             )
         session.script("verify_proof", f"{i} = {i}", result, f"by attempt{i}")
     gateway = Gateway(
-        QueueProvider({"prover": [f"by attempt{i}" for i in range(10)]}),
+        ReplayProvider({"prover": [f"by attempt{i}" for i in range(10)]}),
         sleep=lambda s: None,
     )
     report = reprove_all(lib, "with_context", session, gateway, max_trials=1)
@@ -130,7 +130,7 @@ def test_reprove_empty_library_is_an_error():
             Library(seed_source=SEED),
             "with_context",
             ScriptedVerifier(SEED),
-            Gateway(QueueProvider(), sleep=lambda s: None),
+            Gateway(ReplayProvider(), sleep=lambda s: None),
         )
 
 
@@ -249,7 +249,7 @@ def test_nl_session_default_16_and_default_statement(tmp_path):
 
 def test_nl_false_auto_categorized_and_prose_pending(tmp_path):
     gateway = Gateway(
-        QueueProvider({"nl_prover": ["False", "Consider the interior..."]}),
+        ReplayProvider({"nl_prover": ["False", "Consider the interior..."]}),
         sleep=lambda s: None,
     )
     ids = nl_session(gateway, n=2, out_dir=tmp_path)
@@ -262,7 +262,7 @@ def test_nl_false_auto_categorized_and_prose_pending(tmp_path):
 
 def test_nl_grade_flow_and_finalization(tmp_path):
     gateway = Gateway(
-        QueueProvider({"nl_prover": ["False", "a proof attempt", "another one"]}),
+        ReplayProvider({"nl_prover": ["False", "a proof attempt", "another one"]}),
         sleep=lambda s: None,
     )
     ids = nl_session(gateway, n=3, out_dir=tmp_path)
@@ -281,7 +281,7 @@ def test_nl_grade_flow_and_finalization(tmp_path):
 
 
 def test_nl_regrade_appends_audit_trail_latest_wins(tmp_path):
-    gateway = Gateway(QueueProvider({"nl_prover": ["hmm"]}), sleep=lambda s: None)
+    gateway = Gateway(ReplayProvider({"nl_prover": ["hmm"]}), sleep=lambda s: None)
     (rid,) = nl_session(gateway, n=1, out_dir=tmp_path)
     grade_response(tmp_path, rid, "correctly_proven", grader="a")
     grade_response(tmp_path, rid, "gap", grader="b", note="second look")
@@ -294,7 +294,7 @@ def test_nl_regrade_appends_audit_trail_latest_wins(tmp_path):
 
 
 def test_nl_unknown_response_id_rejected(tmp_path):
-    gateway = Gateway(QueueProvider({"nl_prover": ["x"]}), sleep=lambda s: None)
+    gateway = Gateway(ReplayProvider({"nl_prover": ["x"]}), sleep=lambda s: None)
     nl_session(gateway, n=1, out_dir=tmp_path)
     with pytest.raises(KeyError):
         grade_response(tmp_path, "response_999", "gap", grader="a")

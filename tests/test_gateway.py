@@ -12,7 +12,6 @@ from cpl.gateway import (
     FixtureExhaustedError,
     Gateway,
     HttpChatProvider,
-    QueueProvider,
     RecordingProvider,
     ReplayProvider,
     TokenBucket,
@@ -64,24 +63,24 @@ def test_retries_exhausted_raises_transport_error():
 
 
 def test_empty_completion_passes_through():
-    gateway = Gateway(QueueProvider({"prover": [""]}), sleep=lambda s: None)
+    gateway = Gateway(ReplayProvider({"prover": [""]}), sleep=lambda s: None)
     assert gateway.complete(request()).text == ""
 
 
 def test_whitespace_only_response_becomes_empty():
-    gateway = Gateway(QueueProvider({"prover": [" \n\n "]}), sleep=lambda s: None)
+    gateway = Gateway(ReplayProvider({"prover": [" \n\n "]}), sleep=lambda s: None)
     assert gateway.complete(request()).text == ""
 
 
 def test_trailing_newlines_normalized_but_content_untouched():
     gateway = Gateway(
-        QueueProvider({"prover": ["  by rfl  \n\n"]}), sleep=lambda s: None
+        ReplayProvider({"prover": ["  by rfl  \n\n"]}), sleep=lambda s: None
     )
     assert gateway.complete(request()).text == "  by rfl  "
 
 
 def test_record_then_replay_roundtrip(tmp_path):
-    inner = QueueProvider(
+    inner = ReplayProvider(
         {"conjecturer": ["c0", "c1"], "prover": ["p0"]}
     )
     recorder = RecordingProvider(inner, tmp_path / "rec")
@@ -134,7 +133,7 @@ def test_fast_forward_reaches_provider_behind_recorder(tmp_path):
 def test_transcript_logs_full_exchange(tmp_path):
     path = tmp_path / "transcript.jsonl"
     gateway = Gateway(
-        QueueProvider({"prover": ["a proof"]}),
+        ReplayProvider({"prover": ["a proof"]}),
         transcript_path=path,
         sleep=lambda s: None,
     )
@@ -168,7 +167,7 @@ def test_system_prompt_sent_byte_for_byte():
 
 def test_calls_counted_per_role():
     gateway = Gateway(
-        QueueProvider({"prover": ["x"], "conjecturer": ["y"]}), sleep=lambda s: None
+        ReplayProvider({"prover": ["x"], "conjecturer": ["y"]}), sleep=lambda s: None
     )
     gateway.complete(request(role="prover"))
     gateway.complete(request(role="conjecturer", system=CONJECTURER_PROMPT))

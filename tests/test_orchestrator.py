@@ -7,7 +7,12 @@ import pytest
 
 from cpl.core import load_library
 from cpl.events import read_events, replay_library
-from cpl.gateway import Gateway, QueueProvider
+from cpl.gateway import (
+    CallableProvider,
+    Gateway,
+    ReplayProvider,
+    TransportError,
+)
 from cpl.orchestrator import (
     ResumeConsistencyError,
     RunConfig,
@@ -61,7 +66,7 @@ def test_cpl_trace_three_loops(tmp_path):
     config = base_config(
         tmp_path, loops=3, conjecture_iterations=1, max_trials=2
     )
-    provider = QueueProvider(
+    provider = ReplayProvider(
         {
             "conjecturer": [decl("c1", 1) + "\n\n" + decl("c2", 2), decl("c3", 3), ""],
             "prover": ["by p1", "by bad_a", "by bad_b", "by p3"],
@@ -85,7 +90,7 @@ def test_cpl_trace_three_loops(tmp_path):
 
 def test_cpl_persists_library_and_report(tmp_path):
     config = base_config(tmp_path, loops=1, conjecture_iterations=1)
-    provider = QueueProvider(
+    provider = ReplayProvider(
         {"conjecturer": [decl("only", 7)], "prover": ["by p"]}
     )
     session = ScriptedVerifier(SEED)
@@ -102,7 +107,7 @@ def test_cpl_persists_library_and_report(tmp_path):
 
 def test_event_log_reconstructs_library_exactly(tmp_path):
     config = base_config(tmp_path, loops=2, conjecture_iterations=1)
-    provider = QueueProvider(
+    provider = ReplayProvider(
         {
             "conjecturer": [decl("a", 1), decl("b", 2)],
             "prover": ["by pa", "by pb"],
@@ -129,7 +134,7 @@ def test_library_file_is_consistent_at_every_append(tmp_path):
             seen_sizes.append(len(on_disk.entries))
             assert len(on_disk.entries) == event.payload["sequence_index"] + 1
 
-    provider = QueueProvider(
+    provider = ReplayProvider(
         {
             "conjecturer": [decl("a", 1), decl("b", 2)],
             "prover": ["by pa", "by pb"],
@@ -162,7 +167,7 @@ def test_simple_loop_trace(tmp_path):
     responses = [full_decl("s1", 1, "by rfl")]
     responses += [full_decl("s2", 2, f"by bad{i}") for i in range(16)]
     responses += [full_decl("s3", 3, "by rfl")]
-    provider = QueueProvider({"simple_loop": responses})
+    provider = ReplayProvider({"simple_loop": responses})
     session = ScriptedVerifier(SEED)
     session.script("verify_proof", "1 = 1", CheckResult("verified"), "by rfl")
     session.script("verify_proof", "3 = 3", CheckResult("verified"), "by rfl")
@@ -183,7 +188,7 @@ def test_simple_loop_trace(tmp_path):
 
 def test_simple_loop_rejects_sorry_declaration(tmp_path):
     config = base_config(tmp_path, mode="simple_loop", loops=1, max_trials=2)
-    provider = QueueProvider(
+    provider = ReplayProvider(
         {
             "simple_loop": [
                 full_decl("cheat", 1, "by sorry"),
@@ -208,7 +213,7 @@ def test_simple_loop_feedback_reaches_next_trial(tmp_path):
     config = base_config(tmp_path, mode="simple_loop", loops=1, max_trials=2)
     transcript = Path(config.output_dir) / "transcript.jsonl"
     Path(config.output_dir).mkdir(parents=True, exist_ok=True)
-    provider = QueueProvider(
+    provider = ReplayProvider(
         {
             "simple_loop": [
                 full_decl("try1", 1, "by nope"),
@@ -233,6 +238,115 @@ def test_simple_loop_feedback_reaches_next_trial(tmp_path):
     entries = [json.loads(line) for line in transcript.read_text().splitlines()]
     assert "previous attempt:" in entries[1]["request"]["user_content"]
     assert "nope is not a tactic" in entries[1]["request"]["user_content"]
+
+
+def scripted_replies(replies):
+    """A provider answering from `replies`; an exception instance is raised."""
+    queue = list(replies)
+
+    def reply(request):
+        item = queue.pop(0)
+        if isinstance(item, Exception):
+            raise item
+        return item
+
+    return CallableProvider(reply)
+
+
+def test_simple_loop_attempt_payloads_cover_every_trial_branch(tmp_path):
+    config = base_config(tmp_path, mode="simple_loop", loops=1, max_trials=6)
+    unparsable = "I cannot write this in Lean."
+    provider = scripted_replies(
+        [
+            TransportError("connection reset"),
+            "",
+            unparsable,
+            full_decl("cheat", 1, "by sorry"),
+            full_decl("wrong", 2, "by nope"),
+            full_decl("right", 3, "by rfl"),
+        ]
+    )
+    session = ScriptedVerifier(SEED)
+    session.script("verify_proof", "3 = 3", CheckResult("verified"), "by rfl")
+    gateway = Gateway(provider, retry_cap=1, sleep=lambda s: None)
+    library = run_simple_loop(config, gateway=gateway, session=session)
+    assert [e.statement.name for e in library.entries] == ["right"]
+
+    events = read_events(Path(config.output_dir) / "events.jsonl")
+    attempts = [e.payload for e in events if e.kind == "proof_attempt"]
+
+    def failed(trial, proof, message, empty=False):
+        return {
+            "loop": 1,
+            "trial": trial,
+            "proof": proof,
+            "verdict": "failed",
+            "diagnostics": [f"1:0 error {message}"],
+            "empty_response": empty,
+        }
+
+    expected = [
+        failed(
+            1,
+            "",
+            "gateway transport failure: retries exhausted (1) for role "
+            "'simple_loop': connection reset",
+        ),
+        # An empty reply is a failed trial here, not a surrender as in prove().
+        failed(2, "", "unusable declaration: empty response", empty=True),
+        failed(3, unparsable, "unusable declaration: no theorem declaration found"),
+        failed(
+            4,
+            full_decl("cheat", 1, "by sorry"),
+            "unusable declaration: proof script contains the 'sorry' token",
+        ),
+        {
+            "loop": 1,
+            "trial": 5,
+            "conjecture": "wrong",
+            "proof": full_decl("wrong", 2, "by nope"),
+            "verdict": "failed",
+            "diagnostics": ["1:0 error no fixture for verify_proof (default verdict)"],
+            "empty_response": False,
+        },
+        {
+            "loop": 1,
+            "trial": 6,
+            "conjecture": "right",
+            "proof": full_decl("right", 3, "by rfl"),
+            "verdict": "verified",
+            "diagnostics": [],
+            "empty_response": False,
+        },
+    ]
+    # Key order too: it fixes the bytes of events.jsonl.
+    assert [list(a.items()) for a in attempts] == [
+        list(e.items()) for e in expected
+    ]
+
+
+def test_simple_loop_warns_once_per_iteration_on_truncated_context(tmp_path):
+    # Iteration 1 adds s1; from then on seed + s1 exceeds the budget, so
+    # iteration 2's context is truncated for each of its three trials.
+    config = base_config(
+        tmp_path, mode="simple_loop", loops=2, max_trials=3, context_budget=30
+    )
+    responses = [full_decl("s1", 1, "by rfl")]
+    responses += [full_decl("s2", 2, f"by bad{i}") for i in range(3)]
+    provider = ReplayProvider({"simple_loop": responses})
+    session = ScriptedVerifier(SEED)
+    session.script("verify_proof", "1 = 1", CheckResult("verified"), "by rfl")
+    run_simple_loop(
+        config, gateway=Gateway(provider, sleep=lambda s: None), session=session
+    )
+    events = read_events(Path(config.output_dir) / "events.jsonl")
+    truncations = [
+        e
+        for e in events
+        if e.kind == "warning" and e.payload.get("where") == "simple_loop_context"
+    ]
+    assert len(truncations) == 1
+    assert truncations[0].payload["message"].startswith("context truncated")
 
 
 # ---------------------------------------------------------------------------
@@ -382,6 +496,11 @@ def test_config_defaults_match_protocol_constants():
     config = RunConfig()
     assert config.conjecture_iterations == 16
     assert config.max_trials == 16
+
+
+def test_config_rejects_modes_run_does_not_handle():
+    with pytest.raises(ValueError):
+        RunConfig(mode="analyze")
 
 
 def test_config_from_file_resolves_relative_paths(tmp_path):

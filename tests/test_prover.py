@@ -6,7 +6,7 @@ from cpl.core import Library, ProofScript, TheoremStatement, render_context
 from cpl.gateway import (
     CallableProvider,
     Gateway,
-    QueueProvider,
+    ReplayProvider,
     TransportError,
     read_transcript,
 )
@@ -29,7 +29,7 @@ def library() -> Library:
 
 
 def gateway_for(responses: list[str], **kw) -> Gateway:
-    return Gateway(QueueProvider({"prover": responses}), sleep=lambda s: None, **kw)
+    return Gateway(ReplayProvider({"prover": responses}), sleep=lambda s: None, **kw)
 
 
 def scripted(verified_proofs: dict[str, bool] | None = None) -> ScriptedVerifier:
