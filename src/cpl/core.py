@@ -13,6 +13,7 @@ import re
 import tempfile
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Iterable
 
 PROVENANCES = ("cpl", "simple_loop", "fixture")
 
@@ -111,6 +112,10 @@ def mask_comments(text: str, mask_strings: bool = False) -> str:
 
 def contains_sorry(text: str) -> bool:
     """True if the `sorry` token appears outside comments and strings."""
+    # Masking only turns characters into spaces, so a token missing from
+    # the raw text is missing from the masked text too.
+    if _SORRY_TOKEN.search(text) is None:
+        return False
     return bool(_SORRY_TOKEN.search(mask_comments(text, mask_strings=True)))
 
 
@@ -228,23 +233,37 @@ class Library:
         provenance: str,
         created_at: str,
     ) -> "Library":
-        """Return a new Library with one more entry.
+        """Return a new Library with one more entry (see `extend`)."""
+        return self.extend([(statement, proof, provenance, created_at)])
 
-        A statement whose name collides with an existing entry is
-        renamed `<name>_<sequence_index>` so every entry stays usable
-        as a lemma in later contexts.
+    def extend(
+        self,
+        additions: Iterable[tuple[TheoremStatement, ProofScript, str, str]],
+    ) -> "Library":
+        """Return a new Library with one entry per (statement, proof,
+        provenance, created_at) addition, in order.
+
+        A statement whose name collides with an earlier entry is renamed
+        `<name>_<sequence_index>` so every entry stays usable as a lemma
+        in later contexts. The result is built in one pass.
         """
-        index = len(self.entries)
-        if statement.name in self.entry_names():
-            statement = statement.with_name(f"{statement.name}_{index}")
-        entry = LibraryEntry(
-            statement=statement,
-            proof=proof,
-            sequence_index=index,
-            provenance=provenance,
-            created_at=created_at,
-        )
-        return replace(self, entries=self.entries + (entry,))
+        entries = list(self.entries)
+        names = self.entry_names()
+        for statement, proof, provenance, created_at in additions:
+            index = len(entries)
+            if statement.name in names:
+                statement = statement.with_name(f"{statement.name}_{index}")
+            names.add(statement.name)
+            entries.append(
+                LibraryEntry(
+                    statement=statement,
+                    proof=proof,
+                    sequence_index=index,
+                    provenance=provenance,
+                    created_at=created_at,
+                )
+            )
+        return replace(self, entries=tuple(entries))
 
     def prefix(self, count: int) -> "Library":
         """The library restricted to its first `count` entries."""
@@ -412,25 +431,27 @@ def render_context(
     seed = library.seed_source
     extra_blocks = [stmt.source_text.strip() for stmt in extras]
     entry_blocks = [entry.render_source() for entry in library.entries]
+    blocks = entry_blocks + extra_blocks
+    sep = "\n" if seed.endswith("\n") else "\n\n"
 
-    def assemble(blocks: list[str]) -> str:
-        if not blocks:
-            return seed
-        sep = "\n" if seed.endswith("\n") else "\n\n"
-        return seed + sep + "\n\n".join(blocks)
-
+    # `length` is the length of the rendering without the first `dropped`
+    # blocks: seed, then `sep`, then the blocks joined by "\n\n".
+    length = len(seed)
+    if blocks:
+        length += len(sep) + sum(len(b) for b in blocks) + 2 * (len(blocks) - 1)
     dropped = 0
-    while True:
-        rendered = assemble(entry_blocks[dropped:] + extra_blocks)
-        if len(rendered) <= budget:
-            break
+    while length > budget:
         if dropped == len(entry_blocks):
             raise ValueError(
                 f"context budget {budget} cannot fit seed plus "
                 f"{len(extra_blocks)} extra statement(s) "
-                f"({len(rendered)} chars)"
+                f"({length} chars)"
             )
+        only = dropped == len(blocks) - 1  # the only block left takes `sep` along
+        length -= len(blocks[dropped]) + (len(sep) if only else 2)
         dropped += 1
+    kept = blocks[dropped:]
+    rendered = seed + sep + "\n\n".join(kept) if kept else seed
     if dropped and warnings is not None:
         warnings.append(
             f"context truncated: dropped {dropped} oldest entr"

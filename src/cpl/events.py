@@ -153,13 +153,21 @@ def normalized_event_lines(path: str | Path) -> list[str]:
 
 
 def truncate_events(path: str | Path, keep_through_sequence: int) -> None:
-    """Atomically rewrite the log keeping events up to a sequence number."""
+    """Atomically rewrite the log keeping events up to a sequence number.
+
+    Kept lines are copied verbatim; blank lines are dropped.
+    """
     path = Path(path)
-    kept = [e for e in read_events(path) if e.sequence <= keep_through_sequence]
+    with open(path, "rb") as source:
+        kept = [
+            line if line.endswith(b"\n") else line + b"\n"
+            for line in source
+            if line.strip()
+            and json.loads(line)["sequence"] <= keep_through_sequence
+        ]
     fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-    with os.fdopen(fd, "w", encoding="utf-8") as handle:
-        for event in kept:
-            handle.write(json.dumps(event.to_dict(), ensure_ascii=False) + "\n")
+    with os.fdopen(fd, "wb") as handle:
+        handle.writelines(kept)
         handle.flush()
         os.fsync(handle.fileno())
     os.replace(tmp_name, path)
@@ -167,7 +175,7 @@ def truncate_events(path: str | Path, keep_through_sequence: int) -> None:
 
 def replay_library(events: list[RunEvent], seed_source: str) -> Library:
     """Reconstruct the library from `theorem_added` events alone."""
-    library = Library(seed_source=seed_source)
+    additions = []
     for event in events:
         if event.kind != "theorem_added":
             continue
@@ -175,12 +183,8 @@ def replay_library(events: list[RunEvent], seed_source: str) -> Library:
         statement = TheoremStatement(
             name=p["name"], body=p["body"], source_text=p["statement"]
         )
-        # Names were already de-collided when the event was written.
-        entry_lib = library.append(
-            statement=statement,
-            proof=ProofScript(text=p["proof"]),
-            provenance=p["provenance"],
-            created_at=p["created_at"],
+        additions.append(
+            (statement, ProofScript(text=p["proof"]), p["provenance"], p["created_at"])
         )
-        library = entry_lib
-    return library
+    # Names were already de-collided when the events were written.
+    return Library(seed_source=seed_source).extend(additions)

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from cpl.core import (
+    _SORRY_TOKEN,
     ConjectureList,
     Library,
     LibraryEntry,
@@ -14,6 +15,7 @@ from cpl.core import (
     contains_sorry,
     dump_library,
     load_library,
+    mask_comments,
     normalize_statement,
     parse_theorem_declarations,
     parse_theorem_with_proof,
@@ -236,6 +238,41 @@ def test_contains_sorry_token_boundaries():
     assert not contains_sorry("/- sorry -/ exact h")
 
 
+SORRY_FRAGMENTS = [
+    "sorry", "sorry ", " sorry", "xsorry", "sorryx", "sorry'", "_sorry",
+    "/-", "-/", "/-x-/", "/- /- sorry -/ -/", "--", "-- sorry", "\n",
+    '"', '"a"', '"\\"', '\\"', "\\", '"\\\n"', "x", " ", "(", ")", ":=",
+]
+
+
+SORRY_EDGE_CASES = [
+    "/-x-/sorry",
+    '"a"sorry',
+    "sorry--",
+    "/- /- -/ sorry -/",
+    "/- /- -/ -/ sorry",
+    "-- sorry\nsorry",
+    "-- x\n sorry",
+    '"sorry"',
+    '"\\"sorry\\"" ',
+    '"\\" sorry',
+    "sorry/-",
+    'sorry"x"',
+    "by exact sorrynot",
+]
+
+
+def test_contains_sorry_equals_search_of_masked_text():
+    rng = random.Random(11)
+    random_texts = [
+        "".join(rng.choice(SORRY_FRAGMENTS) for _ in range(rng.randint(1, 8)))
+        for _ in range(3000)
+    ]
+    for text in SORRY_EDGE_CASES + random_texts:
+        expected = bool(_SORRY_TOKEN.search(mask_comments(text, mask_strings=True)))
+        assert contains_sorry(text) == expected, text
+
+
 def test_proof_script_must_be_nonempty():
     with pytest.raises(ValueError):
         ProofScript("   \n ")
@@ -318,6 +355,89 @@ def test_render_entries_in_sequence_order_randomized():
     out = render_context(lib, [], 100_000)
     positions = [out.index(f"theorem gen{i} ") for i in range(len(lib.entries))]
     assert positions == sorted(positions)
+
+
+def reference_render_context(library, extras, budget, warnings=None):
+    """The drop-one-entry-at-a-time loop that `render_context` replaced."""
+    if budget <= 0:
+        raise ValueError("context budget must be positive")
+    seed = library.seed_source
+    extra_blocks = [stmt.source_text.strip() for stmt in extras]
+    entry_blocks = [entry.render_source() for entry in library.entries]
+
+    def assemble(blocks):
+        if not blocks:
+            return seed
+        sep = "\n" if seed.endswith("\n") else "\n\n"
+        return seed + sep + "\n\n".join(blocks)
+
+    dropped = 0
+    while True:
+        rendered = assemble(entry_blocks[dropped:] + extra_blocks)
+        if len(rendered) <= budget:
+            break
+        if dropped == len(entry_blocks):
+            raise ValueError(
+                f"context budget {budget} cannot fit seed plus "
+                f"{len(extra_blocks)} extra statement(s) "
+                f"({len(rendered)} chars)"
+            )
+        dropped += 1
+    if dropped and warnings is not None:
+        warnings.append(
+            f"context truncated: dropped {dropped} oldest entr"
+            f"{'y' if dropped == 1 else 'ies'} to fit budget {budget}"
+        )
+    return rendered
+
+
+def render_outcome(render, library, extras, budget):
+    warnings: list[str] = []
+    try:
+        return render(library, extras, budget, warnings=warnings), warnings
+    except ValueError as exc:
+        return ("ValueError", str(exc)), warnings
+
+
+def oracle_library(seed: str, sizes: list[int]) -> Library:
+    lib = Library(seed_source=seed)
+    for i, size in enumerate(sizes):
+        lib = lib.append(
+            stmt(f"theorem e{i} : {i} = {i} := sorry"),
+            ProofScript("by\n" + "  rfl\n" * size + "  done"),
+            "fixture",
+            "t",
+        )
+    return lib
+
+
+@pytest.mark.parametrize("seed", ["import Mathlib\n", "import Mathlib", ""])
+@pytest.mark.parametrize("sizes", [[], [0], [3, 0, 1, 5]])
+@pytest.mark.parametrize("extra_count", [0, 1, 2])
+def test_render_matches_reference_at_every_budget(seed, sizes, extra_count):
+    lib = oracle_library(seed, sizes)
+    extras = [stmt(f"theorem x{i} : {i} ≠ {i + 1} := sorry") for i in range(extra_count)]
+    full = len(render_context(lib, extras, 10**9))
+    for budget in range(-1, full + 2):
+        assert render_outcome(render_context, lib, extras, budget) == render_outcome(
+            reference_render_context, lib, extras, budget
+        ), budget
+
+
+def test_truncated_render_renders_each_entry_once(monkeypatch):
+    lib = oracle_library("import Mathlib\n", [2] * 40)
+    calls = {"n": 0}
+    render_source = LibraryEntry.render_source
+
+    def counted(entry):
+        calls["n"] += 1
+        return render_source(entry)
+
+    monkeypatch.setattr(LibraryEntry, "render_source", counted)
+    warnings: list[str] = []
+    render_context(lib, [], 200, warnings=warnings)
+    assert warnings and "dropped" in warnings[0]
+    assert calls["n"] == len(lib.entries)
 
 
 # ---------------------------------------------------------------------------

@@ -69,6 +69,19 @@ def test_truncate_keeps_prefix_atomically(tmp_path):
     assert read_events(path) == []
 
 
+def test_truncate_copies_kept_lines_verbatim_and_drops_blank_lines(tmp_path):
+    path = tmp_path / "e.jsonl"
+    with EventLog(path, clock=FixedClock()) as log:
+        for i in range(4):
+            log.emit("warning", message=f"ℕ ≤ {i} \"quoted\"")
+    lines = path.read_bytes().splitlines(keepends=True)
+    # spacing that a parse-and-dump round trip would not reproduce
+    lines[1] = b'{"sequence":1,  "timestamp": null, "kind": "warning", "payload": {}}\n'
+    path.write_bytes(b"\n".join([lines[0], lines[1], b"  ", lines[2], lines[3]]))
+    truncate_events(path, keep_through_sequence=2)
+    assert path.read_bytes() == lines[0] + lines[1] + lines[2]
+
+
 def test_replay_library_rebuilds_entries(tmp_path):
     seed = "import Mathlib\n"
     lib = Library(seed_source=seed)
@@ -93,6 +106,65 @@ def test_replay_library_rebuilds_entries(tmp_path):
             )
     rebuilt = replay_library(read_events(path), seed)
     assert rebuilt == lib
+
+
+def emit_added(log: EventLog, lib: Library) -> None:
+    entry = lib.entries[-1]
+    log.emit(
+        "theorem_added",
+        sequence_index=entry.sequence_index,
+        name=entry.statement.name,
+        body=entry.statement.body,
+        statement=entry.statement.source_text,
+        proof=entry.proof.text,
+        provenance=entry.provenance,
+        created_at=entry.created_at,
+    )
+
+
+def test_replay_library_renames_colliding_names_like_append(tmp_path):
+    seed = "import Mathlib\n"
+    path = tmp_path / "e.jsonl"
+    names = ["a", "b", "a", "a_2", "b"]
+    stmts = [
+        TheoremStatement.from_source(f"theorem {name} : {i} = {i} := sorry")
+        for i, name in enumerate(names)
+    ]
+    with EventLog(path, clock=FixedClock()) as log:
+        for i, stmt in enumerate(stmts):
+            # each event carries the name as proposed, not as appended
+            added = Library(seed_source=seed).append(stmt, ProofScript("rfl"), "cpl", "t")
+            emit_added(log, added)
+            log.emit("warning", message=f"between {i}")
+    fold = Library(seed_source=seed)
+    for stmt in stmts:
+        fold = fold.append(stmt, ProofScript("rfl"), "cpl", "t")
+    rebuilt = replay_library(read_events(path), seed)
+    assert rebuilt == fold
+    assert [e.statement.name for e in rebuilt.entries] == ["a", "b", "a_2", "a_2_3", "b_4"]
+
+
+def test_replay_library_builds_the_library_once(tmp_path, monkeypatch):
+    seed = "import Mathlib\n"
+    path = tmp_path / "e.jsonl"
+    lib = Library(seed_source=seed)
+    with EventLog(path, clock=FixedClock()) as log:
+        for i in range(30):
+            stmt = TheoremStatement.from_source(f"theorem r{i} : {i} = {i} := sorry")
+            lib = lib.append(stmt, ProofScript("rfl"), "cpl", "t")
+            emit_added(log, lib)
+    events = read_events(path)
+    built: list[int] = []
+    post_init = Library.__post_init__
+
+    def counted(self):
+        built.append(len(self.entries))
+        post_init(self)
+
+    monkeypatch.setattr(Library, "__post_init__", counted)
+    assert replay_library(events, seed) == lib
+    # the empty starting value, then the replayed library: not one per entry
+    assert built == [0, 30]
 
 
 def test_clock_formats():

@@ -130,6 +130,31 @@ def test_fast_forward_reaches_provider_behind_recorder(tmp_path):
     assert json.loads(lines[0])["index"] == 2
 
 
+@pytest.mark.parametrize(
+    "lines, tail, expected",
+    [
+        (['{"sequence": 0}', '{"sequence": 1, "x": "' + "y" * 200_000 + '"}'], "", 2),
+        (['{"sequence": 0}', '{"sequence": 4}'], '{"sequence": 9, "x": "to', 5),
+        (['{"sequence": 3}', "not json", ""], "", 4),
+        (["not json"], '{"sequence": 7}', 0),
+        ([], "", 0),
+    ],
+)
+def test_fast_forward_continues_after_last_complete_transcript_line(
+    tmp_path, lines, tail, expected
+):
+    path = tmp_path / "transcript.jsonl"
+    before = "".join(line + "\n" for line in lines) + tail
+    path.write_text(before, encoding="utf-8")
+    gateway = Gateway(
+        ReplayProvider({"prover": ["r0"]}), transcript_path=path, sleep=lambda s: None
+    )
+    gateway.fast_forward({})
+    gateway.complete(request())
+    appended = path.read_text(encoding="utf-8")[len(before) :]
+    assert json.loads(appended)["sequence"] == expected
+
+
 def test_transcript_logs_full_exchange(tmp_path):
     path = tmp_path / "transcript.jsonl"
     gateway = Gateway(

@@ -418,6 +418,29 @@ def test_resume_mid_loop_rolls_back_uncommitted_entries(tmp_path):
     assert len(resumed_notes) == 1
 
 
+def test_resume_continues_transcript_sequence_numbers(tmp_path):
+    crash_dir = tmp_path / "crash"
+    counter = {"added": 0}
+
+    def listener(event):
+        if event.kind == "theorem_added":
+            counter["added"] += 1
+            if counter["added"] == 3:  # in loop 2, after loop 1 committed
+                raise SimulatedCrash("killed right after an append")
+
+    with pytest.raises(SimulatedCrash):
+        run(demo_config(crash_dir), listener=listener)
+    transcript = crash_dir / "transcript.jsonl"
+    before = len(transcript.read_text(encoding="utf-8").splitlines())
+
+    config = demo_config(crash_dir)
+    config.resume = True
+    run(config)
+    lines = transcript.read_text(encoding="utf-8").splitlines()
+    assert len(lines) > before
+    assert [json.loads(line)["sequence"] for line in lines] == list(range(len(lines)))
+
+
 def test_resume_with_tampered_library_names_entry(tmp_path):
     crash_dir = tmp_path / "crash"
     state = {"loops": 0}
