@@ -526,21 +526,43 @@ def dump_library(library: Library) -> str:
 
 def save_library(library: Library, path: str | Path) -> None:
     """Atomically write the library file (temp file + rename)."""
+    write_atomically(path, [dump_library(library).encode("utf-8")])
+
+
+def write_atomically(
+    path: str | Path, chunks: Iterable[bytes], fsync: bool = True
+) -> None:
+    """Write `chunks` to a temp file beside `path`, then move it into
+    place, so a crash never leaves a partial file under `path`."""
     path = Path(path)
-    data = dump_library(library)
     fd, tmp_name = tempfile.mkstemp(
         dir=path.parent, prefix=path.name, suffix=".tmp"
     )
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(data)
-            handle.flush()
-            os.fsync(handle.fileno())
+        with os.fdopen(fd, "wb") as handle:
+            handle.writelines(chunks)
+            if fsync:
+                handle.flush()
+                os.fsync(handle.fileno())
         os.replace(tmp_name, path)
     except BaseException:
         if os.path.exists(tmp_name):
             os.unlink(tmp_name)
         raise
+
+
+def keep_lines(path: str | Path, count: int, fsync: bool = True) -> None:
+    """Cut a JSON-lines file back to its first `count` non-blank lines,
+    copied verbatim.
+
+    Blank lines go, and so does a last line without its newline: a write
+    torn by a crash. The file is rewritten only when something is cut.
+    """
+    with open(path, "rb") as source:
+        lines = source.readlines()
+    kept = [line for line in lines if line.strip() and line.endswith(b"\n")][:count]
+    if len(kept) < len(lines):
+        write_atomically(path, kept, fsync)
 
 
 def library_blocks(text: str) -> list[tuple[re.Match, str]]:

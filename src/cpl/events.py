@@ -8,14 +8,12 @@ report generator build on.
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable
 
-from .core import Library, ProofScript, TheoremStatement
+from .core import Library, ProofScript, TheoremStatement, keep_lines
 
 EVENT_KINDS = (
     "phase_start",
@@ -152,25 +150,13 @@ def normalized_event_lines(path: str | Path) -> list[str]:
     return lines
 
 
-def truncate_events(path: str | Path, keep_through_sequence: int) -> None:
-    """Atomically rewrite the log keeping events up to a sequence number.
+def truncate_events(path: str | Path, keep: int) -> None:
+    """Atomically cut the log back to its first `keep` events.
 
-    Kept lines are copied verbatim; blank lines are dropped.
+    Kept lines are copied verbatim, without parsing them again; blank
+    lines are dropped.
     """
-    path = Path(path)
-    with open(path, "rb") as source:
-        kept = [
-            line if line.endswith(b"\n") else line + b"\n"
-            for line in source
-            if line.strip()
-            and json.loads(line)["sequence"] <= keep_through_sequence
-        ]
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-    with os.fdopen(fd, "wb") as handle:
-        handle.writelines(kept)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp_name, path)
+    keep_lines(path, keep)
 
 
 def replay_library(events: list[RunEvent], seed_source: str) -> Library:

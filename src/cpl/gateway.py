@@ -5,10 +5,16 @@ The shipped ones are an HTTP client for chat-completions endpoints, a
 deterministic replay provider (per-role response queues, fed from
 recorded fixtures or from memory for tests and dry runs), a recording
 wrapper, and an adapter for a plain function of the request.
+
+The transcript and the recordings write each distinct user context once,
+to `prompts/<sha256>.txt` beside them (`PromptStore`); their lines hold
+the context's hash plus the text that follows it, or a short context
+inline. `read_transcript` puts the full `user_content` back.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 import os
@@ -18,6 +24,8 @@ import urllib.error
 import urllib.request
 from dataclasses import dataclass
 from pathlib import Path
+
+from .core import write_atomically
 
 logger = logging.getLogger(__name__)
 
@@ -194,6 +202,65 @@ class ReplayProvider:
         return items[cursor]
 
 
+# A shorter context stays inline as `user_content`: creating a blob file
+# costs more than writing a few KB into each line that needs it.
+INLINE_CONTEXT_CHARS = 4096
+
+
+class PromptStore:
+    """Each distinct user context, written once as `prompts/<sha256>.txt`
+    in the directory of the JSON-lines files that refer to it.
+
+    `request_fields` stores a context of `INLINE_CONTEXT_CHARS` or more as
+    `user_content_ref`, the sha256 of a stored context, plus
+    `user_content_suffix`, the text after it. The last context stored is
+    reused as that prefix while it is one: a prover retry is its
+    campaign's context plus a feedback block, and a conjecture context
+    grows by accepted stubs. Only a context that does not start with it
+    is hashed. Roles take turns in phases, so one context is kept, not
+    one per role.
+    """
+
+    def __init__(self, beside: str | Path):
+        self.directory = Path(beside) / "prompts"
+        self._base = ""  # the last context stored
+        self._base_ref: str | None = None  # and its sha256
+
+    def path(self, ref: str) -> Path:
+        return self.directory / f"{ref}.txt"
+
+    def request_fields(self, request: ChatRequest) -> dict:
+        fields = {"system_prompt": request.system_prompt}
+        if len(request.user_content) < INLINE_CONTEXT_CHARS:
+            fields["user_content"] = request.user_content
+        else:
+            ref, suffix = self._split(request.user_content)
+            fields.update(user_content_ref=ref, user_content_suffix=suffix)
+        fields.update(temperature=request.temperature, max_output=request.max_output)
+        return fields
+
+    def _split(self, content: str) -> tuple[str, str]:
+        base = self._base
+        # The rest may be no longer than the stored context: a context
+        # that keeps growing (the simple loop's, from one iteration to
+        # the next) is stored again each time it doubles, instead of
+        # repeating all its growth on every line.
+        if (
+            self._base_ref is not None
+            and len(content) <= 2 * len(base)
+            and content.startswith(base)
+        ):
+            return self._base_ref, content[len(base) :]
+        data = content.encode("utf-8")
+        ref = hashlib.sha256(data).hexdigest()
+        path = self.path(ref)
+        if not path.exists():
+            self.directory.mkdir(parents=True, exist_ok=True)
+            write_atomically(path, [data], fsync=False)
+        self._base, self._base_ref = content, ref
+        return ref, ""
+
+
 class RecordingProvider:
     """Wraps a live provider and persists every exchange for replay."""
 
@@ -211,9 +278,25 @@ class RecordingProvider:
                 f"record directory {self._dir} is not writable: {exc}"
             ) from exc
         self._indices: dict[str, int] = {}
+        self._prompts = PromptStore(self._dir)
 
     def fast_forward(self, role_id: str, count: int) -> None:
+        """Continue the role's records at call index `count`, dropping
+        the records of later calls, which a resumed run makes again."""
         self._indices[role_id] = count
+        path = self._dir / f"{role_id}.jsonl"
+        if path.exists():
+            with open(path, "rb") as handle:
+                lines = handle.readlines()
+            kept = [
+                line
+                for line in lines
+                if line.strip()
+                and line.endswith(b"\n")  # else torn by a crash
+                and json.loads(line)["index"] < count
+            ]
+            if len(kept) < len(lines):
+                write_atomically(path, kept, fsync=False)
         if hasattr(self._inner, "fast_forward"):
             self._inner.fast_forward(role_id, count)
 
@@ -224,12 +307,7 @@ class RecordingProvider:
         record = {
             "index": index,
             "role_id": request.role_id,
-            "request": {
-                "system_prompt": request.system_prompt,
-                "user_content": request.user_content,
-                "temperature": request.temperature,
-                "max_output": request.max_output,
-            },
+            "request": self._prompts.request_fields(request),
             "response": text,
         }
         path = self._dir / f"{request.role_id}.jsonl"
@@ -275,13 +353,17 @@ class Gateway:
         self._sleep = sleep
         self._bucket = TokenBucket(rate_limit_rps) if rate_limit_rps else None
         self._transcript_path = Path(transcript_path) if transcript_path else None
+        self._prompts = (
+            PromptStore(self._transcript_path.parent) if self._transcript_path else None
+        )
         self._clock = clock
         self._lock = threading.Lock()
         self.calls_by_role: dict[str, int] = {role: 0 for role in ROLE_IDS}
         self._transcript_sequence = 0
 
     def fast_forward(self, calls_by_role: dict[str, int]) -> None:
-        """Restore per-role call counters (and replay cursors) on resume.
+        """Restore per-role call counters on resume, and pass each count
+        to the provider (replay cursors; a recorder drops later records).
 
         Transcript numbering continues after the transcript's last
         complete line, so sequence numbers stay unique across resumes.
@@ -351,12 +433,7 @@ class Gateway:
                 "sequence": self._transcript_sequence,
                 "timestamp": self._clock.now() if self._clock else None,
                 "role_id": request.role_id,
-                "request": {
-                    "system_prompt": request.system_prompt,
-                    "user_content": request.user_content,
-                    "temperature": request.temperature,
-                    "max_output": request.max_output,
-                },
+                "request": self._prompts.request_fields(request),
                 "response": None
                 if response is None
                 else {
@@ -379,8 +456,9 @@ def _next_transcript_sequence(path: Path) -> int:
     """One past the `sequence` of the last complete line of a transcript
     that parses, or 0 when there is none.
 
-    Lines hold whole prompts, so the file is read backwards from its end
-    in blocks, and only as far as that line.
+    Lines written before prompts were stored hold whole prompts, so the
+    file is read backwards from its end in blocks, and only as far as
+    that line.
     """
     if not path.exists():
         return 0
@@ -414,10 +492,29 @@ def _complete_lines_from_end(handle):
 
 
 def read_transcript(path: str | Path) -> list[dict]:
+    """The entries of a transcript, or of a recording file, with each
+    request's full `user_content` put back from the prompt store.
+
+    Lines written before prompts were stored hold `user_content` inline
+    and are returned as they are.
+    """
+    path = Path(path)
+    store = PromptStore(path.parent)
+    stored: dict[str, str] = {}
     entries = []
     with open(path, encoding="utf-8") as handle:
         for line in handle:
             line = line.strip()
-            if line:
-                entries.append(json.loads(line))
+            if not line:
+                continue
+            entry = json.loads(line)
+            request = entry["request"]
+            ref = request.pop("user_content_ref", None)
+            if ref is not None:
+                if ref not in stored:
+                    # bytes, not text mode, which would rewrite "\r\n"
+                    stored[ref] = store.path(ref).read_bytes().decode("utf-8")
+                suffix = request.pop("user_content_suffix")
+                request["user_content"] = stored[ref] + suffix
+            entries.append(entry)
     return entries

@@ -1,10 +1,13 @@
 """Top-level run drivers: the conjecture/prove pipeline, the single-call
 baseline loop, configuration, persistence, and resumption.
 
-A run directory holds four artifacts: `library.lean` (rewritten
-atomically after every append), `events.jsonl` (append-only, flushed
-per event), `transcript.jsonl` (every model exchange), and
-`report.json` (summary written at the end).
+A run directory holds `library.lean` (rewritten atomically after every
+append), `events.jsonl` (append-only, flushed per event),
+`transcript.jsonl` (every model exchange, read through
+`gateway.read_transcript`), `prompts/` (each distinct long user context
+of the transcript, stored once), and `report.json` (summary written at the
+end). A resume cuts the event log, the transcript and any recordings
+back to the last committed loop.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from .core import (
     ENTRY_MARKER,
     Library,
     dump_library,
+    keep_lines,
     library_blocks,
     parse_theorem_with_proof,
     render_context,
@@ -32,6 +36,7 @@ from .events import (
     truncate_events,
 )
 from .gateway import (
+    ROLE_IDS,
     ChatRequest,
     FatalGatewayError,
     Gateway,
@@ -233,28 +238,27 @@ def _load_resume_point(
             finished=True,
         )
 
-    boundary = None
-    for event in events:
-        if event.kind == "loop_complete":
-            boundary = event
-    if boundary is None:
-        truncate_events(events_path, -1)
+    # Roles with no committed calls are rewound too, to 0.
+    no_calls = dict.fromkeys(ROLE_IDS, 0)
+    ends = [i for i, event in enumerate(events) if event.kind == "loop_complete"]
+    if not ends:
+        truncate_events(events_path, 0)
         return _ResumePoint(
             library=Library(seed_source=seed),
             completed_loops=0,
             next_sequence=0,
-            gateway_calls={},
+            gateway_calls=no_calls,
             finished=False,
         )
-    keep = boundary.sequence
-    truncate_events(events_path, keep)
+    boundary = events[ends[-1]]
+    truncate_events(events_path, ends[-1] + 1)
     committed = boundary.payload["library_size"]
     library = Library(seed_source=seed, entries=replayed.entries[:committed])
     return _ResumePoint(
         library=library,
         completed_loops=boundary.payload["loop"],
-        next_sequence=keep + 1,
-        gateway_calls=dict(boundary.payload.get("gateway_calls", {})),
+        next_sequence=boundary.sequence + 1,
+        gateway_calls=no_calls | boundary.payload.get("gateway_calls", {}),
         finished=False,
     )
 
@@ -266,12 +270,13 @@ def _prepare_run(config: RunConfig, gateway, session, listener):
     clock = make_clock(config.resolved_clock())
     events_path = out / "events.jsonl"
     library_path = out / "library.lean"
+    transcript_path = out / "transcript.jsonl"
 
     if config.resume:
         point = _load_resume_point(config, seed, events_path, library_path)
     else:
         events_path.unlink(missing_ok=True)
-        (out / "transcript.jsonl").unlink(missing_ok=True)
+        transcript_path.unlink(missing_ok=True)
         point = _ResumePoint(
             library=Library(seed_source=seed),
             completed_loops=0,
@@ -298,6 +303,12 @@ def _prepare_run(config: RunConfig, gateway, session, listener):
             rolled_back = len(ENTRY_MARKER.findall(on_disk))
             rolled_back -= len(point.library.entries)
         save_library(point.library, library_path)
+        if transcript_path.exists():
+            # One line per gateway call: keep the committed loops' calls.
+            keep_lines(
+                transcript_path, sum(point.gateway_calls.values()), fsync=False
+            )
+        gateway.fast_forward(point.gateway_calls)
         events.emit(
             "warning",
             message=(
@@ -306,7 +317,6 @@ def _prepare_run(config: RunConfig, gateway, session, listener):
                 f"{'y' if rolled_back == 1 else 'ies'}"
             ),
         )
-        gateway.fast_forward(point.gateway_calls)
     return out, clock, gateway, session, events, library_path, point
 
 

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from cpl.core import Library, ProofScript, TheoremStatement
+from cpl.core import Library, ProofScript, TheoremStatement, keep_lines
 from cpl.events import (
     EventLog,
     FixedClock,
@@ -62,10 +62,10 @@ def test_truncate_keeps_prefix_atomically(tmp_path):
     with EventLog(path, clock=FixedClock()) as log:
         for i in range(6):
             log.emit("warning", message=f"w{i}")
-    truncate_events(path, keep_through_sequence=2)
+    truncate_events(path, keep=3)
     events = read_events(path)
     assert [e.sequence for e in events] == [0, 1, 2]
-    truncate_events(path, keep_through_sequence=-1)
+    truncate_events(path, keep=0)
     assert read_events(path) == []
 
 
@@ -78,8 +78,30 @@ def test_truncate_copies_kept_lines_verbatim_and_drops_blank_lines(tmp_path):
     # spacing that a parse-and-dump round trip would not reproduce
     lines[1] = b'{"sequence":1,  "timestamp": null, "kind": "warning", "payload": {}}\n'
     path.write_bytes(b"\n".join([lines[0], lines[1], b"  ", lines[2], lines[3]]))
-    truncate_events(path, keep_through_sequence=2)
+    truncate_events(path, keep=3)
     assert path.read_bytes() == lines[0] + lines[1] + lines[2]
+
+
+def test_truncate_keeps_lines_by_count_without_parsing_them(tmp_path):
+    path = tmp_path / "e.jsonl"
+    path.write_bytes(b"not json 0\n\nnot json 1\nnot json 2\n")
+    truncate_events(path, keep=2)
+    assert path.read_bytes() == b"not json 0\nnot json 1\n"
+
+
+def test_keep_lines_drops_a_torn_tail_and_rewrites_only_when_cutting(tmp_path):
+    path = tmp_path / "t.jsonl"
+    path.write_bytes(b'{"a": 0}\n{"a": 1}\n{"a": 2, "b": "tor')
+    keep_lines(path, 5, fsync=False)  # fewer lines than asked for: only the tail goes
+    assert path.read_bytes() == b'{"a": 0}\n{"a": 1}\n'
+    before = path.stat()
+    keep_lines(path, 2, fsync=False)
+    keep_lines(path, 3, fsync=False)
+    after = path.stat()
+    assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+    keep_lines(path, 1, fsync=False)
+    assert path.read_bytes() == b'{"a": 0}\n'
+    assert [p.name for p in tmp_path.iterdir()] == ["t.jsonl"]  # no temp file left
 
 
 def test_replay_library_rebuilds_entries(tmp_path):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import urllib.request
@@ -7,6 +8,7 @@ import urllib.request
 import pytest
 
 from cpl.gateway import (
+    CallableProvider,
     ChatRequest,
     FatalGatewayError,
     FixtureExhaustedError,
@@ -306,3 +308,174 @@ def test_credential_never_written_to_transcript(tmp_path, monkeypatch):
     gateway = Gateway(provider, transcript_path=path, sleep=lambda s: None)
     gateway.complete(request())
     assert "super-secret-credential" not in path.read_text(encoding="utf-8")
+
+
+# ---------------------------------------------------------------------------
+# Prompt store
+# ---------------------------------------------------------------------------
+
+CONTEXT = "import Mathlib\n\n" + "\n\n".join(
+    f"theorem t{i} : ∀ n : ℕ, n + {i} = {i} + n := by omega" for i in range(300)
+)
+TRUNCATED = CONTEXT[CONTEXT.index("theorem t5 ") :]
+NON_ASCII = "∀ ε > 0, ∃ δ > 0,\r\n  |x - y| < δ → |f x - f y| < ε  -- 𝔽 \u2028 \"q\""
+
+
+def store_cases() -> list[tuple[str, str]]:
+    """(role, user_content) in call order, covering every store path."""
+    retries = [
+        CONTEXT + f"\n\nprevious attempt:\nby simp_{i}\n\nerror: unsolved goals ⊢ ℕ"
+        for i in range(16)
+    ]
+    stubs = ["\n\ntheorem s1 : 1 = 1 := sorry", "\n\ntheorem s2 : 2 = 2 := sorry"]
+    return [
+        ("prover", CONTEXT),  # first trial: stored
+        *(("prover", text) for text in retries),  # retries: context + feedback
+        ("conjecturer", CONTEXT + stubs[0]),  # a context grown by stubs
+        ("conjecturer", CONTEXT + stubs[0] + stubs[1]),
+        ("prover", CONTEXT),  # an identical repeat
+        ("prover", TRUNCATED),  # truncated at the front: not a prefix
+        ("simple_loop", TRUNCATED * 2 + "!"),  # grown past twice its base
+        ("nl_prover", NON_ASCII * 100),
+        ("nl_prover", NON_ASCII),  # short contexts stay inline
+        ("prover", ""),
+    ]
+
+
+def record_cases(gateway) -> list[str]:
+    sent = []
+    for role, text in store_cases():
+        gateway.complete(request(role=role, user=text))
+        sent.append(text)
+    return sent
+
+
+def echo_provider(seen: list[str]):
+    def reply(req: ChatRequest) -> str:
+        seen.append(req.user_content)
+        return f"reply {len(seen)}"
+
+    return CallableProvider(reply)
+
+
+def test_read_transcript_returns_the_exact_user_content(tmp_path):
+    path = tmp_path / "transcript.jsonl"
+    old_line = {  # written before prompts were stored: inline user_content
+        "sequence": 0,
+        "timestamp": None,
+        "role_id": "prover",
+        "request": {
+            "system_prompt": "s",
+            "user_content": "old ∀ context\r\n",
+            "temperature": 1.0,
+            "max_output": 16384,
+        },
+        "response": {"text": "r", "provider": "x", "latency": 0.0, "attempt": 1},
+        "error": None,
+    }
+    path.write_text(json.dumps(old_line, ensure_ascii=False) + "\n", encoding="utf-8")
+    seen: list[str] = []
+    gateway = Gateway(echo_provider(seen), transcript_path=path, sleep=lambda s: None)
+    sent = record_cases(gateway)
+    assert seen == sent
+    entries = read_transcript(path)
+    contents = [e["request"]["user_content"] for e in entries]
+    assert contents == ["old ∀ context\r\n"] + sent
+    assert entries[0] == old_line
+    assert all("user_content_ref" not in e["request"] for e in entries)
+    assert [e["response"]["text"] for e in entries[1:]] == [
+        f"reply {i}" for i in range(1, len(sent) + 1)
+    ]
+
+
+def test_retries_and_grown_contexts_store_only_the_rest(tmp_path):
+    path = tmp_path / "transcript.jsonl"
+    gateway = Gateway(echo_provider([]), transcript_path=path, sleep=lambda s: None)
+    sent = record_cases(gateway)
+    raw = path.read_text(encoding="utf-8").split("\n")[:-1]
+    assert all(len(line) < len(CONTEXT) for line in raw)  # no line holds it
+    lines = [json.loads(line) for line in raw]
+    first = lines[0]["request"]
+    assert first["user_content_suffix"] == ""
+    assert "user_content" not in first
+    for line, text in zip(lines[1:20], sent[1:20]):
+        assert line["request"]["user_content_ref"] == first["user_content_ref"]
+        assert line["request"]["user_content_suffix"] == text[len(CONTEXT) :]
+    for line, text in zip(lines[-2:], sent[-2:]):
+        assert line["request"]["user_content"] == text
+        assert "user_content_ref" not in line["request"]
+
+
+def test_each_distinct_context_is_written_once_under_its_sha256(
+    tmp_path, monkeypatch
+):
+    import cpl.gateway
+
+    written = []
+
+    def spy(path, chunks, fsync=True):
+        written.append(path)
+        real_write(path, chunks, fsync)
+
+    real_write = cpl.gateway.write_atomically
+    monkeypatch.setattr(cpl.gateway, "write_atomically", spy)
+    path = tmp_path / "transcript.jsonl"
+    for _ in range(2):  # a second gateway, as after a restart, finds the blobs
+        gateway = Gateway(echo_provider([]), transcript_path=path, sleep=lambda s: None)
+        record_cases(gateway)
+    blobs = {p.name: p.read_bytes() for p in (tmp_path / "prompts").iterdir()}
+    assert sorted(written) == sorted(tmp_path / "prompts" / name for name in blobs)
+    for name, data in blobs.items():
+        assert name == hashlib.sha256(data).hexdigest() + ".txt"
+    expected = [CONTEXT, TRUNCATED, TRUNCATED * 2 + "!", NON_ASCII * 100]
+    assert sorted(blobs.values()) == sorted(text.encode("utf-8") for text in expected)
+    assert len(read_transcript(path)) == 2 * len(store_cases())
+
+
+def test_recording_through_the_store_replays(tmp_path):
+    rec = tmp_path / "rec"
+    recorder = RecordingProvider(echo_provider([]), rec)
+    record_cases(Gateway(recorder, sleep=lambda s: None))
+    replay = Gateway(ReplayProvider.from_dir(rec), sleep=lambda s: None)
+    by_role: dict[str, list[str]] = {}
+    for number, (role, text) in enumerate(store_cases(), start=1):
+        assert replay.complete(request(role=role, user=text)).text == f"reply {number}"
+        by_role.setdefault(role, []).append(text)
+    for role, texts in by_role.items():
+        records = read_transcript(rec / f"{role}.jsonl")
+        assert [r["index"] for r in records] == list(range(len(texts)))
+        assert [r["request"]["user_content"] for r in records] == texts
+    blob = hashlib.sha256(CONTEXT.encode("utf-8")).hexdigest() + ".txt"
+    assert (rec / "prompts" / blob).exists()
+
+
+def test_recording_fast_forward_drops_later_records(tmp_path):
+    rec = tmp_path / "rec"
+    proofs = [f"p{i}" for i in range(4)]
+    inner = ReplayProvider({"prover": proofs, "conjecturer": ["c0"]})
+    gateway = Gateway(RecordingProvider(inner, rec), sleep=lambda s: None)
+    for _ in range(4):
+        gateway.complete(request())
+    gateway.complete(request(role="conjecturer"))
+    prover_file = rec / "prover.jsonl"
+    with open(prover_file, "a", encoding="utf-8") as handle:
+        handle.write('{"index": 9, "role_id": "prov')  # a write torn by a kill
+    conjecturer_before = (rec / "conjecturer.jsonl").stat()
+
+    resumed = Gateway(
+        RecordingProvider(ReplayProvider({"prover": proofs}), rec),
+        sleep=lambda s: None,
+    )
+    resumed.fast_forward({"prover": 2, "conjecturer": 1, "simple_loop": 0})
+    assert [r["index"] for r in read_transcript(prover_file)] == [0, 1]
+    after = (rec / "conjecturer.jsonl").stat()  # nothing to cut: not rewritten
+    assert (after.st_ino, after.st_mtime_ns) == (
+        conjecturer_before.st_ino,
+        conjecturer_before.st_mtime_ns,
+    )
+    assert resumed.complete(request()).text == "p2"
+    assert [r["index"] for r in read_transcript(prover_file)] == [0, 1, 2]
+    assert ReplayProvider.from_dir(rec).complete(request()) == "p0"
+
+    resumed.fast_forward({"prover": 0})  # roles with no committed calls too
+    assert prover_file.read_bytes() == b""

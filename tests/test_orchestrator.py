@@ -12,6 +12,7 @@ from cpl.gateway import (
     Gateway,
     ReplayProvider,
     TransportError,
+    read_transcript,
 )
 from cpl.orchestrator import (
     ResumeConsistencyError,
@@ -235,7 +236,7 @@ def test_simple_loop_feedback_reaches_next_trial(tmp_path):
     session.script("verify_proof", "1 = 1", CheckResult("verified"), "by rfl")
     gateway = Gateway(provider, sleep=lambda s: None, transcript_path=transcript)
     run_simple_loop(config, gateway=gateway, session=session)
-    entries = [json.loads(line) for line in transcript.read_text().splitlines()]
+    entries = read_transcript(transcript)
     assert "previous attempt:" in entries[1]["request"]["user_content"]
     assert "nope is not a tactic" in entries[1]["request"]["user_content"]
 
@@ -439,6 +440,55 @@ def test_resume_continues_transcript_sequence_numbers(tmp_path):
     lines = transcript.read_text(encoding="utf-8").splitlines()
     assert len(lines) > before
     assert [json.loads(line)["sequence"] for line in lines] == list(range(len(lines)))
+
+
+@pytest.mark.parametrize("kill_at_append", [1, 3])  # loop 1 (nothing committed), loop 2
+def test_resumed_recorded_run_keeps_only_committed_exchanges_and_replays(
+    tmp_path, kill_at_append
+):
+    reference = tmp_path / "ref"
+    config = demo_config(reference)
+    config.record_dir = str(tmp_path / "ref-rec")
+    run(config)
+    expected = read_transcript(reference / "transcript.jsonl")
+
+    crash_dir, rec = tmp_path / "crash", tmp_path / "rec"
+    counter = {"added": 0}
+
+    def listener(event):
+        if event.kind == "theorem_added":
+            counter["added"] += 1
+            if counter["added"] == kill_at_append:
+                raise SimulatedCrash("killed right after an append")
+
+    config = demo_config(crash_dir)
+    config.record_dir = str(rec)
+    with pytest.raises(SimulatedCrash):
+        run(config, listener=listener)
+    for path in (crash_dir / "transcript.jsonl", rec / "prover.jsonl"):
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write('{"sequence": 99, "role_id": "pro')  # a torn last write
+    config = demo_config(crash_dir)
+    config.record_dir = str(rec)
+    config.resume = True
+    run(config)
+
+    lines = (crash_dir / "transcript.jsonl").read_text(encoding="utf-8").splitlines()
+    assert len(lines) == len(expected) == 13
+    assert [json.loads(line)["sequence"] for line in lines] == list(range(13))
+    entries = read_transcript(crash_dir / "transcript.jsonl")
+    assert [e["request"] for e in entries] == [e["request"] for e in expected]
+    for role in ("conjecturer", "prover"):
+        records = read_transcript(rec / f"{role}.jsonl")
+        assert [r["index"] for r in records] == list(range(len(records)))
+
+    replayed = tmp_path / "replayed"
+    config = demo_config(replayed)
+    config.replay_dir = str(rec)
+    run(config)
+    assert (replayed / "library.lean").read_bytes() == (
+        reference / "library.lean"
+    ).read_bytes()
 
 
 def test_resume_with_tampered_library_names_entry(tmp_path):
