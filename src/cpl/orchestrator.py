@@ -159,6 +159,11 @@ def build_gateway(config: RunConfig, output_dir: Path, clock) -> Gateway:
         raise FatalGatewayError(f"unknown provider {config.provider!r}")
     if config.record_dir:
         provider = RecordingProvider(provider, config.record_dir)
+        if not config.resume:
+            # A fresh run starts each role's records empty, as a resume
+            # with no committed calls does.
+            for role in ROLE_IDS:
+                provider.fast_forward(role, 0)
     return Gateway(
         provider,
         retry_cap=config.retry_cap,

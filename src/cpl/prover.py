@@ -133,6 +133,18 @@ def run_trials(
     return ProofOutcome(status=STATUS_FAILED, attempts=tuple(attempts))
 
 
+def _without_target(prompt: str, seed: str, target: TheoremStatement) -> str:
+    """The verifier's context: the prover's prompt (seed, the entries it
+    kept, the target's `sorry` stub) without the stub and the separator
+    before it, so the checked proof is the target's only declaration.
+    """
+    cut = len(prompt) - len(target.source_text.strip())
+    # With no entry kept, only the seed's one- or two-char separator
+    # precedes the stub; an entry block adds at least its own chars
+    # and the two-char separator after it.
+    return seed if cut <= len(seed) + 2 else prompt[: cut - 2]
+
+
 def prove(
     conjecture: TheoremStatement,
     library: Library,
@@ -148,9 +160,10 @@ def prove(
 ) -> ProofOutcome:
     """Run one prover campaign for a single conjecture."""
     truncations: list[str] = []
-    context = render_context(
+    prompt = render_context(
         library, [conjecture], context_budget, warnings=truncations
     )
+    context = _without_target(prompt, library.seed_source, conjecture)
     if events is not None:
         for note in truncations:
             payload = dict(event_extra or {})
@@ -185,7 +198,7 @@ def prove(
     request = ChatRequest(
         role_id="prover",
         system_prompt=PROVER_PROMPT_VARIANTS[prompt_variant],
-        user_content=context,
+        user_content=prompt,
         temperature=temperature,
         max_output=max_output,
     )

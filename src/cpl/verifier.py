@@ -4,7 +4,11 @@ Two interchangeable session implementations:
 
 * `LeanVerifier` drives a real Lean REPL child process speaking JSON
   over stdin/stdout, with one expensive base environment (Mathlib plus
-  the seed file) per session and per-check commands layered on top.
+  the seed file) per session. Each check is one command: the context
+  after the seed, then the checked declaration. The session keeps the
+  environment of each clean check (VALID, VERIFIED), and a later check
+  whose text extends that check's text at a block start sends only the
+  rest, on that environment.
 * `ScriptedVerifier` replays canned verdicts from a fixture map, making
   the whole pipeline deterministic and runnable offline.
 
@@ -18,6 +22,7 @@ import hashlib
 import json
 import logging
 import queue
+import re
 import subprocess
 import threading
 import time
@@ -375,8 +380,34 @@ def _rebase(diags: list[Diagnostic], offset_lines: int) -> tuple[Diagnostic, ...
     return tuple(rebased)
 
 
+# A context block, and every checked declaration, starts with `theorem`.
+# A reserved word cannot continue the text before it, so Lean ends the
+# previous command there, whatever text went before.
+_DECLARATION = re.compile(r"theorem\s")
+
+
 class LeanVerifier:
-    """Session over a live Lean REPL with a fixed base environment."""
+    """Session over a live Lean REPL with a fixed base environment.
+
+    A check elaborates its context's tail (the context without the seed,
+    which the base environment holds) and then, after a blank line, the
+    checked declaration. The environment of a clean check (VALID or
+    VERIFIED) holds that text, so a later check whose text extends it up
+    to a block start sends only the rest, on that environment: still one
+    request per check.
+
+    Remembered, for the last context checked (`_context`, the caller's
+    string, kept without a copy; its tail is `[_start:_end]`):
+
+    * `_prefixes`: (end, environment id, sorry-free) for environments
+      holding `_context[_start:end]`, in ascending order of `end`;
+    * `_checks`: declaration -> (environment id, sorry-free) for clean
+      checks against this context.
+
+    A new context keeps what it extends and drops the rest. Proof checks
+    use sorry-free environments only, so the `sorries` a reply reports
+    cover everything the proof rests on. Any client error forgets all.
+    """
 
     def __init__(
         self,
@@ -403,34 +434,115 @@ class LeanVerifier:
         errors = tuple(d for d in diags if d.severity == "error")
         if errors:
             raise VerifierStartupError("seed failed to elaborate", errors)
-        self.base_environment = response.get("env")
+        if response.get("env") is None:
+            # Without it every check would start from an empty environment.
+            raise VerifierStartupError("seed elaboration returned no environment id")
+        self.base_environment = response["env"]
+        self._forget()
 
-    def _context_tail(self, context: str) -> str:
-        if context.startswith(self.seed_source):
-            return context[len(self.seed_source) :].strip("\n")
-        return context.strip("\n")
+    def _forget(self) -> None:
+        self._context, self._start, self._end = "", 0, 0
+        self._prefixes: list[tuple[int, object, bool]] = []
+        self._checks: dict[str, tuple[object, bool]] = {}
 
-    def _submit(self, context: str, decl_text: str, timeout: float) -> tuple:
-        tail = self._context_tail(context)
-        if tail:
-            snippet = tail + "\n\n" + decl_text
-            offset = tail.count("\n") + 2
+    def _tail_bounds(self, context: str) -> tuple[int, int]:
+        """Where the context's tail lies: after the seed, without the
+        blank lines around it (no copy of the tail is made)."""
+        start = len(self.seed_source) if context.startswith(self.seed_source) else 0
+        end = len(context)
+        while start < end and context[start] == "\n":
+            start += 1
+        while end > start and context[end - 1] == "\n":
+            end -= 1
+        return start, end
+
+    def _advance(self, context: str, start: int, end: int) -> None:
+        """Make `context` the current one. Keep each environment whose text
+        the new tail starts with, when a block starts (or the tail ends)
+        right after it."""
+        old, old_start, old_end = self._context, self._start, self._end
+        if context is old:
+            return
+        if context != old:
+
+            def block_starts(at: int) -> bool:
+                return at == end or (
+                    context.startswith("\n\n", at)
+                    and _DECLARATION.match(context, at + 2, end) is not None
+                )
+
+            # Positions carry over when both tails start at the same place.
+            aligned = start == old_start
+            kept = []
+            shared = 0  # `context` and `old` agree on `[:shared]`
+            for held, env, sorry_free in reversed(self._prefixes if aligned else []):
+                if held <= shared or (
+                    held <= end and context.startswith(old[:held])
+                ):
+                    shared = max(shared, held)
+                    if block_starts(held):
+                        kept.append((held, env, sorry_free))
+            kept.reverse()
+            # A check against `old` holds its tail, a blank line and the
+            # declaration (just the declaration when the tail is empty).
+            if old_end == old_start:
+                at = start
+            elif (
+                aligned
+                and context.startswith(old[:old_end])
+                and context.startswith("\n\n", old_end)
+            ):
+                at = old_end + 2
+            else:
+                at = None
+            if at is not None:
+                for decl, (env, sorry_free) in self._checks.items():
+                    held = at + len(decl)
+                    if held <= end and context.startswith(decl, at) and block_starts(held):
+                        kept.append((held, env, sorry_free))
+                kept.sort(key=lambda item: item[0])
+            self._prefixes, self._checks = kept, {}
+        self._context, self._start, self._end = context, start, end
+
+    def _submit(
+        self, context: str, decl_text: str, timeout: float, proof: bool = False
+    ) -> tuple:
+        """Elaborate `decl_text` after `context`; returns (rebased
+        diagnostics, sorry count, elapsed seconds, environment id)."""
+        start, end = self._tail_bounds(context)
+        self._advance(context, start, end)
+        rest, env = start, self.base_environment
+        for held, candidate, sorry_free in reversed(self._prefixes):
+            if (sorry_free or not proof) and (
+                held < end or _DECLARATION.match(decl_text)
+            ):
+                rest, env = held + 2, candidate
+                break
+        if rest < end:
+            snippet = "".join((context[rest:end], "\n\n", decl_text))
+            offset = context.count("\n", rest, end) + 2
         else:
             snippet = decl_text
             offset = 0
-        payload: dict = {"cmd": snippet}
-        if self.base_environment is not None:
-            payload["env"] = self.base_environment
         started = time.monotonic()
-        response = self._client.run(payload, timeout=timeout)
+        try:
+            response = self._client.run({"cmd": snippet, "env": env}, timeout=timeout)
+        except VerifierError:
+            self._forget()
+            raise
         elapsed = time.monotonic() - started
         diags = _rebase(_parse_messages(response), offset)
         sorries = response.get("sorries") or []
-        return diags, len(sorries), elapsed
+        return diags, len(sorries), elapsed, response.get("env")
+
+    def _remember(self, decl_text: str, env, sorry_free: bool = False) -> None:
+        """Keep the environment of a clean check against the current context."""
+        if env is not None:
+            self._checks[decl_text] = (env, sorry_free)
 
     def check_validity(self, context: str, stmt: TheoremStatement) -> CheckResult:
         try:
-            diags, _, elapsed = self._submit(
+            diags, _, elapsed, env = self._submit(
                 context, stmt.source_text, self.command_timeout
             )
         except VerifierTimeoutError:
@@ -441,11 +553,12 @@ class LeanVerifier:
             )
         if any(d.severity == "error" for d in diags):
             return CheckResult(verdict=INVALID, diagnostics=diags, elapsed=elapsed)
+        self._remember(stmt.source_text, env)
         return CheckResult(verdict=VALID, diagnostics=diags, elapsed=elapsed)
 
     def check_novelty(self, context: str, stmt: TheoremStatement) -> CheckResult:
         try:
-            diags, _, elapsed = self._submit(
+            diags, _, elapsed, _ = self._submit(
                 context, stmt.render_for_exact_check(), self.novelty_timeout
             )
         except VerifierTimeoutError:
@@ -476,8 +589,8 @@ class LeanVerifier:
     ) -> CheckResult:
         decl = stmt.render_with_proof(proof)
         try:
-            diags, sorry_count, elapsed = self._submit(
-                context, decl, self.command_timeout
+            diags, sorry_count, elapsed, env = self._submit(
+                context, decl, self.command_timeout, proof=True
             )
         except VerifierTimeoutError:
             return CheckResult(
@@ -489,6 +602,7 @@ class LeanVerifier:
             SORRY_WARNING_TEXT in d.message for d in diags
         )
         if not has_error and not uses_sorry:
+            self._remember(decl, env, sorry_free=True)
             return CheckResult(verdict=VERIFIED, diagnostics=diags, elapsed=elapsed)
         extra: tuple[Diagnostic, ...] = ()
         if not has_error:

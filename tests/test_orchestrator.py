@@ -491,6 +491,27 @@ def test_resumed_recorded_run_keeps_only_committed_exchanges_and_replays(
     ).read_bytes()
 
 
+def test_fresh_recorded_run_into_a_used_directory_starts_its_records_over(tmp_path):
+    rec = tmp_path / "rec"
+    for name in ("first", "second"):
+        config = demo_config(tmp_path / name)
+        config.record_dir = str(rec)
+        run(config)
+    for role in ("conjecturer", "prover"):
+        records = read_transcript(rec / f"{role}.jsonl")
+        assert [r["index"] for r in records] == list(range(len(records)))
+        assert records
+    assert not (rec / "simple_loop.jsonl").exists()
+
+    replayed = tmp_path / "replayed"
+    config = demo_config(replayed)
+    config.replay_dir = str(rec)
+    run(config)
+    assert (replayed / "library.lean").read_bytes() == (
+        tmp_path / "first" / "library.lean"
+    ).read_bytes()
+
+
 def test_resume_with_tampered_library_names_entry(tmp_path):
     crash_dir = tmp_path / "crash"
     state = {"loops": 0}

@@ -182,24 +182,59 @@ def test_prompt_variant_selects_false_prompt(tmp_path):
     assert entry["request"]["system_prompt"] != PROVER_PROMPT
 
 
+def entries_library(seed: str, count: int) -> Library:
+    lib = Library(seed_source=seed)
+    for i in range(count):
+        stmt = TheoremStatement.from_source(f"theorem e{i} : ({i} : ℕ) = {i} := sorry")
+        lib = lib.append(stmt, ProofScript("by\n  rfl"), "cpl", "t")
+    return lib
+
+
 def test_model_and_verifier_get_same_context(tmp_path):
-    seen = {}
+    """Both see the same library; the prompt adds the target's stub, the
+    verifier's context leaves it out, so the proof is its only declaration."""
+    stub = CONJ.source_text.strip()
+    full = 400_000
+    # (library, budget, budget of the oracle: the stub's share taken out
+    # when the library is truncated)
+    cases = [
+        (Library(seed_source=SEED), full, full),
+        (Library(seed_source="import Mathlib"), full, full),
+        (Library(seed_source=""), full, full),
+        (entries_library(SEED, 3), full, full),
+        (entries_library("import Mathlib", 3), full, full),
+    ]
+    lib = entries_library(SEED, 6)
+    budget = len(render_context(lib.prefix(0), [CONJ], full)) + 60
+    cases.append((lib, budget, budget - len(stub) - 2))
+    for index, (lib, budget, oracle_budget) in enumerate(cases):
+        seen = []
 
-    class CapturingVerifier(ScriptedVerifier):
-        def verify_proof(self, context, stmt, proof):
-            seen["verifier_context"] = context
-            return super().verify_proof(context, stmt, proof)
+        class CapturingVerifier(ScriptedVerifier):
+            def verify_proof(self, context, stmt, proof):
+                seen.append(context)
+                return super().verify_proof(context, stmt, proof)
 
-    session = CapturingVerifier(SEED)
-    session.script("verify_proof", CONJ, CheckResult("verified"), "by rfl")
-    transcript = tmp_path / "t.jsonl"
-    lib = library()
-    gateway = gateway_for(["by rfl"], transcript_path=transcript)
-    prove(CONJ, lib, session, gateway)
-    (entry,) = read_transcript(transcript)
-    expected = render_context(lib, [CONJ], 400_000)
-    assert entry["request"]["user_content"] == expected
-    assert seen["verifier_context"] == expected
+        session = CapturingVerifier(lib.seed_source)
+        session.script("verify_proof", CONJ, CheckResult("verified"), "by rfl")
+        transcript = tmp_path / f"t{index}.jsonl"
+        gateway = gateway_for(["by rfl"], transcript_path=transcript)
+        outcome = prove(CONJ, lib, session, gateway, context_budget=budget)
+        assert outcome.status == STATUS_VERIFIED
+        (entry,) = read_transcript(transcript)
+        notes: list[str] = []
+        prompt = render_context(lib, [CONJ], budget, warnings=notes)
+        assert entry["request"]["user_content"] == prompt
+        assert prompt.endswith(stub)
+        assert bool(notes) == (budget != full)
+        oracle_notes: list[str] = []
+        oracle = render_context(lib, [], oracle_budget, warnings=oracle_notes)
+        assert seen == [oracle], index
+        # the same number of oldest entries was dropped
+        assert [n.split(" to fit")[0] for n in oracle_notes] == [
+            n.split(" to fit")[0] for n in notes
+        ]
+        assert stub not in seen[0]
 
 
 def test_verified_proof_reverifies_with_same_inputs():
