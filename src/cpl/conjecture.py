@@ -129,6 +129,9 @@ def run_conjecture_phase(
                 detail=str(warning),
             )
 
+        # The checks run against the prompt until a candidate joins the
+        # conjecture list; the next check renders the longer list.
+        check_context: str | None = context
         for stmt in candidates:
 
             def reject(reason: str, detail=None) -> None:
@@ -147,9 +150,10 @@ def run_conjecture_phase(
             if accepted.contains(stmt):
                 reject("duplicate")
                 continue
-            check_context = render_context(
-                library, list(accepted), context_budget
-            )
+            if check_context is None:
+                check_context = render_context(
+                    library, list(accepted), context_budget
+                )
             try:
                 validity = session.check_validity(check_context, stmt)
                 if validity.verdict != VALID:
@@ -163,6 +167,7 @@ def run_conjecture_phase(
                 reject("known", novelty.closing_term)
                 continue
             accepted.add(stmt)
+            check_context = None
             emit(
                 "conjecture_accepted",
                 iteration=iteration,

@@ -11,7 +11,9 @@ from __future__ import annotations
 import os
 import re
 import tempfile
+from bisect import bisect_left
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable
 
@@ -207,7 +209,12 @@ class LibraryEntry:
 
 @dataclass(frozen=True)
 class Library:
-    """Append-only collection of verified (statement, proof) pairs."""
+    """Append-only collection of verified (statement, proof) pairs.
+
+    `rendered` holds the entries' declarations, rendered once per
+    library value when first asked for. A library made by `extend` or
+    `prefix` from one whose rendering exists starts from that rendering.
+    """
 
     seed_source: str
     entries: tuple[LibraryEntry, ...] = ()
@@ -222,6 +229,38 @@ class Library:
 
     def __len__(self) -> int:
         return len(self.entries)
+
+    @cached_property
+    def rendered(self) -> tuple[str, list[int]]:
+        """The entries' declarations joined by blank lines, and the
+        offset where each declaration starts in that text."""
+        text, starts, shared = self.__dict__.pop("_rendered_from", ("", [], 0))
+        if shared < len(starts):
+            # Keep the first `shared` blocks, without the blank line after them.
+            text = text[: starts[shared] - 2] if shared else ""
+        starts = starts[:shared]
+        blocks = [entry.render_source() for entry in self.entries[shared:]]
+        position = len(text) + 2 if shared else 0
+        for block in blocks:
+            starts.append(position)
+            position += len(block) + 2
+        return "\n\n".join(([text] if shared else []) + blocks), starts
+
+    def _derive(self, entries: tuple[LibraryEntry, ...]) -> "Library":
+        """A library with `entries`, which start with this library's
+        entries or are a prefix of them. It starts from this library's
+        rendering, or from the one this library would start from."""
+        derived = replace(self, entries=entries)
+        if "rendered" in self.__dict__:
+            text, starts = self.rendered
+            base = (text, starts, len(starts))
+        else:
+            base = self.__dict__.get("_rendered_from")
+        if base is not None:
+            text, starts, shared = base
+            shared = min(shared, len(entries))
+            derived.__dict__["_rendered_from"] = (text, starts, shared)
+        return derived
 
     def entry_names(self) -> set[str]:
         return {e.statement.name for e in self.entries}
@@ -263,11 +302,11 @@ class Library:
                     created_at=created_at,
                 )
             )
-        return replace(self, entries=tuple(entries))
+        return self._derive(tuple(entries))
 
     def prefix(self, count: int) -> "Library":
         """The library restricted to its first `count` entries."""
-        return replace(self, entries=self.entries[:count])
+        return self._derive(self.entries[:count])
 
 
 class ConjectureList:
@@ -429,29 +468,28 @@ def render_context(
     if budget <= 0:
         raise ValueError("context budget must be positive")
     seed = library.seed_source
-    extra_blocks = [stmt.source_text.strip() for stmt in extras]
-    entry_blocks = [entry.render_source() for entry in library.entries]
-    blocks = entry_blocks + extra_blocks
+    text, starts = library.rendered
     sep = "\n" if seed.endswith("\n") else "\n\n"
+    extra_text = "\n\n".join(stmt.source_text.strip() for stmt in extras)
 
-    # `length` is the length of the rendering without the first `dropped`
-    # blocks: seed, then `sep`, then the blocks joined by "\n\n".
-    length = len(seed)
-    if blocks:
-        length += len(sep) + sum(len(b) for b in blocks) + 2 * (len(blocks) - 1)
-    dropped = 0
-    while length > budget:
-        if dropped == len(entry_blocks):
+    # Keeping the entries from block `d` on, the rendering is the seed,
+    # `sep`, `text[starts[d]:]`, then a blank line and the extras (if
+    # any); bisection finds the smallest `d` that fits the budget.
+    after = 2 + len(extra_text) if extras else 0
+    room = budget - len(seed) - len(sep) - after
+    dropped = bisect_left(starts, len(text) - room)
+    if dropped < len(starts):
+        rendered = "".join(
+            (seed, sep, text[starts[dropped] :], "\n\n" if extras else "", extra_text)
+        )
+    else:
+        rendered = seed + sep + extra_text if extras else seed
+        if len(rendered) > budget:
             raise ValueError(
                 f"context budget {budget} cannot fit seed plus "
-                f"{len(extra_blocks)} extra statement(s) "
-                f"({length} chars)"
+                f"{len(extras)} extra statement(s) "
+                f"({len(rendered)} chars)"
             )
-        only = dropped == len(blocks) - 1  # the only block left takes `sep` along
-        length -= len(blocks[dropped]) + (len(sep) if only else 2)
-        dropped += 1
-    kept = blocks[dropped:]
-    rendered = seed + sep + "\n\n".join(kept) if kept else seed
     if dropped and warnings is not None:
         warnings.append(
             f"context truncated: dropped {dropped} oldest entr"
@@ -513,20 +551,38 @@ def dump_library(library: Library) -> str:
     Seed first, then each entry as a marker comment plus the full
     declaration, blocks separated by one blank line.
     """
-    seed = library.seed_source.rstrip("\n")
-    blocks = [seed]
-    for entry in library.entries:
-        marker = (
-            f"-- [cpl:entry {entry.sequence_index} {entry.provenance} "
-            f"{entry.created_at}]"
-        )
-        blocks.append(f"{marker}\n{entry.render_source()}")
+    blocks = [library.seed_source.rstrip("\n")]
+    blocks.extend(_file_block(entry) for entry in library.entries)
     return "\n\n".join(blocks) + "\n"
 
 
-def save_library(library: Library, path: str | Path) -> None:
-    """Atomically write the library file (temp file + rename)."""
-    write_atomically(path, [dump_library(library).encode("utf-8")])
+def _file_block(entry: LibraryEntry) -> str:
+    marker = (
+        f"-- [cpl:entry {entry.sequence_index} {entry.provenance} "
+        f"{entry.created_at}]"
+    )
+    return f"{marker}\n{entry.render_source()}"
+
+
+def save_library(
+    library: Library, path: str | Path, on_disk: int | None = None
+) -> None:
+    """Write the library file.
+
+    By default the whole file is written atomically (temp file + rename).
+    With `on_disk`, the file already holds the library's first `on_disk`
+    entries: the later entries are appended and the file is fsynced, so
+    a crash can leave at most a partial last block, which a resume cuts.
+    """
+    if on_disk is None:
+        write_atomically(path, [dump_library(library).encode("utf-8")])
+        return
+    # The file ends in "\n"; each block adds a blank line, then itself.
+    tail = "".join(f"\n{_file_block(e)}\n" for e in library.entries[on_disk:])
+    with open(path, "ab") as handle:
+        handle.write(tail.encode("utf-8"))
+        handle.flush()
+        os.fsync(handle.fileno())
 
 
 def write_atomically(

@@ -131,12 +131,19 @@ class EventLog:
 
 
 def read_events(path: str | Path) -> list[RunEvent]:
+    """The events of a log, in order.
+
+    A last line without its newline is a write torn by a crash: it is
+    skipped, as `truncate_events` cuts it. Any other line that does not
+    parse raises.
+    """
     events: list[RunEvent] = []
-    with open(path, encoding="utf-8") as handle:
+    with open(path, "rb") as handle:
         for line in handle:
-            line = line.strip()
-            if line:
-                events.append(RunEvent.from_dict(json.loads(line)))
+            if not line.endswith(b"\n"):
+                break  # only the last line can lack its newline
+            if line.strip():
+                events.append(RunEvent.from_dict(json.loads(line.decode("utf-8"))))
     return events
 
 

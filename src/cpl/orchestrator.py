@@ -1,13 +1,15 @@
 """Top-level run drivers: the conjecture/prove pipeline, the single-call
 baseline loop, configuration, persistence, and resumption.
 
-A run directory holds `library.lean` (rewritten atomically after every
-append), `events.jsonl` (append-only, flushed per event),
+A run directory holds `library.lean` (written atomically at the start,
+then each new entry appended and fsynced before its `theorem_added`
+event), `events.jsonl` (append-only, flushed per event),
 `transcript.jsonl` (every model exchange, read through
 `gateway.read_transcript`), `prompts/` (each distinct long user context
 of the transcript, stored once), and `report.json` (summary written at the
 end). A resume cuts the event log, the transcript and any recordings
-back to the last committed loop.
+back to the last committed loop, and rewrites `library.lean` to the
+committed entries, which drops any partial block a crash left at its end.
 """
 
 from __future__ import annotations
@@ -216,7 +218,8 @@ def _load_resume_point(
     events = read_events(events_path)
     replayed = replay_library(events, seed)
     expected = dump_library(replayed)
-    actual = library_path.read_text(encoding="utf-8")
+    # A crash mid-append can cut the last block inside a character.
+    actual = library_path.read_bytes().decode("utf-8", errors="replace")
     if actual != expected and not actual.startswith(expected.rstrip("\n")):
         # Find the first divergent entry for the error message.
         expected_blocks = library_blocks(expected)
@@ -304,7 +307,7 @@ def _prepare_run(config: RunConfig, gateway, session, listener):
     if config.resume and not point.finished:
         rolled_back = 0
         if library_path.exists():
-            on_disk = library_path.read_text(encoding="utf-8")
+            on_disk = library_path.read_bytes().decode("utf-8", errors="replace")
             rolled_back = len(ENTRY_MARKER.findall(on_disk))
             rolled_back -= len(point.library.entries)
         save_library(point.library, library_path)
@@ -322,7 +325,12 @@ def _prepare_run(config: RunConfig, gateway, session, listener):
                 f"{'y' if rolled_back == 1 else 'ies'}"
             ),
         )
-    return out, clock, gateway, session, events, library_path, point
+    # Not the point itself: a run loop holding it would keep the first
+    # library, and that library's rendering, alive for the whole run.
+    return (
+        out, clock, gateway, session, events, library_path,
+        point.library, point.completed_loops, point.finished,
+    )
 
 
 def _finish_run(
@@ -357,7 +365,7 @@ def _append_verified(
     loop: int,
 ) -> Library:
     library = library.append(statement, proof, provenance, clock.now())
-    save_library(library, library_path)
+    save_library(library, library_path, on_disk=len(library) - 1)
     entry = library.entries[-1]
     events.emit(
         "theorem_added",
@@ -377,16 +385,15 @@ def run_cpl(
     config: RunConfig, gateway=None, session=None, listener=None
 ) -> Library:
     """Run the full pipeline: conjecture phase, then prove, then append."""
-    out, clock, gateway, session, events, library_path, point = _prepare_run(
-        config, gateway, session, listener
-    )
-    library = point.library
-    if point.finished:
+    (
+        out, clock, gateway, session, events, library_path, library, completed, finished
+    ) = _prepare_run(config, gateway, session, listener)
+    if finished:
         events.close()
         return library
     loops = config.resolved_loops()
     try:
-        for loop in range(point.completed_loops + 1, loops + 1):
+        for loop in range(completed + 1, loops + 1):
             events.emit(
                 "phase_start",
                 loop=loop,
@@ -472,11 +479,10 @@ def run_simple_loop(
     config: RunConfig, gateway=None, session=None, listener=None
 ) -> Library:
     """Baseline: one model call emits statement and proof together."""
-    out, clock, gateway, session, events, library_path, point = _prepare_run(
-        config, gateway, session, listener
-    )
-    library = point.library
-    if point.finished:
+    (
+        out, clock, gateway, session, events, library_path, library, completed, finished
+    ) = _prepare_run(config, gateway, session, listener)
+    if finished:
         events.close()
         return library
     loops = config.resolved_loops()
@@ -498,7 +504,7 @@ def run_simple_loop(
         )
 
     try:
-        for iteration in range(point.completed_loops + 1, loops + 1):
+        for iteration in range(completed + 1, loops + 1):
             events.emit(
                 "phase_start",
                 loop=iteration,

@@ -402,11 +402,15 @@ class LeanVerifier:
     * `_prefixes`: (end, environment id, sorry-free) for environments
       holding `_context[_start:end]`, in ascending order of `end`;
     * `_checks`: declaration -> (environment id, sorry-free) for clean
-      checks against this context.
+      checks against this context;
+    * `_newlines`: start -> the newlines in `_context[start:_end]`, the
+      line offset of a declaration sent after the tail from `start`.
 
     A new context keeps what it extends and drops the rest. Proof checks
     use sorry-free environments only, so the `sorries` a reply reports
-    cover everything the proof rests on. Any client error forgets all.
+    cover everything the proof rests on. Any client error, and any error
+    reply (a top-level `message` and no `env`, as for an unknown
+    environment), forgets all and raises `VerifierTransportError`.
     """
 
     def __init__(
@@ -444,6 +448,7 @@ class LeanVerifier:
         self._context, self._start, self._end = "", 0, 0
         self._prefixes: list[tuple[int, object, bool]] = []
         self._checks: dict[str, tuple[object, bool]] = {}
+        self._newlines: dict[int, int] = {}
 
     def _tail_bounds(self, context: str) -> tuple[int, int]:
         """Where the context's tail lies: after the seed, without the
@@ -501,7 +506,7 @@ class LeanVerifier:
                     if held <= end and context.startswith(decl, at) and block_starts(held):
                         kept.append((held, env, sorry_free))
                 kept.sort(key=lambda item: item[0])
-            self._prefixes, self._checks = kept, {}
+            self._prefixes, self._checks, self._newlines = kept, {}, {}
         self._context, self._start, self._end = context, start, end
 
     def _submit(
@@ -520,7 +525,10 @@ class LeanVerifier:
                 break
         if rest < end:
             snippet = "".join((context[rest:end], "\n\n", decl_text))
-            offset = context.count("\n", rest, end) + 2
+            lines = self._newlines.get(rest)
+            if lines is None:
+                lines = self._newlines[rest] = context.count("\n", rest, end)
+            offset = lines + 2
         else:
             snippet = decl_text
             offset = 0
@@ -531,6 +539,12 @@ class LeanVerifier:
             self._forget()
             raise
         elapsed = time.monotonic() - started
+        if "message" in response and response.get("env") is None:
+            # The REPL refused the request: it checked nothing.
+            self._forget()
+            raise VerifierTransportError(
+                f"verifier error reply: {response['message']}"
+            )
         diags = _rebase(_parse_messages(response), offset)
         sorries = response.get("sorries") or []
         return diags, len(sorries), elapsed, response.get("env")

@@ -264,3 +264,69 @@ def test_verifier_transport_error_rejects_candidate_as_invalid(tmp_path, failing
             ("loop", 1),
         ]
     ]
+
+
+def test_checks_reuse_the_prompt_until_a_candidate_is_accepted(monkeypatch):
+    import cpl.conjecture
+    from cpl.core import ProofScript, render_context
+
+    prompts: list[str] = []
+    checked: list[tuple[str, str, str]] = []  # (op, name, context)
+
+    class Capture:
+        name = "capture"
+
+        def __init__(self):
+            self.queue = [
+                "\n\n".join([decl("bad", "0"), decl("a", "1"), decl("b", "2")]),
+                decl("c", "3"),
+            ]
+
+        def complete(self, request):
+            prompts.append(request.user_content)
+            return self.queue.pop(0)
+
+    class Recording(ScriptedVerifier):
+        def check_validity(self, context, stmt):
+            checked.append(("validity", stmt.name, context))
+            return super().check_validity(context, stmt)
+
+        def check_novelty(self, context, stmt):
+            checked.append(("novelty", stmt.name, context))
+            return super().check_novelty(context, stmt)
+
+    renders = []
+
+    def counted_render(*args, **kwargs):
+        renders.append(args[1])
+        return render_context(*args, **kwargs)
+
+    monkeypatch.setattr(cpl.conjecture, "render_context", counted_render)
+    old = TheoremStatement.from_source(decl("old", "9"))
+    library = Library(seed_source=SEED).append(old, ProofScript("rfl"), "fixture", "t")
+    session = Recording(SEED)
+    session.script(
+        "check_validity",
+        "0 = 0",
+        CheckResult("invalid", (Diagnostic("error", 1, 0, "nope"),)),
+    )
+    report = run_conjecture_phase(
+        library, session, Gateway(Capture(), sleep=lambda s: None), iterations=2
+    )
+    assert [s.name for s in report.accepted] == ["a", "b", "c"]
+    first, second = prompts
+    # Until `a` is accepted, the checks get the prompt itself.
+    assert [(op, name) for op, name, _ in checked[:3]] == [
+        ("validity", "bad"),
+        ("validity", "a"),
+        ("novelty", "a"),
+    ]
+    assert all(context is first for _, _, context in checked[:3])
+    # `b` is checked against the prompt plus `a`, rendered once.
+    stmt_a = report.accepted.items[0]
+    assert checked[3][2] == checked[4][2] == render_context(library, [stmt_a], 400_000)
+    assert checked[3][2] is checked[4][2]
+    # The next iteration's checks get its prompt again.
+    assert all(context is second for _, name, context in checked if name == "c")
+    # Two prompts and the one check context after an acceptance.
+    assert [[s.name for s in extras] for extras in renders] == [[], ["a"], ["a", "b"]]

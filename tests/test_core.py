@@ -440,6 +440,81 @@ def test_truncated_render_renders_each_entry_once(monkeypatch):
     assert calls["n"] == len(lib.entries)
 
 
+def assert_renders_like_reference(lib, extras):
+    full = len(reference_render_context(lib, extras, 10**9))
+    for budget in range(-1, full + 2):
+        assert render_outcome(render_context, lib, extras, budget) == render_outcome(
+            reference_render_context, lib, extras, budget
+        ), (len(lib), budget)
+
+
+def extras_for(count: int) -> list[TheoremStatement]:
+    return [stmt(f"theorem x{i} : {i} ≠ {i + 1} := sorry") for i in range(count)]
+
+
+def additions(start: int, sizes: list[int]) -> list:
+    return [
+        (
+            stmt(f"theorem e{start + i} : {i} = {i} := sorry"),
+            ProofScript("by\n" + "  rfl\n" * size + "  done"),
+            "fixture",
+            "t",
+        )
+        for i, size in enumerate(sizes)
+    ]
+
+
+@pytest.mark.parametrize("seed", ["import Mathlib\n", "import Mathlib", ""])
+@pytest.mark.parametrize("extra_count", [0, 2])
+def test_extend_chain_renders_like_reference(seed, extra_count):
+    # Every other link is rendered before it is extended, so some links
+    # start from a rendering and some from a link that never had one.
+    lib = Library(seed_source=seed)
+    rng = random.Random(11)
+    links = []
+    for step in range(6):
+        sizes = [rng.randint(0, 3) for _ in range(step % 3)]
+        lib = lib.extend(additions(len(lib), sizes))
+        if step % 2 == 0:
+            render_context(lib, [], 10**9)
+        links.append(lib)
+    for lib in links:
+        assert_renders_like_reference(lib, extras_for(extra_count))
+
+
+@pytest.mark.parametrize("extra_count", [0, 1, 2])
+def test_prefix_of_a_rendered_library_renders_like_reference(extra_count):
+    lib = oracle_library("import Mathlib\n", [3, 0, 1, 5, 2])
+    render_context(lib, [], 10**9)  # the full library's rendering exists
+    for count in range(len(lib) + 1):
+        shorter = lib.prefix(count)
+        assert_renders_like_reference(shorter, extras_for(extra_count))
+        # a library derived from an unrendered prefix starts from `lib` too
+        grown = lib.prefix(count).extend(additions(count, [1, 4]))
+        assert_renders_like_reference(grown, extras_for(extra_count))
+
+
+def test_rendering_a_library_many_times_renders_each_entry_once(monkeypatch):
+    lib = oracle_library("import Mathlib\n", [2] * 40)
+    calls = {"n": 0}
+    render_source = LibraryEntry.render_source
+
+    def counted(entry):
+        calls["n"] += 1
+        return render_source(entry)
+
+    monkeypatch.setattr(LibraryEntry, "render_source", counted)
+    extras = extras_for(2)
+    for budget in range(200, 4000, 100):
+        render_context(lib, extras, budget)
+    assert calls["n"] == len(lib)
+    # An extended library renders only its new entries; a prefix none.
+    grown = lib.extend(additions(len(lib), [1, 2, 3]))
+    render_context(grown, [], 10**9)
+    render_context(grown.prefix(10), [], 10**9)
+    assert calls["n"] == len(lib) + 3
+
+
 # ---------------------------------------------------------------------------
 # Library behavior and on-disk format
 # ---------------------------------------------------------------------------

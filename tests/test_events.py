@@ -104,6 +104,24 @@ def test_keep_lines_drops_a_torn_tail_and_rewrites_only_when_cutting(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["t.jsonl"]  # no temp file left
 
 
+def test_read_events_skips_only_a_torn_last_line(tmp_path):
+    path = tmp_path / "e.jsonl"
+    with EventLog(path, clock=FixedClock()) as log:
+        log.emit("warning", message="kept ℕ")
+    whole = path.read_bytes()
+    for torn in (
+        b'{"sequence": 99999, "timestamp": "1970',
+        '{"sequence": 1, "x": "ℕ'.encode()[:-1],  # cut inside a character
+        whole.rstrip(b"\n"),  # complete but unterminated: a resume cuts it too
+    ):
+        path.write_bytes(whole + torn)
+        assert [e.payload["message"] for e in read_events(path)] == ["kept ℕ"]
+    # Any other unparsable line still raises.
+    path.write_bytes(whole + b'{"sequence": 1, "times\n' + whole)
+    with pytest.raises(json.JSONDecodeError):
+        read_events(path)
+
+
 def test_replay_library_rebuilds_entries(tmp_path):
     seed = "import Mathlib\n"
     lib = Library(seed_source=seed)

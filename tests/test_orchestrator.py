@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from cpl.core import load_library
+from cpl import orchestrator
+from cpl.core import dump_library, load_library
 from cpl.events import read_events, replay_library
 from cpl.gateway import (
     CallableProvider,
@@ -417,6 +418,95 @@ def test_resume_mid_loop_rolls_back_uncommitted_entries(tmp_path):
         e for e in events if e.kind == "warning" and "resumed" in e.payload["message"]
     ]
     assert len(resumed_notes) == 1
+
+
+def logged_events(path: Path) -> list:
+    """(kind, payload) of each event, without the note a resume adds."""
+    return [
+        (e.kind, e.payload)
+        for e in read_events(path)
+        if not (e.kind == "warning" and e.payload["message"].startswith("resumed at"))
+    ]
+
+
+def resume_demo(crash_dir: Path, reference: Path) -> None:
+    """Resume the killed demo run; it must end as the uninterrupted one."""
+    config = demo_config(crash_dir)
+    config.resume = True
+    run(config)
+    assert (crash_dir / "library.lean").read_bytes() == (
+        reference / "library.lean"
+    ).read_bytes()
+    assert logged_events(crash_dir / "events.jsonl") == logged_events(
+        reference / "events.jsonl"
+    )
+
+
+def test_library_file_is_the_dump_of_the_logged_library_at_every_append(tmp_path):
+    out = tmp_path / "run"
+    seed = (FIXTURES / "seed.lean").read_text(encoding="utf-8")
+    added = []
+
+    def listener(event):
+        if event.kind == "theorem_added":
+            library = replay_library(read_events(out / "events.jsonl"), seed)
+            text = (out / "library.lean").read_text(encoding="utf-8")
+            assert text == dump_library(library)
+            added.append(event.payload["sequence_index"])
+
+    run(demo_config(out), listener=listener)
+    assert added == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("kill_at_append", [1, 4])  # loop 1, loop 3
+@pytest.mark.parametrize("written", ["all", "half", "mid-character"])
+def test_a_kill_in_or_after_an_append_resumes_to_the_uninterrupted_bytes(
+    tmp_path, monkeypatch, kill_at_append, written
+):
+    reference = tmp_path / "ref"
+    run_demo_uninterrupted(reference)
+    crash_dir = tmp_path / "crash"
+    save_library = orchestrator.save_library
+    appends = {"n": 0}
+
+    def save(library, path, on_disk=None):
+        if on_disk is None:
+            return save_library(library, path)
+        appends["n"] += 1
+        if appends["n"] != kill_at_append:
+            return save_library(library, path, on_disk=on_disk)
+        tail = dump_library(library).encode("utf-8")[Path(path).stat().st_size :]
+        if written == "all":
+            cut = len(tail)
+        elif written == "half":
+            cut = len(tail) // 2
+        else:  # inside a multi-byte character
+            cut = next(i for i, byte in enumerate(tail) if 0x80 <= byte < 0xC0)
+        with open(path, "ab") as handle:
+            handle.write(tail[:cut])
+        raise SimulatedCrash("killed before the append's event")
+
+    monkeypatch.setattr(orchestrator, "save_library", save)
+    with pytest.raises(SimulatedCrash):
+        run(demo_config(crash_dir))
+    monkeypatch.undo()
+    resume_demo(crash_dir, reference)
+
+
+def test_resume_ignores_a_torn_last_event_line(tmp_path):
+    reference = tmp_path / "ref"
+    run_demo_uninterrupted(reference)
+    crash_dir = tmp_path / "crash"
+
+    def listener(event):
+        if event.kind == "loop_complete" and event.payload["loop"] == 2:
+            raise SimulatedCrash("interrupted after loop 2 of 3")
+
+    with pytest.raises(SimulatedCrash):
+        run(demo_config(crash_dir), listener=listener)
+    with open(crash_dir / "events.jsonl", "ab") as handle:
+        handle.write(b'{"sequence": 99999, "timestamp": "1970')
+    resume_demo(crash_dir, reference)
 
 
 def test_resume_continues_transcript_sequence_numbers(tmp_path):

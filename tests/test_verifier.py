@@ -9,7 +9,10 @@ import time
 
 import pytest
 
+from cpl.conjecture import run_conjecture_phase
 from cpl.core import Library, ProofScript, TheoremStatement, render_context
+from cpl.gateway import Gateway, ReplayProvider
+from cpl.prover import verify_with_retry
 from cpl.verifier import (
     CheckResult,
     Diagnostic,
@@ -798,6 +801,22 @@ def test_proof_checks_never_build_on_a_sorry_stub():
     assert [env for env, _, _ in repl.sent] == [0, 0, 1]
 
 
+def test_checks_against_one_context_rebase_from_where_each_command_starts():
+    a, b = statement("a"), statement("b", "(2 : ℕ) = 2")
+    x, y = statement("x", "(3 : ℕ) = 3"), statement("y", "(4 : ℕ) = 4")
+    bad = ProofScript("by\n  simp\n  done")
+    answers = {y.render_with_proof(bad): [("error", 3, "no goals")]}
+    context = SEED + "\n" + a.source_text + "\n\n" + b.source_text
+    steps = [
+        ("check_validity", SEED, a, None),  # VALID: its environment holds `a`
+        ("check_validity", context, x, None),  # sends `b` and `x` on it
+        ("verify_proof", context, y, bad),  # no stub under a proof: from the base
+        ("check_validity", context, b, None),  # on `a`'s environment again
+    ]
+    _, repl, _ = assert_matches_reference(steps, answers)
+    assert [env for env, _, _ in repl.sent] == [0, 1, 0, 1]
+
+
 def test_remembered_environments_stay_bounded_over_unrelated_contexts():
     repl = EnvRepl()
     session = LeanVerifier(SEED, command=[], client=repl)
@@ -808,6 +827,83 @@ def test_remembered_environments_stay_bounded_over_unrelated_contexts():
         session.verify_proof(context, statement(f"t{i}"), ProofScript("by rfl"))
         assert len(session._prefixes) + len(session._checks) <= 2
     assert len(repl.sent) == 2000
+
+
+# ---------------------------------------------------------------------------
+# Error replies: the REPL refused the request and checked nothing
+# ---------------------------------------------------------------------------
+
+UNKNOWN_ENV = {"message": "Unknown environment."}
+FALSE_STMT = TheoremStatement.from_source("theorem t : (1:ℕ) = 2 := sorry")
+
+
+class RestartedRepl(EnvRepl):
+    """An `EnvRepl` that can lose every environment but the base, as a
+    restarted REPL would, and then answers a command on a lost one as the
+    Lean REPL does: a top-level `message` and no `env`."""
+
+    def __init__(self, answers: dict | None = None):
+        super().__init__(answers)
+        self.lost: set[int] = set()
+
+    def restart(self) -> None:
+        self.lost.update(env for env in self.held if env != 0)
+
+    def run(self, payload, timeout):
+        if payload.get("env") in self.lost:
+            self.sent.append((payload["env"], payload["cmd"], None))
+            return dict(UNKNOWN_ENV)
+        return super().run(payload, timeout)
+
+
+def test_an_error_reply_is_no_verdict():
+    session, client = make_session(SEED, [dict(UNKNOWN_ENV) for _ in range(5)])
+    for check_op in (session.check_validity, session.check_novelty):
+        with pytest.raises(VerifierTransportError, match="Unknown environment"):
+            check_op(SEED, FALSE_STMT)
+    with pytest.raises(VerifierTransportError):
+        session.verify_proof(SEED, FALSE_STMT, PROOF)
+    # `prove` retries once, then counts a failed trial.
+    result = verify_with_retry(session, SEED, FALSE_STMT, PROOF)
+    assert result.verdict == "failed"
+    assert "Unknown environment" in result.diagnostics[0].message
+    assert not client.items
+
+
+def test_the_conjecture_phase_rejects_a_candidate_on_an_error_reply():
+    session, _ = make_session(SEED, [dict(UNKNOWN_ENV)])
+    gateway = Gateway(
+        ReplayProvider({"conjecturer": [FALSE_STMT.source_text]}), sleep=lambda s: None
+    )
+    report = run_conjecture_phase(
+        Library(seed_source=SEED), session, gateway, iterations=1
+    )
+    assert report.rejected_invalid == 1
+    assert not report.accepted
+
+
+def test_after_an_error_reply_the_next_request_goes_on_the_base_environment():
+    a, b = statement("a"), statement("b", "(2 : ℕ) = 2")
+    repl = RestartedRepl()
+    session = LeanVerifier(SEED, command=[], client=repl)
+    assert session.check_validity(SEED, a).verdict == "valid"
+    context = SEED + "\n" + a.source_text
+    repl.restart()
+    with pytest.raises(VerifierTransportError):
+        session.check_validity(context, b)  # on `a`'s lost environment
+    assert session.check_validity(context, b).verdict == "valid"
+    assert [env for env, _, _ in repl.sent] == [0, 1, 0]
+    assert repl.sent[-1][1] == a.source_text + "\n\n" + b.source_text
+
+    # A proof check retries once, on the base environment.
+    proof = ProofScript("by rfl")
+    assert session.verify_proof(SEED, a, proof).verdict == "verified"
+    context = SEED + "\n" + a.render_with_proof(proof)
+    repl.restart()
+    sent = len(repl.sent)
+    assert verify_with_retry(session, context, b, proof).verdict == "verified"
+    lost = repl.sent[sent - 1][2]
+    assert [env for env, _, _ in repl.sent[sent:]] == [lost, 0]
 
 
 # ---------------------------------------------------------------------------
