@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from . import evalharness
-from .core import TheoremStatement, Library, load_library
+from .core import TheoremStatement, Library, load_library, next_sequence, write_json
 from .events import EventLog, make_clock
 from .gateway import FatalGatewayError
 from .orchestrator import (
@@ -59,10 +59,21 @@ def _build_eval_context(args, config: RunConfig, seed_source: str):
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     clock = make_clock(config.resolved_clock())
-    gateway = build_gateway(config, out, clock)
+    gateway = _continuing_gateway(config, out, clock)
     session = build_verifier(config, seed_source)
-    events = EventLog(out / "events.jsonl", clock=clock)
+    events_path = out / "events.jsonl"
+    events = EventLog(
+        events_path, clock=clock, start_sequence=next_sequence(events_path)
+    )
     return out, gateway, session, events
+
+
+def _continuing_gateway(config: RunConfig, out: Path, clock):
+    """A gateway whose transcript numbering continues after the lines
+    already in `out`, since eval commands may write into a run directory."""
+    gateway = build_gateway(config, out, clock)
+    gateway.fast_forward({})
+    return gateway
 
 
 def _cmd_run(args) -> int:
@@ -97,9 +108,7 @@ def _cmd_reprove_all(args) -> int:
             events=events,
         )
     path = out / f"reprove_{args.reprove_mode}.json"
-    path.write_text(
-        json.dumps(report.to_dict(), indent=2) + "\n", encoding="utf-8"
-    )
+    write_json(path, report.to_dict())
     print(
         f"reprove {args.reprove_mode}: {report.success_count}/{report.total} "
         f"({report.percent}) -> {path}"
@@ -144,9 +153,7 @@ def _cmd_reprove_focused(args) -> int:
             events=events,
         )
     path = out / "reprove_focused.json"
-    path.write_text(
-        json.dumps(report.to_dict(), indent=2) + "\n", encoding="utf-8"
-    )
+    write_json(path, report.to_dict())
     print(
         f"focused campaign ({report.total} repetitions): "
         f"{json.dumps(report.breakdown)} -> {path}"
@@ -162,8 +169,7 @@ def _cmd_nl(args) -> int:
             statement_text = Path(args.statement_file).read_text(encoding="utf-8")
         out = Path(config.output_dir)
         out.mkdir(parents=True, exist_ok=True)
-        clock = make_clock(config.resolved_clock())
-        gateway = build_gateway(config, out, clock)
+        gateway = _continuing_gateway(config, out, make_clock(config.resolved_clock()))
         ids = evalharness.nl_session(
             gateway,
             statement_text=statement_text,
@@ -222,70 +228,63 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_p = sub.add_parser("run", help="run the pipeline or the baseline loop")
+    # Option groups that several subcommands share.
+    io = argparse.ArgumentParser(add_help=False)
+    io.add_argument("--config", help="JSON config file mirroring RunConfig")
+    io.add_argument("--record", help="record model exchanges into this directory")
+    io.add_argument("--replay", help="replay recorded exchanges from this directory")
+    io.add_argument("--out", help="run output directory")
+    checking = argparse.ArgumentParser(add_help=False)
+    checking.add_argument("--max-trials", dest="max_trials", type=int)
+    checking.add_argument("--verifier", choices=["scripted", "lean"])
+    checking.add_argument("--verifier-fixtures", dest="verifier_fixtures")
+    reprove = argparse.ArgumentParser(add_help=False)
+    reprove.add_argument(
+        "--mode",
+        dest="reprove_mode",
+        choices=list(evalharness.REPROVE_MODES),
+        default="with_context",
+    )
+    reprove.add_argument("--variant", choices=["not_provable", "false"])
+    histogram = argparse.ArgumentParser(add_help=False)
+    histogram.add_argument("--bin", type=int, default=10)
+    histogram.add_argument("--metric", choices=["lines", "chars"], default="lines")
+
+    run_p = sub.add_parser(
+        "run", parents=[io, checking], help="run the pipeline or the baseline loop"
+    )
     run_p.add_argument("--mode", choices=["cpl", "simple-loop"], default="cpl")
     run_p.add_argument("--seed", help="seed Lean file initializing the library")
     run_p.add_argument("--loops", type=int)
     run_p.add_argument("--iterations", type=int, help="conjecturer calls per phase")
-    run_p.add_argument("--max-trials", dest="max_trials", type=int)
-    run_p.add_argument("--config", help="JSON config file mirroring RunConfig")
-    run_p.add_argument("--record", help="record model exchanges into this directory")
-    run_p.add_argument("--replay", help="replay recorded exchanges from this directory")
     run_p.add_argument("--resume", action="store_true")
-    run_p.add_argument("--out", help="run output directory")
     run_p.add_argument("--budget", type=int, help="context budget in characters")
-    run_p.add_argument("--verifier", choices=["scripted", "lean"])
-    run_p.add_argument("--verifier-fixtures", dest="verifier_fixtures")
     run_p.set_defaults(func=_cmd_run)
 
-    ra = sub.add_parser("reprove-all", help="re-prove every library entry")
-    ra.add_argument("--library", required=True, help="library.lean file")
-    ra.add_argument(
-        "--mode",
-        dest="reprove_mode",
-        choices=list(evalharness.REPROVE_MODES),
-        default="with_context",
+    ra = sub.add_parser(
+        "reprove-all", parents=[io, checking, reprove], help="re-prove every library entry"
     )
-    ra.add_argument("--config")
-    ra.add_argument("--record")
-    ra.add_argument("--replay")
-    ra.add_argument("--out")
-    ra.add_argument("--variant", choices=["not_provable", "false"])
-    ra.add_argument("--max-trials", dest="max_trials", type=int)
-    ra.add_argument("--verifier", choices=["scripted", "lean"])
-    ra.add_argument("--verifier-fixtures", dest="verifier_fixtures")
+    ra.add_argument("--library", required=True, help="library.lean file")
     ra.set_defaults(func=_cmd_reprove_all)
 
-    rf = sub.add_parser("reprove-focused", help="repeat one statement's campaign")
+    rf = sub.add_parser(
+        "reprove-focused",
+        parents=[io, checking, reprove],
+        help="repeat one statement's campaign",
+    )
     rf.add_argument("--statement", required=True, help="Lean file with one ':= sorry' declaration")
     rf.add_argument("--n", type=int, default=evalharness.DEFAULT_FOCUSED_REPETITIONS)
     rf.add_argument("--library", help="library.lean providing context")
     rf.add_argument("--prefix", type=int, help="use only the first N entries")
-    rf.add_argument(
-        "--mode",
-        dest="reprove_mode",
-        choices=list(evalharness.REPROVE_MODES),
-        default="with_context",
-    )
-    rf.add_argument("--config")
-    rf.add_argument("--record")
-    rf.add_argument("--replay")
-    rf.add_argument("--out")
-    rf.add_argument("--variant", choices=["not_provable", "false"])
-    rf.add_argument("--max-trials", dest="max_trials", type=int)
-    rf.add_argument("--verifier", choices=["scripted", "lean"])
-    rf.add_argument("--verifier-fixtures", dest="verifier_fixtures")
     rf.set_defaults(func=_cmd_reprove_focused)
 
     nl = sub.add_parser("nl", help="natural-language comparison session")
     nl_sub = nl.add_subparsers(dest="nl_command", required=True)
-    nl_run = nl_sub.add_parser("run", help="collect responses for manual grading")
+    nl_run = nl_sub.add_parser(
+        "run", parents=[io], help="collect responses for manual grading"
+    )
     nl_run.add_argument("--n", type=int, default=evalharness.DEFAULT_NL_REPETITIONS)
     nl_run.add_argument("--statement-file", dest="statement_file")
-    nl_run.add_argument("--config")
-    nl_run.add_argument("--record")
-    nl_run.add_argument("--replay")
-    nl_run.add_argument("--out")
     nl_grade = nl_sub.add_parser("grade", help="record a manual grade")
     nl_grade.add_argument("--run-dir", dest="run_dir", required=True)
     nl_grade.add_argument("--id", required=True)
@@ -300,15 +299,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     an = sub.add_parser("analyze", help="post-hoc analysis of a run")
     an_sub = an.add_subparsers(dest="analyze_command", required=True)
-    an_hist = an_sub.add_parser("histogram", help="proof-length histogram")
+    an_hist = an_sub.add_parser(
+        "histogram", parents=[histogram], help="proof-length histogram"
+    )
     an_hist.add_argument("--library", required=True)
-    an_hist.add_argument("--bin", type=int, default=10)
-    an_hist.add_argument("--metric", choices=["lines", "chars"], default="lines")
     an_hist.add_argument("--csv", help="also write CSV here")
-    an_rep = an_sub.add_parser("report", help="emit report.json and tables")
+    an_rep = an_sub.add_parser(
+        "report", parents=[histogram], help="emit report.json and tables"
+    )
     an_rep.add_argument("--run-dir", dest="run_dir", required=True)
-    an_rep.add_argument("--bin", type=int, default=10)
-    an_rep.add_argument("--metric", choices=["lines", "chars"], default="lines")
     an.set_defaults(func=_cmd_analyze)
 
     return parser

@@ -8,6 +8,7 @@ proof-length metric, and the on-disk library format).
 
 from __future__ import annotations
 
+import json
 import os
 import re
 import tempfile
@@ -607,6 +608,12 @@ def write_atomically(
         raise
 
 
+def write_json(path: str | Path, data) -> None:
+    """Write `data` as indented JSON plus a newline."""
+    text = json.dumps(data, indent=2, ensure_ascii=False) + "\n"
+    Path(path).write_text(text, encoding="utf-8")
+
+
 def keep_lines(path: str | Path, count: int, fsync: bool = True) -> None:
     """Cut a JSON-lines file back to its first `count` non-blank lines,
     copied verbatim.
@@ -619,6 +626,49 @@ def keep_lines(path: str | Path, count: int, fsync: bool = True) -> None:
     kept = [line for line in lines if line.strip() and line.endswith(b"\n")][:count]
     if len(kept) < len(lines):
         write_atomically(path, kept, fsync)
+
+
+_TAIL_BLOCK = 1 << 16
+
+
+def next_sequence(path: str | Path) -> int:
+    """One past the `sequence` of the last complete line of a JSON-lines
+    file that parses, or 0 when there is none.
+
+    A line can be long (transcript lines written before prompts were
+    stored hold whole prompts), so the file is read backwards from its
+    end in blocks, and only as far as that line.
+    """
+    path = Path(path)
+    if not path.exists():
+        return 0
+    with open(path, "rb") as handle:
+        for line in _complete_lines_from_end(handle):
+            try:
+                return int(json.loads(line)["sequence"]) + 1
+            except (ValueError, KeyError, TypeError):
+                continue
+    return 0
+
+
+def _complete_lines_from_end(handle):
+    """Yield the newline-terminated lines of a binary file, last first."""
+    position = handle.seek(0, os.SEEK_END)
+    head = b""  # the file's bytes from `position` up to its first unread newline
+    terminated = False  # a newline has been read, so `head` ends a complete line
+    while position > 0:
+        step = min(_TAIL_BLOCK, position)
+        position -= step
+        handle.seek(position)
+        pieces = (handle.read(step) + head).split(b"\n")
+        head = pieces[0]
+        complete = pieces[1:]
+        if complete and not terminated:
+            complete.pop()  # the bytes after the last newline: not a line yet
+            terminated = True
+        yield from reversed(complete)
+    if terminated:
+        yield head
 
 
 def library_blocks(text: str) -> list[tuple[re.Match, str]]:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
-from .core import Library, TheoremStatement, load_library, proof_length
+from .core import Library, TheoremStatement, load_library, proof_length, write_json
 from .events import read_events
 from .gateway import ChatRequest, Gateway, TransportError
 from .prompts import DEFAULT_NL_STATEMENT, NL_PROVER_PROMPT
@@ -530,9 +530,7 @@ def emit_reports(
         if nl["pending"]:
             text_lines.append(f"  pending grades: {len(nl['pending'])}")
 
-    report_path.write_text(
-        json.dumps(report, indent=2, ensure_ascii=False) + "\n", encoding="utf-8"
-    )
+    write_json(report_path, report)
     written["report.json"] = report_path
     text_path = run_dir / "report.txt"
     text_path.write_text("\n".join(text_lines) + "\n", encoding="utf-8")

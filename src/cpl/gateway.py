@@ -25,7 +25,7 @@ import urllib.request
 from dataclasses import dataclass
 from pathlib import Path
 
-from .core import write_atomically
+from .core import next_sequence, write_atomically
 
 logger = logging.getLogger(__name__)
 
@@ -373,9 +373,7 @@ class Gateway:
             if hasattr(self.provider, "fast_forward"):
                 self.provider.fast_forward(role, count)
         if self._transcript_path is not None:
-            self._transcript_sequence = _next_transcript_sequence(
-                self._transcript_path
-            )
+            self._transcript_sequence = next_sequence(self._transcript_path)
 
     def complete(self, request: ChatRequest) -> ChatResponse:
         if self._bucket is not None:
@@ -447,48 +445,6 @@ class Gateway:
             self._transcript_sequence += 1
             with open(self._transcript_path, "a", encoding="utf-8") as handle:
                 handle.write(json.dumps(entry, ensure_ascii=False) + "\n")
-
-
-_TAIL_BLOCK = 1 << 16
-
-
-def _next_transcript_sequence(path: Path) -> int:
-    """One past the `sequence` of the last complete line of a transcript
-    that parses, or 0 when there is none.
-
-    Lines written before prompts were stored hold whole prompts, so the
-    file is read backwards from its end in blocks, and only as far as
-    that line.
-    """
-    if not path.exists():
-        return 0
-    with open(path, "rb") as handle:
-        for line in _complete_lines_from_end(handle):
-            try:
-                return int(json.loads(line)["sequence"]) + 1
-            except (ValueError, KeyError, TypeError):
-                continue
-    return 0
-
-
-def _complete_lines_from_end(handle):
-    """Yield the newline-terminated lines of a binary file, last first."""
-    position = handle.seek(0, os.SEEK_END)
-    head = b""  # the file's bytes from `position` up to its first unread newline
-    terminated = False  # a newline has been read, so `head` ends a complete line
-    while position > 0:
-        step = min(_TAIL_BLOCK, position)
-        position -= step
-        handle.seek(position)
-        pieces = (handle.read(step) + head).split(b"\n")
-        head = pieces[0]
-        complete = pieces[1:]
-        if complete and not terminated:
-            complete.pop()  # the bytes after the last newline: not a line yet
-            terminated = True
-        yield from reversed(complete)
-    if terminated:
-        yield head
 
 
 def read_transcript(path: str | Path) -> list[dict]:

@@ -1,15 +1,24 @@
 """Top-level run drivers: the conjecture/prove pipeline, the single-call
 baseline loop, configuration, persistence, and resumption.
 
+Both drivers share one scaffold, `_run_loops`: open or resume the run,
+then for each remaining loop emit `phase_start`, run the mode's loop
+step and emit `loop_complete`, then write `report.json` and emit
+`run_complete`.
+
 A run directory holds `library.lean` (written atomically at the start,
 then each new entry appended and fsynced before its `theorem_added`
 event), `events.jsonl` (append-only, flushed per event),
 `transcript.jsonl` (every model exchange, read through
 `gateway.read_transcript`), `prompts/` (each distinct long user context
-of the transcript, stored once), and `report.json` (summary written at the
-end). A resume cuts the event log, the transcript and any recordings
-back to the last committed loop, and rewrites `library.lean` to the
-committed entries, which drops any partial block a crash left at its end.
+of the transcript, stored once), and `report.json` (the summary, written
+before the `run_complete` event that commits it). A fresh run removes
+the event log, the transcript and the report of an earlier run. A resume
+reads the event log and `library.lean` once, cuts the event log, the
+transcript and any recordings back to the last committed loop, and
+rewrites `library.lean` to the committed entries, which drops any
+partial block a crash left at its end. Resuming a run whose
+`run_complete` is logged changes nothing.
 """
 
 from __future__ import annotations
@@ -29,6 +38,7 @@ from .core import (
     parse_theorem_with_proof,
     render_context,
     save_library,
+    write_json,
 )
 from .events import (
     EventLog,
@@ -193,24 +203,13 @@ def _read_seed(config: RunConfig) -> str:
     return Path(config.seed_path).read_text(encoding="utf-8")
 
 
-def _write_json(path: Path, data: dict) -> None:
-    path.write_text(
-        json.dumps(data, indent=2, ensure_ascii=False) + "\n", encoding="utf-8"
-    )
+def _load_resume_point(seed: str, events_path: Path, library_path: Path):
+    """Cut the event log back to its last committed loop.
 
-
-@dataclass
-class _ResumePoint:
-    library: Library
-    completed_loops: int
-    next_sequence: int
-    gateway_calls: dict
-    finished: bool
-
-
-def _load_resume_point(
-    config: RunConfig, seed: str, events_path: Path, library_path: Path
-) -> _ResumePoint:
+    Returns (committed library, loops completed, next event sequence,
+    per-role calls, entries rolled back). The calls are None when the run
+    is finished, and the log is then left as it is.
+    """
     if not events_path.exists():
         raise ResumeConsistencyError(f"cannot resume: {events_path} does not exist")
     if not library_path.exists():
@@ -236,42 +235,61 @@ def _load_resume_point(
             f"(file has {len(actual_blocks)} entries, log has "
             f"{len(expected_blocks)})"
         )
-
     if any(e.kind == "run_complete" for e in events):
-        return _ResumePoint(
-            library=replayed,
-            completed_loops=0,
-            next_sequence=events[-1].sequence + 1,
-            gateway_calls={},
-            finished=True,
-        )
+        return replayed, 0, 0, None, 0
 
-    # Roles with no committed calls are rewound too, to 0.
-    no_calls = dict.fromkeys(ROLE_IDS, 0)
     ends = [i for i, event in enumerate(events) if event.kind == "loop_complete"]
-    if not ends:
-        truncate_events(events_path, 0)
-        return _ResumePoint(
-            library=Library(seed_source=seed),
-            completed_loops=0,
-            next_sequence=0,
-            gateway_calls=no_calls,
-            finished=False,
-        )
-    boundary = events[ends[-1]]
-    truncate_events(events_path, ends[-1] + 1)
-    committed = boundary.payload["library_size"]
+    keep = ends[-1] + 1 if ends else 0
+    truncate_events(events_path, keep)
+    boundary = events[keep - 1].payload if keep else {"loop": 0, "library_size": 0}
+    committed = boundary["library_size"]
+    # Roles with no committed calls are rewound too, to 0.
+    calls = dict.fromkeys(ROLE_IDS, 0) | boundary.get("gateway_calls", {})
     library = Library(seed_source=seed, entries=replayed.entries[:committed])
-    return _ResumePoint(
-        library=library,
-        completed_loops=boundary.payload["loop"],
-        next_sequence=boundary.sequence + 1,
-        gateway_calls=no_calls | boundary.payload.get("gateway_calls", {}),
-        finished=False,
-    )
+    rolled_back = len(ENTRY_MARKER.findall(actual)) - committed
+    next_sequence = events[keep - 1].sequence + 1 if keep else 0
+    return library, boundary["loop"], next_sequence, calls, rolled_back
 
 
-def _prepare_run(config: RunConfig, gateway, session, listener):
+@dataclass
+class _OpenRun:
+    """What a loop step writes through. It holds no library: the driver
+    passes each loop the current one, so the first library, and its
+    rendering, is not kept alive for the whole run."""
+
+    config: RunConfig
+    clock: object
+    gateway: Gateway
+    session: object
+    events: EventLog
+    library_path: Path
+    provenance: str
+
+    def add(self, library: Library, statement, proof, loop: int) -> Library:
+        """Append a verified theorem to the library and its file, then
+        log it."""
+        library = library.append(statement, proof, self.provenance, self.clock.now())
+        save_library(library, self.library_path, on_disk=len(library) - 1)
+        entry = library.entries[-1]
+        self.events.emit(
+            "theorem_added",
+            loop=loop,
+            sequence_index=entry.sequence_index,
+            name=entry.statement.name,
+            body=entry.statement.body,
+            statement=entry.statement.source_text,
+            proof=entry.proof.text,
+            provenance=entry.provenance,
+            created_at=entry.created_at,
+        )
+        return library
+
+
+def _run_loops(
+    config: RunConfig, gateway, session, listener, phase: str, provenance: str, step
+) -> Library:
+    """Open or resume the run, then run `step(run, loop, library)` for each
+    remaining loop; it returns the library after the loop's appends."""
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     seed = _read_seed(config)
@@ -281,103 +299,120 @@ def _prepare_run(config: RunConfig, gateway, session, listener):
     transcript_path = out / "transcript.jsonl"
 
     if config.resume:
-        point = _load_resume_point(config, seed, events_path, library_path)
-    else:
-        events_path.unlink(missing_ok=True)
-        transcript_path.unlink(missing_ok=True)
-        point = _ResumePoint(
-            library=Library(seed_source=seed),
-            completed_loops=0,
-            next_sequence=0,
-            gateway_calls={},
-            finished=False,
+        library, completed, sequence, calls, rolled_back = _load_resume_point(
+            seed, events_path, library_path
         )
-        # the library file exists from the start, even for runs that
-        # never manage an append
-        save_library(point.library, library_path)
+        if calls is None:
+            return library
+    else:
+        for path in (events_path, transcript_path, out / "report.json"):
+            path.unlink(missing_ok=True)
+        library, completed, sequence = Library(seed_source=seed), 0, 0
+    # Written out here, not inside `_load_resume_point`: that would keep
+    # its parsed event log alive meanwhile. A fresh run writes the file
+    # too, so it exists even if no append ever happens.
+    save_library(library, library_path)
 
     if gateway is None:
         gateway = build_gateway(config, out, clock)
     if session is None:
         session = build_verifier(config, seed)
-
     events = EventLog(
-        events_path, clock=clock, start_sequence=point.next_sequence, listener=listener
+        events_path, clock=clock, start_sequence=sequence, listener=listener
     )
-    if config.resume and not point.finished:
-        rolled_back = 0
-        if library_path.exists():
-            on_disk = library_path.read_bytes().decode("utf-8", errors="replace")
-            rolled_back = len(ENTRY_MARKER.findall(on_disk))
-            rolled_back -= len(point.library.entries)
-        save_library(point.library, library_path)
-        if transcript_path.exists():
-            # One line per gateway call: keep the committed loops' calls.
-            keep_lines(
-                transcript_path, sum(point.gateway_calls.values()), fsync=False
+    try:
+        if config.resume:
+            if transcript_path.exists():
+                # One line per gateway call: keep the committed loops' calls.
+                keep_lines(transcript_path, sum(calls.values()), fsync=False)
+            gateway.fast_forward(calls)
+            events.emit(
+                "warning",
+                message=(
+                    f"resumed at loop {completed + 1}; rolled back "
+                    f"{rolled_back} uncommitted entr"
+                    f"{'y' if rolled_back == 1 else 'ies'}"
+                ),
             )
-        gateway.fast_forward(point.gateway_calls)
-        events.emit(
-            "warning",
-            message=(
-                f"resumed at loop {point.completed_loops + 1}; rolled back "
-                f"{max(0, rolled_back)} uncommitted entr"
-                f"{'y' if rolled_back == 1 else 'ies'}"
-            ),
+        run = _OpenRun(config, clock, gateway, session, events, library_path, provenance)
+        loops = config.resolved_loops()
+        for loop in range(completed + 1, loops + 1):
+            events.emit(
+                "phase_start",
+                loop=loop,
+                phase=phase,
+                library_size=len(library),
+                gateway_calls=dict(gateway.calls_by_role),
+            )
+            library = step(run, loop, library)
+            events.emit(
+                "loop_complete",
+                loop=loop,
+                library_size=len(library),
+                gateway_calls=dict(gateway.calls_by_role),
+            )
+        # Before `run_complete`, which commits it: a resume after that
+        # event does nothing.
+        write_json(
+            out / "report.json",
+            {
+                "mode": config.mode,
+                "loops": loops,
+                "library_entries": len(library),
+                "gateway_calls": dict(gateway.calls_by_role),
+                "config": config.public_dict(),
+            },
         )
-    # Not the point itself: a run loop holding it would keep the first
-    # library, and that library's rendering, alive for the whole run.
-    return (
-        out, clock, gateway, session, events, library_path,
-        point.library, point.completed_loops, point.finished,
-    )
+        events.emit(
+            "run_complete",
+            loops=loops,
+            library_size=len(library),
+            gateway_calls=dict(gateway.calls_by_role),
+        )
+    finally:
+        events.close()
+    return library
 
 
-def _finish_run(
-    config: RunConfig, out: Path, events: EventLog, gateway, library: Library
-) -> None:
-    events.emit(
-        "run_complete",
-        loops=config.resolved_loops(),
-        library_size=len(library),
-        gateway_calls=dict(gateway.calls_by_role),
-    )
-    _write_json(
-        out / "report.json",
-        {
-            "mode": config.mode,
-            "loops": config.resolved_loops(),
-            "library_entries": len(library),
-            "gateway_calls": dict(gateway.calls_by_role),
-            "config": config.public_dict(),
-        },
-    )
-
-
-def _append_verified(
-    library: Library,
-    library_path: Path,
-    events: EventLog,
-    clock,
-    statement,
-    proof,
-    provenance: str,
-    loop: int,
-) -> Library:
-    library = library.append(statement, proof, provenance, clock.now())
-    save_library(library, library_path, on_disk=len(library) - 1)
-    entry = library.entries[-1]
-    events.emit(
-        "theorem_added",
-        loop=loop,
-        sequence_index=entry.sequence_index,
-        name=entry.statement.name,
-        body=entry.statement.body,
-        statement=entry.statement.source_text,
-        proof=entry.proof.text,
-        provenance=entry.provenance,
-        created_at=entry.created_at,
-    )
+def _cpl_loop(run: _OpenRun, loop: int, library: Library) -> Library:
+    """One loop of the pipeline: the conjecture phase, then one prover
+    campaign per accepted conjecture."""
+    config = run.config
+    try:
+        report = run_conjecture_phase(
+            library,
+            run.session,
+            run.gateway,
+            iterations=config.conjecture_iterations,
+            context_budget=config.context_budget,
+            temperature=config.temperature,
+            max_output=config.max_output,
+            events=run.events,
+            loop=loop,
+        )
+    except PhaseAborted as exc:
+        raise exc.cause from exc
+    run.events.emit("phase_start", loop=loop, phase="prove", report=report.to_payload())
+    # The context the provers see is the library as it stood when the
+    # loop began; successes land in the library (and on disk) immediately
+    # but only enter contexts next loop.
+    snapshot = library
+    for stmt in report.accepted:
+        outcome = prove(
+            stmt,
+            snapshot,
+            run.session,
+            run.gateway,
+            max_trials=config.max_trials,
+            prompt_variant=config.prompt_variant,
+            context_budget=config.context_budget,
+            temperature=config.temperature,
+            max_output=config.max_output,
+            events=run.events,
+            event_extra={"loop": loop},
+        )
+        if outcome.status == STATUS_VERIFIED:
+            library = run.add(library, stmt, outcome.final_proof, loop)
     return library
 
 
@@ -385,81 +420,7 @@ def run_cpl(
     config: RunConfig, gateway=None, session=None, listener=None
 ) -> Library:
     """Run the full pipeline: conjecture phase, then prove, then append."""
-    (
-        out, clock, gateway, session, events, library_path, library, completed, finished
-    ) = _prepare_run(config, gateway, session, listener)
-    if finished:
-        events.close()
-        return library
-    loops = config.resolved_loops()
-    try:
-        for loop in range(completed + 1, loops + 1):
-            events.emit(
-                "phase_start",
-                loop=loop,
-                phase="conjecture",
-                library_size=len(library),
-                gateway_calls=dict(gateway.calls_by_role),
-            )
-            try:
-                report = run_conjecture_phase(
-                    library,
-                    session,
-                    gateway,
-                    iterations=config.conjecture_iterations,
-                    context_budget=config.context_budget,
-                    temperature=config.temperature,
-                    max_output=config.max_output,
-                    events=events,
-                    loop=loop,
-                )
-            except PhaseAborted as exc:
-                raise exc.cause from exc
-            events.emit(
-                "phase_start",
-                loop=loop,
-                phase="prove",
-                report=report.to_payload(),
-            )
-            # The context the provers see is the library as it stood when
-            # the loop began; successes land in the library (and on disk)
-            # immediately but only enter contexts next loop.
-            snapshot = library
-            for stmt in report.accepted:
-                outcome = prove(
-                    stmt,
-                    snapshot,
-                    session,
-                    gateway,
-                    max_trials=config.max_trials,
-                    prompt_variant=config.prompt_variant,
-                    context_budget=config.context_budget,
-                    temperature=config.temperature,
-                    max_output=config.max_output,
-                    events=events,
-                    event_extra={"loop": loop},
-                )
-                if outcome.status == STATUS_VERIFIED:
-                    library = _append_verified(
-                        library,
-                        library_path,
-                        events,
-                        clock,
-                        stmt,
-                        outcome.final_proof,
-                        "cpl",
-                        loop,
-                    )
-            events.emit(
-                "loop_complete",
-                loop=loop,
-                library_size=len(library),
-                gateway_calls=dict(gateway.calls_by_role),
-            )
-        _finish_run(config, out, events, gateway, library)
-    finally:
-        events.close()
-    return library
+    return _run_loops(config, gateway, session, listener, "conjecture", "cpl", _cpl_loop)
 
 
 def _read_declaration(reply: str):
@@ -475,20 +436,13 @@ def _read_declaration(reply: str):
         raise Unusable(reply, f"unusable declaration: {exc}") from exc
 
 
-def run_simple_loop(
-    config: RunConfig, gateway=None, session=None, listener=None
-) -> Library:
-    """Baseline: one model call emits statement and proof together."""
-    (
-        out, clock, gateway, session, events, library_path, library, completed, finished
-    ) = _prepare_run(config, gateway, session, listener)
-    if finished:
-        events.close()
-        return library
-    loops = config.resolved_loops()
+def _simple_loop(run: _OpenRun, loop: int, library: Library) -> Library:
+    """One loop of the baseline: one campaign whose replies are whole
+    declarations, on the rendered library."""
+    config, events = run.config, run.events
 
     def emit(trial, text, statement, proof, result) -> None:
-        payload = {"loop": iteration, "trial": trial}
+        payload = {"loop": loop, "trial": trial}
         if statement is not None:
             payload.update(
                 conjecture=statement.name, proof=statement.render_with_proof(proof)
@@ -503,58 +457,38 @@ def run_simple_loop(
             empty_response=text is not None and not text.strip(),
         )
 
-    try:
-        for iteration in range(completed + 1, loops + 1):
-            events.emit(
-                "phase_start",
-                loop=iteration,
-                phase="simple",
-                library_size=len(library),
-                gateway_calls=dict(gateway.calls_by_role),
-            )
-            truncations: list[str] = []
-            context = render_context(
-                library, [], config.context_budget, warnings=truncations
-            )
-            for note in truncations:
-                events.emit("warning", message=note, where="simple_loop_context")
-            request = ChatRequest(
-                role_id="simple_loop",
-                system_prompt=SIMPLE_LOOP_PROMPT,
-                user_content=context,
-                temperature=config.temperature,
-                max_output=config.max_output,
-            )
-            outcome = run_trials(
-                session,
-                gateway,
-                request,
-                context,
-                _read_declaration,
-                config.max_trials,
-                emit,
-            )
-            if outcome.status == STATUS_VERIFIED:
-                library = _append_verified(
-                    library,
-                    library_path,
-                    events,
-                    clock,
-                    outcome.final_statement,
-                    outcome.final_proof,
-                    "simple_loop",
-                    iteration,
-                )
-            events.emit(
-                "loop_complete",
-                loop=iteration,
-                library_size=len(library),
-                gateway_calls=dict(gateway.calls_by_role),
-            )
-        _finish_run(config, out, events, gateway, library)
-    finally:
-        events.close()
+    truncations: list[str] = []
+    context = render_context(library, [], config.context_budget, warnings=truncations)
+    for note in truncations:
+        events.emit("warning", message=note, where="simple_loop_context")
+    request = ChatRequest(
+        role_id="simple_loop",
+        system_prompt=SIMPLE_LOOP_PROMPT,
+        user_content=context,
+        temperature=config.temperature,
+        max_output=config.max_output,
+    )
+    outcome = run_trials(
+        run.session,
+        run.gateway,
+        request,
+        context,
+        _read_declaration,
+        config.max_trials,
+        emit,
+    )
+    if outcome.status == STATUS_VERIFIED:
+        library = run.add(library, outcome.final_statement, outcome.final_proof, loop)
     return library
+
+
+def run_simple_loop(
+    config: RunConfig, gateway=None, session=None, listener=None
+) -> Library:
+    """Baseline: one model call emits statement and proof together."""
+    return _run_loops(
+        config, gateway, session, listener, "simple", "simple_loop", _simple_loop
+    )
 
 
 def run(config: RunConfig, gateway=None, session=None, listener=None) -> Library:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import json
 from pathlib import Path
 
@@ -276,3 +277,90 @@ def test_resume_via_cli_after_complete_run_is_noop(tmp_path):
     before = (out / "library.lean").read_bytes()
     assert cli.main(args + ["--resume"]) == 0
     assert (out / "library.lean").read_bytes() == before
+
+
+def test_eval_commands_continue_a_run_directorys_numbering(tmp_path):
+    out = tmp_path / "run"
+    run_args = ["run", "--mode", "cpl", "--config", str(DEMO_CONFIG), "--out", str(out)]
+    assert cli.main(run_args) == 0
+    replay = tmp_path / "replay"
+    write_replay(replay, "prover", [f"by re{i}" for i in range(4)])
+    write_replay(replay, "nl_prover", ["False", "a sketch"])
+    verifier_fixture = tmp_path / "verifier.json"
+    verifier_fixture.write_text(
+        json.dumps({"defaults": {"verify_proof": "verified"}}), encoding="utf-8"
+    )
+    reprove_args = [
+        "reprove-all",
+        "--library",
+        str(out / "library.lean"),
+        "--replay",
+        str(replay),
+        "--verifier-fixtures",
+        str(verifier_fixture),
+        "--max-trials",
+        "1",
+        "--out",
+        str(out),
+    ]
+    assert cli.main(reprove_args) == 0
+    nl_args = ["nl", "run", "--n", "2", "--replay", str(replay), "--out", str(out)]
+    assert cli.main(nl_args) == 0
+
+    for name in ("events.jsonl", "transcript.jsonl"):
+        lines = (out / name).read_text(encoding="utf-8").splitlines()
+        sequences = [json.loads(line)["sequence"] for line in lines]
+        assert sequences == list(range(len(sequences))), name
+    transcript = (out / "transcript.jsonl").read_text(encoding="utf-8")
+    assert len(transcript.splitlines()) == 13 + 4 + 2
+
+
+_IO = [("--config", "config"), ("--out", "out"), ("--record", "record"),
+       ("--replay", "replay")]
+_CHECKING = [("--max-trials", "max_trials"), ("--verifier", "verifier"),
+             ("--verifier-fixtures", "verifier_fixtures")]
+_REPROVE = [("--mode", "reprove_mode"), ("--variant", "variant")]
+_HISTOGRAM = [("--bin", "bin"), ("--metric", "metric")]
+OPTION_TABLE = {
+    "run": _IO + _CHECKING + [
+        ("--budget", "budget"), ("--iterations", "iterations"), ("--loops", "loops"),
+        ("--mode", "mode"), ("--resume", "resume"), ("--seed", "seed"),
+    ],
+    "reprove-all": _IO + _CHECKING + _REPROVE + [("--library", "library")],
+    "reprove-focused": _IO + _CHECKING + _REPROVE + [
+        ("--library", "library"), ("--n", "n"), ("--prefix", "prefix"),
+        ("--statement", "statement"),
+    ],
+    "nl": [],
+    "nl run": _IO + [("--n", "n"), ("--statement-file", "statement_file")],
+    "nl grade": [
+        ("--category", "category"), ("--grader", "grader"), ("--id", "id"),
+        ("--note", "note"), ("--run-dir", "run_dir"),
+    ],
+    "nl report": [("--run-dir", "run_dir")],
+    "analyze": [],
+    "analyze histogram": _HISTOGRAM + [("--csv", "csv"), ("--library", "library")],
+    "analyze report": _HISTOGRAM + [("--run-dir", "run_dir")],
+}
+
+
+def option_table(parser, prefix=()) -> dict:
+    """{subcommand: sorted (option string, dest) pairs}, help left out."""
+    table = {}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                table.update(option_table(sub, prefix + (name,)))
+    if prefix:
+        table[" ".join(prefix)] = sorted(
+            (option, action.dest)
+            for action in parser._actions
+            if action.dest != "help"
+            for option in action.option_strings
+        )
+    return table
+
+
+def test_each_subcommand_keeps_its_options():
+    expected = {name: sorted(pairs) for name, pairs in OPTION_TABLE.items()}
+    assert option_table(cli.build_parser()) == expected

@@ -710,3 +710,150 @@ def test_config_from_file_rejects_unknown_keys(tmp_path):
 def test_replay_defaults_to_fixed_clock():
     assert RunConfig(replay_dir="x").resolved_clock() == "fixed"
     assert RunConfig().resolved_clock() == "system"
+
+
+# ---------------------------------------------------------------------------
+# A kill at every event, for both drivers
+# ---------------------------------------------------------------------------
+
+
+class KillAt:
+    """A listener that raises at the run's `index`-th event."""
+
+    def __init__(self, index: int):
+        self.index = index
+        self.seen = 0
+
+    def __call__(self, event) -> None:
+        self.seen += 1
+        if self.seen == self.index + 1:
+            raise SimulatedCrash(f"killed at event {self.index}")
+
+
+def run_report(out: Path) -> dict:
+    """report.json without what differs between two directories and
+    between a fresh and a resumed invocation."""
+    report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    del report["config"]["output_dir"], report["config"]["resume"]
+    return report
+
+
+def transcript_sequences(out: Path) -> list[int]:
+    lines = (out / "transcript.jsonl").read_text(encoding="utf-8").splitlines()
+    return [json.loads(line)["sequence"] for line in lines]
+
+
+def resume_notes(out: Path) -> list[str]:
+    return [
+        e.payload["message"]
+        for e in read_events(out / "events.jsonl")
+        if e.kind == "warning" and e.payload["message"].startswith("resumed at")
+    ]
+
+
+def assert_kills_resume_to(reference: Path, tmp_path: Path, start) -> list[str]:
+    """Kill `start(out, listener, resume)` at each event of the reference
+    run, resume it, and compare the ends; returns the resume notes."""
+    count = len(read_events(reference / "events.jsonl"))
+    notes = []
+    for k in range(count):
+        out = tmp_path / f"kill-{k}"
+        with pytest.raises(SimulatedCrash):
+            start(out, KillAt(k), False)
+        start(out, None, True)
+        assert (out / "library.lean").read_bytes() == (
+            reference / "library.lean"
+        ).read_bytes(), k
+        assert logged_events(out / "events.jsonl") == logged_events(
+            reference / "events.jsonl"
+        ), k
+        sequences = transcript_sequences(out)
+        assert sequences == list(range(len(sequences))), k
+        assert run_report(out) == run_report(reference), k
+        notes += resume_notes(out)
+    return notes
+
+
+def test_a_kill_at_any_event_of_the_demo_run_resumes_to_the_uninterrupted_run(
+    tmp_path,
+):
+    reference = tmp_path / "ref"
+    run_demo_uninterrupted(reference)
+
+    def start(out, listener, resume):
+        config = demo_config(out)
+        config.resume = resume
+        run(config, listener=listener)
+
+    notes = assert_kills_resume_to(reference, tmp_path, start)
+    assert any("rolled back 1 uncommitted entry" in note for note in notes)
+
+
+def test_a_kill_at_any_event_of_a_simple_loop_run_resumes_to_the_uninterrupted_run(
+    tmp_path,
+):
+    # loop 1 verifies at once, loop 2 fails both trials, loop 3 verifies
+    # at its second trial, loop 4 at once.
+    responses = [full_decl("s1", 1, "by rfl")]
+    responses += [full_decl("s2", 2, f"by bad{i}") for i in range(2)]
+    responses += [full_decl("s3", 3, "by bad"), full_decl("s3", 3, "by rfl")]
+    responses += [full_decl("s4", 4, "by rfl")]
+
+    def start(out, listener, resume):
+        config = base_config(
+            tmp_path, mode="simple_loop", loops=4, max_trials=2, resume=resume
+        )
+        config.output_dir = str(out)
+        out.mkdir(parents=True, exist_ok=True)
+        session = ScriptedVerifier(SEED)
+        for n in (1, 3, 4):
+            session.script("verify_proof", f"{n} = {n}", CheckResult("verified"), "by rfl")
+        gateway = Gateway(
+            ReplayProvider({"simple_loop": responses}),
+            sleep=lambda s: None,
+            transcript_path=out / "transcript.jsonl",
+        )
+        run(config, gateway=gateway, session=session, listener=listener)
+
+    reference = tmp_path / "ref"
+    start(reference, None, False)
+    assert len(load_library(reference / "library.lean").entries) == 3
+    notes = assert_kills_resume_to(reference, tmp_path, start)
+    assert any("rolled back 1 uncommitted entry" in note for note in notes)
+
+
+# ---------------------------------------------------------------------------
+# report.json describes the run in its directory
+# ---------------------------------------------------------------------------
+
+
+def test_a_fresh_run_clears_an_earlier_runs_report(tmp_path):
+    out = tmp_path / "run"
+    run_demo_uninterrupted(out)
+    config = demo_config(out)
+    config.loops = 2
+
+    def listener(event):
+        if event.kind == "loop_complete":
+            raise SimulatedCrash("killed after loop 1")
+
+    with pytest.raises(SimulatedCrash):
+        run(config, listener=listener)
+    assert not (out / "report.json").exists()
+
+
+def test_a_kill_right_after_run_complete_keeps_the_report(tmp_path):
+    reference = tmp_path / "ref"
+    run_demo_uninterrupted(reference)
+    out = tmp_path / "crash"
+
+    def listener(event):
+        if event.kind == "run_complete":
+            raise SimulatedCrash("killed after the run was committed")
+
+    with pytest.raises(SimulatedCrash):
+        run(demo_config(out), listener=listener)
+    config = demo_config(out)
+    config.resume = True
+    run(config)
+    assert run_report(out) == run_report(reference)
