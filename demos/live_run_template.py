@@ -8,9 +8,11 @@ Running the pipeline for real needs two external pieces:
      (CPL_LEAN_REPL_CMD, e.g. "lake env repl", plus CPL_LEAN_REPL_CWD).
 
 This script assembles the full default-constant configuration (30
-loops, 16 conjecturer iterations per phase, 16 prover trials), records
-every model exchange for later replay, and starts the run only when
-both pieces are configured; otherwise it prints the config and stops.
+loops, 16 conjecturer iterations per phase, 16 prover trials) and
+starts the run only when both pieces are configured; otherwise it
+prints the config and stops. The run's transcript.jsonl records every
+model exchange, so `cpl run --replay <output_dir> --out <new dir>`
+replays the run later without the endpoint.
 
 Usage: python demos/live_run_template.py <seed.lean> <output_dir>
 """
@@ -36,7 +38,6 @@ def main() -> None:
         seed_path=seed_path,
         output_dir=out_dir,
         # defaults: loops=30, conjecture_iterations=16, max_trials=16
-        provider="http",
         endpoint="https://api.openai.com/v1/chat/completions",
         models={
             "conjecturer": "gpt-4o",
@@ -44,7 +45,6 @@ def main() -> None:
             "simple_loop": "o3",
             "nl_prover": "o3",
         },
-        record_dir=os.path.join(out_dir, "recorded"),
         verifier_backend="lean",
         lean_command=shlex.split(os.environ.get("CPL_LEAN_REPL_CMD", "")),
         lean_cwd=os.environ.get("CPL_LEAN_REPL_CWD"),
@@ -59,8 +59,9 @@ def main() -> None:
         missing.append("CPL_LEAN_REPL_CMD")
     if missing:
         print(f"\nnot starting: set {', '.join(missing)} first.")
-        print("every exchange would be recorded under "
-              f"{config.record_dir} for deterministic replay later.")
+        print("every exchange would be recorded in "
+              f"{os.path.join(out_dir, 'transcript.jsonl')} for deterministic "
+              "replay later.")
         return
 
     print("\nstarting live run (the first verifier session imports "

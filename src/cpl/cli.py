@@ -37,7 +37,6 @@ def _config_from_args(args) -> RunConfig:
         "iterations": "conjecture_iterations",
         "max_trials": "max_trials",
         "out": "output_dir",
-        "record": "record_dir",
         "replay": "replay_dir",
         "budget": "context_budget",
         "verifier": "verifier_backend",
@@ -50,8 +49,6 @@ def _config_from_args(args) -> RunConfig:
             setattr(config, field_name, value)
     if getattr(args, "resume", False):
         config.resume = True
-    if config.replay_dir:
-        config.provider = "replay"
     return config
 
 
@@ -231,8 +228,9 @@ def build_parser() -> argparse.ArgumentParser:
     # Option groups that several subcommands share.
     io = argparse.ArgumentParser(add_help=False)
     io.add_argument("--config", help="JSON config file mirroring RunConfig")
-    io.add_argument("--record", help="record model exchanges into this directory")
-    io.add_argument("--replay", help="replay recorded exchanges from this directory")
+    io.add_argument(
+        "--replay", help="replay the model exchanges in this run directory's transcript"
+    )
     io.add_argument("--out", help="run output directory")
     checking = argparse.ArgumentParser(add_help=False)
     checking.add_argument("--max-trials", dest="max_trials", type=int)

@@ -11,12 +11,12 @@ from __future__ import annotations
 import json
 import os
 import re
-import tempfile
+import secrets
 from bisect import bisect_left
 from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 PROVENANCES = ("cpl", "simple_loop", "fixture")
 
@@ -590,11 +590,15 @@ def write_atomically(
     path: str | Path, chunks: Iterable[bytes], fsync: bool = True
 ) -> None:
     """Write `chunks` to a temp file beside `path`, then move it into
-    place, so a crash never leaves a partial file under `path`."""
+    place, so a crash never leaves a partial file under `path`.
+
+    The file gets the mode a plain `open` gives a new file: 0666 less
+    the umask.
+    """
     path = Path(path)
-    fd, tmp_name = tempfile.mkstemp(
-        dir=path.parent, prefix=path.name, suffix=".tmp"
-    )
+    tmp_name = path.with_name(f"{path.name}.{secrets.token_hex(8)}.tmp")
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
+    fd = os.open(tmp_name, flags, 0o666)
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.writelines(chunks)
@@ -609,9 +613,24 @@ def write_atomically(
 
 
 def write_json(path: str | Path, data) -> None:
-    """Write `data` as indented JSON plus a newline."""
+    """Write `data` as indented JSON plus a newline, atomically."""
     text = json.dumps(data, indent=2, ensure_ascii=False) + "\n"
-    Path(path).write_text(text, encoding="utf-8")
+    write_atomically(path, [text.encode("utf-8")], fsync=False)
+
+
+def read_json_lines(path: str | Path) -> Iterator:
+    """The values of a JSON-lines file, in order.
+
+    A last line without its newline is a write torn by a crash: it is
+    skipped, as `keep_lines` cuts it. Blank lines are skipped too. Any
+    other line that does not parse raises.
+    """
+    with open(path, "rb") as handle:
+        for line in handle:
+            if not line.endswith(b"\n"):
+                break  # only the last line can lack its newline
+            if line.strip():
+                yield json.loads(line.decode("utf-8"))
 
 
 def keep_lines(path: str | Path, count: int, fsync: bool = True) -> None:

@@ -236,13 +236,15 @@ def nl_session(
 
     Responses are stored as raw text files; a literal "False" response
     is auto-graded rejected_as_false, everything else stays pending.
+    Their ids continue after those already in the directory's index.
     """
     nl_dir = _nl_dir(out_dir)
     nl_dir.mkdir(parents=True, exist_ok=True)
     index_path = nl_dir / "index.jsonl"
+    first = len(_read_index(out_dir)) if index_path.exists() else 0
     ids: list[str] = []
     with open(index_path, "a", encoding="utf-8") as index:
-        for i in range(n):
+        for i in range(first, first + n):
             response_id = f"response_{i:03d}"
             request = ChatRequest(
                 role_id="nl_prover",

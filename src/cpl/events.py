@@ -13,7 +13,13 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable
 
-from .core import Library, ProofScript, TheoremStatement, keep_lines
+from .core import (
+    Library,
+    ProofScript,
+    TheoremStatement,
+    keep_lines,
+    read_json_lines,
+)
 
 EVENT_KINDS = (
     "phase_start",
@@ -131,20 +137,10 @@ class EventLog:
 
 
 def read_events(path: str | Path) -> list[RunEvent]:
-    """The events of a log, in order.
-
-    A last line without its newline is a write torn by a crash: it is
-    skipped, as `truncate_events` cuts it. Any other line that does not
-    parse raises.
-    """
-    events: list[RunEvent] = []
-    with open(path, "rb") as handle:
-        for line in handle:
-            if not line.endswith(b"\n"):
-                break  # only the last line can lack its newline
-            if line.strip():
-                events.append(RunEvent.from_dict(json.loads(line.decode("utf-8"))))
-    return events
+    """The events of a log, in order, read by `read_json_lines`: a torn
+    last line is skipped, as `truncate_events` cuts it, and any other
+    line that does not parse raises."""
+    return [RunEvent.from_dict(data) for data in read_json_lines(path)]
 
 
 def normalized_event_lines(path: str | Path) -> list[str]:

@@ -2,14 +2,17 @@
 
 Providers are duck-typed: anything with ``complete(request) -> str``.
 The shipped ones are an HTTP client for chat-completions endpoints, a
-deterministic replay provider (per-role response queues, fed from
-recorded fixtures or from memory for tests and dry runs), a recording
-wrapper, and an adapter for a plain function of the request.
+deterministic replay provider (per-role reply queues, read from a run
+directory's transcript or given in memory for tests and dry runs), and
+an adapter for a plain function of the request.
 
-The transcript and the recordings write each distinct user context once,
-to `prompts/<sha256>.txt` beside them (`PromptStore`); their lines hold
-the context's hash plus the text that follows it, or a short context
-inline. `read_transcript` puts the full `user_content` back.
+The transcript is the one record of a run's model exchanges: one line
+per call, in call order, with its role, its request fields and its
+reply, or no reply and the error of a call that exhausted its retries.
+`ReplayProvider.from_dir` replays it. Each distinct user context is
+written once, to `prompts/<sha256>.txt` beside it (`PromptStore`); its
+lines hold the context's hash plus the text that follows it, or a short
+context inline. `read_transcript` puts the full `user_content` back.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import urllib.request
 from dataclasses import dataclass
 from pathlib import Path
 
-from .core import next_sequence, write_atomically
+from .core import next_sequence, read_json_lines, write_atomically
 
 logger = logging.getLogger(__name__)
 
@@ -150,41 +153,38 @@ class CallableProvider:
 
 
 class ReplayProvider:
-    """Deterministic per-role response queues: recorded exchanges, or
-    responses given in memory (tests, dry runs).
+    """Deterministic per-role reply queues: a run's transcript, or replies
+    given in memory (tests, dry runs).
 
     Replay is keyed on (role_id, per-role call index) only, never on
     prompt content, so cosmetic context changes cannot break a replay.
+    A queued `TransportError` is raised instead of returned.
     """
 
     name = "replay"
 
-    def __init__(self, responses: dict[str, list[str]] | None = None):
+    def __init__(self, responses: dict[str, list] | None = None):
         self._responses = {
             role: list(items) for role, items in (responses or {}).items()
         }
         self._cursor = {role: 0 for role in self._responses}
 
     @classmethod
-    def from_dir(cls, session_dir: str | Path) -> "ReplayProvider":
-        session_dir = Path(session_dir)
-        responses: dict[str, list[str]] = {}
-        for role in ROLE_IDS:
-            path = session_dir / f"{role}.jsonl"
-            if not path.exists():
-                continue
-            items: list[tuple[int, str]] = []
-            with open(path, encoding="utf-8") as handle:
-                for line in handle:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    record = json.loads(line)
-                    items.append((record["index"], record["response"]))
-            items.sort(key=lambda pair: pair[0])
-            responses[role] = [text for _, text in items]
-        if not responses:
-            raise FixtureExhaustedError(f"no replay fixtures found in {session_dir}")
+    def from_dir(cls, run_dir: str | Path) -> "ReplayProvider":
+        """Each role's replies in `run_dir/transcript.jsonl`, in file order.
+
+        A line without a reply is a call that exhausted its retries: it
+        replays as a `TransportError` carrying the recorded error.
+        """
+        path = Path(run_dir) / "transcript.jsonl"
+        if not path.exists():
+            raise FixtureExhaustedError(f"no transcript to replay: {path} is missing")
+        responses: dict[str, list] = {}
+        for entry in read_json_lines(path):
+            reply = entry["response"]
+            responses.setdefault(entry["role_id"], []).append(
+                TransportError(entry["error"]) if reply is None else reply["text"]
+            )
         return cls(responses)
 
     def fast_forward(self, role_id: str, count: int) -> None:
@@ -199,7 +199,10 @@ class ReplayProvider:
                 f"at call index {cursor}"
             )
         self._cursor[request.role_id] = cursor + 1
-        return items[cursor]
+        reply = items[cursor]
+        if isinstance(reply, TransportError):
+            raise reply
+        return reply
 
 
 # A shorter context stays inline as `user_content`: creating a blob file
@@ -209,7 +212,7 @@ INLINE_CONTEXT_CHARS = 4096
 
 class PromptStore:
     """Each distinct user context, written once as `prompts/<sha256>.txt`
-    in the directory of the JSON-lines files that refer to it.
+    beside the transcript that refers to it.
 
     `request_fields` stores a context of `INLINE_CONTEXT_CHARS` or more as
     `user_content_ref`, the sha256 of a stored context, plus
@@ -261,61 +264,6 @@ class PromptStore:
         return ref, ""
 
 
-class RecordingProvider:
-    """Wraps a live provider and persists every exchange for replay."""
-
-    def __init__(self, inner, session_dir: str | Path):
-        self._inner = inner
-        self.name = getattr(inner, "name", "unknown")
-        self._dir = Path(session_dir)
-        try:
-            self._dir.mkdir(parents=True, exist_ok=True)
-            probe = self._dir / ".write-probe"
-            probe.write_text("", encoding="utf-8")
-            probe.unlink()
-        except OSError as exc:
-            raise FatalGatewayError(
-                f"record directory {self._dir} is not writable: {exc}"
-            ) from exc
-        self._indices: dict[str, int] = {}
-        self._prompts = PromptStore(self._dir)
-
-    def fast_forward(self, role_id: str, count: int) -> None:
-        """Continue the role's records at call index `count`, dropping
-        the records of later calls, which a resumed run makes again."""
-        self._indices[role_id] = count
-        path = self._dir / f"{role_id}.jsonl"
-        if path.exists():
-            with open(path, "rb") as handle:
-                lines = handle.readlines()
-            kept = [
-                line
-                for line in lines
-                if line.strip()
-                and line.endswith(b"\n")  # else torn by a crash
-                and json.loads(line)["index"] < count
-            ]
-            if len(kept) < len(lines):
-                write_atomically(path, kept, fsync=False)
-        if hasattr(self._inner, "fast_forward"):
-            self._inner.fast_forward(role_id, count)
-
-    def complete(self, request: ChatRequest) -> str:
-        text = self._inner.complete(request)
-        index = self._indices.get(request.role_id, 0)
-        self._indices[request.role_id] = index + 1
-        record = {
-            "index": index,
-            "role_id": request.role_id,
-            "request": self._prompts.request_fields(request),
-            "response": text,
-        }
-        path = self._dir / f"{request.role_id}.jsonl"
-        with open(path, "a", encoding="utf-8") as handle:
-            handle.write(json.dumps(record, ensure_ascii=False) + "\n")
-        return text
-
-
 class TokenBucket:
     """Simple token bucket; rate is requests per second."""
 
@@ -363,7 +311,7 @@ class Gateway:
 
     def fast_forward(self, calls_by_role: dict[str, int]) -> None:
         """Restore per-role call counters on resume, and pass each count
-        to the provider (replay cursors; a recorder drops later records).
+        to the provider (a replay's cursors).
 
         Transcript numbering continues after the transcript's last
         complete line, so sequence numbers stay unique across resumes.
@@ -448,7 +396,7 @@ class Gateway:
 
 
 def read_transcript(path: str | Path) -> list[dict]:
-    """The entries of a transcript, or of a recording file, with each
+    """The entries of a transcript, read by `read_json_lines`, with each
     request's full `user_content` put back from the prompt store.
 
     Lines written before prompts were stored hold `user_content` inline
@@ -458,19 +406,14 @@ def read_transcript(path: str | Path) -> list[dict]:
     store = PromptStore(path.parent)
     stored: dict[str, str] = {}
     entries = []
-    with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            entry = json.loads(line)
-            request = entry["request"]
-            ref = request.pop("user_content_ref", None)
-            if ref is not None:
-                if ref not in stored:
-                    # bytes, not text mode, which would rewrite "\r\n"
-                    stored[ref] = store.path(ref).read_bytes().decode("utf-8")
-                suffix = request.pop("user_content_suffix")
-                request["user_content"] = stored[ref] + suffix
-            entries.append(entry)
+    for entry in read_json_lines(path):
+        request = entry["request"]
+        ref = request.pop("user_content_ref", None)
+        if ref is not None:
+            if ref not in stored:
+                # bytes, not text mode, which would rewrite "\r\n"
+                stored[ref] = store.path(ref).read_bytes().decode("utf-8")
+            suffix = request.pop("user_content_suffix")
+            request["user_content"] = stored[ref] + suffix
+        entries.append(entry)
     return entries

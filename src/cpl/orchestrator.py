@@ -14,11 +14,15 @@ event), `events.jsonl` (append-only, flushed per event),
 of the transcript, stored once), and `report.json` (the summary, written
 before the `run_complete` event that commits it). A fresh run removes
 the event log, the transcript and the report of an earlier run. A resume
-reads the event log and `library.lean` once, cuts the event log, the
-transcript and any recordings back to the last committed loop, and
-rewrites `library.lean` to the committed entries, which drops any
-partial block a crash left at its end. Resuming a run whose
-`run_complete` is logged changes nothing.
+reads the event log and `library.lean` once, cuts the event log and the
+transcript back to the last committed loop, and rewrites `library.lean`
+to the committed entries, which drops any partial block a crash left at
+its end. Resuming a run whose `run_complete` is logged changes nothing.
+
+With `replay_dir` set, the model is replaced by that run directory's
+transcript (`ReplayProvider.from_dir`), which is never the output
+directory's own: a fresh run removes that one, and any run appends to
+it.
 """
 
 from __future__ import annotations
@@ -53,7 +57,6 @@ from .gateway import (
     FatalGatewayError,
     Gateway,
     HttpChatProvider,
-    RecordingProvider,
     ReplayProvider,
 )
 from .prompts import SIMPLE_LOOP_PROMPT
@@ -74,7 +77,6 @@ DEFAULT_MODELS = {
 _PATH_FIELDS = (
     "seed_path",
     "output_dir",
-    "record_dir",
     "replay_dir",
     "verifier_fixtures",
     "lean_cwd",
@@ -97,7 +99,6 @@ class RunConfig:
     resume: bool = False
     prompt_variant: str = "not_provable"
     # provider settings
-    provider: str = "http"  # http | replay
     endpoint: str = "https://api.openai.com/v1/chat/completions"
     api_key_env: str = "CPL_API_KEY"
     models: dict = field(default_factory=lambda: dict(DEFAULT_MODELS))
@@ -105,7 +106,7 @@ class RunConfig:
     max_output: int = 16384
     retry_cap: int = 3
     rate_limit_rps: float | None = 1.0
-    record_dir: str | None = None
+    # a run directory whose transcript replaces the model
     replay_dir: str | None = None
     # verifier settings
     verifier_backend: str = "scripted"  # scripted | lean
@@ -155,34 +156,37 @@ class RunConfig:
 
 
 def build_gateway(config: RunConfig, output_dir: Path, clock) -> Gateway:
-    if config.provider == "replay":
-        if not config.replay_dir:
-            raise FatalGatewayError("replay provider selected but no replay_dir set")
+    """A gateway that writes `output_dir`'s transcript. It replays the
+    transcript in `config.replay_dir` when that is set, else it calls the
+    configured endpoint."""
+    _refuse_replay_into_itself(config, output_dir)
+    if config.replay_dir:
         provider = ReplayProvider.from_dir(config.replay_dir)
-        rate = None
-    elif config.provider == "http":
+        # One attempt per call: a transcript records each call's outcome,
+        # not its attempts, so a replayed failure must not be retried.
+        retry_cap, rate = 1, None
+    else:
         provider = HttpChatProvider(
             endpoint=config.endpoint,
             models=config.models,
             api_key_env=config.api_key_env,
         )
-        rate = config.rate_limit_rps
-    else:
-        raise FatalGatewayError(f"unknown provider {config.provider!r}")
-    if config.record_dir:
-        provider = RecordingProvider(provider, config.record_dir)
-        if not config.resume:
-            # A fresh run starts each role's records empty, as a resume
-            # with no committed calls does.
-            for role in ROLE_IDS:
-                provider.fast_forward(role, 0)
+        retry_cap, rate = config.retry_cap, config.rate_limit_rps
     return Gateway(
         provider,
-        retry_cap=config.retry_cap,
+        retry_cap=retry_cap,
         rate_limit_rps=rate,
         transcript_path=output_dir / "transcript.jsonl",
         clock=clock,
     )
+
+
+def _refuse_replay_into_itself(config: RunConfig, output_dir: Path) -> None:
+    if config.replay_dir and Path(config.replay_dir).resolve() == output_dir.resolve():
+        raise FatalGatewayError(
+            f"cannot replay {config.replay_dir} into itself: its transcript "
+            "is the one a run writes; give the run another output directory"
+        )
 
 
 def build_verifier(config: RunConfig, seed_source: str):
@@ -291,6 +295,7 @@ def _run_loops(
     """Open or resume the run, then run `step(run, loop, library)` for each
     remaining loop; it returns the library after the loop's appends."""
     out = Path(config.output_dir)
+    _refuse_replay_into_itself(config, out)
     out.mkdir(parents=True, exist_ok=True)
     seed = _read_seed(config)
     clock = make_clock(config.resolved_clock())

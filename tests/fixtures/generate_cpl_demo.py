@@ -6,15 +6,25 @@ a scripted verifier map. Every library entry it produces is real Lean
 that elaborates over the seed file, so the resulting library.lean can
 also be checked end-to-end when a toolchain is available.
 
+The recorded responses are the transcript of the demo run itself,
+`cpl_demo/responses/transcript.jsonl`: this script runs the demo once
+from in-memory replies and keeps its transcript, with latencies set to
+0 so that the file is the same on every run.
+
 Run from the repository root:  python tests/fixtures/generate_cpl_demo.py
 """
 
 from __future__ import annotations
 
 import json
+import shutil
+import tempfile
 from pathlib import Path
 
 from cpl.core import parse_theorem_declarations
+from cpl.events import FixedClock
+from cpl.gateway import Gateway, ReplayProvider
+from cpl.orchestrator import RunConfig, run
 
 HERE = Path(__file__).parent
 DEMO = HERE / "cpl_demo"
@@ -168,20 +178,6 @@ def main() -> None:
     )
     proof_check(s_inter, p_inter_good, "verified")
 
-    responses = DEMO / "responses"
-    responses.mkdir(parents=True, exist_ok=True)
-    for role, items in (("conjecturer", conjecturer), ("prover", prover)):
-        path = responses / f"{role}.jsonl"
-        with open(path, "w", encoding="utf-8") as handle:
-            for index, text in enumerate(items):
-                handle.write(
-                    json.dumps(
-                        {"index": index, "role_id": role, "response": text},
-                        ensure_ascii=False,
-                    )
-                    + "\n"
-                )
-
     (DEMO / "verifier.json").write_text(
         json.dumps({"checks": checks}, indent=2, ensure_ascii=False) + "\n",
         encoding="utf-8",
@@ -194,7 +190,6 @@ def main() -> None:
         "conjecture_iterations": 2,
         "max_trials": 16,
         "context_budget": 400000,
-        "provider": "replay",
         "replay_dir": "responses",
         "verifier_backend": "scripted",
         "verifier_fixtures": "verifier.json",
@@ -203,7 +198,32 @@ def main() -> None:
     (DEMO / "config.json").write_text(
         json.dumps(config, indent=2) + "\n", encoding="utf-8"
     )
+    write_transcript({"conjecturer": conjecturer, "prover": prover})
     print(f"wrote fixtures under {DEMO}")
+
+
+def write_transcript(replies: dict[str, list[str]]) -> None:
+    """Run the demo on `replies` and keep its transcript as the fixture."""
+    responses = DEMO / "responses"
+    shutil.rmtree(responses, ignore_errors=True)
+    responses.mkdir()
+    with tempfile.TemporaryDirectory() as tmp:
+        config = RunConfig.from_file(DEMO / "config.json")
+        config.output_dir = tmp
+        transcript = Path(tmp) / "transcript.jsonl"
+        gateway = Gateway(
+            ReplayProvider(replies), transcript_path=transcript, clock=FixedClock()
+        )
+        run(config, gateway=gateway)
+        with open(transcript, encoding="utf-8") as source, open(
+            responses / "transcript.jsonl", "w", encoding="utf-8"
+        ) as target:
+            for line in source:
+                entry = json.loads(line)
+                entry["response"]["latency"] = 0.0
+                target.write(json.dumps(entry, ensure_ascii=False) + "\n")
+        if (Path(tmp) / "prompts").exists():  # contexts of 4096 chars or more
+            shutil.copytree(Path(tmp) / "prompts", responses / "prompts")
 
 
 if __name__ == "__main__":

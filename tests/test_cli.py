@@ -15,12 +15,13 @@ SEED = "import Mathlib\n"
 
 
 def write_replay(dir_path: Path, role: str, responses: list[str]) -> None:
+    """Append one transcript line per response to `dir_path`'s transcript,
+    as a run that made these calls would have."""
     dir_path.mkdir(parents=True, exist_ok=True)
-    with open(dir_path / f"{role}.jsonl", "w", encoding="utf-8") as handle:
-        for i, text in enumerate(responses):
-            handle.write(
-                json.dumps({"index": i, "role_id": role, "response": text}) + "\n"
-            )
+    with open(dir_path / "transcript.jsonl", "a", encoding="utf-8") as handle:
+        for text in responses:
+            line = {"role_id": role, "response": {"text": text}, "error": None}
+            handle.write(json.dumps(line) + "\n")
 
 
 def small_library(path: Path) -> Library:
@@ -279,6 +280,32 @@ def test_resume_via_cli_after_complete_run_is_noop(tmp_path):
     assert (out / "library.lean").read_bytes() == before
 
 
+def test_run_replays_a_run_directorys_transcript(tmp_path):
+    first, second = tmp_path / "a", tmp_path / "b"
+    args = ["run", "--config", str(DEMO_CONFIG), "--out"]
+    assert cli.main(args + [str(first)]) == 0
+    assert cli.main(args + [str(second), "--replay", str(first)]) == 0
+    for name in ("library.lean", "events.jsonl"):
+        assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+
+def test_replay_into_its_own_directory_is_refused(tmp_path, capsys):
+    out = tmp_path / "run"
+    run_args = ["run", "--config", str(DEMO_CONFIG), "--out", str(out)]
+    assert cli.main(run_args) == 0
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    library = str(out / "library.lean")
+    for args in (
+        run_args + ["--replay", str(out)],
+        run_args + ["--replay", str(out), "--resume"],
+        ["reprove-all", "--library", library, "--replay", str(out), "--out", str(out)],
+        ["nl", "run", "--n", "1", "--replay", str(out), "--out", str(out)],
+    ):
+        assert cli.main(args) == 1, args
+        assert "into itself" in capsys.readouterr().err
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+
 def test_eval_commands_continue_a_run_directorys_numbering(tmp_path):
     out = tmp_path / "run"
     run_args = ["run", "--mode", "cpl", "--config", str(DEMO_CONFIG), "--out", str(out)]
@@ -315,8 +342,7 @@ def test_eval_commands_continue_a_run_directorys_numbering(tmp_path):
     assert len(transcript.splitlines()) == 13 + 4 + 2
 
 
-_IO = [("--config", "config"), ("--out", "out"), ("--record", "record"),
-       ("--replay", "replay")]
+_IO = [("--config", "config"), ("--out", "out"), ("--replay", "replay")]
 _CHECKING = [("--max-trials", "max_trials"), ("--verifier", "verifier"),
              ("--verifier-fixtures", "verifier_fixtures")]
 _REPROVE = [("--mode", "reprove_mode"), ("--variant", "variant")]

@@ -312,6 +312,27 @@ def test_nl_transport_failure_stored_as_placeholder(tmp_path):
     assert len(ids) == 2
 
 
+def test_a_second_nl_session_in_a_directory_continues_its_numbering(tmp_path):
+    first = nl_session(
+        Gateway(ReplayProvider({"nl_prover": ["first A", "False"]})), n=2, out_dir=tmp_path
+    )
+    second = nl_session(
+        Gateway(ReplayProvider({"nl_prover": ["second A", "second B"]})),
+        n=2,
+        out_dir=tmp_path,
+    )
+    assert first + second == [f"response_{i:03d}" for i in range(4)]
+    stored = [
+        (tmp_path / "nl_responses" / f"{rid}.txt").read_text(encoding="utf-8")
+        for rid in first + second
+    ]
+    assert stored == ["first A", "False", "second A", "second B"]
+    report = nl_report(tmp_path, require_complete=False)
+    assert report["total"] == 4
+    assert report["pending"] == [first[0], *second]
+    assert report["categories"]["rejected_as_false"] == 1
+
+
 # ---------------------------------------------------------------------------
 # Histogram
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ from cpl.gateway import (
     FixtureExhaustedError,
     Gateway,
     HttpChatProvider,
-    RecordingProvider,
     ReplayProvider,
     TokenBucket,
     TransportError,
@@ -85,13 +84,14 @@ def test_record_then_replay_roundtrip(tmp_path):
     inner = ReplayProvider(
         {"conjecturer": ["c0", "c1"], "prover": ["p0"]}
     )
-    recorder = RecordingProvider(inner, tmp_path / "rec")
-    gateway = Gateway(recorder, sleep=lambda s: None)
+    gateway = Gateway(
+        inner, transcript_path=tmp_path / "transcript.jsonl", sleep=lambda s: None
+    )
     gateway.complete(request(role="conjecturer", system=CONJECTURER_PROMPT))
     gateway.complete(request(role="prover"))
     gateway.complete(request(role="conjecturer", system=CONJECTURER_PROMPT))
 
-    replay = ReplayProvider.from_dir(tmp_path / "rec")
+    replay = ReplayProvider.from_dir(tmp_path)
     replay_gateway = Gateway(replay, sleep=lambda s: None)
     # Per-role ordering is preserved independently of interleaving.
     assert replay_gateway.complete(request(role="prover")).text == "p0"
@@ -114,6 +114,14 @@ def test_replay_missing_fixture_dir_errors(tmp_path):
         ReplayProvider.from_dir(tmp_path / "nothing_here")
 
 
+def test_replay_of_a_directory_without_a_transcript_errors(tmp_path):
+    # per-role record files are not a transcript
+    line = {"index": 0, "role_id": "prover", "response": "by rfl"}
+    (tmp_path / "prover.jsonl").write_text(json.dumps(line) + "\n", encoding="utf-8")
+    with pytest.raises(FixtureExhaustedError, match="transcript"):
+        ReplayProvider.from_dir(tmp_path)
+
+
 def test_replay_fast_forward_skips_consumed_responses():
     provider = ReplayProvider({"prover": ["r0", "r1", "r2"]})
     provider.fast_forward("prover", 2)
@@ -121,15 +129,42 @@ def test_replay_fast_forward_skips_consumed_responses():
     assert gateway.complete(request()).text == "r2"
 
 
-def test_fast_forward_reaches_provider_behind_recorder(tmp_path):
-    inner = ReplayProvider({"prover": ["r0", "r1", "r2"]})
-    recorder = RecordingProvider(inner, tmp_path / "rec")
-    gateway = Gateway(recorder, sleep=lambda s: None)
-    gateway.fast_forward({"prover": 2})
-    assert gateway.complete(request()).text == "r2"
-    # recorded indices continue from the restored position
-    lines = (tmp_path / "rec" / "prover.jsonl").read_text().splitlines()
-    assert json.loads(lines[0])["index"] == 2
+def test_a_transcript_with_a_torn_last_line_replays(tmp_path):
+    path = tmp_path / "transcript.jsonl"
+    gateway = Gateway(
+        ReplayProvider({"prover": ["p0", "p1"]}), transcript_path=path, sleep=lambda s: None
+    )
+    gateway.complete(request())
+    gateway.complete(request())
+    with open(path, "a", encoding="utf-8") as handle:
+        handle.write('{"sequence": 2, "role_id": "pro')  # a write torn by a kill
+    assert [e["response"]["text"] for e in read_transcript(path)] == ["p0", "p1"]
+    replay = ReplayProvider.from_dir(tmp_path)
+    assert [replay.complete(request()) for _ in range(2)] == ["p0", "p1"]
+    with pytest.raises(FixtureExhaustedError):
+        replay.complete(request())
+
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    path.write_text(lines[0] + '{"sequence": 1, "ro\n' + lines[1], encoding="utf-8")
+    for read in (read_transcript, lambda p: ReplayProvider.from_dir(p.parent)):
+        with pytest.raises(ValueError):  # a torn line that is not the last
+            read(path)
+
+
+def test_a_call_that_exhausted_its_retries_replays_as_a_transport_error(tmp_path):
+    path = tmp_path / "transcript.jsonl"
+    live = Gateway(
+        FlakyProvider(failures=3), retry_cap=3, transcript_path=path, sleep=lambda s: None
+    )
+    with pytest.raises(TransportError, match=r"retries exhausted \(3\).*flaky"):
+        live.complete(request())
+    assert live.complete(request()).text == "ok"
+
+    replay = Gateway(ReplayProvider.from_dir(tmp_path), retry_cap=1, sleep=lambda s: None)
+    with pytest.raises(TransportError, match=r"retries exhausted \(1\).*flaky"):
+        replay.complete(request())
+    assert replay.complete(request()).text == "ok"
+    assert replay.calls_by_role["prover"] == live.calls_by_role["prover"] == 2
 
 
 @pytest.mark.parametrize(
@@ -433,49 +468,10 @@ def test_each_distinct_context_is_written_once_under_its_sha256(
 
 
 def test_recording_through_the_store_replays(tmp_path):
-    rec = tmp_path / "rec"
-    recorder = RecordingProvider(echo_provider([]), rec)
-    record_cases(Gateway(recorder, sleep=lambda s: None))
-    replay = Gateway(ReplayProvider.from_dir(rec), sleep=lambda s: None)
-    by_role: dict[str, list[str]] = {}
+    path = tmp_path / "transcript.jsonl"
+    record_cases(Gateway(echo_provider([]), transcript_path=path, sleep=lambda s: None))
+    replay = Gateway(ReplayProvider.from_dir(tmp_path), sleep=lambda s: None)
     for number, (role, text) in enumerate(store_cases(), start=1):
         assert replay.complete(request(role=role, user=text)).text == f"reply {number}"
-        by_role.setdefault(role, []).append(text)
-    for role, texts in by_role.items():
-        records = read_transcript(rec / f"{role}.jsonl")
-        assert [r["index"] for r in records] == list(range(len(texts)))
-        assert [r["request"]["user_content"] for r in records] == texts
     blob = hashlib.sha256(CONTEXT.encode("utf-8")).hexdigest() + ".txt"
-    assert (rec / "prompts" / blob).exists()
-
-
-def test_recording_fast_forward_drops_later_records(tmp_path):
-    rec = tmp_path / "rec"
-    proofs = [f"p{i}" for i in range(4)]
-    inner = ReplayProvider({"prover": proofs, "conjecturer": ["c0"]})
-    gateway = Gateway(RecordingProvider(inner, rec), sleep=lambda s: None)
-    for _ in range(4):
-        gateway.complete(request())
-    gateway.complete(request(role="conjecturer"))
-    prover_file = rec / "prover.jsonl"
-    with open(prover_file, "a", encoding="utf-8") as handle:
-        handle.write('{"index": 9, "role_id": "prov')  # a write torn by a kill
-    conjecturer_before = (rec / "conjecturer.jsonl").stat()
-
-    resumed = Gateway(
-        RecordingProvider(ReplayProvider({"prover": proofs}), rec),
-        sleep=lambda s: None,
-    )
-    resumed.fast_forward({"prover": 2, "conjecturer": 1, "simple_loop": 0})
-    assert [r["index"] for r in read_transcript(prover_file)] == [0, 1]
-    after = (rec / "conjecturer.jsonl").stat()  # nothing to cut: not rewritten
-    assert (after.st_ino, after.st_mtime_ns) == (
-        conjecturer_before.st_ino,
-        conjecturer_before.st_mtime_ns,
-    )
-    assert resumed.complete(request()).text == "p2"
-    assert [r["index"] for r in read_transcript(prover_file)] == [0, 1, 2]
-    assert ReplayProvider.from_dir(rec).complete(request()) == "p0"
-
-    resumed.fast_forward({"prover": 0})  # roles with no committed calls too
-    assert prover_file.read_bytes() == b""
+    assert (tmp_path / "prompts" / blob).exists()

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import os
+import stat
 from pathlib import Path
 
 import pytest
@@ -532,17 +534,29 @@ def test_resume_continues_transcript_sequence_numbers(tmp_path):
     assert [json.loads(line)["sequence"] for line in lines] == list(range(len(lines)))
 
 
+def replay_demo(source: Path, out: Path, reference: Path) -> None:
+    """Replay the demo run in `source` into `out`; it must end as the
+    uninterrupted demo run in `reference`."""
+    config = demo_config(out)
+    config.replay_dir = str(source)
+    run(config)
+    assert (out / "library.lean").read_bytes() == (
+        reference / "library.lean"
+    ).read_bytes()
+    assert logged_events(out / "events.jsonl") == logged_events(
+        reference / "events.jsonl"
+    )
+
+
 @pytest.mark.parametrize("kill_at_append", [1, 3])  # loop 1 (nothing committed), loop 2
 def test_resumed_recorded_run_keeps_only_committed_exchanges_and_replays(
     tmp_path, kill_at_append
 ):
     reference = tmp_path / "ref"
-    config = demo_config(reference)
-    config.record_dir = str(tmp_path / "ref-rec")
-    run(config)
+    run_demo_uninterrupted(reference)
     expected = read_transcript(reference / "transcript.jsonl")
 
-    crash_dir, rec = tmp_path / "crash", tmp_path / "rec"
+    crash_dir = tmp_path / "crash"
     counter = {"added": 0}
 
     def listener(event):
@@ -551,15 +565,11 @@ def test_resumed_recorded_run_keeps_only_committed_exchanges_and_replays(
             if counter["added"] == kill_at_append:
                 raise SimulatedCrash("killed right after an append")
 
-    config = demo_config(crash_dir)
-    config.record_dir = str(rec)
     with pytest.raises(SimulatedCrash):
-        run(config, listener=listener)
-    for path in (crash_dir / "transcript.jsonl", rec / "prover.jsonl"):
-        with open(path, "a", encoding="utf-8") as handle:
-            handle.write('{"sequence": 99, "role_id": "pro')  # a torn last write
+        run(demo_config(crash_dir), listener=listener)
+    with open(crash_dir / "transcript.jsonl", "a", encoding="utf-8") as handle:
+        handle.write('{"sequence": 99, "role_id": "pro')  # a torn last write
     config = demo_config(crash_dir)
-    config.record_dir = str(rec)
     config.resume = True
     run(config)
 
@@ -568,38 +578,92 @@ def test_resumed_recorded_run_keeps_only_committed_exchanges_and_replays(
     assert [json.loads(line)["sequence"] for line in lines] == list(range(13))
     entries = read_transcript(crash_dir / "transcript.jsonl")
     assert [e["request"] for e in entries] == [e["request"] for e in expected]
-    for role in ("conjecturer", "prover"):
-        records = read_transcript(rec / f"{role}.jsonl")
-        assert [r["index"] for r in records] == list(range(len(records)))
-
-    replayed = tmp_path / "replayed"
-    config = demo_config(replayed)
-    config.replay_dir = str(rec)
-    run(config)
-    assert (replayed / "library.lean").read_bytes() == (
-        reference / "library.lean"
-    ).read_bytes()
+    replay_demo(crash_dir, tmp_path / "replayed", reference)
 
 
 def test_fresh_recorded_run_into_a_used_directory_starts_its_records_over(tmp_path):
-    rec = tmp_path / "rec"
-    for name in ("first", "second"):
-        config = demo_config(tmp_path / name)
-        config.record_dir = str(rec)
-        run(config)
-    for role in ("conjecturer", "prover"):
-        records = read_transcript(rec / f"{role}.jsonl")
-        assert [r["index"] for r in records] == list(range(len(records)))
-        assert records
-    assert not (rec / "simple_loop.jsonl").exists()
+    used = tmp_path / "used"
+    run_demo_uninterrupted(used)
+    run_demo_uninterrupted(used)
+    assert transcript_sequences(used) == list(range(13))
+    replay_demo(used, tmp_path / "replayed", reference=used)
+
+
+def test_an_exhausted_call_replays_as_a_failed_trial(tmp_path):
+    fixture = ReplayProvider.from_dir(FIXTURES / "cpl_demo" / "responses")
+    prover_calls = {"n": 0}
+
+    def reply(request):
+        # The second prover call fails every attempt; later calls get
+        # the replies the fixture holds from that call on.
+        if request.role_id == "prover":
+            prover_calls["n"] += 1
+            if 2 <= prover_calls["n"] <= 4:
+                raise TransportError("endpoint down")
+        return fixture.complete(request)
+
+    live = tmp_path / "live"
+    live.mkdir()
+    gateway = Gateway(
+        CallableProvider(reply),
+        retry_cap=3,
+        transcript_path=live / "transcript.jsonl",
+        sleep=lambda s: None,
+    )
+    run(demo_config(live), gateway=gateway)
+    entries = read_transcript(live / "transcript.jsonl")
+    assert [e["error"] for e in entries if e["response"] is None] == ["endpoint down"]
 
     replayed = tmp_path / "replayed"
     config = demo_config(replayed)
-    config.replay_dir = str(rec)
+    config.replay_dir = str(live)
     run(config)
     assert (replayed / "library.lean").read_bytes() == (
-        tmp_path / "first" / "library.lean"
+        live / "library.lean"
     ).read_bytes()
+
+    def attempts(out: Path) -> list:
+        # The gateway's message counts the attempts: 3 live, 1 in a replay.
+        events = logged_events(out / "events.jsonl")
+        return [json.dumps(e).replace("(3)", "(1)") for e in events]
+
+    assert attempts(replayed) == attempts(live)
+    assert "retries exhausted (1)" in (replayed / "events.jsonl").read_text("utf-8")
+
+
+def test_a_config_with_a_replay_dir_replays_offline(tmp_path, monkeypatch):
+    monkeypatch.delenv("CPL_API_KEY", raising=False)
+    run_demo_uninterrupted(tmp_path / "ref")
+    demo = FIXTURES / "cpl_demo"
+    config = RunConfig(
+        seed_path=str(FIXTURES / "seed.lean"),
+        loops=3,
+        conjecture_iterations=2,
+        output_dir=str(tmp_path / "coded"),
+        replay_dir=str(demo / "responses"),
+        verifier_fixtures=str(demo / "verifier.json"),
+    )
+    run(config)
+    assert (tmp_path / "coded" / "library.lean").read_bytes() == (
+        tmp_path / "ref" / "library.lean"
+    ).read_bytes()
+
+
+def test_every_artifact_gets_the_mode_a_plain_open_gives(tmp_path):
+    out = tmp_path / "run"
+    previous = os.umask(0o022)
+    try:
+        with pytest.raises(SimulatedCrash):
+            # after loop 2's append: the resume cuts every file
+            run(demo_config(out), listener=KillAt(20))
+        config = demo_config(out)
+        config.resume = True
+        run(config)
+    finally:
+        os.umask(previous)
+    modes = {path.name: stat.S_IMODE(path.stat().st_mode) for path in out.iterdir()}
+    assert set(modes) == {"library.lean", "events.jsonl", "transcript.jsonl", "report.json"}
+    assert set(modes.values()) == {0o644}
 
 
 def test_resume_with_tampered_library_names_entry(tmp_path):
@@ -752,21 +816,26 @@ def resume_notes(out: Path) -> list[str]:
 
 
 def assert_kills_resume_to(reference: Path, tmp_path: Path, start) -> list[str]:
-    """Kill `start(out, listener, resume)` at each event of the reference
-    run, resume it, and compare the ends; returns the resume notes."""
+    """Kill `start(out, listener, resume, replay_dir)` at each event of the
+    reference run, resume it, and compare the ends; then replay the
+    resumed directory into a fresh one and compare again. Returns the
+    resume notes."""
     count = len(read_events(reference / "events.jsonl"))
     notes = []
     for k in range(count):
         out = tmp_path / f"kill-{k}"
         with pytest.raises(SimulatedCrash):
-            start(out, KillAt(k), False)
-        start(out, None, True)
-        assert (out / "library.lean").read_bytes() == (
-            reference / "library.lean"
-        ).read_bytes(), k
-        assert logged_events(out / "events.jsonl") == logged_events(
-            reference / "events.jsonl"
-        ), k
+            start(out, KillAt(k), False, None)
+        start(out, None, True, None)
+        replayed = tmp_path / f"replay-{k}"
+        start(replayed, None, False, out)
+        for ended in (out, replayed):
+            assert (ended / "library.lean").read_bytes() == (
+                reference / "library.lean"
+            ).read_bytes(), (k, ended)
+            assert logged_events(ended / "events.jsonl") == logged_events(
+                reference / "events.jsonl"
+            ), (k, ended)
         sequences = transcript_sequences(out)
         assert sequences == list(range(len(sequences))), k
         assert run_report(out) == run_report(reference), k
@@ -780,9 +849,11 @@ def test_a_kill_at_any_event_of_the_demo_run_resumes_to_the_uninterrupted_run(
     reference = tmp_path / "ref"
     run_demo_uninterrupted(reference)
 
-    def start(out, listener, resume):
+    def start(out, listener, resume, replay_dir):
         config = demo_config(out)
         config.resume = resume
+        if replay_dir is not None:
+            config.replay_dir = str(replay_dir)
         run(config, listener=listener)
 
     notes = assert_kills_resume_to(reference, tmp_path, start)
@@ -799,24 +870,27 @@ def test_a_kill_at_any_event_of_a_simple_loop_run_resumes_to_the_uninterrupted_r
     responses += [full_decl("s3", 3, "by bad"), full_decl("s3", 3, "by rfl")]
     responses += [full_decl("s4", 4, "by rfl")]
 
-    def start(out, listener, resume):
+    def start(out, listener, resume, replay_dir):
         config = base_config(
             tmp_path, mode="simple_loop", loops=4, max_trials=2, resume=resume
         )
         config.output_dir = str(out)
+        config.replay_dir = replay_dir and str(replay_dir)
         out.mkdir(parents=True, exist_ok=True)
         session = ScriptedVerifier(SEED)
         for n in (1, 3, 4):
             session.script("verify_proof", f"{n} = {n}", CheckResult("verified"), "by rfl")
-        gateway = Gateway(
-            ReplayProvider({"simple_loop": responses}),
-            sleep=lambda s: None,
-            transcript_path=out / "transcript.jsonl",
-        )
+        gateway = None  # built from `replay_dir`
+        if replay_dir is None:
+            gateway = Gateway(
+                ReplayProvider({"simple_loop": responses}),
+                sleep=lambda s: None,
+                transcript_path=out / "transcript.jsonl",
+            )
         run(config, gateway=gateway, session=session, listener=listener)
 
     reference = tmp_path / "ref"
-    start(reference, None, False)
+    start(reference, None, False, None)
     assert len(load_library(reference / "library.lean").entries) == 3
     notes = assert_kills_resume_to(reference, tmp_path, start)
     assert any("rolled back 1 uncommitted entry" in note for note in notes)
