@@ -565,6 +565,13 @@ def _file_block(entry: LibraryEntry) -> str:
     return f"{marker}\n{entry.render_source()}"
 
 
+def dump_tail(library: Library, on_disk: int) -> str:
+    """What follows the dump of the library's first `on_disk` entries in
+    the dump of the whole library."""
+    # The dump ends in "\n"; each block adds a blank line, then itself.
+    return "".join(f"\n{_file_block(e)}\n" for e in library.entries[on_disk:])
+
+
 def save_library(
     library: Library, path: str | Path, on_disk: int | None = None
 ) -> None:
@@ -578,10 +585,8 @@ def save_library(
     if on_disk is None:
         write_atomically(path, [dump_library(library).encode("utf-8")])
         return
-    # The file ends in "\n"; each block adds a blank line, then itself.
-    tail = "".join(f"\n{_file_block(e)}\n" for e in library.entries[on_disk:])
     with open(path, "ab") as handle:
-        handle.write(tail.encode("utf-8"))
+        handle.write(dump_tail(library, on_disk).encode("utf-8"))
         handle.flush()
         os.fsync(handle.fileno())
 
@@ -618,19 +623,49 @@ def write_json(path: str | Path, data) -> None:
     write_atomically(path, [text.encode("utf-8")], fsync=False)
 
 
-def read_json_lines(path: str | Path) -> Iterator:
-    """The values of a JSON-lines file, in order.
+_JSON_SPACE = re.compile(r"[ \t\n\r]*")  # what `json.loads` skips around a value
+_raw_decode = json.JSONDecoder().raw_decode
+
+
+def read_json_lines(path: str | Path, with_ends: bool = False) -> Iterator:
+    """The values of a JSON-lines file, in order, from one read of it.
 
     A last line without its newline is a write torn by a crash: it is
-    skipped, as `keep_lines` cuts it. Blank lines are skipped too. Any
-    other line that does not parse raises.
+    skipped, as `keep_lines` cuts it. Blank lines are skipped too. Every
+    other line must hold exactly one JSON value, as `json.loads` of the
+    line would read it; a line that does not raises the error
+    `json.loads` raises for it. With `with_ends`, each value comes with
+    the byte offset just past its line.
     """
-    with open(path, "rb") as handle:
-        for line in handle:
-            if not line.endswith(b"\n"):
-                break  # only the last line can lack its newline
-            if line.strip():
-                yield json.loads(line.decode("utf-8"))
+    data = Path(path).read_bytes()
+    size = data.rfind(b"\n") + 1
+    text = data[:size].decode("utf-8")
+    same_offsets = len(text) == size  # ASCII: a character is a byte
+    start = byte_end = 0
+    while start < len(text):
+        end = text.index("\n", start)
+        if with_ends:
+            # A newline byte is never part of a multi-byte character.
+            byte_end = end + 1 if same_offsets else data.index(b"\n", byte_end) + 1
+        begin = start
+        if text[start] in " \t\r\n":
+            begin = _JSON_SPACE.match(text, start).end()
+        if begin < end:
+            exact = False
+            try:
+                # Parsed in place, so the value must stop on its own line.
+                value, stop = _raw_decode(text, begin)
+                exact = stop == end or stop < end <= _JSON_SPACE.match(text, stop).end()
+            except json.JSONDecodeError:
+                pass
+            if not exact:
+                line = text[start : end + 1]
+                if not line.strip(" \t\n\r\x0b\x0c"):  # blank, as `bytes.strip` sees it
+                    start = end + 1
+                    continue
+                value = json.loads(line)
+            yield (value, byte_end) if with_ends else value
+        start = end + 1
 
 
 def keep_lines(path: str | Path, count: int, fsync: bool = True) -> None:
@@ -645,6 +680,17 @@ def keep_lines(path: str | Path, count: int, fsync: bool = True) -> None:
     kept = [line for line in lines if line.strip() and line.endswith(b"\n")][:count]
     if len(kept) < len(lines):
         write_atomically(path, kept, fsync)
+
+
+def cut_file(path: str | Path, size: int, tail: bytes = b"") -> None:
+    """Cut a file in place to its first `size` bytes, append `tail`, and
+    fsync it. The file keeps its inode and its mode."""
+    with open(path, "r+b") as handle:
+        handle.truncate(size)
+        handle.seek(size)
+        handle.write(tail)
+        handle.flush()
+        os.fsync(handle.fileno())
 
 
 _TAIL_BLOCK = 1 << 16

@@ -13,7 +13,15 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
-from .core import Library, TheoremStatement, load_library, proof_length, write_json
+from .core import (
+    Library,
+    TheoremStatement,
+    keep_lines,
+    load_library,
+    proof_length,
+    read_json_lines,
+    write_json,
+)
 from .events import read_events
 from .gateway import ChatRequest, Gateway, TransportError
 from .prompts import DEFAULT_NL_STATEMENT, NL_PROVER_PROMPT
@@ -241,7 +249,12 @@ def nl_session(
     nl_dir = _nl_dir(out_dir)
     nl_dir.mkdir(parents=True, exist_ok=True)
     index_path = nl_dir / "index.jsonl"
-    first = len(_read_index(out_dir)) if index_path.exists() else 0
+    first = 0
+    if index_path.exists():
+        first = len(_read_index(out_dir))
+        # A kill can tear the last record; cut it so the next one starts
+        # its own line.
+        keep_lines(index_path, first, fsync=False)
     ids: list[str] = []
     with open(index_path, "a", encoding="utf-8") as index:
         for i in range(first, first + n):
@@ -306,14 +319,7 @@ def _read_index(out_dir: str | Path) -> dict[str, str]:
     index_path = _nl_dir(out_dir) / "index.jsonl"
     if not index_path.exists():
         raise FileNotFoundError(f"no NL session found: {index_path} is missing")
-    statuses: dict[str, str] = {}
-    with open(index_path, encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                record = json.loads(line)
-                statuses[record["id"]] = record["status"]
-    return statuses
+    return {record["id"]: record["status"] for record in read_json_lines(index_path)}
 
 
 def _read_grades(out_dir: str | Path) -> dict[str, NLGrade]:

@@ -11,7 +11,7 @@ import json
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable
 
 from .core import (
     Library,
@@ -164,16 +164,22 @@ def truncate_events(path: str | Path, keep: int) -> None:
 
 def replay_library(events: list[RunEvent], seed_source: str) -> Library:
     """Reconstruct the library from `theorem_added` events alone."""
-    additions = []
-    for event in events:
-        if event.kind != "theorem_added":
-            continue
-        p = event.payload
-        statement = TheoremStatement(
-            name=p["name"], body=p["body"], source_text=p["statement"]
+    return library_from_additions(
+        (event.payload for event in events if event.kind == "theorem_added"),
+        seed_source,
+    )
+
+
+def library_from_additions(payloads: Iterable[dict], seed_source: str) -> Library:
+    """The library that `theorem_added` payloads, in order, build."""
+    additions = (
+        (
+            TheoremStatement(name=p["name"], body=p["body"], source_text=p["statement"]),
+            ProofScript(text=p["proof"]),
+            p["provenance"],
+            p["created_at"],
         )
-        additions.append(
-            (statement, ProofScript(text=p["proof"]), p["provenance"], p["created_at"])
-        )
+        for p in payloads
+    )
     # Names were already de-collided when the events were written.
     return Library(seed_source=seed_source).extend(additions)

@@ -23,8 +23,6 @@ import logging
 import os
 import threading
 import time
-import urllib.error
-import urllib.request
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -95,6 +93,11 @@ class HttpChatProvider:
         self.timeout = timeout
 
     def complete(self, request: ChatRequest) -> str:
+        # Imported here: the HTTP stack is most of cpl's import time, and
+        # only a live run needs it.
+        import urllib.error
+        import urllib.request
+
         api_key = os.environ.get(self.api_key_env, "")
         if not api_key:
             raise FatalGatewayError(

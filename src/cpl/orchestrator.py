@@ -14,10 +14,12 @@ event), `events.jsonl` (append-only, flushed per event),
 of the transcript, stored once), and `report.json` (the summary, written
 before the `run_complete` event that commits it). A fresh run removes
 the event log, the transcript and the report of an earlier run. A resume
-reads the event log and `library.lean` once, cuts the event log and the
-transcript back to the last committed loop, and rewrites `library.lean`
-to the committed entries, which drops any partial block a crash left at
-its end. Resuming a run whose `run_complete` is logged changes nothing.
+reads the event log and `library.lean` once, cuts the transcript back to
+the last committed loop, and cuts the event log and `library.lean` in
+place: the log at the end of that loop's `loop_complete` line, the
+library to the dump of the committed entries, which drops any partial
+block a crash left at its end. Resuming a run whose `run_complete` is
+logged changes nothing.
 
 With `replay_dir` set, the model is replaced by that run directory's
 transcript (`ReplayProvider.from_dir`), which is never the output
@@ -36,21 +38,18 @@ from .conjecture import PhaseAborted, run_conjecture_phase
 from .core import (
     ENTRY_MARKER,
     Library,
+    cut_file,
     dump_library,
+    dump_tail,
     keep_lines,
     library_blocks,
     parse_theorem_with_proof,
+    read_json_lines,
     render_context,
     save_library,
     write_json,
 )
-from .events import (
-    EventLog,
-    make_clock,
-    read_events,
-    replay_library,
-    truncate_events,
-)
+from .events import EventLog, library_from_additions, make_clock
 from .gateway import (
     ROLE_IDS,
     ChatRequest,
@@ -208,21 +207,42 @@ def _read_seed(config: RunConfig) -> str:
 
 
 def _load_resume_point(seed: str, events_path: Path, library_path: Path):
-    """Cut the event log back to its last committed loop.
+    """Cut the event log and `library.lean` back to the last committed loop.
+
+    The log is read once, keeping only what a resume needs: the
+    `theorem_added` payloads, the last `loop_complete` and the offset
+    where its line ends, and whether `run_complete` is logged. Both files
+    are cut in place.
 
     Returns (committed library, loops completed, next event sequence,
     per-role calls, entries rolled back). The calls are None when the run
-    is finished, and the log is then left as it is.
+    is finished, and both files are then left as they are.
     """
     if not events_path.exists():
         raise ResumeConsistencyError(f"cannot resume: {events_path} does not exist")
     if not library_path.exists():
         raise ResumeConsistencyError(f"cannot resume: {library_path} does not exist")
-    events = read_events(events_path)
-    replayed = replay_library(events, seed)
-    expected = dump_library(replayed)
+    additions: list[dict] = []
+    boundary, cut, finished = None, 0, False
+    for event, end in read_json_lines(events_path, with_ends=True):
+        kind = event["kind"]
+        if kind == "theorem_added":
+            additions.append(event["payload"])
+        elif kind == "loop_complete":
+            boundary, cut = event, end
+        elif kind == "run_complete":
+            finished = True
+    if boundary is None:
+        boundary = {"sequence": -1, "payload": {"loop": 0, "library_size": 0}}
+    at = boundary["payload"]
+    replayed = library_from_additions(additions, seed)
+    committed = at["library_size"]
+    library = replayed.prefix(committed)
+    dump = dump_library(library)
+    expected = dump + dump_tail(replayed, committed)
+    data = library_path.read_bytes()
     # A crash mid-append can cut the last block inside a character.
-    actual = library_path.read_bytes().decode("utf-8", errors="replace")
+    actual = data.decode("utf-8", errors="replace")
     if actual != expected and not actual.startswith(expected.rstrip("\n")):
         # Find the first divergent entry for the error message.
         expected_blocks = library_blocks(expected)
@@ -239,20 +259,26 @@ def _load_resume_point(seed: str, events_path: Path, library_path: Path):
             f"(file has {len(actual_blocks)} entries, log has "
             f"{len(expected_blocks)})"
         )
-    if any(e.kind == "run_complete" for e in events):
+    if finished:
         return replayed, 0, 0, None, 0
 
-    ends = [i for i, event in enumerate(events) if event.kind == "loop_complete"]
-    keep = ends[-1] + 1 if ends else 0
-    truncate_events(events_path, keep)
-    boundary = events[keep - 1].payload if keep else {"loop": 0, "library_size": 0}
-    committed = boundary["library_size"]
+    cut_file(events_path, cut)
+    # The file holds the committed dump, then the rest of the logged
+    # entries and any partial block a crash left; or it lacks at most the
+    # end of the committed dump. The check compared decoded text, so a
+    # byte that did not decode can still differ: then the whole dump is
+    # written.
+    want = dump.encode("utf-8")
+    keep = min(len(data), len(want))
+    if not data.startswith(want[:keep]):
+        keep = 0
+    cut_file(library_path, keep, want[keep:])
+    # Markers after the committed dump: the logged entries past the
+    # boundary and the block a crash cut short.
+    rolled_back = len(ENTRY_MARKER.findall(actual, len(dump)))
     # Roles with no committed calls are rewound too, to 0.
-    calls = dict.fromkeys(ROLE_IDS, 0) | boundary.get("gateway_calls", {})
-    library = Library(seed_source=seed, entries=replayed.entries[:committed])
-    rolled_back = len(ENTRY_MARKER.findall(actual)) - committed
-    next_sequence = events[keep - 1].sequence + 1 if keep else 0
-    return library, boundary["loop"], next_sequence, calls, rolled_back
+    calls = dict.fromkeys(ROLE_IDS, 0) | at.get("gateway_calls", {})
+    return library, at["loop"], boundary["sequence"] + 1, calls, rolled_back
 
 
 @dataclass
@@ -313,10 +339,8 @@ def _run_loops(
         for path in (events_path, transcript_path, out / "report.json"):
             path.unlink(missing_ok=True)
         library, completed, sequence = Library(seed_source=seed), 0, 0
-    # Written out here, not inside `_load_resume_point`: that would keep
-    # its parsed event log alive meanwhile. A fresh run writes the file
-    # too, so it exists even if no append ever happens.
-    save_library(library, library_path)
+        # Written even if no append ever happens.
+        save_library(library, library_path)
 
     if gateway is None:
         gateway = build_gateway(config, out, clock)

@@ -333,6 +333,38 @@ def test_a_second_nl_session_in_a_directory_continues_its_numbering(tmp_path):
     assert report["categories"]["rejected_as_false"] == 1
 
 
+def tear_the_nl_index(out_dir: Path) -> bytes:
+    """Two responses, then a record torn by a kill during `nl run`; returns
+    the index's complete records."""
+    nl_session(Gateway(ReplayProvider({"nl_prover": ["A", "B"]})), n=2, out_dir=out_dir)
+    index = out_dir / "nl_responses" / "index.jsonl"
+    whole = index.read_bytes()
+    with open(index, "ab") as handle:
+        handle.write(b'{"id": "response_002", "sta')
+    return whole
+
+
+def test_nl_report_and_grade_skip_a_torn_index_record(tmp_path):
+    tear_the_nl_index(tmp_path)
+    report = nl_report(tmp_path, require_complete=False)
+    assert report["total"] == 2
+    assert report["pending"] == ["response_000", "response_001"]
+    grade_response(tmp_path, "response_000", "gap", grader="a")
+    with pytest.raises(KeyError):
+        grade_response(tmp_path, "response_002", "gap", grader="a")
+
+
+def test_an_nl_session_after_a_torn_index_record_cuts_it_and_continues(tmp_path):
+    whole = tear_the_nl_index(tmp_path)
+    ids = nl_session(
+        Gateway(ReplayProvider({"nl_prover": ["C"]})), n=1, out_dir=tmp_path
+    )
+    assert ids == ["response_002"]
+    index = tmp_path / "nl_responses" / "index.jsonl"
+    assert index.read_bytes() == whole + b'{"id": "response_002", "status": "pending"}\n'
+    assert nl_report(tmp_path, require_complete=False)["total"] == 3
+
+
 # ---------------------------------------------------------------------------
 # Histogram
 # ---------------------------------------------------------------------------

@@ -4,7 +4,13 @@ import json
 
 import pytest
 
-from cpl.core import Library, ProofScript, TheoremStatement, keep_lines
+from cpl.core import (
+    Library,
+    ProofScript,
+    TheoremStatement,
+    keep_lines,
+    read_json_lines,
+)
 from cpl.events import (
     EventLog,
     FixedClock,
@@ -120,6 +126,76 @@ def test_read_events_skips_only_a_torn_last_line(tmp_path):
     path.write_bytes(whole + b'{"sequence": 1, "times\n' + whole)
     with pytest.raises(json.JSONDecodeError):
         read_events(path)
+
+
+def line_by_line(path) -> list:
+    """Each complete non-blank line through `json.loads`, one at a time:
+    the reading `read_json_lines` must agree with."""
+    values = []
+    with open(path, "rb") as handle:
+        for line in handle:
+            if not line.endswith(b"\n"):
+                break
+            if line.strip():
+                values.append(json.loads(line.decode("utf-8")))
+    return values
+
+
+def outcome(read, path):
+    try:
+        return read(path)
+    except json.JSONDecodeError as exc:
+        return ("raises", str(exc), exc.doc, exc.pos)
+
+
+@pytest.mark.parametrize(
+    "lines",
+    [
+        # each would parse if the lines were joined into one array
+        [b"1, 2", b"[3", b"4]"],
+        [b"1],[2", b"[[3", b"]]"],
+        # a value that runs on into the next line
+        [b"[", b"]"],
+        [b'{"a": [1,', b"2]}"],
+        # two values, or one and some junk, on one line
+        [b'{"a": 1} {"a": 2}'],
+        [b"1 x", b"2"],
+        [b"nul", b"null"],
+        [b'"a', b'b"'],
+        [b'\xef\xbb\xbf{"bom": 1}'],
+        [b"1 \x0c"],
+    ],
+)
+def test_read_json_lines_raises_what_json_loads_raises_on_a_bad_line(tmp_path, lines):
+    path = tmp_path / "l.jsonl"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    expected = outcome(line_by_line, path)
+    assert expected[0] == "raises"
+    assert outcome(lambda p: list(read_json_lines(p)), path) == expected
+    with pytest.raises(json.JSONDecodeError):
+        read_events(path)
+
+
+def test_read_json_lines_reads_spaced_and_blank_lines_as_json_loads_does(tmp_path):
+    path = tmp_path / "l.jsonl"
+    lines = [
+        b'  {"a": "\xe2\x84\x95"}',  # leading whitespace, a non-ASCII value
+        b"",
+        b" \t\r",
+        b'{"b": [1,\t2]}  \r',
+        b"\x0b\x0c",  # blank to `bytes.strip`, not to JSON
+        b"\t null",
+        b'"\xe2\x89\xa4"',
+        b'{"torn": "\xe2\x84',  # a last line without its newline
+    ]
+    path.write_bytes(b"\n".join(lines))
+    assert list(read_json_lines(path)) == line_by_line(path)
+    assert list(read_json_lines(path)) == [{"a": "ℕ"}, {"b": [1, 2]}, None, "≤"]
+    data = path.read_bytes()
+    ends = [i + 1 for i, byte in enumerate(data) if byte == ord("\n")]
+    assert [end for _, end in read_json_lines(path, with_ends=True)] == [
+        ends[0], ends[3], ends[5], ends[6]
+    ]
 
 
 def test_replay_library_rebuilds_entries(tmp_path):

@@ -8,8 +8,22 @@ from pathlib import Path
 import pytest
 
 from cpl import orchestrator
-from cpl.core import dump_library, load_library
-from cpl.events import read_events, replay_library
+from cpl.core import (
+    Library,
+    ProofScript,
+    TheoremStatement,
+    dump_library,
+    dump_tail,
+    load_library,
+    save_library,
+)
+from cpl.events import (
+    EventLog,
+    FixedClock,
+    read_events,
+    replay_library,
+    truncate_events,
+)
 from cpl.gateway import (
     CallableProvider,
     Gateway,
@@ -931,3 +945,166 @@ def test_a_kill_right_after_run_complete_keeps_the_report(tmp_path):
     config.resume = True
     run(config)
     assert run_report(out) == run_report(reference)
+
+
+# ---------------------------------------------------------------------------
+# A resume reads the event log once and cuts both files in place
+# ---------------------------------------------------------------------------
+
+
+def write_killed_run(out: Path, loops: int, filler: int = 0) -> int:
+    """A run directory killed in loop `loops + 1`, after one append:
+    `loops` committed loops of two appends each, with `filler` warnings
+    per loop. Returns the number of events up to the last committed loop."""
+    out.mkdir(parents=True)
+    library = Library(seed_source=SEED)
+    save_library(library, out / "library.lean")
+    log = EventLog(out / "events.jsonl", clock=FixedClock())
+    opened = orchestrator._OpenRun(
+        None, FixedClock(), None, None, log, out / "library.lean", "cpl"
+    )
+    keep = 0
+    with log:
+        for loop in range(1, loops + 2):
+            log.emit("phase_start", loop=loop, phase="conjecture", library_size=len(library))
+            for i in range(filler):
+                log.emit("warning", message=f"ℕ ≤ {loop}.{i} " + "x" * 200)
+            for i in range(2 if loop <= loops else 1):
+                statement = TheoremStatement.from_source(decl(f"t{loop}_{i}", loop))
+                library = opened.add(library, statement, ProofScript("rfl"), loop)
+            if loop <= loops:
+                log.emit(
+                    "loop_complete",
+                    loop=loop,
+                    library_size=len(library),
+                    gateway_calls={"conjecturer": loop, "prover": 2 * loop},
+                )
+                keep = log.next_sequence
+    return keep
+
+
+def resume_files(out: Path):
+    return orchestrator._load_resume_point(
+        SEED, out / "events.jsonl", out / "library.lean"
+    )
+
+
+def committed_bytes(out: Path, keep: int, tmp_path: Path) -> tuple[bytes, bytes]:
+    """The event log as `truncate_events` cuts it and the library file as
+    a rewrite to the committed entries leaves it."""
+    reference = tmp_path / "reference"
+    reference.mkdir()
+    (reference / "events.jsonl").write_bytes((out / "events.jsonl").read_bytes())
+    truncate_events(reference / "events.jsonl", keep)
+    events = read_events(reference / "events.jsonl")
+    save_library(replay_library(events, SEED), reference / "library.lean")
+    return (
+        (reference / "events.jsonl").read_bytes(),
+        (reference / "library.lean").read_bytes(),
+    )
+
+
+def test_a_resume_cuts_a_large_log_to_the_bytes_truncate_events_leaves(tmp_path):
+    out = tmp_path / "run"
+    keep = write_killed_run(out, loops=3, filler=400)
+    assert (out / "events.jsonl").stat().st_size > 3 * (1 << 16)  # several 64 KiB blocks
+    events, library = committed_bytes(out, keep, tmp_path)
+    committed, completed, sequence, calls, rolled_back = resume_files(out)
+    assert (out / "events.jsonl").read_bytes() == events
+    assert (out / "library.lean").read_bytes() == library
+    assert (len(committed), completed, sequence, rolled_back) == (6, 3, keep, 1)
+    assert calls == {"conjecturer": 3, "prover": 6, "simple_loop": 0, "nl_prover": 0}
+
+
+@pytest.mark.parametrize(
+    "torn",
+    [
+        b'{"sequence": 99999, "timestamp": "1970',
+        '{"sequence": 99999, "payload": {"message": "ℕ'.encode()[:-1],
+    ],
+    ids=["inside a value", "inside a character"],
+)
+def test_a_resume_cuts_a_torn_last_event_line(tmp_path, torn):
+    out = tmp_path / "run"
+    keep = write_killed_run(out, loops=2, filler=3)
+    events, library = committed_bytes(out, keep, tmp_path)
+    with open(out / "events.jsonl", "ab") as handle:
+        handle.write(torn)
+    resume_files(out)
+    assert (out / "events.jsonl").read_bytes() == events
+    assert (out / "library.lean").read_bytes() == library
+
+
+@pytest.mark.parametrize("written", ["all but the newline", "inside a character"])
+def test_a_resume_cuts_a_library_block_torn_by_a_kill(tmp_path, written):
+    out = tmp_path / "run"
+    keep = write_killed_run(out, loops=2)
+    events, library = committed_bytes(out, keep, tmp_path)
+    # A block whose append was cut short, with no `theorem_added` logged.
+    statement = TheoremStatement.from_source("theorem ℕ_torn : (1 : ℕ) = 1 := sorry")
+    grown = Library(seed_source=SEED).append(statement, ProofScript("rfl"), "cpl", "t")
+    tail = dump_tail(grown, 0).encode("utf-8")
+    cut = len(tail) - 1 if written == "all but the newline" else tail.index("ℕ".encode()) + 1
+    with open(out / "library.lean", "ab") as handle:
+        handle.write(tail[:cut])
+    *_, rolled_back = resume_files(out)
+    assert rolled_back == 2
+    assert (out / "events.jsonl").read_bytes() == events
+    assert (out / "library.lean").read_bytes() == library
+
+
+def test_a_resume_appends_the_end_of_the_committed_dump_a_file_lacks(tmp_path):
+    out = tmp_path / "run"
+    keep = write_killed_run(out, loops=2)
+    events, library = committed_bytes(out, keep, tmp_path)
+    # The log's last append is uncommitted; drop it, then the final newline.
+    (out / "library.lean").write_bytes(library[:-1])
+    path = out / "events.jsonl"
+    lines = path.read_bytes().splitlines(keepends=True)
+    path.write_bytes(b"".join(lines[:keep]))
+    resume_files(out)
+    assert (out / "library.lean").read_bytes() == library
+    assert (out / "events.jsonl").read_bytes() == events
+
+
+@pytest.mark.parametrize(
+    "bad", [b'{"sequence": 1, "times', b"1, 2", b"[[3"], ids=["torn", "two", "open"]
+)
+def test_a_bad_line_before_the_last_stops_the_resume_and_changes_nothing(tmp_path, bad):
+    out = tmp_path / "run"
+    write_killed_run(out, loops=2, filler=2)
+    path = out / "events.jsonl"
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines.insert(3, bad + b"\n")
+    path.write_bytes(b"".join(lines))
+    before = {name: (out / name).read_bytes() for name in ("events.jsonl", "library.lean")}
+    with pytest.raises(json.JSONDecodeError):
+        resume_files(out)
+    assert {name: (out / name).read_bytes() for name in before} == before
+
+
+def test_a_resume_keeps_the_library_files_inode_and_mode(tmp_path):
+    out = tmp_path / "run"
+    with pytest.raises(SimulatedCrash):
+        run(demo_config(out), listener=KillAt(20))  # after loop 2's append
+    path = out / "library.lean"
+    path.chmod(0o640)
+    inode = path.stat().st_ino
+    config = demo_config(out)
+    config.resume = True
+    run(config)
+    assert stat.S_IMODE(path.stat().st_mode) == 0o640
+    assert path.stat().st_ino == inode
+    run_demo_uninterrupted(tmp_path / "ref")
+    assert path.read_bytes() == (tmp_path / "ref" / "library.lean").read_bytes()
+
+
+def test_a_resume_of_a_finished_run_leaves_both_files_untouched(tmp_path):
+    out = tmp_path / "full"
+    run_demo_uninterrupted(out)
+    paths = [out / "events.jsonl", out / "library.lean"]
+    before = [(p.read_bytes(), p.stat().st_mtime_ns, p.stat().st_ino) for p in paths]
+    config = demo_config(out)
+    config.resume = True
+    run(config)
+    assert [(p.read_bytes(), p.stat().st_mtime_ns, p.stat().st_ino) for p in paths] == before
