@@ -623,7 +623,7 @@ def write_json(path: str | Path, data) -> None:
     write_atomically(path, [text.encode("utf-8")], fsync=False)
 
 
-_JSON_SPACE = re.compile(r"[ \t\n\r]*")  # what `json.loads` skips around a value
+_LINE_SPACE = re.compile(r"[ \t\r]*")  # what `json.loads` skips, short of a newline
 _raw_decode = json.JSONDecoder().raw_decode
 
 
@@ -638,24 +638,20 @@ def read_json_lines(path: str | Path, with_ends: bool = False) -> Iterator:
     the byte offset just past its line.
     """
     data = Path(path).read_bytes()
-    size = data.rfind(b"\n") + 1
-    text = data[:size].decode("utf-8")
-    same_offsets = len(text) == size  # ASCII: a character is a byte
+    text = data[: data.rfind(b"\n") + 1].decode("utf-8")
     start = byte_end = 0
     while start < len(text):
         end = text.index("\n", start)
         if with_ends:
             # A newline byte is never part of a multi-byte character.
-            byte_end = end + 1 if same_offsets else data.index(b"\n", byte_end) + 1
-        begin = start
-        if text[start] in " \t\r\n":
-            begin = _JSON_SPACE.match(text, start).end()
+            byte_end = data.index(b"\n", byte_end) + 1
+        begin = _LINE_SPACE.match(text, start).end()
         if begin < end:
             exact = False
             try:
                 # Parsed in place, so the value must stop on its own line.
                 value, stop = _raw_decode(text, begin)
-                exact = stop == end or stop < end <= _JSON_SPACE.match(text, stop).end()
+                exact = stop == end or _LINE_SPACE.match(text, stop).end() == end
             except json.JSONDecodeError:
                 pass
             if not exact:

@@ -251,9 +251,10 @@ def nl_session(
     index_path = nl_dir / "index.jsonl"
     first = 0
     if index_path.exists():
-        first = len(_read_index(out_dir))
-        # A kill can tear the last record; cut it so the next one starts
-        # its own line.
+        # Records, not ids: an index written by older versions can list
+        # an id twice. A kill can tear the last record; cut it so the
+        # next one starts its own line.
+        first = sum(1 for _ in read_json_lines(index_path))
         keep_lines(index_path, first, fsync=False)
     ids: list[str] = []
     with open(index_path, "a", encoding="utf-8") as index:

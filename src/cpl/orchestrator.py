@@ -239,13 +239,16 @@ def _load_resume_point(seed: str, events_path: Path, library_path: Path):
     committed = at["library_size"]
     library = replayed.prefix(committed)
     dump = dump_library(library)
-    expected = dump + dump_tail(replayed, committed)
+    expected = (dump + dump_tail(replayed, committed)).encode("utf-8")
     data = library_path.read_bytes()
-    # A crash mid-append can cut the last block inside a character.
+    # The file holds the logged entries, maybe less their last newline,
+    # then any partial block a crash left, cut anywhere, even inside a
+    # character.
+    head = expected.rstrip(b"\n")
     actual = data.decode("utf-8", errors="replace")
-    if actual != expected and not actual.startswith(expected.rstrip("\n")):
+    if not data.startswith(head):
         # Find the first divergent entry for the error message.
-        expected_blocks = library_blocks(expected)
+        expected_blocks = library_blocks(expected.decode("utf-8"))
         actual_blocks = library_blocks(actual)
         pairs = zip(expected_blocks, actual_blocks)
         for i, ((exp_marker, exp), (act_marker, act)) in enumerate(pairs):
@@ -263,15 +266,11 @@ def _load_resume_point(seed: str, events_path: Path, library_path: Path):
         return replayed, 0, 0, None, 0
 
     cut_file(events_path, cut)
-    # The file holds the committed dump, then the rest of the logged
-    # entries and any partial block a crash left; or it lacks at most the
-    # end of the committed dump. The check compared decoded text, so a
-    # byte that did not decode can still differ: then the whole dump is
-    # written.
+    # The committed dump and `head` both start `expected`, so the file
+    # starts with the shorter of them; the cut keeps that and appends
+    # what the dump has beyond it, at most its last newline.
     want = dump.encode("utf-8")
-    keep = min(len(data), len(want))
-    if not data.startswith(want[:keep]):
-        keep = 0
+    keep = min(len(want), len(head))
     cut_file(library_path, keep, want[keep:])
     # Markers after the committed dump: the logged entries past the
     # boundary and the block a crash cut short.

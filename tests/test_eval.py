@@ -333,6 +333,23 @@ def test_a_second_nl_session_in_a_directory_continues_its_numbering(tmp_path):
     assert report["categories"]["rejected_as_false"] == 1
 
 
+def test_an_nl_session_keeps_every_record_of_an_index_that_repeats_ids(tmp_path):
+    """Older versions restarted the ids at 0 on each `nl run` into one
+    directory; a later session keeps both runs' records and numbers after
+    all of them."""
+    index = tmp_path / "nl_responses" / "index.jsonl"
+    index.parent.mkdir()
+    old = b"".join(
+        json.dumps({"id": f"response_{i:03d}", "status": status}).encode() + b"\n"
+        for status in ("pending", "rejected_as_false")
+        for i in range(2)
+    )
+    index.write_bytes(old)
+    ids = nl_session(Gateway(ReplayProvider({"nl_prover": ["C"]})), n=1, out_dir=tmp_path)
+    assert ids == ["response_004"]
+    assert index.read_bytes() == old + b'{"id": "response_004", "status": "pending"}\n'
+
+
 def tear_the_nl_index(out_dir: Path) -> bytes:
     """Two responses, then a record torn by a kill during `nl run`; returns
     the index's complete records."""

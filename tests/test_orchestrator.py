@@ -1053,17 +1053,22 @@ def test_a_resume_cuts_a_library_block_torn_by_a_kill(tmp_path, written):
     assert (out / "library.lean").read_bytes() == library
 
 
-def test_a_resume_appends_the_end_of_the_committed_dump_a_file_lacks(tmp_path):
+@pytest.mark.parametrize(
+    "after", [b"", "\n-- [cpl:entry 4 ℕ".encode()[:-1]], ids=["nothing", "a torn block"]
+)
+def test_a_resume_appends_the_end_of_the_committed_dump_a_file_lacks(tmp_path, after):
     out = tmp_path / "run"
     keep = write_killed_run(out, loops=2)
     events, library = committed_bytes(out, keep, tmp_path)
     # The log's last append is uncommitted; drop it, then the final newline.
-    (out / "library.lean").write_bytes(library[:-1])
+    (out / "library.lean").write_bytes(library[:-1] + after)
     path = out / "events.jsonl"
     lines = path.read_bytes().splitlines(keepends=True)
     path.write_bytes(b"".join(lines[:keep]))
+    inode = (out / "library.lean").stat().st_ino
     resume_files(out)
     assert (out / "library.lean").read_bytes() == library
+    assert (out / "library.lean").stat().st_ino == inode
     assert (out / "events.jsonl").read_bytes() == events
 
 
