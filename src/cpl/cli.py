@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from . import evalharness
-from .core import TheoremStatement, Library, load_library, next_sequence, write_json
+from .core import TheoremStatement, Library, load_library, write_json
 from .events import EventLog, make_clock
 from .gateway import FatalGatewayError
 from .orchestrator import (
@@ -56,21 +56,12 @@ def _build_eval_context(args, config: RunConfig, seed_source: str):
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     clock = make_clock(config.resolved_clock())
-    gateway = _continuing_gateway(config, out, clock)
-    session = build_verifier(config, seed_source)
-    events_path = out / "events.jsonl"
-    events = EventLog(
-        events_path, clock=clock, start_sequence=next_sequence(events_path)
-    )
-    return out, gateway, session, events
-
-
-def _continuing_gateway(config: RunConfig, out: Path, clock):
-    """A gateway whose transcript numbering continues after the lines
-    already in `out`, since eval commands may write into a run directory."""
+    # `out` may be a run directory: the gateway's transcript and the event
+    # log continue its files.
     gateway = build_gateway(config, out, clock)
-    gateway.fast_forward({})
-    return gateway
+    session = build_verifier(config, seed_source)
+    events = EventLog(out / "events.jsonl", clock=clock)
+    return out, gateway, session, events
 
 
 def _cmd_run(args) -> int:
@@ -91,19 +82,18 @@ def _cmd_reprove_all(args) -> int:
     out, gateway, session, events = _build_eval_context(
         args, config, library.seed_source
     )
-    with events:
-        report = evalharness.reprove_all(
-            library,
-            mode=args.reprove_mode,
-            session=session,
-            gateway=gateway,
-            max_trials=config.max_trials,
-            prompt_variant=config.prompt_variant,
-            context_budget=config.context_budget,
-            temperature=config.temperature,
-            max_output=config.max_output,
-            events=events,
-        )
+    report = evalharness.reprove_all(
+        library,
+        mode=args.reprove_mode,
+        session=session,
+        gateway=gateway,
+        max_trials=config.max_trials,
+        prompt_variant=config.prompt_variant,
+        context_budget=config.context_budget,
+        temperature=config.temperature,
+        max_output=config.max_output,
+        events=events,
+    )
     path = out / f"reprove_{args.reprove_mode}.json"
     write_json(path, report.to_dict())
     print(
@@ -135,20 +125,19 @@ def _cmd_reprove_focused(args) -> int:
     out, gateway, session, events = _build_eval_context(
         args, config, library.seed_source
     )
-    with events:
-        report = evalharness.reprove_focused(
-            statement,
-            library,
-            session=session,
-            gateway=gateway,
-            n=args.n,
-            max_trials=config.max_trials,
-            prompt_variant=config.prompt_variant,
-            context_budget=config.context_budget,
-            temperature=config.temperature,
-            max_output=config.max_output,
-            events=events,
-        )
+    report = evalharness.reprove_focused(
+        statement,
+        library,
+        session=session,
+        gateway=gateway,
+        n=args.n,
+        max_trials=config.max_trials,
+        prompt_variant=config.prompt_variant,
+        context_budget=config.context_budget,
+        temperature=config.temperature,
+        max_output=config.max_output,
+        events=events,
+    )
     path = out / "reprove_focused.json"
     write_json(path, report.to_dict())
     print(
@@ -166,7 +155,7 @@ def _cmd_nl(args) -> int:
             statement_text = Path(args.statement_file).read_text(encoding="utf-8")
         out = Path(config.output_dir)
         out.mkdir(parents=True, exist_ok=True)
-        gateway = _continuing_gateway(config, out, make_clock(config.resolved_clock()))
+        gateway = build_gateway(config, out, make_clock(config.resolved_clock()))
         ids = evalharness.nl_session(
             gateway,
             statement_text=statement_text,

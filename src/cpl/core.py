@@ -631,9 +631,9 @@ def read_json_lines(path: str | Path, with_ends: bool = False) -> Iterator:
     """The values of a JSON-lines file, in order, from one read of it.
 
     A last line without its newline is a write torn by a crash: it is
-    skipped, as `keep_lines` cuts it. Blank lines are skipped too. Every
-    other line must hold exactly one JSON value, as `json.loads` of the
-    line would read it; a line that does not raises the error
+    skipped, as `JsonLinesLog.open` cuts it. Blank lines are skipped too.
+    Every other line must hold exactly one JSON value, as `json.loads` of
+    the line would read it; a line that does not raises the error
     `json.loads` raises for it. With `with_ends`, each value comes with
     the byte offset just past its line.
     """
@@ -678,58 +678,79 @@ def keep_lines(path: str | Path, count: int, fsync: bool = True) -> None:
         write_atomically(path, kept, fsync)
 
 
-def cut_file(path: str | Path, size: int, tail: bytes = b"") -> None:
+def cut_file(path: str | Path, size: int, tail: bytes = b"", fsync: bool = True) -> None:
     """Cut a file in place to its first `size` bytes, append `tail`, and
-    fsync it. The file keeps its inode and its mode."""
+    fsync it when asked. The file keeps its inode and its mode."""
     with open(path, "r+b") as handle:
         handle.truncate(size)
         handle.seek(size)
         handle.write(tail)
         handle.flush()
-        os.fsync(handle.fileno())
+        if fsync:
+            os.fsync(handle.fileno())
 
 
-_TAIL_BLOCK = 1 << 16
+_BLANK_LINE = re.compile(rb"[ \t\r\x0b\x0c]*\n")  # blank, as `bytes.strip` sees it
 
 
-def next_sequence(path: str | Path) -> int:
-    """One past the `sequence` of the last complete line of a JSON-lines
-    file that parses, or 0 when there is none.
+class JsonLinesLog:
+    """An append-only JSON-lines file: one record per line, each line
+    written whole by one `append`.
 
-    A line can be long (transcript lines written before prompts were
-    stored hold whole prompts), so the file is read backwards from its
-    end in blocks, and only as far as that line.
+    Every run file of records goes through it: the event log, the
+    transcript, the NL index and the grades. `open` continues a file a
+    crash may have torn; a log built directly trusts what it is told
+    (a resume that has already cut the file). An append opens the file,
+    writes its line and closes it, so a log holds no open file between
+    appends and needs no closing.
     """
-    path = Path(path)
-    if not path.exists():
-        return 0
-    with open(path, "rb") as handle:
-        for line in _complete_lines_from_end(handle):
-            try:
-                return int(json.loads(line)["sequence"]) + 1
-            except (ValueError, KeyError, TypeError):
-                continue
-    return 0
 
+    def __init__(self, path: str | Path, next_sequence: int = 0):
+        self.path = Path(path)
+        self.next_sequence = next_sequence
 
-def _complete_lines_from_end(handle):
-    """Yield the newline-terminated lines of a binary file, last first."""
-    position = handle.seek(0, os.SEEK_END)
-    head = b""  # the file's bytes from `position` up to its first unread newline
-    terminated = False  # a newline has been read, so `head` ends a complete line
-    while position > 0:
-        step = min(_TAIL_BLOCK, position)
-        position -= step
-        handle.seek(position)
-        pieces = (handle.read(step) + head).split(b"\n")
-        head = pieces[0]
-        complete = pieces[1:]
-        if complete and not terminated:
-            complete.pop()  # the bytes after the last newline: not a line yet
-            terminated = True
-        yield from reversed(complete)
-    if terminated:
-        yield head
+    @classmethod
+    def open(
+        cls, path: str | Path, keep: int | None = None, fsync: bool = False
+    ) -> "JsonLinesLog":
+        """The log of `path` after cutting the file in place: to its first
+        `keep` records, or else to its newline-terminated lines, which
+        drops a last line torn by a crash. A missing file is an empty log.
+
+        A record is a non-blank, newline-terminated line. The file is read
+        once, and only its last kept record is parsed: `next_sequence` is
+        one past that record's `sequence`, or, for records that carry none,
+        the number of records. If that record does not parse, the error
+        `json.loads` raises for it propagates and the file is left as it
+        was. The cut is fsynced only with `fsync`.
+        """
+        path = Path(path)
+        try:
+            data = path.read_bytes()
+        except FileNotFoundError:
+            return cls(path)
+        complete = data.rfind(b"\n") + 1
+        count = start = last = 0
+        while start < complete and count != keep:
+            if not _BLANK_LINE.match(data, start):
+                count, last = count + 1, start
+            start = data.index(b"\n", start) + 1
+        size = start if count == keep else complete
+        next_sequence = count
+        if count:
+            record = json.loads(data[last : data.index(b"\n", last) + 1])
+            if isinstance(record, dict) and isinstance(record.get("sequence"), int):
+                next_sequence = record["sequence"] + 1
+        if size < len(data):
+            cut_file(path, size, fsync=fsync)
+        return cls(path, next_sequence)
+
+    def append(self, record: dict) -> None:
+        """Write `record` as one line, `json.dumps(record, ensure_ascii=False)`."""
+        line = json.dumps(record, ensure_ascii=False) + "\n"
+        with open(self.path, "ab") as handle:
+            handle.write(line.encode("utf-8"))
+        self.next_sequence += 1
 
 
 def library_blocks(text: str) -> list[tuple[re.Match, str]]:

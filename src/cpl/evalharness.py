@@ -14,9 +14,9 @@ from fractions import Fraction
 from pathlib import Path
 
 from .core import (
+    JsonLinesLog,
     Library,
     TheoremStatement,
-    keep_lines,
     load_library,
     proof_length,
     read_json_lines,
@@ -248,72 +248,60 @@ def nl_session(
     """
     nl_dir = _nl_dir(out_dir)
     nl_dir.mkdir(parents=True, exist_ok=True)
-    index_path = nl_dir / "index.jsonl"
-    first = 0
-    if index_path.exists():
-        # Records, not ids: an index written by older versions can list
-        # an id twice. A kill can tear the last record; cut it so the
-        # next one starts its own line.
-        first = sum(1 for _ in read_json_lines(index_path))
-        keep_lines(index_path, first, fsync=False)
+    # Index records carry no sequence, so this counts them: records, not
+    # ids, since an index written by older versions can list an id twice.
+    index = JsonLinesLog.open(nl_dir / "index.jsonl")
+    first = index.next_sequence
     ids: list[str] = []
-    with open(index_path, "a", encoding="utf-8") as index:
-        for i in range(first, first + n):
-            response_id = f"response_{i:03d}"
-            request = ChatRequest(
-                role_id="nl_prover",
-                system_prompt=NL_PROVER_PROMPT,
-                user_content=statement_text,
-                temperature=temperature,
-                max_output=max_output,
+    for i in range(first, first + n):
+        response_id = f"response_{i:03d}"
+        request = ChatRequest(
+            role_id="nl_prover",
+            system_prompt=NL_PROVER_PROMPT,
+            user_content=statement_text,
+            temperature=temperature,
+            max_output=max_output,
+        )
+        try:
+            response = gateway.complete(request)
+            text = response.text
+            status = "pending"
+        except TransportError as exc:
+            text = f"[failed to fetch: {exc}]"
+            status = "failed_fetch"
+        if status == "pending" and text.strip() == "False":
+            status = "rejected_as_false"
+        (nl_dir / f"{response_id}.txt").write_text(text, encoding="utf-8")
+        index.append({"id": response_id, "status": status})
+        if status == "rejected_as_false":
+            _append_grade(
+                out_dir,
+                NLGrade(
+                    response_id=response_id,
+                    category="rejected_as_false",
+                    grader="auto",
+                    note="literal False response",
+                ),
             )
-            try:
-                response = gateway.complete(request)
-                text = response.text
-                status = "pending"
-            except TransportError as exc:
-                text = f"[failed to fetch: {exc}]"
-                status = "failed_fetch"
-            if status == "pending" and text.strip() == "False":
-                status = "rejected_as_false"
-            (nl_dir / f"{response_id}.txt").write_text(text, encoding="utf-8")
-            index.write(
-                json.dumps({"id": response_id, "status": status}) + "\n"
+        if events is not None:
+            events.emit(
+                "warning",
+                message=f"nl response {response_id} stored ({status})",
+                where="nl_session",
             )
-            index.flush()
-            if status == "rejected_as_false":
-                _append_grade(
-                    out_dir,
-                    NLGrade(
-                        response_id=response_id,
-                        category="rejected_as_false",
-                        grader="auto",
-                        note="literal False response",
-                    ),
-                )
-            if events is not None:
-                events.emit(
-                    "warning",
-                    message=f"nl response {response_id} stored ({status})",
-                    where="nl_session",
-                )
-            ids.append(response_id)
+        ids.append(response_id)
     return ids
 
 
 def _append_grade(out_dir: str | Path, grade: NLGrade) -> None:
-    with open(_grades_path(out_dir), "a", encoding="utf-8") as handle:
-        handle.write(
-            json.dumps(
-                {
-                    "response_id": grade.response_id,
-                    "category": grade.category,
-                    "grader": grade.grader,
-                    "note": grade.note,
-                }
-            )
-            + "\n"
-        )
+    JsonLinesLog.open(_grades_path(out_dir)).append(
+        {
+            "response_id": grade.response_id,
+            "category": grade.category,
+            "grader": grade.grader,
+            "note": grade.note,
+        }
+    )
 
 
 def _read_index(out_dir: str | Path) -> dict[str, str]:
@@ -324,24 +312,19 @@ def _read_index(out_dir: str | Path) -> dict[str, str]:
 
 
 def _read_grades(out_dir: str | Path) -> dict[str, NLGrade]:
-    grades: dict[str, NLGrade] = {}
     path = _grades_path(out_dir)
     if not path.exists():
-        return grades
-    with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            record = json.loads(line)
-            # Append-only audit trail: the latest grade wins.
-            grades[record["response_id"]] = NLGrade(
-                response_id=record["response_id"],
-                category=record["category"],
-                grader=record["grader"],
-                note=record.get("note", ""),
-            )
-    return grades
+        return {}
+    # Append-only audit trail: the latest grade wins.
+    return {
+        record["response_id"]: NLGrade(
+            response_id=record["response_id"],
+            category=record["category"],
+            grader=record["grader"],
+            note=record.get("note", ""),
+        )
+        for record in read_json_lines(path)
+    }
 
 
 def grade_response(

@@ -14,6 +14,7 @@ from pathlib import Path
 from typing import Callable, Iterable
 
 from .core import (
+    JsonLinesLog,
     Library,
     ProofScript,
     TheoremStatement,
@@ -86,54 +87,52 @@ class RunEvent:
 
 
 class EventLog:
-    """Append-only JSONL writer, flushed per event.
+    """The run's event log, one JSON line per event, written through a
+    `JsonLinesLog`.
 
-    An optional `listener` is invoked after each event hits the disk;
-    tests use it to inject crashes at exact points.
+    `log` is either a path, opened with `JsonLinesLog.open`, so a torn
+    last line is cut (fsynced) and numbering continues after the last
+    event, or a log already opened. An optional `listener` is invoked
+    after each event hits the disk; tests use it to inject crashes at
+    exact points. Each event opens and closes the file, so a `with`
+    block around the log closes nothing.
     """
 
     def __init__(
         self,
-        path: str | Path,
+        log: JsonLinesLog | str | Path,
         clock=None,
-        start_sequence: int = 0,
         listener: Callable[[RunEvent], None] | None = None,
     ):
-        self.path = Path(path)
+        if not isinstance(log, JsonLinesLog):
+            log = JsonLinesLog.open(log, fsync=True)
+        self.log = log
         self.clock = clock or SystemClock()
         self.listener = listener
-        self._sequence = start_sequence
-        self._handle = open(self.path, "a", encoding="utf-8")
 
     def emit(self, kind: str, **payload) -> RunEvent:
         if kind not in EVENT_KINDS:
             raise ValueError(f"unknown event kind {kind!r}")
         event = RunEvent(
-            sequence=self._sequence,
+            sequence=self.log.next_sequence,
             timestamp=self.clock.now(),
             kind=kind,
             payload=payload,
         )
-        self._sequence += 1
-        self._handle.write(json.dumps(event.to_dict(), ensure_ascii=False) + "\n")
-        self._handle.flush()
+        self.log.append(event.to_dict())
         if self.listener is not None:
             self.listener(event)
         return event
 
     @property
     def next_sequence(self) -> int:
-        return self._sequence
-
-    def close(self) -> None:
-        if not self._handle.closed:
-            self._handle.close()
+        return self.log.next_sequence
 
     def __enter__(self) -> "EventLog":
         return self
 
     def __exit__(self, *exc) -> None:
-        self.close()
+        pass
 
 
 def read_events(path: str | Path) -> list[RunEvent]:

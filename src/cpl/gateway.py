@@ -1,14 +1,15 @@
 """Uniform chat-completion gateway with retry, pacing, and transcripts.
 
 Providers are duck-typed: anything with ``complete(request) -> str``.
-The shipped ones are an HTTP client for chat-completions endpoints, a
-deterministic replay provider (per-role reply queues, read from a run
-directory's transcript or given in memory for tests and dry runs), and
-an adapter for a plain function of the request.
+The shipped ones are an HTTP client for chat-completions endpoints and
+a deterministic replay provider (per-role reply queues, read from a run
+directory's transcript or given in memory for tests and dry runs).
 
 The transcript is the one record of a run's model exchanges: one line
 per call, in call order, with its role, its request fields and its
 reply, or no reply and the error of a call that exhausted its retries.
+It is a `JsonLinesLog`, so a gateway continues the numbering of a
+transcript that is already there, after cutting a torn last line.
 `ReplayProvider.from_dir` replays it. Each distinct user context is
 written once, to `prompts/<sha256>.txt` beside it (`PromptStore`); its
 lines hold the context's hash plus the text that follows it, or a short
@@ -26,7 +27,7 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from .core import next_sequence, read_json_lines, write_atomically
+from .core import JsonLinesLog, read_json_lines, write_atomically
 
 logger = logging.getLogger(__name__)
 
@@ -141,18 +142,6 @@ class HttpChatProvider:
             return body["choices"][0]["message"]["content"] or ""
         except (KeyError, IndexError, TypeError) as exc:
             raise TransportError(f"malformed provider response: {exc}") from exc
-
-
-class CallableProvider:
-    """Adapter turning a function of the request into a provider."""
-
-    name = "callable"
-
-    def __init__(self, fn):
-        self._fn = fn
-
-    def complete(self, request: ChatRequest) -> str:
-        return self._fn(request)
 
 
 class ReplayProvider:
@@ -304,27 +293,32 @@ class Gateway:
         self._sleep = sleep
         self._bucket = TokenBucket(rate_limit_rps) if rate_limit_rps else None
         self._transcript_path = Path(transcript_path) if transcript_path else None
+        # Opened by the first record or by `fast_forward`: a gateway may be
+        # built before a resume cuts the transcript.
+        self._transcript: JsonLinesLog | None = None
         self._prompts = (
             PromptStore(self._transcript_path.parent) if self._transcript_path else None
         )
         self._clock = clock
         self._lock = threading.Lock()
         self.calls_by_role: dict[str, int] = {role: 0 for role in ROLE_IDS}
-        self._transcript_sequence = 0
 
     def fast_forward(self, calls_by_role: dict[str, int]) -> None:
-        """Restore per-role call counters on resume, and pass each count
-        to the provider (a replay's cursors).
+        """Restore per-role call counters on resume, pass each count to
+        the provider (a replay's cursors), and cut the transcript back to
+        one line per counted call.
 
-        Transcript numbering continues after the transcript's last
-        complete line, so sequence numbers stay unique across resumes.
+        Transcript numbering continues after the last line kept, so
+        sequence numbers stay unique across resumes.
         """
         for role, count in calls_by_role.items():
             self.calls_by_role[role] = count
             if hasattr(self.provider, "fast_forward"):
                 self.provider.fast_forward(role, count)
         if self._transcript_path is not None:
-            self._transcript_sequence = next_sequence(self._transcript_path)
+            self._transcript = JsonLinesLog.open(
+                self._transcript_path, keep=sum(self.calls_by_role.values())
+            )
 
     def complete(self, request: ChatRequest) -> ChatResponse:
         if self._bucket is not None:
@@ -378,8 +372,11 @@ class Gateway:
             )
             if self._transcript_path is None:
                 return
+            if self._transcript is None:
+                # Numbering continues after the lines already there.
+                self._transcript = JsonLinesLog.open(self._transcript_path)
             entry = {
-                "sequence": self._transcript_sequence,
+                "sequence": self._transcript.next_sequence,
                 "timestamp": self._clock.now() if self._clock else None,
                 "role_id": request.role_id,
                 "request": self._prompts.request_fields(request),
@@ -393,9 +390,7 @@ class Gateway:
                 },
                 "error": error,
             }
-            self._transcript_sequence += 1
-            with open(self._transcript_path, "a", encoding="utf-8") as handle:
-                handle.write(json.dumps(entry, ensure_ascii=False) + "\n")
+            self._transcript.append(entry)
 
 
 def read_transcript(path: str | Path) -> list[dict]:

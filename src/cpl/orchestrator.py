@@ -14,12 +14,12 @@ event), `events.jsonl` (append-only, flushed per event),
 of the transcript, stored once), and `report.json` (the summary, written
 before the `run_complete` event that commits it). A fresh run removes
 the event log, the transcript and the report of an earlier run. A resume
-reads the event log and `library.lean` once, cuts the transcript back to
-the last committed loop, and cuts the event log and `library.lean` in
-place: the log at the end of that loop's `loop_complete` line, the
-library to the dump of the committed entries, which drops any partial
-block a crash left at its end. Resuming a run whose `run_complete` is
-logged changes nothing.
+reads the event log, `library.lean` and the transcript once each, and
+cuts all three in place back to the last committed loop: the log at the
+end of that loop's `loop_complete` line, the library to the dump of the
+committed entries, which drops any partial block a crash left at its
+end, and the transcript to that loop's calls. Resuming a run whose
+`run_complete` is logged changes nothing.
 
 With `replay_dir` set, the model is replaced by that run directory's
 transcript (`ReplayProvider.from_dir`), which is never the output
@@ -37,11 +37,11 @@ from pathlib import Path
 from .conjecture import PhaseAborted, run_conjecture_phase
 from .core import (
     ENTRY_MARKER,
+    JsonLinesLog,
     Library,
     cut_file,
     dump_library,
     dump_tail,
-    keep_lines,
     library_blocks,
     parse_theorem_with_proof,
     read_json_lines,
@@ -326,7 +326,6 @@ def _run_loops(
     clock = make_clock(config.resolved_clock())
     events_path = out / "events.jsonl"
     library_path = out / "library.lean"
-    transcript_path = out / "transcript.jsonl"
 
     if config.resume:
         library, completed, sequence, calls, rolled_back = _load_resume_point(
@@ -335,7 +334,7 @@ def _run_loops(
         if calls is None:
             return library
     else:
-        for path in (events_path, transcript_path, out / "report.json"):
+        for path in (events_path, out / "transcript.jsonl", out / "report.json"):
             path.unlink(missing_ok=True)
         library, completed, sequence = Library(seed_source=seed), 0, 0
         # Written even if no append ever happens.
@@ -345,60 +344,56 @@ def _run_loops(
         gateway = build_gateway(config, out, clock)
     if session is None:
         session = build_verifier(config, seed)
-    events = EventLog(
-        events_path, clock=clock, start_sequence=sequence, listener=listener
-    )
-    try:
-        if config.resume:
-            if transcript_path.exists():
-                # One line per gateway call: keep the committed loops' calls.
-                keep_lines(transcript_path, sum(calls.values()), fsync=False)
-            gateway.fast_forward(calls)
-            events.emit(
-                "warning",
-                message=(
-                    f"resumed at loop {completed + 1}; rolled back "
-                    f"{rolled_back} uncommitted entr"
-                    f"{'y' if rolled_back == 1 else 'ies'}"
-                ),
-            )
-        run = _OpenRun(config, clock, gateway, session, events, library_path, provenance)
-        loops = config.resolved_loops()
-        for loop in range(completed + 1, loops + 1):
-            events.emit(
-                "phase_start",
-                loop=loop,
-                phase=phase,
-                library_size=len(library),
-                gateway_calls=dict(gateway.calls_by_role),
-            )
-            library = step(run, loop, library)
-            events.emit(
-                "loop_complete",
-                loop=loop,
-                library_size=len(library),
-                gateway_calls=dict(gateway.calls_by_role),
-            )
-        # Before `run_complete`, which commits it: a resume after that
-        # event does nothing.
-        write_json(
-            out / "report.json",
-            {
-                "mode": config.mode,
-                "loops": loops,
-                "library_entries": len(library),
-                "gateway_calls": dict(gateway.calls_by_role),
-                "config": config.public_dict(),
-            },
-        )
+    # A fresh run has removed the log and a resume has cut it: it is not
+    # read again.
+    log = JsonLinesLog(events_path, sequence)
+    events = EventLog(log, clock=clock, listener=listener)
+    if config.resume:
+        # Also cuts the transcript to the committed loops' calls.
+        gateway.fast_forward(calls)
         events.emit(
-            "run_complete",
-            loops=loops,
+            "warning",
+            message=(
+                f"resumed at loop {completed + 1}; rolled back "
+                f"{rolled_back} uncommitted entr"
+                f"{'y' if rolled_back == 1 else 'ies'}"
+            ),
+        )
+    run = _OpenRun(config, clock, gateway, session, events, library_path, provenance)
+    loops = config.resolved_loops()
+    for loop in range(completed + 1, loops + 1):
+        events.emit(
+            "phase_start",
+            loop=loop,
+            phase=phase,
             library_size=len(library),
             gateway_calls=dict(gateway.calls_by_role),
         )
-    finally:
-        events.close()
+        library = step(run, loop, library)
+        events.emit(
+            "loop_complete",
+            loop=loop,
+            library_size=len(library),
+            gateway_calls=dict(gateway.calls_by_role),
+        )
+    # Before `run_complete`, which commits it: a resume after that
+    # event does nothing.
+    write_json(
+        out / "report.json",
+        {
+            "mode": config.mode,
+            "loops": loops,
+            "library_entries": len(library),
+            "gateway_calls": dict(gateway.calls_by_role),
+            "config": config.public_dict(),
+        },
+    )
+    events.emit(
+        "run_complete",
+        loops=loops,
+        library_size=len(library),
+        gateway_calls=dict(gateway.calls_by_role),
+    )
     return library
 
 

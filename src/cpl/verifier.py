@@ -18,6 +18,7 @@ configuration.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import logging
@@ -327,19 +328,21 @@ class LeanReplClient:
             ) from exc
 
     def _kill(self) -> None:
+        """Kill the process, reap it, and close both pipes."""
         self._dead = True
-        try:
+        with contextlib.suppress(OSError):
             self._proc.kill()
-        except OSError:
-            pass
+        self._proc.wait()
+        with contextlib.suppress(OSError):
+            self._proc.stdin.close()
+        # The process's end of stdout is gone, so the reader stops, unless
+        # a child of the process still holds it: closing the pipe under a
+        # blocked reader would block too, so it is then left open.
+        self._reader.join(timeout=1.0)
+        if not self._reader.is_alive():
+            self._proc.stdout.close()
 
     def close(self) -> None:
-        if not self._dead:
-            try:
-                assert self._proc.stdin is not None
-                self._proc.stdin.close()
-            except OSError:
-                pass
         self._kill()
 
 

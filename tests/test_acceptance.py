@@ -27,10 +27,11 @@ from cpl.evalharness import (
     reprove_focused,
 )
 from cpl.events import normalized_event_lines, read_events
-from cpl.gateway import CallableProvider, Gateway, ReplayProvider, read_transcript
+from cpl.gateway import Gateway, ReplayProvider, read_transcript
 from cpl.orchestrator import RunConfig, run, run_cpl, run_simple_loop
 from cpl.prover import prove
 from cpl.verifier import CheckResult, Diagnostic, LeanVerifier, ScriptedVerifier
+from providers import CallableProvider
 
 FIXTURES = Path(__file__).parent / "fixtures"
 DEMO_CONFIG = FIXTURES / "cpl_demo" / "config.json"

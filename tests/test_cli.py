@@ -8,6 +8,8 @@ import pytest
 
 from cpl import cli
 from cpl.core import Library, ProofScript, TheoremStatement, save_library
+from cpl.events import read_events
+from cpl.gateway import read_transcript
 
 FIXTURES = Path(__file__).parent / "fixtures"
 DEMO_CONFIG = FIXTURES / "cpl_demo" / "config.json"
@@ -340,6 +342,43 @@ def test_eval_commands_continue_a_run_directorys_numbering(tmp_path):
         assert sequences == list(range(len(sequences))), name
     transcript = (out / "transcript.jsonl").read_text(encoding="utf-8")
     assert len(transcript.splitlines()) == 13 + 4 + 2
+
+
+def test_an_eval_command_after_a_kill_cuts_torn_lines_and_continues(tmp_path):
+    out = tmp_path / "run"
+    run_args = ["run", "--mode", "cpl", "--config", str(DEMO_CONFIG), "--out", str(out)]
+    assert cli.main(run_args) == 0
+    for name, torn in (
+        ("events.jsonl", b'{"sequence": 99, "timestamp": "19'),
+        ("transcript.jsonl", b'{"sequence": 99, "role_id": "pro'),
+    ):
+        with open(out / name, "ab") as handle:
+            handle.write(torn)
+    replay = tmp_path / "replay"
+    write_replay(replay, "prover", [f"by re{i}" for i in range(4)])
+    verifier_fixture = tmp_path / "verifier.json"
+    verifier_fixture.write_text(
+        json.dumps({"defaults": {"verify_proof": "verified"}}), encoding="utf-8"
+    )
+    reprove_args = [
+        "reprove-all",
+        "--library",
+        str(out / "library.lean"),
+        "--replay",
+        str(replay),
+        "--verifier-fixtures",
+        str(verifier_fixture),
+        "--max-trials",
+        "1",
+        "--out",
+        str(out),
+    ]
+    assert cli.main(reprove_args) == 0
+
+    events = [event.sequence for event in read_events(out / "events.jsonl")]
+    transcript = [entry["sequence"] for entry in read_transcript(out / "transcript.jsonl")]
+    assert events == list(range(len(events)))
+    assert transcript == list(range(13 + 4))
 
 
 _IO = [("--config", "config"), ("--out", "out"), ("--replay", "replay")]

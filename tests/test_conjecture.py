@@ -7,13 +7,13 @@ import pytest
 from cpl.conjecture import PhaseAborted, run_conjecture_phase
 from cpl.core import Library, TheoremStatement
 from cpl.gateway import (
-    CallableProvider,
     FatalGatewayError,
     Gateway,
     ReplayProvider,
     TransportError,
 )
 from cpl.verifier import CheckResult, Diagnostic, ScriptedVerifier
+from providers import CallableProvider
 
 SEED = "import Mathlib\n"
 

@@ -22,10 +22,11 @@ from cpl.evalharness import (
     reprove_focused,
     summarize_events,
 )
-from cpl.gateway import CallableProvider, Gateway, ReplayProvider, TransportError
+from cpl.gateway import Gateway, ReplayProvider, TransportError
 from cpl.orchestrator import RunConfig, run
 from cpl.prompts import DEFAULT_NL_STATEMENT, NL_PROVER_PROMPT
 from cpl.verifier import CheckResult, Diagnostic, ScriptedVerifier
+from providers import CallableProvider
 
 SEED = "import Mathlib\n"
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -380,6 +381,27 @@ def test_an_nl_session_after_a_torn_index_record_cuts_it_and_continues(tmp_path)
     index = tmp_path / "nl_responses" / "index.jsonl"
     assert index.read_bytes() == whole + b'{"id": "response_002", "status": "pending"}\n'
     assert nl_report(tmp_path, require_complete=False)["total"] == 3
+
+
+def test_a_grade_torn_by_a_kill_is_cut_before_the_next_grade(tmp_path):
+    ids = nl_session(
+        Gateway(ReplayProvider({"nl_prover": ["A", "B"]})), n=2, out_dir=tmp_path
+    )
+    grade_response(tmp_path, ids[0], "gap", grader="a")
+    grades = tmp_path / "grades.jsonl"
+    with open(grades, "ab") as handle:
+        handle.write(b'{"response_id": "response_001", "cate')
+    report = nl_report(tmp_path, require_complete=False)
+    assert report["pending"] == [ids[1]]
+    assert report["categories"]["gap"] == 1
+    grade_response(tmp_path, ids[1], "correctly_proven", grader="b")
+    lines = grades.read_text(encoding="utf-8").splitlines()
+    assert [json.loads(line)["response_id"] for line in lines] == ids
+    assert nl_report(tmp_path)["categories"] == {
+        "correctly_proven": 1,
+        "gap": 1,
+        "rejected_as_false": 0,
+    }
 
 
 # ---------------------------------------------------------------------------

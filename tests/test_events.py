@@ -5,6 +5,7 @@ import json
 import pytest
 
 from cpl.core import (
+    JsonLinesLog,
     Library,
     ProofScript,
     TheoremStatement,
@@ -108,6 +109,56 @@ def test_keep_lines_drops_a_torn_tail_and_rewrites_only_when_cutting(tmp_path):
     keep_lines(path, 1, fsync=False)
     assert path.read_bytes() == b'{"a": 0}\n'
     assert [p.name for p in tmp_path.iterdir()] == ["t.jsonl"]  # no temp file left
+
+
+def test_opening_a_log_cuts_it_in_place_to_its_first_records(tmp_path):
+    path = tmp_path / "t.jsonl"
+    path.write_bytes(b'{"a": 0}\n\n  \n{"a": 1}\n \t\n{"a": 2}\n{"a": 3, "b": "tor')
+    path.chmod(0o640)
+    before = path.stat()
+    JsonLinesLog.open(path, keep=5)  # fewer records than asked for: only the tail goes
+    assert path.read_bytes() == b'{"a": 0}\n\n  \n{"a": 1}\n \t\n{"a": 2}\n'
+    JsonLinesLog.open(path, keep=2)  # blank lines are not records
+    assert path.read_bytes() == b'{"a": 0}\n\n  \n{"a": 1}\n'
+    after = path.stat()
+    assert (after.st_ino, after.st_mode) == (before.st_ino, before.st_mode)
+    JsonLinesLog.open(path)
+    JsonLinesLog.open(path, keep=2)
+    assert path.stat().st_mtime_ns == after.st_mtime_ns  # nothing to cut, no write
+    JsonLinesLog.open(path, keep=0)
+    assert path.read_bytes() == b""
+    assert [p.name for p in tmp_path.iterdir()] == ["t.jsonl"]  # no temp file
+
+
+def test_opening_a_log_parses_only_its_last_kept_record(tmp_path):
+    path = tmp_path / "t.jsonl"
+    path.write_bytes(b'not json\n{"sequence": 7}\n\nnot json either\n{"sequence": 9, "x": "to')
+    with pytest.raises(json.JSONDecodeError):
+        JsonLinesLog.open(path)
+    with pytest.raises(json.JSONDecodeError):
+        JsonLinesLog.open(path, keep=3)
+    assert path.read_bytes().endswith(b'"to')  # left as it was
+    assert JsonLinesLog.open(path, keep=2).next_sequence == 8
+    assert path.read_bytes() == b'not json\n{"sequence": 7}\n'
+    path.write_bytes(b'{"id": "a"}\n\n{"id": "b"}\n')
+    assert JsonLinesLog.open(path).next_sequence == 2  # unnumbered: the record count
+    missing = JsonLinesLog.open(tmp_path / "missing.jsonl")
+    assert missing.next_sequence == 0
+    assert not missing.path.exists()
+
+
+def test_a_log_appends_whole_lines_and_counts_on(tmp_path):
+    path = tmp_path / "t.jsonl"
+    path.write_bytes(b'{"sequence": 4}\n{"sequence": 5, "x": "to')
+    log = JsonLinesLog.open(path)
+    log.append({"sequence": log.next_sequence, "text": "ℕ ≤ \"q\""})
+    log.append({"sequence": log.next_sequence})
+    assert path.read_bytes() == (
+        b'{"sequence": 4}\n'
+        + '{"sequence": 5, "text": "ℕ ≤ \\"q\\""}\n'.encode()
+        + b'{"sequence": 6}\n'
+    )
+    assert log.next_sequence == 7
 
 
 def test_read_events_skips_only_a_torn_last_line(tmp_path):

@@ -7,8 +7,8 @@ import urllib.request
 
 import pytest
 
+from cpl.core import read_json_lines
 from cpl.gateway import (
-    CallableProvider,
     ChatRequest,
     FatalGatewayError,
     FixtureExhaustedError,
@@ -20,6 +20,7 @@ from cpl.gateway import (
     read_transcript,
 )
 from cpl.prompts import CONJECTURER_PROMPT, PROVER_PROMPT
+from providers import CallableProvider
 
 
 def request(role="prover", user="prove it", system=PROVER_PROMPT) -> ChatRequest:
@@ -172,24 +173,47 @@ def test_a_call_that_exhausted_its_retries_replays_as_a_transport_error(tmp_path
     [
         (['{"sequence": 0}', '{"sequence": 1, "x": "' + "y" * 200_000 + '"}'], "", 2),
         (['{"sequence": 0}', '{"sequence": 4}'], '{"sequence": 9, "x": "to', 5),
-        (['{"sequence": 3}', "not json", ""], "", 4),
-        (["not json"], '{"sequence": 7}', 0),
+        (['{"sequence": 3}', "", " \t"], "", 4),
+        ([""], '{"sequence": 7}', 0),
         ([], "", 0),
     ],
 )
 def test_fast_forward_continues_after_last_complete_transcript_line(
     tmp_path, lines, tail, expected
 ):
+    """A gateway numbers its first line after the last complete line of
+    the transcript already there, and cuts a torn tail before it."""
     path = tmp_path / "transcript.jsonl"
-    before = "".join(line + "\n" for line in lines) + tail
-    path.write_text(before, encoding="utf-8")
+    complete = "".join(line + "\n" for line in lines)
+    path.write_text(complete + tail, encoding="utf-8")
     gateway = Gateway(
         ReplayProvider({"prover": ["r0"]}), transcript_path=path, sleep=lambda s: None
     )
-    gateway.fast_forward({})
     gateway.complete(request())
-    appended = path.read_text(encoding="utf-8")[len(before) :]
-    assert json.loads(appended)["sequence"] == expected
+    text = path.read_text(encoding="utf-8")
+    assert text.startswith(complete)
+    assert json.loads(text[len(complete) :])["sequence"] == expected
+
+
+@pytest.mark.parametrize(
+    "lines, tail",
+    [(['{"sequence": 3}', "not json", ""], ""), (["not json"], '{"sequence": 7}')],
+)
+def test_a_transcript_whose_last_complete_line_is_not_json_is_left_as_it_was(
+    tmp_path, lines, tail
+):
+    path = tmp_path / "transcript.jsonl"
+    before = ("".join(line + "\n" for line in lines) + tail).encode()
+    path.write_bytes(before)
+    gateway = Gateway(
+        ReplayProvider({"prover": ["r0"]}), transcript_path=path, sleep=lambda s: None
+    )
+    with pytest.raises(json.JSONDecodeError) as raised:
+        gateway.complete(request())
+    with pytest.raises(json.JSONDecodeError) as read:
+        list(read_json_lines(path))  # as a resume or a replay reads it
+    assert str(raised.value) == str(read.value)
+    assert path.read_bytes() == before
 
 
 def test_transcript_logs_full_exchange(tmp_path):

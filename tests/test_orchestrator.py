@@ -25,7 +25,6 @@ from cpl.events import (
     truncate_events,
 )
 from cpl.gateway import (
-    CallableProvider,
     Gateway,
     ReplayProvider,
     TransportError,
@@ -39,6 +38,7 @@ from cpl.orchestrator import (
     run_simple_loop,
 )
 from cpl.verifier import CheckResult, ScriptedVerifier
+from providers import CallableProvider
 
 SEED = "import Mathlib\n"
 

@@ -4,7 +4,6 @@ import pytest
 
 from cpl.core import Library, ProofScript, TheoremStatement, render_context
 from cpl.gateway import (
-    CallableProvider,
     Gateway,
     ReplayProvider,
     TransportError,
@@ -19,6 +18,7 @@ from cpl.prover import (
     prove,
 )
 from cpl.verifier import CheckResult, Diagnostic, ScriptedVerifier
+from providers import CallableProvider
 
 SEED = "import Mathlib\n"
 CONJ = TheoremStatement.from_source("theorem goal : (1 : ℕ) = 1 := sorry")

@@ -956,6 +956,7 @@ def test_client_timeout_kills_process(fake_repl_cmd):
     client = LeanReplClient(fake_repl_cmd)
     with pytest.raises(VerifierTimeoutError):
         client.run({"cmd": "SLEEP"}, timeout=0.5)
+    assert client._proc.returncode is not None
     with pytest.raises(VerifierTransportError):
         client.run({"cmd": "after death"}, timeout=1)
 
