@@ -245,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--loops", type=int)
     run_p.add_argument("--iterations", type=int, help="conjecturer calls per phase")
     run_p.add_argument("--resume", action="store_true")
-    run_p.add_argument("--budget", type=int, help="context budget in characters")
+    run_p.add_argument("--budget", type=int, help="prompt context budget in characters")
     run_p.set_defaults(func=_cmd_run)
 
     ra = sub.add_parser(

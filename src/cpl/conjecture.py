@@ -55,15 +55,6 @@ class ConjecturePhaseReport:
         }
 
 
-class PhaseAborted(RuntimeError):
-    """A fatal gateway error cut the phase short; carries the partial report."""
-
-    def __init__(self, report: ConjecturePhaseReport, cause: Exception):
-        super().__init__(str(cause))
-        self.report = report
-        self.cause = cause
-
-
 def run_conjecture_phase(
     library: Library,
     session,
@@ -79,6 +70,9 @@ def run_conjecture_phase(
     """Run one full conjecture phase and report its bookkeeping."""
     report = ConjecturePhaseReport()
     accepted = report.accepted
+    # The checks see all of the library, whatever the prompt's budget
+    # dropped, then the accepted stubs: one join per accepted stub.
+    checked = library.rendered[0]
 
     def emit(kind: str, **payload) -> None:
         if events is not None:
@@ -88,7 +82,7 @@ def run_conjecture_phase(
 
     for iteration in range(1, iterations + 1):
         truncations: list[str] = []
-        context = render_context(
+        prompt = render_context(
             library, list(accepted), context_budget, warnings=truncations
         )
         for note in truncations:
@@ -96,7 +90,7 @@ def run_conjecture_phase(
         request = ChatRequest(
             role_id="conjecturer",
             system_prompt=system_prompt,
-            user_content=context,
+            user_content=prompt,
             temperature=temperature,
             max_output=max_output,
         )
@@ -113,7 +107,7 @@ def run_conjecture_phase(
         except FatalGatewayError as exc:
             report.iterations_run = iteration
             emit("warning", message=f"conjecture phase aborted: {exc}")
-            raise PhaseAborted(report, exc) from exc
+            raise
         report.iterations_run = iteration
 
         warnings: list[ParseWarning] = []
@@ -129,9 +123,6 @@ def run_conjecture_phase(
                 detail=str(warning),
             )
 
-        # The checks run against the prompt until a candidate joins the
-        # conjecture list; the next check renders the longer list.
-        check_context: str | None = context
         for stmt in candidates:
 
             def reject(reason: str, detail=None) -> None:
@@ -150,16 +141,12 @@ def run_conjecture_phase(
             if accepted.contains(stmt):
                 reject("duplicate")
                 continue
-            if check_context is None:
-                check_context = render_context(
-                    library, list(accepted), context_budget
-                )
             try:
-                validity = session.check_validity(check_context, stmt)
+                validity = session.check_validity(checked, stmt)
                 if validity.verdict != VALID:
                     reject("invalid", [d.format() for d in validity.diagnostics])
                     continue
-                novelty = session.check_novelty(check_context, stmt)
+                novelty = session.check_novelty(checked, stmt)
             except VerifierError as exc:
                 reject("invalid", f"verifier transport error: {exc}")
                 continue
@@ -167,7 +154,8 @@ def run_conjecture_phase(
                 reject("known", novelty.closing_term)
                 continue
             accepted.add(stmt)
-            check_context = None
+            stub = stmt.source_text.strip()
+            checked = f"{checked}\n\n{stub}" if checked else stub
             emit(
                 "conjecture_accepted",
                 iteration=iteration,

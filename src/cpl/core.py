@@ -234,7 +234,8 @@ class Library:
     @cached_property
     def rendered(self) -> tuple[str, list[int]]:
         """The entries' declarations joined by blank lines, and the
-        offset where each declaration starts in that text."""
+        offset where each declaration starts in that text. Prompts get it
+        cut to a budget; verifier checks get all of it (no seed)."""
         text, starts, shared = self.__dict__.pop("_rendered_from", ("", [], 0))
         if shared < len(starts):
             # Keep the first `shared` blocks, without the blank line after them.
@@ -459,7 +460,7 @@ def render_context(
     budget: int,
     warnings: list[str] | None = None,
 ) -> str:
-    """Render the prompt/verifier context: seed, then entries, then extras.
+    """Render a model prompt: seed, then entries, then extras.
 
     Entries carry their full proofs; extras keep their `sorry` bodies.
     When the total exceeds `budget`, the oldest entries are dropped

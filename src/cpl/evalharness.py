@@ -26,9 +26,11 @@ from .events import read_events
 from .gateway import ChatRequest, Gateway, TransportError
 from .prompts import DEFAULT_NL_STATEMENT, NL_PROVER_PROMPT
 from .prover import (
+    GATEWAY_FAULT,
     STATUS_FAILED,
     STATUS_UNPROVABLE,
     STATUS_VERIFIED,
+    VERIFIER_FAULT,
     prove,
 )
 
@@ -99,13 +101,14 @@ def render_percent(rate: Fraction) -> str:
 
 
 def _outcome_had_transport_failure(outcome) -> bool:
-    for attempt in outcome.attempts:
-        if attempt.result is None:
-            continue
-        for diag in attempt.result.diagnostics:
-            if "transport" in diag.message:
-                return True
-    return False
+    """Whether a fault failed a trial: only `prover`'s two fault messages
+    count, never what Lean says."""
+    return any(
+        diag.message.startswith((GATEWAY_FAULT, VERIFIER_FAULT))
+        for attempt in outcome.attempts
+        if attempt.result is not None
+        for diag in attempt.result.diagnostics
+    )
 
 
 def _make_report(mode: str, per_theorem: list[tuple[int, str]], flagged) -> ReproveReport:

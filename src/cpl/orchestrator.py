@@ -34,7 +34,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .conjecture import PhaseAborted, run_conjecture_phase
+from .conjecture import run_conjecture_phase
 from .core import (
     ENTRY_MARKER,
     JsonLinesLog,
@@ -337,6 +337,7 @@ def _run_loops(
         for path in (events_path, out / "transcript.jsonl", out / "report.json"):
             path.unlink(missing_ok=True)
         library, completed, sequence = Library(seed_source=seed), 0, 0
+        calls = dict.fromkeys(ROLE_IDS, 0)
         # Written even if no append ever happens.
         save_library(library, library_path)
 
@@ -348,9 +349,10 @@ def _run_loops(
     # read again.
     log = JsonLinesLog(events_path, sequence)
     events = EventLog(log, clock=clock, listener=listener)
+    # Also cuts the transcript to the committed loops' calls, so a gateway
+    # that made calls before a fresh run starts its counts over.
+    gateway.fast_forward(calls)
     if config.resume:
-        # Also cuts the transcript to the committed loops' calls.
-        gateway.fast_forward(calls)
         events.emit(
             "warning",
             message=(
@@ -401,20 +403,17 @@ def _cpl_loop(run: _OpenRun, loop: int, library: Library) -> Library:
     """One loop of the pipeline: the conjecture phase, then one prover
     campaign per accepted conjecture."""
     config = run.config
-    try:
-        report = run_conjecture_phase(
-            library,
-            run.session,
-            run.gateway,
-            iterations=config.conjecture_iterations,
-            context_budget=config.context_budget,
-            temperature=config.temperature,
-            max_output=config.max_output,
-            events=run.events,
-            loop=loop,
-        )
-    except PhaseAborted as exc:
-        raise exc.cause from exc
+    report = run_conjecture_phase(
+        library,
+        run.session,
+        run.gateway,
+        iterations=config.conjecture_iterations,
+        context_budget=config.context_budget,
+        temperature=config.temperature,
+        max_output=config.max_output,
+        events=run.events,
+        loop=loop,
+    )
     run.events.emit("phase_start", loop=loop, phase="prove", report=report.to_payload())
     # The context the provers see is the library as it stood when the
     # loop began; successes land in the library (and on disk) immediately
@@ -481,13 +480,13 @@ def _simple_loop(run: _OpenRun, loop: int, library: Library) -> Library:
         )
 
     truncations: list[str] = []
-    context = render_context(library, [], config.context_budget, warnings=truncations)
+    prompt = render_context(library, [], config.context_budget, warnings=truncations)
     for note in truncations:
         events.emit("warning", message=note, where="simple_loop_context")
     request = ChatRequest(
         role_id="simple_loop",
         system_prompt=SIMPLE_LOOP_PROMPT,
-        user_content=context,
+        user_content=prompt,
         temperature=config.temperature,
         max_output=config.max_output,
     )
@@ -495,7 +494,7 @@ def _simple_loop(run: _OpenRun, loop: int, library: Library) -> Library:
         run.session,
         run.gateway,
         request,
-        context,
+        library,
         _read_declaration,
         config.max_trials,
         emit,

@@ -23,6 +23,10 @@ STATUS_VERIFIED = "verified"
 STATUS_FAILED = "failed_exhausted"
 STATUS_UNPROVABLE = "declared_unprovable"
 
+# The diagnostic of a trial that a fault failed, not Lean.
+GATEWAY_FAULT = "gateway transport failure: "
+VERIFIER_FAULT = "verifier transport error: "
+
 
 @dataclass(frozen=True)
 class ProofAttempt:
@@ -70,7 +74,7 @@ def verify_with_retry(session, context, stmt, proof) -> CheckResult:
         except VerifierError as exc:
             if remaining:
                 continue
-            return _synthetic_failure(f"verifier transport error: {exc}")
+            return _synthetic_failure(f"{VERIFIER_FAULT}{exc}")
     raise AssertionError("unreachable")
 
 
@@ -87,18 +91,20 @@ class Unusable(Exception):
 
 
 def run_trials(
-    session, gateway: Gateway, request: ChatRequest, context, read, max_trials, emit
+    session, gateway: Gateway, request: ChatRequest, library, read, max_trials, emit
 ) -> ProofOutcome:
     """The retry-on-error loop shared by `prove` and the simple loop.
 
     `request` carries the first trial's prompt; later trials append the
     previous attempt and its diagnostics to it. `read(reply)` returns
-    `(text, statement, proof)` to verify against `context`, raises
-    `Unusable` for a failed trial, or returns None to surrender.
+    `(text, statement, proof)` to verify against all of `library`, whatever
+    the prompt's budget dropped, raises `Unusable` for a failed trial, or
+    returns None to surrender.
     `emit(trial, text, statement, proof, result)` records each trial;
     `text` is None when there is no attempt text (a gateway transport
     failure or the surrender), and `result` is None for the surrender.
     """
+    context = library.rendered[0]
     attempts: list[ProofAttempt] = []
     previous: tuple[str, tuple[Diagnostic, ...]] | None = None
     for trial in range(1, max_trials + 1):
@@ -111,7 +117,7 @@ def run_trials(
         try:
             reading = read(gateway.complete(trial_request).text)
         except TransportError as exc:
-            result = _synthetic_failure(f"gateway transport failure: {exc}")
+            result = _synthetic_failure(f"{GATEWAY_FAULT}{exc}")
         except Unusable as exc:
             text, result = exc.text, _synthetic_failure(str(exc))
         else:
@@ -133,18 +139,6 @@ def run_trials(
     return ProofOutcome(status=STATUS_FAILED, attempts=tuple(attempts))
 
 
-def _without_target(prompt: str, seed: str, target: TheoremStatement) -> str:
-    """The verifier's context: the prover's prompt (seed, the entries it
-    kept, the target's `sorry` stub) without the stub and the separator
-    before it, so the checked proof is the target's only declaration.
-    """
-    cut = len(prompt) - len(target.source_text.strip())
-    # With no entry kept, only the seed's one- or two-char separator
-    # precedes the stub; an entry block adds at least its own chars
-    # and the two-char separator after it.
-    return seed if cut <= len(seed) + 2 else prompt[: cut - 2]
-
-
 def prove(
     conjecture: TheoremStatement,
     library: Library,
@@ -163,7 +157,6 @@ def prove(
     prompt = render_context(
         library, [conjecture], context_budget, warnings=truncations
     )
-    context = _without_target(prompt, library.seed_source, conjecture)
     if events is not None:
         for note in truncations:
             payload = dict(event_extra or {})
@@ -202,4 +195,4 @@ def prove(
         temperature=temperature,
         max_output=max_output,
     )
-    return run_trials(session, gateway, request, context, read, max_trials, emit)
+    return run_trials(session, gateway, request, library, read, max_trials, emit)

@@ -5,10 +5,10 @@ Two interchangeable session implementations:
 * `LeanVerifier` drives a real Lean REPL child process speaking JSON
   over stdin/stdout, with one expensive base environment (Mathlib plus
   the seed file) per session. Each check is one command: the context
-  after the seed, then the checked declaration. The session keeps the
-  environment of each clean check (VALID, VERIFIED), and a later check
-  whose text extends that check's text at a block start sends only the
-  rest, on that environment.
+  after the seed (the library's own rendering, never a prompt), then the
+  checked declaration. The session keeps the environment of each clean
+  check (VALID, VERIFIED), and a later check whose text extends that
+  check's text at a block start sends only the rest, on that environment.
 * `ScriptedVerifier` replays canned verdicts from a fixture map, making
   the whole pipeline deterministic and runnable offline.
 
@@ -141,12 +141,8 @@ class ScriptedVerifier:
         seed_source: str,
         checks: dict[tuple[str, str, str], CheckResult] | None = None,
         defaults: dict[str, str] | None = None,
-        command_timeout: float = DEFAULT_COMMAND_TIMEOUT,
-        novelty_timeout: float = DEFAULT_NOVELTY_TIMEOUT,
     ):
         self.seed_source = seed_source
-        self.command_timeout = command_timeout
-        self.novelty_timeout = novelty_timeout
         self._checks = dict(checks or {})
         self.defaults = dict(_OP_DEFAULT_VERDICTS)
         self.defaults.update(defaults or {})
@@ -394,10 +390,12 @@ class LeanVerifier:
 
     A check elaborates its context's tail (the context without the seed,
     which the base environment holds) and then, after a blank line, the
-    checked declaration. The environment of a clean check (VALID or
-    VERIFIED) holds that text, so a later check whose text extends it up
-    to a block start sends only the rest, on that environment: still one
-    request per check.
+    checked declaration. The pipeline passes `Library.rendered[0]`, the
+    whole library without the seed (plus, in a conjecture phase, the
+    accepted stubs), so a session's first check elaborates all of it. The
+    environment of a clean check (VALID or VERIFIED) holds that text, so
+    a later check whose text extends it up to a block start sends only
+    the rest, on that environment: still one request per check.
 
     Remembered, for the last context checked (`_context`, the caller's
     string, kept without a copy; its tail is `[_start:_end]`):
@@ -642,19 +640,13 @@ def open_session(
     """Open a verifier session over the seed file.
 
     `backend` is either "scripted" (fixture map, offline) or "lean"
-    (real REPL child process, needs a toolchain with Mathlib).
+    (real REPL child process, needs a toolchain with Mathlib). The
+    timeouts are the lean backend's.
     """
     if backend == "scripted":
         if fixtures is not None:
-            session = ScriptedVerifier.from_file(fixtures, seed_source)
-            session.command_timeout = command_timeout
-            session.novelty_timeout = novelty_timeout
-            return session
-        return ScriptedVerifier(
-            seed_source,
-            command_timeout=command_timeout,
-            novelty_timeout=novelty_timeout,
-        )
+            return ScriptedVerifier.from_file(fixtures, seed_source)
+        return ScriptedVerifier(seed_source)
     if backend == "lean":
         if not command:
             raise VerifierStartupError("no verifier command configured")

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from cpl.conjecture import PhaseAborted, run_conjecture_phase
+from cpl.conjecture import run_conjecture_phase
 from cpl.core import Library, TheoremStatement
 from cpl.gateway import (
     FatalGatewayError,
@@ -140,7 +140,11 @@ def test_transport_error_skips_iteration_but_phase_continues():
     assert [s.name for s in report.accepted] == ["late"]
 
 
-def test_fatal_error_aborts_with_partial_report():
+def test_fatal_error_aborts_with_partial_report(tmp_path):
+    """The error propagates; what the phase accepted before it is in the
+    event log, after which the phase's warning says it aborted."""
+    from cpl.events import EventLog, FixedClock, read_events
+
     state = {"n": 0}
 
     def dying(request):
@@ -151,13 +155,18 @@ def test_fatal_error_aborts_with_partial_report():
 
     gateway = Gateway(CallableProvider(dying), sleep=lambda s: None)
     session = ScriptedVerifier(SEED)
-    with pytest.raises(PhaseAborted) as excinfo:
-        run_conjecture_phase(
-            Library(seed_source=SEED), session, gateway, iterations=3
-        )
-    partial = excinfo.value.report
-    assert [s.name for s in partial.accepted] == ["kept"]
-    assert isinstance(excinfo.value.cause, FatalGatewayError)
+    log_path = tmp_path / "events.jsonl"
+    with EventLog(log_path, clock=FixedClock()) as events:
+        with pytest.raises(FatalGatewayError, match="credential revoked"):
+            run_conjecture_phase(
+                Library(seed_source=SEED), session, gateway, iterations=3, events=events
+            )
+    logged = [(e.kind, e.payload) for e in read_events(log_path)]
+    assert [(kind, payload.get("name")) for kind, payload in logged] == [
+        ("conjecture_accepted", "kept"),
+        ("warning", None),
+    ]
+    assert logged[1][1]["message"] == "conjecture phase aborted: credential revoked"
 
 
 def test_counter_identity_over_randomized_fixtures():
@@ -266,7 +275,11 @@ def test_verifier_transport_error_rejects_candidate_as_invalid(tmp_path, failing
     ]
 
 
-def test_checks_reuse_the_prompt_until_a_candidate_is_accepted(monkeypatch):
+def test_checks_get_the_library_and_one_string_per_acceptance(monkeypatch):
+    """Prompts are rendered as before, cut to the budget. The checks get
+    the library's own rendering, which no budget cuts, then the accepted
+    stubs: one new string per acceptance, kept across iterations, and no
+    `render_context` call of their own."""
     import cpl.conjecture
     from cpl.core import ProofScript, render_context
 
@@ -280,6 +293,8 @@ def test_checks_reuse_the_prompt_until_a_candidate_is_accepted(monkeypatch):
             self.queue = [
                 "\n\n".join([decl("bad", "0"), decl("a", "1"), decl("b", "2")]),
                 decl("c", "3"),
+                decl("d", "4"),
+                decl("e", "5"),
             ]
 
         def complete(self, request):
@@ -303,30 +318,70 @@ def test_checks_reuse_the_prompt_until_a_candidate_is_accepted(monkeypatch):
 
     monkeypatch.setattr(cpl.conjecture, "render_context", counted_render)
     old = TheoremStatement.from_source(decl("old", "9"))
-    library = Library(seed_source=SEED).append(old, ProofScript("rfl"), "fixture", "t")
-    session = Recording(SEED)
-    session.script(
-        "check_validity",
-        "0 = 0",
-        CheckResult("invalid", (Diagnostic("error", 1, 0, "nope"),)),
+    older = TheoremStatement.from_source(decl("older", "8"))
+    library = Library(seed_source=SEED).extend(
+        [(older, ProofScript("rfl"), "fixture", "t"), (old, ProofScript("rfl"), "fixture", "t")]
     )
-    report = run_conjecture_phase(
-        library, session, Gateway(Capture(), sleep=lambda s: None), iterations=2
-    )
-    assert [s.name for s in report.accepted] == ["a", "b", "c"]
-    first, second = prompts
-    # Until `a` is accepted, the checks get the prompt itself.
-    assert [(op, name) for op, name, _ in checked[:3]] == [
-        ("validity", "bad"),
-        ("validity", "a"),
-        ("novelty", "a"),
-    ]
-    assert all(context is first for _, _, context in checked[:3])
-    # `b` is checked against the prompt plus `a`, rendered once.
-    stmt_a = report.accepted.items[0]
-    assert checked[3][2] == checked[4][2] == render_context(library, [stmt_a], 400_000)
-    assert checked[3][2] is checked[4][2]
-    # The next iteration's checks get its prompt again.
-    assert all(context is second for _, name, context in checked if name == "c")
-    # Two prompts and the one check context after an acceptance.
-    assert [[s.name for s in extras] for extras in renders] == [[], ["a"], ["a", "b"]]
+    entries = library.rendered[0]
+    full = 400_000
+    # A budget that keeps `old` but not `older` once two stubs are listed.
+    budget = len(render_context(library.prefix(0), [], full)) + len(entries) + 40
+    for context_budget in (full, budget):
+        for log in (prompts, checked, renders):
+            log.clear()
+        session = Recording(SEED)
+        session.script(
+            "check_validity",
+            "0 = 0",
+            CheckResult("invalid", (Diagnostic("error", 1, 0, "nope"),)),
+        )
+        session.script("check_novelty", "4 = 4", CheckResult("known", closing_term="rfl"))
+        report = run_conjecture_phase(
+            library,
+            session,
+            Gateway(Capture(), sleep=lambda s: None),
+            iterations=4,
+            context_budget=context_budget,
+        )
+        assert [s.name for s in report.accepted] == ["a", "b", "c", "e"]
+        # The prompts are unchanged: one render per iteration.
+        a, b, c, _ = report.accepted.items
+        assert [[s.name for s in extras] for extras in renders] == [
+            [], ["a", "b"], ["a", "b", "c"], ["a", "b", "c"]
+        ]
+        assert prompts == [
+            render_context(library, extras, context_budget)
+            for extras in ([], [a, b], [a, b, c], [a, b, c])
+        ]
+        assert ("theorem older " in prompts[1]) == (context_budget == full)
+        # The checks: the rendering itself until `a` is accepted, then one
+        # string per acceptance, each the last one plus the new stub.
+        stubs = [s.source_text.strip() for s in (a, b, c)]
+        contexts = {
+            0: entries,
+            1: entries + "\n\n" + stubs[0],
+            2: entries + "\n\n" + "\n\n".join(stubs[:2]),
+            3: entries + "\n\n" + "\n\n".join(stubs),
+        }
+        want = [
+            ("validity", "bad", 0),
+            ("validity", "a", 0),
+            ("novelty", "a", 0),
+            ("validity", "b", 1),
+            ("novelty", "b", 1),
+            ("validity", "c", 2),
+            ("novelty", "c", 2),
+            ("validity", "d", 3),
+            ("novelty", "d", 3),
+            ("validity", "e", 3),
+            ("novelty", "e", 3),
+        ]
+        assert [(op, name, context) for op, name, context in checked] == [
+            (op, name, contexts[n]) for op, name, n in want
+        ]
+        assert all(context is entries for _, _, context in checked[:3])
+        for n in range(1, 4):
+            same = [context for (_, _, context), w in zip(checked, want) if w[2] == n]
+            assert all(context is same[0] for context in same)
+        # Kept across iterations: `d` (known) and `e` share one string.
+        assert checked[7][2] is checked[9][2]

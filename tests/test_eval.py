@@ -150,6 +150,30 @@ def test_reprove_transport_failures_are_flagged():
     assert report.transport_flagged == [0, 1]
 
 
+def test_a_lean_error_that_mentions_transport_is_not_flagged():
+    lib = library_of(2)
+    session = ScriptedVerifier(SEED)
+    lean_says = Diagnostic("error", 3, 2, "unknown identifier 'transport_map'")
+    session.script(
+        "verify_proof",
+        lib.entries[0].statement,
+        CheckResult("failed", diagnostics=(lean_says,)),
+        "by simp [transport_map]",
+    )
+
+    def down_for_the_second(request):
+        if "gen1" in request.user_content:
+            raise TransportError("down")
+        return "by simp [transport_map]"
+
+    gateway = Gateway(
+        CallableProvider(down_for_the_second), retry_cap=1, sleep=lambda s: None
+    )
+    report = reprove_all(lib, "with_context", session, gateway, max_trials=1)
+    assert report.success_count == 0
+    assert report.transport_flagged == [1]
+
+
 # ---------------------------------------------------------------------------
 # reprove_focused
 # ---------------------------------------------------------------------------

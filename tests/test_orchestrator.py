@@ -603,6 +603,27 @@ def test_fresh_recorded_run_into_a_used_directory_starts_its_records_over(tmp_pa
     replay_demo(used, tmp_path / "replayed", reference=used)
 
 
+def test_a_fresh_run_through_a_gateway_that_made_calls_starts_its_counts_over(tmp_path):
+    out = tmp_path / "out"
+    gateway = Gateway(
+        ReplayProvider.from_dir(FIXTURES / "cpl_demo" / "responses"),
+        retry_cap=1,
+        transcript_path=out / "transcript.jsonl",
+        clock=FixedClock(),
+    )
+    run(demo_config(out), gateway=gateway)
+    first = [(out / name).read_bytes() for name in ("library.lean", "events.jsonl")]
+    run(demo_config(out), gateway=gateway)
+    assert transcript_sequences(out) == list(range(13))
+    starts = [
+        e.payload["gateway_calls"]
+        for e in read_events(out / "events.jsonl")
+        if e.kind == "phase_start" and "gateway_calls" in e.payload
+    ]
+    assert set(starts[0].values()) == {0}
+    assert [(out / name).read_bytes() for name in ("library.lean", "events.jsonl")] == first
+
+
 def test_an_exhausted_call_replays_as_a_failed_trial(tmp_path):
     fixture = ReplayProvider.from_dir(FIXTURES / "cpl_demo" / "responses")
     prover_calls = {"n": 0}

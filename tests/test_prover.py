@@ -191,23 +191,24 @@ def entries_library(seed: str, count: int) -> Library:
 
 
 def test_model_and_verifier_get_same_context(tmp_path):
-    """Both see the same library; the prompt adds the target's stub, the
-    verifier's context leaves it out, so the proof is its only declaration."""
+    """Both see the same library. The prompt is the seed, the entries the
+    budget keeps and the target's stub. The verifier gets the library's
+    own rendering at every budget (every entry, no seed, no stub), so the
+    proof is the target's only declaration and Lean sees what the prompt
+    dropped."""
     stub = CONJ.source_text.strip()
     full = 400_000
-    # (library, budget, budget of the oracle: the stub's share taken out
-    # when the library is truncated)
     cases = [
-        (Library(seed_source=SEED), full, full),
-        (Library(seed_source="import Mathlib"), full, full),
-        (Library(seed_source=""), full, full),
-        (entries_library(SEED, 3), full, full),
-        (entries_library("import Mathlib", 3), full, full),
+        (Library(seed_source=SEED), full),
+        (Library(seed_source="import Mathlib"), full),
+        (Library(seed_source=""), full),
+        (entries_library(SEED, 3), full),
+        (entries_library("import Mathlib", 3), full),
     ]
     lib = entries_library(SEED, 6)
     budget = len(render_context(lib.prefix(0), [CONJ], full)) + 60
-    cases.append((lib, budget, budget - len(stub) - 2))
-    for index, (lib, budget, oracle_budget) in enumerate(cases):
+    cases.append((lib, budget))
+    for index, (lib, budget) in enumerate(cases):
         seen = []
 
         class CapturingVerifier(ScriptedVerifier):
@@ -218,23 +219,26 @@ def test_model_and_verifier_get_same_context(tmp_path):
         session = CapturingVerifier(lib.seed_source)
         session.script("verify_proof", CONJ, CheckResult("verified"), "by rfl")
         transcript = tmp_path / f"t{index}.jsonl"
-        gateway = gateway_for(["by rfl"], transcript_path=transcript)
+        gateway = gateway_for(["by simp", "by rfl"], transcript_path=transcript)
         outcome = prove(CONJ, lib, session, gateway, context_budget=budget)
         assert outcome.status == STATUS_VERIFIED
-        (entry,) = read_transcript(transcript)
+        first, retry = read_transcript(transcript)
         notes: list[str] = []
         prompt = render_context(lib, [CONJ], budget, warnings=notes)
-        assert entry["request"]["user_content"] == prompt
+        assert first["request"]["user_content"] == prompt, index
+        assert retry["request"]["user_content"].startswith(prompt + "\n\n")
         assert prompt.endswith(stub)
         assert bool(notes) == (budget != full)
-        oracle_notes: list[str] = []
-        oracle = render_context(lib, [], oracle_budget, warnings=oracle_notes)
-        assert seen == [oracle], index
-        # the same number of oldest entries was dropped
-        assert [n.split(" to fit")[0] for n in oracle_notes] == [
-            n.split(" to fit")[0] for n in notes
-        ]
+        # Every trial's check gets the one cached rendering.
+        assert len(seen) == 2 and all(c is lib.rendered[0] for c in seen), index
         assert stub not in seen[0]
+        if notes:
+            # Lean sees the entries the prompt dropped.
+            assert "theorem e0 " in seen[0] and "theorem e0 " not in prompt
+        else:
+            # The same text as the prompt after the seed, less the stub.
+            tail = prompt[len(lib.seed_source) :].strip("\n")
+            assert tail == (seen[0] + "\n\n" + stub if seen[0] else stub), index
 
 
 def test_verified_proof_reverifies_with_same_inputs():

@@ -587,8 +587,9 @@ def assert_matches_reference(steps, answers=None, raising=None, seed=SEED) -> tu
 
 
 def loop_steps(answers: dict) -> list:
-    """The checks three cpl loops make, with their contexts rendered as
-    the conjecture phase and `prove` render them."""
+    """The checks three cpl loops make, with their contexts built as the
+    conjecture phase and `prove` build them: the library's rendering, then
+    in a conjecture phase the accepted stubs."""
     steps = []
     library = Library(seed_source=SEED)
     plans = [
@@ -601,9 +602,9 @@ def loop_steps(answers: dict) -> list:
     outcomes = {"c1": True, "c4": True, "c5": True, "c6": False, "c7": True}
     for plan in plans:
         accepted: list[TheoremStatement] = []
+        context = library.rendered[0]
         for name, body, known in plan:
             stmt = statement(name, body)
-            context = render_context(library, accepted, 400_000)
             steps.append(("check_validity", context, stmt, None))
             if "BAD" in body:
                 continue
@@ -612,10 +613,11 @@ def loop_steps(answers: dict) -> list:
                 answers[stmt.render_for_exact_check()] = [("info", 1, "Try this: exact rfl")]
                 continue
             accepted.append(stmt)
+            stub = stmt.source_text.strip()
+            context = f"{context}\n\n{stub}" if context else stub
         verified = []
         for stmt in accepted:
-            # Each campaign renders its own (equal) context.
-            context = render_context(library, [], 400_000)
+            context = library.rendered[0]
             bad = ProofScript("by\n  simp")
             answers[stmt.render_with_proof(bad)] = [("error", 2, "unsolved goals")]
             steps.append(("verify_proof", context, stmt, bad))
@@ -904,6 +906,62 @@ def test_after_an_error_reply_the_next_request_goes_on_the_base_environment():
     assert verify_with_retry(session, context, b, proof).verdict == "verified"
     lost = repl.sent[sent - 1][2]
     assert [env for env, _, _ in repl.sent[sent:]] == [lost, 0]
+
+
+def test_past_the_budget_checks_see_the_entries_the_prompt_dropped(tmp_path):
+    """The prompt drops the oldest entries to fit its budget; the checks
+    still run after the whole library, as Lean would elaborate
+    `library.lean`. A candidate named like a dropped entry redeclares it."""
+    from cpl.gateway import read_transcript
+    from cpl.prover import STATUS_VERIFIED, prove
+
+    library = Library(seed_source=SEED).extend(
+        (statement(f"e{i}", f"({i} : ℕ) = {i}"), ProofScript("by rfl"), "cpl", "t")
+        for i in range(4)
+    )
+    names = [entry.statement.name for entry in library.entries]
+    clash, fresh = statement("e0", "(7 : ℕ) = 7"), statement("f", "(8 : ℕ) = 8")
+    budget = len(render_context(library, [], 10**9)) - 1
+    repl = EnvRepl()
+    session = LeanVerifier(SEED, command=[], client=repl)
+    transcript = tmp_path / "transcript.jsonl"
+    gateway = Gateway(
+        ReplayProvider(
+            {
+                "conjecturer": [clash.source_text + "\n\n" + fresh.source_text],
+                "prover": ["by rfl"],
+            }
+        ),
+        transcript_path=transcript,
+        sleep=lambda s: None,
+    )
+    logged = []
+
+    class Events:
+        def emit(self, kind, **payload):
+            logged.append((kind, payload))
+
+    report = run_conjecture_phase(
+        library, session, gateway, iterations=1, context_budget=budget, events=Events()
+    )
+    outcome = prove(fresh, library, session, gateway, context_budget=budget)
+
+    prompts = [entry["request"]["user_content"] for entry in read_transcript(transcript)]
+    assert all("theorem e0 " not in prompt for prompt in prompts)
+    assert [kind for kind, _ in logged].count("warning") == 1  # the truncation
+    assert [s.name for s in report.accepted] == ["f"]
+    assert report.rejected_invalid == 1
+    (rejected,) = [payload for kind, payload in logged if kind == "conjecture_rejected"]
+    assert rejected["name"] == "e0"
+    assert any("'e0' has already been declared" in d for d in rejected["detail"])
+    # The session's first command declares every entry, then the candidate.
+    env, cmd, _ = repl.sent[0]
+    assert env == 0 and _NAME.findall(cmd) == names + ["e0"]
+    # The proof check, too, runs after every entry, and declares `f` once.
+    assert outcome.status == STATUS_VERIFIED
+    env, cmd, _ = repl.sent[-1]
+    assert _NAME.findall(repl.held[env] + "\n\n" + cmd) == names + ["f"]
+    assert cmd.endswith(fresh.render_with_proof(ProofScript("by rfl")))
 
 
 # ---------------------------------------------------------------------------
