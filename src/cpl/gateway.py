@@ -10,10 +10,12 @@ per call, in call order, with its role, its request fields and its
 reply, or no reply and the error of a call that exhausted its retries.
 It is a `JsonLinesLog`, so a gateway continues the numbering of a
 transcript that is already there, after cutting a torn last line.
-`ReplayProvider.from_dir` replays it. Each distinct user context is
-written once, to `prompts/<sha256>.txt` beside it (`PromptStore`); its
-lines hold the context's hash plus the text that follows it, or a short
-context inline. `read_transcript` puts the full `user_content` back.
+`ReplayProvider.from_dir` replays it. A long user context is written
+once, to `prompts/<sha256>.txt` beside it (`PromptStore`), and its lines
+hold the context's hash plus the text that follows what they copy of it:
+all of it, or the ranges in `user_content_spans` for a context that drops
+a stretch of it, as a front-truncated prompt does. A short context stays
+inline. `read_transcript` puts the full `user_content` back.
 """
 
 from __future__ import annotations
@@ -203,23 +205,39 @@ INLINE_CONTEXT_CHARS = 4096
 
 
 class PromptStore:
-    """Each distinct user context, written once as `prompts/<sha256>.txt`
-    beside the transcript that refers to it.
+    """Each distinct long user context, written once as
+    `prompts/<sha256>.txt` beside the transcript that refers to it, or
+    spliced from the one stored last.
 
     `request_fields` stores a context of `INLINE_CONTEXT_CHARS` or more as
     `user_content_ref`, the sha256 of a stored context, plus
-    `user_content_suffix`, the text after it. The last context stored is
-    reused as that prefix while it is one: a prover retry is its
-    campaign's context plus a feedback block, and a conjecture context
-    grows by accepted stubs. Only a context that does not start with it
-    is hashed. Roles take turns in phases, so one context is kept, not
-    one per role.
+    `user_content_suffix`, the text after what it copies from it:
+
+    - A context that starts with the stored one copies all of it: a
+      prover retry is its campaign's context plus a feedback block, and a
+      conjecture context grows by accepted stubs.
+    - A context that is the stored one with a stretch after their common
+      prefix dropped, running on to the stored context's end, plus new
+      text shorter than `INLINE_CONTEXT_CHARS`, copies the two ranges
+      listed in `user_content_spans`. Past the budget `render_context`
+      drops the oldest entries, a different number for each prompt, and
+      keeps the seed.
+    - Any other context is hashed and stored.
+
+    The last context stored or spliced and its fields are kept, so a
+    retry that extends it costs one `startswith`. Copying grows a line:
+    the text after a copy may be no longer than the context it extends,
+    so a context that keeps growing (the simple loop's, below the budget)
+    is stored again each time it doubles. Roles take turns in phases, so
+    one context is kept, not one per role.
     """
 
     def __init__(self, beside: str | Path):
         self.directory = Path(beside) / "prompts"
         self._base = ""  # the last context stored
         self._base_ref: str | None = None  # and its sha256
+        self._last = ""  # the last context stored or spliced
+        self._last_fields: dict = {}  # and its fields, suffix last
 
     def path(self, ref: str) -> Path:
         return self.directory / f"{ref}.txt"
@@ -229,23 +247,63 @@ class PromptStore:
         if len(request.user_content) < INLINE_CONTEXT_CHARS:
             fields["user_content"] = request.user_content
         else:
-            ref, suffix = self._split(request.user_content)
-            fields.update(user_content_ref=ref, user_content_suffix=suffix)
+            fields.update(self._copy(request.user_content))
         fields.update(temperature=request.temperature, max_output=request.max_output)
         return fields
 
-    def _split(self, content: str) -> tuple[str, str]:
+    def _copy(self, content: str) -> dict:
+        last = self._last
+        if len(content) <= 2 * len(last) and content.startswith(last):
+            fields = dict(self._last_fields)
+            fields["user_content_suffix"] += content[len(last) :]
+            return fields
+        fields = self._splice(content) or self._store(content)
+        self._last, self._last_fields = content, fields
+        return fields
+
+    def _splice(self, content: str) -> dict | None:
+        """`content` as ranges of the stored context plus its new text, or
+        None if it is not the stored one with one stretch dropped."""
+        if self._base_ref is None:
+            return None
         base = self._base
-        # The rest may be no longer than the stored context: a context
-        # that keeps growing (the simple loop's, from one iteration to
-        # the next) is stored again each time it doubles, instead of
-        # repeating all its growth on every line.
-        if (
-            self._base_ref is not None
-            and len(content) <= 2 * len(base)
-            and content.startswith(base)
-        ):
-            return self._base_ref, content[len(base) :]
+        # The common prefix, by bisection: each step compares at most half
+        # of the range still open, in place, so the search reads O(n) chars.
+        low, high = 0, min(len(base), len(content))
+        while low < high:
+            middle = (low + high + 1) // 2
+            if content.startswith(base[low:middle], low):
+                low = middle
+            else:
+                high = middle - 1
+        prefix = low
+        if prefix == len(base):  # it extends the stored context
+            if len(content) > 2 * len(base):
+                return None
+            return {"user_content_ref": self._base_ref, "user_content_suffix": content[prefix:]}
+        if prefix == len(content):
+            return None  # it drops the stored context's tail
+        # `content` is base[:prefix] + base[resume:] + new text shorter than
+        # INLINE_CONTEXT_CHARS, so `resume` lies in a window of that width.
+        # The rest of the line after the common prefix names the first kept
+        # entry, so its first match in the window is where the copy resumes;
+        # the comparison after it makes sure.
+        earliest = prefix + len(base) - len(content)
+        latest = earliest + INLINE_CONTEXT_CHARS - 1
+        if latest <= prefix:
+            return None  # too much new text
+        line_end = content.find("\n", prefix + 1)
+        probe = content[prefix : line_end + 1 if line_end >= 0 else len(content)]
+        resume = base.find(probe, max(prefix + 1, earliest), latest + len(probe))
+        if resume < 0 or not content.startswith(base[resume:], prefix):
+            return None
+        return {
+            "user_content_ref": self._base_ref,
+            "user_content_spans": [[0, prefix], [resume, len(base)]],
+            "user_content_suffix": content[prefix + len(base) - resume :],
+        }
+
+    def _store(self, content: str) -> dict:
         data = content.encode("utf-8")
         ref = hashlib.sha256(data).hexdigest()
         path = self.path(ref)
@@ -253,7 +311,7 @@ class PromptStore:
             self.directory.mkdir(parents=True, exist_ok=True)
             write_atomically(path, [data], fsync=False)
         self._base, self._base_ref = content, ref
-        return ref, ""
+        return {"user_content_ref": ref, "user_content_suffix": ""}
 
 
 class TokenBucket:
@@ -395,10 +453,13 @@ class Gateway:
 
 def read_transcript(path: str | Path) -> list[dict]:
     """The entries of a transcript, read by `read_json_lines`, with each
-    request's full `user_content` put back from the prompt store.
+    request's full `user_content` put back from the prompt store: the
+    stored context, or the ranges of it in `user_content_spans`, then
+    `user_content_suffix`.
 
     Lines written before prompts were stored hold `user_content` inline
-    and are returned as they are.
+    and are returned as they are. A line whose spans are not ordered
+    ranges inside its stored context raises `ValueError`.
     """
     path = Path(path)
     store = PromptStore(path.parent)
@@ -411,7 +472,23 @@ def read_transcript(path: str | Path) -> list[dict]:
             if ref not in stored:
                 # bytes, not text mode, which would rewrite "\r\n"
                 stored[ref] = store.path(ref).read_bytes().decode("utf-8")
-            suffix = request.pop("user_content_suffix")
-            request["user_content"] = stored[ref] + suffix
+            text = stored[ref]
+            spans = request.pop("user_content_spans", None)
+            if spans is not None:
+                spans = _checked(spans, len(text), entry.get("sequence"))
+                text = "".join(text[start:end] for start, end in spans)
+            request["user_content"] = text + request.pop("user_content_suffix")
         entries.append(entry)
     return entries
+
+
+def _checked(spans, size: int, sequence) -> list:
+    """`spans` if they are ordered [start, end] ranges within `size` chars."""
+    pairs = isinstance(spans, list) and all(isinstance(s, list) and len(s) == 2 for s in spans)
+    bounds = [0, *(bound for span in spans for bound in span), size] if pairs else []
+    if not pairs or any(type(bound) is not int for bound in bounds) or bounds != sorted(bounds):
+        raise ValueError(
+            f"transcript line {sequence}: user_content_spans {spans!r} are not "
+            f"ordered ranges of its {size}-char stored context"
+        )
+    return spans

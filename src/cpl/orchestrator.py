@@ -10,8 +10,10 @@ A run directory holds `library.lean` (written atomically at the start,
 then each new entry appended and fsynced before its `theorem_added`
 event), `events.jsonl` (append-only, flushed per event),
 `transcript.jsonl` (every model exchange, read through
-`gateway.read_transcript`), `prompts/` (each distinct long user context
-of the transcript, stored once), and `report.json` (the summary, written
+`gateway.read_transcript`), `prompts/` (the long user contexts of the
+transcript, each stored once; a prompt past the context budget is most
+often copied from one of them as ranges, `user_content_spans`, plus its
+new text), and `report.json` (the summary, written
 before the `run_complete` event that commits it). A fresh run removes
 the event log, the transcript and the report of an earlier run. A resume
 reads the event log, `library.lean` and the transcript once each, and

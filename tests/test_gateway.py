@@ -3,12 +3,14 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import random
 import urllib.request
 
 import pytest
 
 from cpl.core import read_json_lines
 from cpl.gateway import (
+    INLINE_CONTEXT_CHARS,
     ChatRequest,
     FatalGatewayError,
     FixtureExhaustedError,
@@ -20,6 +22,8 @@ from cpl.gateway import (
     read_transcript,
 )
 from cpl.prompts import CONJECTURER_PROMPT, PROVER_PROMPT
+from cpl.prover import format_feedback
+from cpl.verifier import Diagnostic
 from providers import CallableProvider
 
 
@@ -486,7 +490,7 @@ def test_each_distinct_context_is_written_once_under_its_sha256(
     assert sorted(written) == sorted(tmp_path / "prompts" / name for name in blobs)
     for name, data in blobs.items():
         assert name == hashlib.sha256(data).hexdigest() + ".txt"
-    expected = [CONTEXT, TRUNCATED, TRUNCATED * 2 + "!", NON_ASCII * 100]
+    expected = [CONTEXT, TRUNCATED * 2 + "!", NON_ASCII * 100]  # TRUNCATED: spans of CONTEXT
     assert sorted(blobs.values()) == sorted(text.encode("utf-8") for text in expected)
     assert len(read_transcript(path)) == 2 * len(store_cases())
 
@@ -499,3 +503,139 @@ def test_recording_through_the_store_replays(tmp_path):
         assert replay.complete(request(role=role, user=text)).text == f"reply {number}"
     blob = hashlib.sha256(CONTEXT.encode("utf-8")).hexdigest() + ".txt"
     assert (tmp_path / "prompts" / blob).exists()
+
+
+# A library past the budget: the seed, then blocks of which a prompt keeps
+# the newest, as `render_context` renders it.
+LEAN_SEED = "import Mathlib\r\n\nopen 𝔽\u2028 -- seed\n"
+BLOCKS = [
+    f"theorem b{i} : ∀ x : 𝔽, x + {i} = {i} + x := by\r\n  intro x\u2028  ring"
+    for i in range(400)
+]
+STUBS = [f"theorem e{i} : ∀ n : ℕ, n ≤ n + {i} := sorry" for i in range(40)]
+
+
+def rendered(front: int, extras=(), end: int = len(BLOCKS)) -> str:
+    text = LEAN_SEED + "\n" + "\n\n".join(BLOCKS[front:end])
+    return text + "".join("\n\n" + stub for stub in extras)
+
+
+def recorded_lines(path, contents, role="conjecturer") -> list[dict]:
+    gateway = Gateway(echo_provider([]), transcript_path=path, sleep=lambda s: None)
+    for text in contents:
+        gateway.complete(request(role=role, user=text))
+    read_back = [e["request"]["user_content"] for e in read_transcript(path)]
+    assert read_back[-len(contents) :] == contents
+    return list(read_json_lines(path))[-len(contents) :]
+
+
+def test_a_front_truncated_context_is_spliced_from_the_stored_one(tmp_path):
+    stored, truncated = rendered(0), rendered(7, STUBS[:3])
+    assert len(truncated) >= INLINE_CONTEXT_CHARS
+    first, second = recorded_lines(tmp_path / "transcript.jsonl", [stored, truncated])
+    assert [p.read_bytes() for p in (tmp_path / "prompts").iterdir()] == [stored.encode("utf-8")]
+    request = second["request"]
+    assert request["user_content_ref"] == first["request"]["user_content_ref"]
+    assert request["user_content_suffix"] == "".join("\n\n" + stub for stub in STUBS[:3])
+    (head, head_end), (resume, end) = request["user_content_spans"]
+    assert head == 0 and end == len(stored)
+    assert stored[:head_end] + stored[resume:] == rendered(7)
+    assert "user_content_spans" not in first["request"]
+
+
+def test_each_retry_of_a_spliced_context_carries_only_its_own_feedback(tmp_path):
+    campaign = rendered(9, STUBS[5:6])
+    retries = [
+        format_feedback(
+            campaign, f"by simp_{i}", (Diagnostic("error", 2, i, f"goal ⊢ 𝔽 {i}\r\n"),)
+        )
+        for i in range(15)
+    ]
+    lines = recorded_lines(
+        tmp_path / "transcript.jsonl", [rendered(0), campaign, *retries], role="prover"
+    )
+    spliced = lines[1]["request"]
+    assert len(list((tmp_path / "prompts").iterdir())) == 1
+    for line, retry in zip(lines[2:], retries):
+        assert line["request"]["user_content_spans"] == spliced["user_content_spans"]
+        assert line["request"]["user_content_suffix"] == (
+            spliced["user_content_suffix"] + retry[len(campaign) :]
+        )
+
+
+def test_a_dropped_tail_or_long_new_text_is_stored_as_a_new_blob(tmp_path):
+    stored = rendered(0)
+    kept = rendered(6)
+    # New text one char short of INLINE_CONTEXT_CHARS is spliced; at that
+    # length, or with the stored context's tail dropped, it is stored.
+    longest = kept + "\n\n" + "∀" * (INLINE_CONTEXT_CHARS - 3)
+    assert len(longest) - len(kept) == INLINE_CONTEXT_CHARS - 1
+    for number, (text, spliced) in enumerate(
+        [(longest, True), (longest + "∀", False), (rendered(0, end=len(BLOCKS) - 2), False)]
+    ):
+        run_dir = tmp_path / str(number)
+        run_dir.mkdir()
+        _, line = recorded_lines(run_dir / "transcript.jsonl", [stored, text])
+        assert ("user_content_spans" in line["request"]) == spliced
+        blobs = {p.read_bytes() for p in (run_dir / "prompts").iterdir()}
+        assert blobs == {t.encode("utf-8") for t in ([stored] if spliced else [stored, text])}
+
+
+def random_contexts(rng: random.Random, count: int) -> list[str]:
+    """Prompts as a long run sends them: contexts cut at a random front
+    from a growing block list, with random extras and feedback."""
+    contents = []
+    front, end = 0, 200
+    for _ in range(count):
+        end = min(len(BLOCKS), end + rng.choice([0, 0, 0, 1, 2, 30]))
+        if rng.random() < 0.2:
+            front = rng.randrange(0, end - 60)
+        else:  # mostly, the budget drops a few more of the oldest blocks
+            front = min(end - 60, front + rng.choice([0, 1, 2, 5]))
+        extras = rng.sample(STUBS, rng.choice([0, 1, 3, 12, 40]))
+        text = rendered(front, extras, end=end)
+        if rng.random() < 0.2:
+            text = text[: rng.randrange(INLINE_CONTEXT_CHARS, len(text))]
+        contents.append(text)
+        for trial in range(rng.choice([0, 0, 1, 3])):
+            diagnostics = (Diagnostic("error", 1, trial, "∀ 𝔽 failed"),)
+            contents.append(format_feedback(text, f"by\r\n  simp [b{trial}]\u2028", diagnostics))
+    return contents
+
+
+def test_a_seeded_random_run_of_contexts_reads_back_exactly(tmp_path):
+    rng = random.Random(1729)
+    path = tmp_path / "transcript.jsonl"
+    sent = []
+    for _ in range(2):  # a second gateway, as after a restart
+        contents = random_contexts(rng, 120)
+        assert len(contents) >= 100
+        recorded_lines(path, contents, role="prover")
+        sent.extend(contents)
+    assert [e["request"]["user_content"] for e in read_transcript(path)] == sent
+    lines = list(read_json_lines(path))
+    spliced = sum("user_content_spans" in line["request"] for line in lines)
+    blobs = len(list((tmp_path / "prompts").iterdir()))
+    assert spliced > len(lines) / 4 and blobs < len(set(sent)) / 2
+
+
+def test_spans_outside_their_stored_context_are_refused(tmp_path):
+    path = tmp_path / "transcript.jsonl"
+    recorded_lines(path, [rendered(0), rendered(3), rendered(4)])
+    good = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    size = len(rendered(0))
+    for spans in (
+        [[0, 40], [30, size]],  # overlapping
+        [[0, 40], [50, size + 1]],  # past the blob's end
+        [[40, 0]],
+        [[-1, 4]],
+        [[0, 1.5]],
+        [[0]],
+        7,
+    ):
+        line = json.loads(good[2])
+        line["request"]["user_content_spans"] = spans
+        edited = json.dumps(line, ensure_ascii=False) + "\n"
+        path.write_text("".join(good[:2]) + edited, encoding="utf-8")
+        with pytest.raises(ValueError, match="transcript line 2: user_content_spans"):
+            read_transcript(path)

@@ -1134,3 +1134,33 @@ def test_a_resume_of_a_finished_run_leaves_both_files_untouched(tmp_path):
     config.resume = True
     run(config)
     assert [(p.read_bytes(), p.stat().st_mtime_ns, p.stat().st_ino) for p in paths] == before
+
+
+def test_a_run_past_its_budget_splices_its_prompts_and_reads_them_back(tmp_path):
+    from cpl.gateway import INLINE_CONTEXT_CHARS
+
+    config = base_config(tmp_path, loops=10, conjecture_iterations=3, context_budget=5000)
+    big = 10**120
+    received = []
+
+    def reply(request):
+        received.append((request.role_id, request.user_content))
+        if request.role_id == "prover":
+            return "by omega"
+        n = big + len(received)
+        return f"theorem c{len(received)} (x : ℕ) : x + {n} = {n} + x := sorry"
+
+    out = Path(config.output_dir)
+    gateway = Gateway(
+        CallableProvider(reply), sleep=lambda s: None, transcript_path=out / "transcript.jsonl"
+    )
+    session = ScriptedVerifier(SEED, defaults={"verify_proof": "verified"})
+    run_cpl(config, gateway=gateway, session=session)
+
+    events = read_events(out / "events.jsonl")
+    assert any(e.payload.get("message", "").startswith("context truncated") for e in events)
+    entries = read_transcript(out / "transcript.jsonl")
+    assert [(e["role_id"], e["request"]["user_content"]) for e in entries] == received
+    long_contexts = {text for _, text in received if len(text) >= INLINE_CONTEXT_CHARS}
+    blobs = list((out / "prompts").iterdir())
+    assert 0 < len(blobs) < len(long_contexts) / 4
