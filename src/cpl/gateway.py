@@ -10,12 +10,19 @@ per call, in call order, with its role, its request fields and its
 reply, or no reply and the error of a call that exhausted its retries.
 It is a `JsonLinesLog`, so a gateway continues the numbering of a
 transcript that is already there, after cutting a torn last line.
-`ReplayProvider.from_dir` replays it. A long user context is written
-once, to `prompts/<sha256>.txt` beside it (`PromptStore`), and its lines
-hold the context's hash plus the text that follows what they copy of it:
-all of it, or the ranges in `user_content_spans` for a context that drops
-a stretch of it, as a front-truncated prompt does. A short context stays
-inline. `read_transcript` puts the full `user_content` back.
+`ReplayProvider.from_dir` replays it. Each line's request holds what
+differs from the line before (`PromptStore`), as HTTP/2 header
+compression sends what changed since the previous request (RFC 7541):
+the system prompt, the temperature and the output cap only when they
+change, and a short user context as the first n chars of the previous
+request's plus its new text when it copies more than it adds. The first
+line a gateway writes after opening or cutting the transcript is whole.
+A long user context is written once, to `prompts/<sha256>.txt` beside
+the transcript, and its lines hold the context's hash plus the text that
+follows what they copy of it: all of it, or the ranges in
+`user_content_spans` for a context that drops a stretch of it, as a
+front-truncated prompt does. `read_transcript` puts every request back
+whole.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ import logging
 import os
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .core import JsonLinesLog, read_json_lines, write_atomically
@@ -199,17 +206,26 @@ class ReplayProvider:
         return reply
 
 
-# A shorter context stays inline as `user_content`: creating a blob file
-# costs more than writing a few KB into each line that needs it.
+# A shorter context is written in its line, whole or as a copy of the
+# previous line's: creating a blob file costs more than writing a few KB
+# into each line that needs it.
 INLINE_CONTEXT_CHARS = 4096
 
 
 class PromptStore:
-    """Each distinct long user context, written once as
-    `prompts/<sha256>.txt` beside the transcript that refers to it, or
-    spliced from the one stored last.
+    """The request fields of each transcript line: what differs from the
+    line before it, and each distinct long user context written once as
+    `prompts/<sha256>.txt` beside the transcript, or spliced from the one
+    stored last.
 
-    `request_fields` stores a context of `INLINE_CONTEXT_CHARS` or more as
+    `request_fields` writes `system_prompt`, `temperature` and
+    `max_output` only where they differ from the previous request's (all
+    three on the first line after the transcript is opened or cut, which
+    `forget_previous` marks). A user context shorter than
+    `INLINE_CONTEXT_CHARS` that copies more of the previous request's
+    context than it adds is `user_content_spans`, `[[0, n]]`, the first n
+    chars of that context, plus `user_content_suffix`, its new text; any
+    other short context is inline as `user_content`. A longer context is
     `user_content_ref`, the sha256 of a stored context, plus
     `user_content_suffix`, the text after what it copies from it:
 
@@ -234,6 +250,7 @@ class PromptStore:
 
     def __init__(self, beside: str | Path):
         self.directory = Path(beside) / "prompts"
+        self._previous: ChatRequest | None = None  # the line before's request, cut short
         self._base = ""  # the last context stored
         self._base_ref: str | None = None  # and its sha256
         self._last = ""  # the last context stored or spliced
@@ -242,13 +259,28 @@ class PromptStore:
     def path(self, ref: str) -> Path:
         return self.directory / f"{ref}.txt"
 
+    def forget_previous(self) -> None:
+        """The next line is written in full: the transcript was opened or
+        cut, so the line before it is not the request last seen here."""
+        self._previous = None
+
     def request_fields(self, request: ChatRequest) -> dict:
-        fields = {"system_prompt": request.system_prompt}
-        if len(request.user_content) < INLINE_CONTEXT_CHARS:
-            fields["user_content"] = request.user_content
+        previous = self._previous
+        # A short context can copy only the head of the one before: keeping
+        # all of a long one would keep a string of up to a few MB alive.
+        self._previous = replace(request, user_content=request.user_content[:INLINE_CONTEXT_CHARS])
+        fields = _changed(request, previous, "system_prompt")
+        content = request.user_content
+        if len(content) >= INLINE_CONTEXT_CHARS:
+            fields.update(self._copy(content))
         else:
-            fields.update(self._copy(request.user_content))
-        fields.update(temperature=request.temperature, max_output=request.max_output)
+            copied = 0 if previous is None else _common_prefix(previous.user_content, content)
+            if copied > len(content) - copied:
+                fields["user_content_spans"] = [[0, copied]]
+                fields["user_content_suffix"] = content[copied:]
+            else:
+                fields["user_content"] = content
+        fields.update(_changed(request, previous, "temperature", "max_output"))
         return fields
 
     def _copy(self, content: str) -> dict:
@@ -267,16 +299,7 @@ class PromptStore:
         if self._base_ref is None:
             return None
         base = self._base
-        # The common prefix, by bisection: each step compares at most half
-        # of the range still open, in place, so the search reads O(n) chars.
-        low, high = 0, min(len(base), len(content))
-        while low < high:
-            middle = (low + high + 1) // 2
-            if content.startswith(base[low:middle], low):
-                low = middle
-            else:
-                high = middle - 1
-        prefix = low
+        prefix = _common_prefix(base, content)
         if prefix == len(base):  # it extends the stored context
             if len(content) > 2 * len(base):
                 return None
@@ -312,6 +335,33 @@ class PromptStore:
             write_atomically(path, [data], fsync=False)
         self._base, self._base_ref = content, ref
         return {"user_content_ref": ref, "user_content_suffix": ""}
+
+
+def _changed(request: ChatRequest, previous: ChatRequest | None, *keys: str) -> dict:
+    """The `keys` of `request` whose values differ from `previous`'s, in
+    value or in type (JSON writes 1 and 1.0 apart); all of them when there
+    is no previous request."""
+    fields = {}
+    for key in keys:
+        value = getattr(request, key)
+        before = getattr(previous, key, None)
+        if previous is None or type(value) is not type(before) or value != before:
+            fields[key] = value
+    return fields
+
+
+def _common_prefix(text: str, other: str) -> int:
+    """The length of the common prefix of `text` and `other`, by bisection:
+    each step compares at most half of the range still open, in place, so
+    the search reads O(n) chars."""
+    low, high = 0, min(len(text), len(other))
+    while low < high:
+        middle = (low + high + 1) // 2
+        if other.startswith(text[low:middle], low):
+            low = middle
+        else:
+            high = middle - 1
+    return low
 
 
 class TokenBucket:
@@ -374,9 +424,11 @@ class Gateway:
             if hasattr(self.provider, "fast_forward"):
                 self.provider.fast_forward(role, count)
         if self._transcript_path is not None:
-            self._transcript = JsonLinesLog.open(
-                self._transcript_path, keep=sum(self.calls_by_role.values())
-            )
+            self._open_transcript(keep=sum(self.calls_by_role.values()))
+
+    def _open_transcript(self, keep: int | None = None) -> None:
+        self._transcript = JsonLinesLog.open(self._transcript_path, keep=keep)
+        self._prompts.forget_previous()
 
     def complete(self, request: ChatRequest) -> ChatResponse:
         if self._bucket is not None:
@@ -432,7 +484,7 @@ class Gateway:
                 return
             if self._transcript is None:
                 # Numbering continues after the lines already there.
-                self._transcript = JsonLinesLog.open(self._transcript_path)
+                self._open_transcript()
             entry = {
                 "sequence": self._transcript.next_sequence,
                 "timestamp": self._clock.now() if self._clock else None,
@@ -453,31 +505,52 @@ class Gateway:
 
 def read_transcript(path: str | Path) -> list[dict]:
     """The entries of a transcript, read by `read_json_lines`, with each
-    request's full `user_content` put back from the prompt store: the
-    stored context, or the ranges of it in `user_content_spans`, then
-    `user_content_suffix`.
+    request whole again. A field a line leaves out (`system_prompt`,
+    `temperature`, `max_output`) is the previous request's. The full
+    `user_content` is put back from what the line copies, then
+    `user_content_suffix`: with `user_content_ref`, the stored context or
+    the ranges of it in `user_content_spans`; with spans alone, the ranges
+    of the previous request's `user_content`.
 
-    Lines written before prompts were stored hold `user_content` inline
-    and are returned as they are. A line whose spans are not ordered
-    ranges inside its stored context raises `ValueError`.
+    Lines in older forms hold every field and `user_content` inline, or
+    only the stored contexts' fields, and read as they did. A line that
+    copies from a previous request with no line before it, or whose spans
+    are not ordered ranges inside what they copy, raises `ValueError`.
     """
     path = Path(path)
     store = PromptStore(path.parent)
     stored: dict[str, str] = {}
+    previous: dict | None = None
     entries = []
     for entry in read_json_lines(path):
         request = entry["request"]
+        sequence = entry.get("sequence")
         ref = request.pop("user_content_ref", None)
-        if ref is not None:
-            if ref not in stored:
-                # bytes, not text mode, which would rewrite "\r\n"
-                stored[ref] = store.path(ref).read_bytes().decode("utf-8")
-            text = stored[ref]
-            spans = request.pop("user_content_spans", None)
+        spans = request.pop("user_content_spans", None)
+        carried = [
+            key for key in ("system_prompt", "temperature", "max_output") if key not in request
+        ]
+        copied = carried + (["user_content"] if ref is None and spans is not None else [])
+        if copied and previous is None:
+            raise ValueError(
+                f"transcript line {sequence}: it copies {', '.join(copied)} from "
+                f"a previous request, and no line comes before it"
+            )
+        for key in carried:
+            request[key] = previous[key]
+        if ref is not None or spans is not None:
+            if ref is None:
+                text = previous["user_content"]
+            else:
+                if ref not in stored:
+                    # bytes, not text mode, which would rewrite "\r\n"
+                    stored[ref] = store.path(ref).read_bytes().decode("utf-8")
+                text = stored[ref]
             if spans is not None:
-                spans = _checked(spans, len(text), entry.get("sequence"))
+                spans = _checked(spans, len(text), sequence)
                 text = "".join(text[start:end] for start, end in spans)
             request["user_content"] = text + request.pop("user_content_suffix")
+        previous = request
         entries.append(entry)
     return entries
 
@@ -489,6 +562,6 @@ def _checked(spans, size: int, sequence) -> list:
     if not pairs or any(type(bound) is not int for bound in bounds) or bounds != sorted(bounds):
         raise ValueError(
             f"transcript line {sequence}: user_content_spans {spans!r} are not "
-            f"ordered ranges of its {size}-char stored context"
+            f"ordered ranges of the {size}-char context it copies"
         )
     return spans

@@ -11,6 +11,7 @@ import pytest
 from cpl.core import read_json_lines
 from cpl.gateway import (
     INLINE_CONTEXT_CHARS,
+    ROLE_IDS,
     ChatRequest,
     FatalGatewayError,
     FixtureExhaustedError,
@@ -464,8 +465,12 @@ def test_retries_and_grown_contexts_store_only_the_rest(tmp_path):
     for line, text in zip(lines[1:20], sent[1:20]):
         assert line["request"]["user_content_ref"] == first["user_content_ref"]
         assert line["request"]["user_content_suffix"] == text[len(CONTEXT) :]
-    for line, text in zip(lines[-2:], sent[-2:]):
-        assert line["request"]["user_content"] == text
+    short, empty = (line["request"] for line in lines[-2:])
+    # NON_ASCII copies the start of the NON_ASCII * 100 before it
+    assert short["user_content_spans"] == [[0, len(sent[-2])]]
+    assert short["user_content_suffix"] == ""
+    assert empty["user_content"] == sent[-1]
+    for line in lines[-2:]:
         assert "user_content_ref" not in line["request"]
 
 
@@ -639,3 +644,197 @@ def test_spans_outside_their_stored_context_are_refused(tmp_path):
         path.write_text("".join(good[:2]) + edited, encoding="utf-8")
         with pytest.raises(ValueError, match="transcript line 2: user_content_spans"):
             read_transcript(path)
+
+
+# ---------------------------------------------------------------------------
+# Lines as copies of the line before
+# ---------------------------------------------------------------------------
+
+SYSTEMS = [PROVER_PROMPT, CONJECTURER_PROMPT, "system ∀ 𝔽\r\n\u2028 prompt"]
+# The request fields a line leaves out when they equal the line before's.
+CARRIED_FIELDS = ("system_prompt", "temperature", "max_output")
+
+
+def mixed_requests(rng: random.Random, count: int) -> list[ChatRequest]:
+    """Short and long contexts, as the roles send them, with the system
+    prompt, the temperature and the output cap changing now and then."""
+    requests: list[ChatRequest] = []
+    system, temperature, max_output = PROVER_PROMPT, 1.0, 16384
+    while len(requests) < count:
+        if rng.random() < 0.15:
+            system = rng.choice(SYSTEMS)
+        if rng.random() < 0.1:
+            temperature = rng.choice([1.0, 0.7, 1, 0.0])  # 1 and 1.0 are written apart
+        if rng.random() < 0.05:
+            max_output = rng.choice([16384, 512, 0])
+        kind = rng.random()
+        if kind < 0.25:  # a long context, maybe with retries
+            texts = random_contexts(rng, 1)
+        elif kind < 0.75:  # a short one, with retries that extend it
+            front = rng.randrange(0, 300)
+            extras = rng.sample(STUBS, rng.choice([0, 1, 3]))
+            text = rendered(front, extras, end=front + rng.randrange(40))
+            diagnostics = (Diagnostic("error", 1, 0, "⊢ 𝔽\r\n\u2028"),)
+            texts = [text] + [
+                format_feedback(text, f"by simp_{trial}", diagnostics)
+                for trial in range(rng.choice([0, 1, 3]))
+            ]
+        elif kind < 0.9 and requests:  # a short cut of the one before
+            before = requests[-1].user_content
+            texts = [before[: rng.randrange(min(len(before), INLINE_CONTEXT_CHARS - 1) + 1)]]
+        else:  # short and unrelated, or empty
+            texts = [NON_ASCII[rng.randrange(len(NON_ASCII)) :] * rng.randrange(3)]
+        role = rng.choice(ROLE_IDS)
+        requests.extend(ChatRequest(role, system, text, temperature, max_output) for text in texts)
+    return requests
+
+
+def as_read(request: ChatRequest) -> tuple:
+    # repr tells 1 from 1.0
+    return (request.role_id, request.system_prompt, request.user_content,
+            repr(request.temperature), repr(request.max_output))
+
+
+def read_requests(path) -> list[tuple]:
+    return [
+        as_read(ChatRequest(role_id=entry["role_id"], **entry["request"]))
+        for entry in read_transcript(path)
+    ]
+
+
+def role_counts(requests) -> dict[str, int]:
+    return {role: sum(r.role_id == role for r in requests) for role in ROLE_IDS}
+
+
+def test_a_seeded_run_of_short_and_long_requests_reads_back_exactly_across_a_cut(tmp_path):
+    rng = random.Random(2718)
+    path = tmp_path / "transcript.jsonl"
+    first, after_cut, second = (mixed_requests(rng, count) for count in (120, 60, 80))
+    gateway = Gateway(echo_provider([]), transcript_path=path, sleep=lambda s: None)
+    for item in first:
+        gateway.complete(item)
+    kept = first[:70]
+    gateway.fast_forward(role_counts(kept))  # as a resume cuts the lines of a rolled-back loop
+    for item in after_cut:
+        gateway.complete(item)
+    restarted = Gateway(echo_provider([]), transcript_path=path, sleep=lambda s: None)
+    for item in second:
+        restarted.complete(item)
+    expected = [as_read(item) for item in kept + after_cut + second]
+    assert len(expected) >= 200
+    assert read_requests(path) == expected
+    lines = [line["request"] for line in read_json_lines(path)]
+    for key in CARRIED_FIELDS:
+        assert sum(key in line for line in lines) < len(lines) / 3
+    copies = [line for line in lines if "user_content_spans" in line and "user_content_ref" not in line]
+    assert len(copies) > len(lines) / 4
+    # each copies more of the context before it than it adds
+    assert all(line["user_content_spans"][0][1] > len(line["user_content_suffix"]) for line in copies)
+    assert any("user_content_ref" in line for line in lines)
+    assert any("user_content" in line for line in lines)
+
+
+def test_a_gateway_whose_transcript_was_cut_writes_its_next_line_in_full(tmp_path):
+    path = tmp_path / "transcript.jsonl"
+    gateway = Gateway(echo_provider([]), transcript_path=path, sleep=lambda s: None)
+    contexts = ["∀ 𝔽 context\r\n"] + [f"∀ 𝔽 context\r\n\u2028 retry {i}" for i in (1, 2)]
+    for text in contexts:
+        gateway.complete(request(user=text))
+    assert list(read_json_lines(path))[2]["request"] == {
+        "user_content_spans": [[0, len(contexts[1]) - 1]],
+        "user_content_suffix": "2",
+    }
+    gateway.fast_forward({"prover": 1})
+    gateway.complete(request(user=contexts[2] + " again"))
+    lines = list(read_json_lines(path))
+    assert [line["sequence"] for line in lines] == [0, 1]
+    assert lines[1]["request"] == {
+        "system_prompt": PROVER_PROMPT,
+        "user_content": contexts[2] + " again",
+        "temperature": 1.0,
+        "max_output": 16384,
+    }
+    assert [e["request"]["user_content"] for e in read_transcript(path)] == [
+        contexts[0],
+        contexts[2] + " again",
+    ]
+
+
+def test_a_copy_with_nothing_before_it_or_past_what_it_copies_is_refused(tmp_path):
+    path = tmp_path / "transcript.jsonl"
+    gateway = Gateway(echo_provider([]), transcript_path=path, sleep=lambda s: None)
+    for text in ("∀ 𝔽 context\r\n", "∀ 𝔽 context\r\n and more"):
+        gateway.complete(request(user=text))
+    full, copy = (json.loads(line) for line in path.read_text(encoding="utf-8").splitlines())
+    assert copy["request"]["user_content_spans"] == [[0, len("∀ 𝔽 context\r\n")]]
+    full_copying = json.loads(json.dumps(full))
+    full_copying["request"]["user_content_spans"] = [[0, 3]]
+    full_copying["request"]["user_content_suffix"] = full_copying["request"].pop("user_content")
+    spans_past = json.loads(json.dumps(copy))
+    spans_past["request"]["user_content_spans"] = [[0, len("∀ 𝔽 context\r\n") + 1]]
+    for lines, message in (
+        ([copy], "transcript line 1: it copies system_prompt, temperature, max_output, user_content"),
+        ([full_copying], "transcript line 0: it copies user_content from a previous request"),
+        ([full, spans_past], "transcript line 1: user_content_spans"),
+    ):
+        path.write_text(
+            "".join(json.dumps(line, ensure_ascii=False) + "\n" for line in lines), encoding="utf-8"
+        )
+        with pytest.raises(ValueError, match=message):
+            read_transcript(path)
+
+
+def test_inline_and_stored_lines_in_the_older_forms_then_new_lines_read_back_exactly(tmp_path):
+    """Every line holds every field in the older forms: inline contexts,
+    and long contexts as a stored blob, its ranges and a suffix."""
+    path = tmp_path / "transcript.jsonl"
+    stored, spliced = rendered(0), rendered(7, STUBS[:2])
+    ref = hashlib.sha256(stored.encode("utf-8")).hexdigest()
+    (tmp_path / "prompts").mkdir()
+    (tmp_path / "prompts" / f"{ref}.txt").write_bytes(stored.encode("utf-8"))
+    head = len(LEAN_SEED) + 1
+    resume = stored.index(BLOCKS[7])
+    older = [
+        ("prover", {"user_content": "old ∀ context\r\n"}, "old ∀ context\r\n"),
+        ("prover", {"user_content_ref": ref, "user_content_suffix": ""}, stored),
+        (
+            "conjecturer",
+            {
+                "user_content_ref": ref,
+                "user_content_spans": [[0, head], [resume, len(stored)]],
+                "user_content_suffix": spliced[head + len(stored) - resume :],
+            },
+            spliced,
+        ),
+        (
+            "prover",
+            {"user_content_ref": ref, "user_content_suffix": "\n\n𝔽\u2028"},
+            stored + "\n\n𝔽\u2028",
+        ),
+    ]
+    lines = []
+    for sequence, (role, content, _) in enumerate(older):
+        fields = {
+            "system_prompt": SYSTEMS[sequence % 2], **content, "temperature": 1.0, "max_output": 16384
+        }
+        line = {"sequence": sequence, "timestamp": None, "role_id": role, "request": fields,
+                "response": {"text": "r", "provider": "x", "latency": 0.0, "attempt": 1}, "error": None}
+        lines.append(json.dumps(line, ensure_ascii=False) + "\n")
+    path.write_text("".join(lines), encoding="utf-8")
+    newer = [
+        request(user=older[-1][2][:100]),  # a short cut of the last older line
+        request(user=older[-1][2][:100] + "\r\n retry"),
+        request(user=spliced),
+        request(user=rendered(9)),
+    ]
+    gateway = Gateway(echo_provider([]), transcript_path=path, sleep=lambda s: None)
+    for item in newer:
+        gateway.complete(item)
+    olders = [
+        as_read(ChatRequest(role, SYSTEMS[sequence % 2], text))
+        for sequence, (role, _, text) in enumerate(older)
+    ]
+    assert read_requests(path) == olders + [as_read(item) for item in newer]
+    written = [line["request"] for line in read_json_lines(path)][len(older) :]
+    assert set(CARRIED_FIELDS) <= written[0].keys() and "user_content" in written[0]
+    assert all(not set(CARRIED_FIELDS) & line.keys() for line in written[1:])
