@@ -66,8 +66,13 @@ def run_conjecture_phase(
     max_output: int = 16384,
     events=None,
     loop: int | None = None,
+    on_accept=None,
 ) -> ConjecturePhaseReport:
-    """Run one full conjecture phase and report its bookkeeping."""
+    """Run one full conjecture phase and report its bookkeeping.
+
+    `on_accept(stmt)`, if given, is called with each accepted statement
+    right after its `conjecture_accepted` event.
+    """
     report = ConjecturePhaseReport()
     accepted = report.accepted
     # The checks see all of the library, whatever the prompt's budget
@@ -162,4 +167,6 @@ def run_conjecture_phase(
                 name=stmt.name,
                 statement=stmt.source_text,
             )
+            if on_accept is not None:
+                on_accept(stmt)
     return report

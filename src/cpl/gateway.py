@@ -244,8 +244,10 @@ class PromptStore:
     retry that extends it costs one `startswith`. Copying grows a line:
     the text after a copy may be no longer than the context it extends,
     so a context that keeps growing (the simple loop's, below the budget)
-    is stored again each time it doubles. Roles take turns in phases, so
-    one context is kept, not one per role.
+    is stored again each time it doubles. Roles take turns in phases in
+    the file, so one context is kept, not one per role: the prover
+    campaigns that run during a conjecture phase have their lines staged
+    and written after it.
     """
 
     def __init__(self, beside: str | Path):
@@ -365,25 +367,60 @@ def _common_prefix(text: str, other: str) -> int:
 
 
 class TokenBucket:
-    """Simple token bucket; rate is requests per second."""
+    """Simple token bucket; rate is requests per second.
+
+    Callers on several threads share it: each reserves the next free slot
+    under a lock, then sleeps until that slot outside it, so no two grants
+    come closer together than the interval.
+    """
 
     def __init__(self, rate: float, monotonic=time.monotonic, sleep=time.sleep):
         self.interval = 1.0 / rate
         self._monotonic = monotonic
         self._sleep = sleep
         self._next_free = 0.0
+        self._lock = threading.Lock()
 
     def acquire(self) -> None:
-        now = self._monotonic()
-        wait = self._next_free - now
-        if wait > 0:
-            self._sleep(wait)
-            now = self._next_free
-        self._next_free = max(now, self._next_free) + self.interval
+        with self._lock:
+            now = self._monotonic()
+            slot = max(now, self._next_free)
+            self._next_free = slot + self.interval
+        if slot > now:
+            self._sleep(slot - now)
+
+
+@dataclass(frozen=True)
+class Exchange:
+    """One call's outcome, before its transcript line is written: the
+    request, then the response, or no response and the error of its last
+    attempt once all `attempts` failed."""
+
+    request: ChatRequest
+    response: ChatResponse | None
+    error: str | None = None
+    attempts: int = 0
+
+    def reply(self) -> ChatResponse:
+        """The response, or `TransportError` for a call whose retries ran out."""
+        if self.response is None:
+            raise TransportError(
+                f"retries exhausted ({self.attempts}) for role "
+                f"{self.request.role_id!r}: {self.error}"
+            )
+        return self.response
 
 
 class Gateway:
-    """Shared completion front-end: retries, pacing, transcript logging."""
+    """Shared completion front-end: retries, pacing, transcript logging.
+
+    A call is two steps. `exchange` paces it, tries the provider and backs
+    off between attempts, and writes nothing. `record` counts it and writes
+    its transcript line. `complete` is the one after the other. A caller
+    that overlaps calls may run exchanges on several threads at once (the
+    token bucket is shared under its lock), but records them from one
+    thread, in the order their lines belong in the transcript.
+    """
 
     def __init__(
         self,
@@ -431,6 +468,16 @@ class Gateway:
         self._prompts.forget_previous()
 
     def complete(self, request: ChatRequest) -> ChatResponse:
+        """One call: its exchange, then its record. Returns the response,
+        or raises `TransportError` once the call's retries are exhausted."""
+        exchange = self.exchange(request)
+        self.record(exchange)
+        return exchange.reply()
+
+    def exchange(self, request: ChatRequest) -> Exchange:
+        """Pace the call, then try the provider up to `retry_cap` times,
+        backing off between attempts. Writes nothing; a fatal error
+        propagates."""
         if self._bucket is not None:
             self._bucket.acquire()
         last_error: TransportError | None = None
@@ -462,20 +509,12 @@ class Gateway:
                 latency=latency,
                 attempt=attempt,
             )
-            self._record(request, response)
-            return response
-        self._record(request, None, error=str(last_error))
-        raise TransportError(
-            f"retries exhausted ({self.retry_cap}) for role {request.role_id!r}: "
-            f"{last_error}"
-        )
+            return Exchange(request, response)
+        return Exchange(request, None, str(last_error), self.retry_cap)
 
-    def _record(
-        self,
-        request: ChatRequest,
-        response: ChatResponse | None,
-        error: str | None = None,
-    ) -> None:
+    def record(self, exchange: Exchange) -> None:
+        """Count the call and write its transcript line."""
+        request, response = exchange.request, exchange.response
         with self._lock:
             self.calls_by_role[request.role_id] = (
                 self.calls_by_role.get(request.role_id, 0) + 1
@@ -498,7 +537,7 @@ class Gateway:
                     "latency": response.latency,
                     "attempt": response.attempt,
                 },
-                "error": error,
+                "error": exchange.error,
             }
             self._transcript.append(entry)
 

@@ -6,6 +6,20 @@ then for each remaining loop emit `phase_start`, run the mode's loop
 step and emit `loop_complete`, then write `report.json` and emit
 `run_complete`.
 
+A `cpl` loop's prover campaigns all prove against the library as the
+loop found it, so one helper thread runs them while the conjecture phase
+waits on the model, and the main thread runs those still pending when
+the phase ends (`_cpl_loop`). Only one thread at a time runs cpl code
+outside a model wait. The helper writes nothing: its transcript lines and
+events are staged, holding at most `max_trials` prompts per campaign,
+and the main thread writes them after the `prove` phase_start, in
+conjecture order, with their `theorem_added` appends. So `library.lean`,
+`events.jsonl` and the transcript, but for its latencies and timestamps,
+are those of running the campaigns one after the other, and `--replay`
+keeps each role's order. Staged events and lines carry the time they are
+written, not the time they happened, and a live run's transcript shows
+the helper's exchanges at the end of the phase they overlapped.
+
 A run directory holds `library.lean` (written atomically at the start,
 then each new entry appended and fsynced before its `theorem_added`
 event), `events.jsonl` (append-only, flushed per event),
@@ -36,6 +50,9 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import threading
+from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -58,6 +75,7 @@ from .events import EventLog, library_from_additions, make_clock
 from .gateway import (
     ROLE_IDS,
     ChatRequest,
+    Exchange,
     FatalGatewayError,
     Gateway,
     HttpChatProvider,
@@ -404,40 +422,233 @@ def _run_loops(
     return library
 
 
-def _cpl_loop(run: _OpenRun, loop: int, library: Library) -> Library:
-    """One loop of the pipeline: the conjecture phase, then one prover
-    campaign per accepted conjecture."""
-    config = run.config
-    report = run_conjecture_phase(
-        library,
-        run.session,
-        run.gateway,
-        iterations=config.conjecture_iterations,
-        context_budget=config.context_budget,
-        temperature=config.temperature,
-        max_output=config.max_output,
-        events=run.events,
-        loop=loop,
-    )
-    run.events.emit("phase_start", loop=loop, phase="prove", report=report.to_payload())
-    # The context the provers see is the library as it stood when the
-    # loop began; successes land in the library (and on disk) immediately
-    # but only enter contexts next loop.
-    snapshot = library
-    for stmt in report.accepted:
-        outcome = prove(
+class _Stopped(Exception):
+    """Unwinds a helper campaign whose loop failed."""
+
+
+class _Turn:
+    """Which of a loop's two threads may run cpl code, and the accepted
+    conjectures waiting for a campaign.
+
+    The main thread holds the turn except while it is lent, for each of
+    its model exchanges (`lent`) and for good once the phase is over
+    (`close`). It takes the turn back only once the helper has given it
+    up. The helper starts a campaign (`next`) only while the turn is lent
+    and not closed, gives the turn up for each of its own exchanges
+    (`give`) and waits for it again after them (`take`). So at most one
+    thread runs cpl code outside a model wait, and the session, the
+    library and the logs need no lock.
+    """
+
+    def __init__(self):
+        self._changed = threading.Condition()
+        self._lent = False  # the main thread is in a model exchange, or joining
+        self._held = False  # the helper runs cpl code
+        self._closed = False  # start no campaign
+        self._stopped = False  # unwind the running campaign at its next turn
+        self._pending: deque = deque()
+
+    # On the main thread.
+
+    def queue(self, stmt) -> None:
+        with self._changed:
+            self._pending.append(stmt)
+
+    @contextmanager
+    def lent(self):
+        with self._changed:
+            self._lent = True
+            self._changed.notify_all()
+        try:
+            yield
+        finally:
+            with self._changed:
+                self._lent = False
+                self._changed.wait_for(lambda: not self._held)
+
+    def close(self, stop: bool) -> None:
+        with self._changed:
+            self._lent = self._closed = True
+            self._stopped = stop
+            self._changed.notify_all()
+
+    # On the helper thread.
+
+    def next(self):
+        """Give the turn up, then wait for it to start the next campaign;
+        its conjecture, or None once closed."""
+        with self._changed:
+            self._held = False
+            self._changed.notify_all()
+            self._changed.wait_for(lambda: self._closed or (self._lent and self._pending))
+            if self._closed:
+                return None
+            self._held = True
+            return self._pending.popleft()
+
+    def give(self) -> None:
+        with self._changed:
+            self._held = False
+            self._changed.notify_all()
+
+    def take(self) -> None:
+        with self._changed:
+            self._changed.wait_for(lambda: self._lent)
+            if self._stopped:
+                raise _Stopped()
+            self._held = True
+
+
+class _Staged:
+    """A helper campaign's gateway and event log: it runs each exchange
+    with the turn given up and keeps each exchange and event, in order,
+    for `commit` to write. It holds at most `max_trials` prompts."""
+
+    def __init__(self, turn: _Turn, gateway: Gateway):
+        self._turn, self._gateway = turn, gateway
+        self._items: list = []  # `Exchange`s and (kind, payload) pairs
+        self.outcome = None
+        self.error: Exception | None = None
+
+    def complete(self, request: ChatRequest):
+        self._turn.give()
+        exchange = self._gateway.exchange(request)
+        self._turn.take()
+        self._items.append(exchange)
+        return exchange.reply()
+
+    def emit(self, kind: str, **payload) -> None:
+        self._items.append((kind, payload))
+
+    def commit(self, run: _OpenRun):
+        """Write the staged lines and events; return the campaign's
+        outcome, or raise its error."""
+        items, self._items = self._items, []
+        for item in items:
+            if isinstance(item, Exchange):
+                run.gateway.record(item)
+            else:
+                kind, payload = item
+                run.events.emit(kind, **payload)
+        if self.error is not None:
+            raise self.error
+        return self.outcome
+
+
+class _Campaigns:
+    """A loop's prover campaigns, run on one helper thread while the
+    conjecture phase waits on the model (see `_Turn`).
+
+    `complete` is the phase's gateway: each exchange lends the helper the
+    turn. `accept` queues a conjecture and starts the helper. `close`
+    lends the turn for good, so the helper finishes its campaign, or with
+    `stop` unwinds it at its next turn, and joins it. Campaigns still
+    queued then run on the main thread. The helper's campaigns write
+    nothing: `ran` holds them staged, in conjecture order.
+    """
+
+    def __init__(self, run: _OpenRun, loop: int, snapshot: Library):
+        self._run, self._loop, self._snapshot = run, loop, snapshot
+        self._turn = _Turn()
+        self._thread: threading.Thread | None = None
+        self.ran: list[_Staged] = []
+
+    def prove(self, stmt, gateway, events):
+        """One campaign against the loop-start library."""
+        config = self._run.config
+        return prove(
             stmt,
-            snapshot,
-            run.session,
-            run.gateway,
+            self._snapshot,
+            self._run.session,
+            gateway,
             max_trials=config.max_trials,
             prompt_variant=config.prompt_variant,
             context_budget=config.context_budget,
             temperature=config.temperature,
             max_output=config.max_output,
-            events=run.events,
-            event_extra={"loop": loop},
+            events=events,
+            event_extra={"loop": self._loop},
         )
+
+    def accept(self, stmt) -> None:
+        self._turn.queue(stmt)
+        if self._thread is None:
+            # A daemon: a helper that was never joined does not keep the
+            # process alive.
+            thread = threading.Thread(target=self._work, name="cpl-campaigns", daemon=True)
+            thread.start()
+            self._thread = thread
+
+    def complete(self, request: ChatRequest):
+        """The phase's call: its exchange with the turn lent, then its record."""
+        gateway = self._run.gateway
+        with self._turn.lent():
+            exchange = gateway.exchange(request)
+        gateway.record(exchange)
+        return exchange.reply()
+
+    def close(self, stop: bool = False) -> None:
+        self._turn.close(stop)
+        if self._thread is not None:
+            self._thread.join()
+
+    def _work(self) -> None:
+        turn = self._turn
+        try:
+            while (stmt := turn.next()) is not None:
+                staged = _Staged(turn, self._run.gateway)
+                self.ran.append(staged)
+                try:
+                    staged.outcome = self.prove(stmt, staged, staged)
+                except _Stopped:
+                    return
+                except Exception as exc:  # raised by `commit`, on the main thread
+                    staged.error = exc
+                    return
+        finally:
+            turn.give()
+
+
+def _cpl_loop(run: _OpenRun, loop: int, library: Library) -> Library:
+    """One loop of the pipeline: the conjecture phase, then one prover
+    campaign per accepted conjecture.
+
+    Every campaign proves against the library as it stood when the loop
+    began, so the campaigns depend neither on each other nor on the rest
+    of the phase. A helper thread runs them during the phase's model
+    waits (`_Campaigns`). After the `prove` phase_start the main thread
+    commits the helper's campaigns in conjecture order, their events
+    stamped at commit time, and runs the rest itself, writing as it goes.
+    The library, the event log and the transcript (but for latencies and
+    timestamps) are those of running every campaign after the phase.
+    Successes land in the library (and on disk) at once but only enter
+    contexts next loop.
+    """
+    config = run.config
+    campaigns = _Campaigns(run, loop, library)
+    try:
+        report = run_conjecture_phase(
+            library,
+            run.session,
+            campaigns,
+            iterations=config.conjecture_iterations,
+            context_budget=config.context_budget,
+            temperature=config.temperature,
+            max_output=config.max_output,
+            events=run.events,
+            loop=loop,
+            on_accept=campaigns.accept,
+        )
+    except BaseException:
+        campaigns.close(stop=True)
+        raise
+    campaigns.close()
+    run.events.emit("phase_start", loop=loop, phase="prove", report=report.to_payload())
+    for index, stmt in enumerate(report.accepted):
+        if index < len(campaigns.ran):
+            outcome = campaigns.ran[index].commit(run)
+        else:
+            outcome = campaigns.prove(stmt, run.gateway, run.events)
         if outcome.status == STATUS_VERIFIED:
             library = run.add(library, stmt, outcome.final_proof, loop)
     return library

@@ -407,7 +407,15 @@ class LeanVerifier:
     * `_newlines`: start -> the newlines in `_context[start:_end]`, the
       line offset of a declaration sent after the tail from `start`.
 
-    A new context keeps what it extends and drops the rest. Proof checks
+    The same is kept for one other context, `_other`, so two callers that
+    take turns do not make each other resend: a conjecture phase checks
+    against the library plus its accepted stubs while the campaigns that
+    run during it check against the library alone. A new context keeps
+    what it extends of the longer remembered context it starts with (else
+    of the last one) and drops the rest. It takes the place of the
+    context it builds on when it extends it, as a phase's context grows
+    by each accepted stub; otherwise it takes the place of the other
+    one. Proof checks
     use sorry-free environments only, so the `sorries` a reply reports
     cover everything the proof rests on. Any client error, and any error
     reply (a top-level `message` and no `env`, as for an unknown
@@ -450,6 +458,27 @@ class LeanVerifier:
         self._prefixes: list[tuple[int, object, bool]] = []
         self._checks: dict[str, tuple[object, bool]] = {}
         self._newlines: dict[int, int] = {}
+        self._other: tuple | None = None  # the other context's six fields
+
+    def _state(self) -> tuple:
+        return (
+            self._context,
+            self._start,
+            self._end,
+            self._prefixes,
+            self._checks,
+            self._newlines,
+        )
+
+    def _restore(self, state: tuple) -> None:
+        (
+            self._context,
+            self._start,
+            self._end,
+            self._prefixes,
+            self._checks,
+            self._newlines,
+        ) = state
 
     def _tail_bounds(self, context: str) -> tuple[int, int]:
         """Where the context's tail lies: after the seed, without the
@@ -466,9 +495,24 @@ class LeanVerifier:
         """Make `context` the current one. Keep each environment whose text
         the new tail starts with, when a block starts (or the tail ends)
         right after it."""
-        old, old_start, old_end = self._context, self._start, self._end
-        if context is old:
+        if context is self._context:
             return
+        current, other = self._state(), self._other
+        if other is not None and other[0] is context:
+            self._restore(other)
+            self._other = current
+            return
+        grows = context.startswith(current[0])
+        if (
+            other is not None
+            and (not grows or len(other[0]) > len(current[0]))
+            and context.startswith(other[0])
+        ):
+            self._restore(other)  # it builds on the other context
+            self._other = current
+        elif not grows:
+            self._other = current
+        old, old_start, old_end = self._context, self._start, self._end
         if context != old:
 
             def block_starts(at: int) -> bool:

@@ -4,6 +4,9 @@ import hashlib
 import io
 import json
 import random
+import sys
+import threading
+import time
 import urllib.request
 
 import pytest
@@ -283,6 +286,36 @@ def test_token_bucket_paces_requests():
     bucket.acquire()
     bucket.acquire()
     assert sleeps == [0.5, 0.5]
+
+
+def test_token_bucket_spaces_the_grants_of_two_threads():
+    # Each thread sleeps until its slot, so the others run meanwhile, and a
+    # short switch interval also preempts them inside `acquire`. A bucket
+    # that chose a thread's slot before it slept and reserved the next one
+    # after would let threads that slept together through at once. A grant
+    # is the time `acquire` returns; half an interval absorbs wake-up delay.
+    bucket = TokenBucket(rate=50.0)
+    grants: list[float] = []
+
+    def take() -> None:
+        for _ in range(3):
+            bucket.acquire()
+            grants.append(time.monotonic())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=take) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    grants.sort()
+    assert len(grants) == 12
+    assert all(b - a >= bucket.interval / 2 for a, b in zip(grants, grants[1:]))
 
 
 def test_unknown_role_rejected():

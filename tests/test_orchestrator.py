@@ -3,6 +3,8 @@ from __future__ import annotations
 import json
 import os
 import stat
+import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -20,11 +22,13 @@ from cpl.core import (
 from cpl.events import (
     EventLog,
     FixedClock,
+    normalized_event_lines,
     read_events,
     replay_library,
     truncate_events,
 )
 from cpl.gateway import (
+    FixtureExhaustedError,
     Gateway,
     ReplayProvider,
     TransportError,
@@ -929,6 +933,205 @@ def test_a_kill_at_any_event_of_a_simple_loop_run_resumes_to_the_uninterrupted_r
     assert len(load_library(reference / "library.lean").entries) == 3
     notes = assert_kills_resume_to(reference, tmp_path, start)
     assert any("rolled back 1 uncommitted entry" in note for note in notes)
+
+
+# ---------------------------------------------------------------------------
+# Campaigns overlapping the conjecture phase's model waits
+# ---------------------------------------------------------------------------
+
+DEMO_RESPONSES = FIXTURES / "cpl_demo" / "responses"
+
+
+class SlowReplay:
+    """A replay provider whose every call first waits, as a model would:
+    `delays[role]` seconds. It notes the most calls in flight at once and,
+    for each call, its role and whether the main thread made it."""
+
+    name = "replay"
+
+    def __init__(self, source: Path, delays: dict[str, float]):
+        self._replay = ReplayProvider.from_dir(source)
+        self._delays = delays
+        self._lock = threading.Lock()
+        self._in_flight = 0
+        self.most_in_flight = 0
+        self.calls: list[tuple[str, bool]] = []
+
+    def fast_forward(self, role_id: str, count: int) -> None:
+        self._replay.fast_forward(role_id, count)
+
+    def complete(self, request):
+        with self._lock:
+            self._in_flight += 1
+            self.most_in_flight = max(self.most_in_flight, self._in_flight)
+            self.calls.append(
+                (request.role_id, threading.current_thread() is threading.main_thread())
+            )
+        try:
+            time.sleep(self._delays[request.role_id])
+            return self._replay.complete(request)
+        finally:
+            with self._lock:
+                self._in_flight -= 1
+
+
+def slow_gateway(source: Path, out: Path, conjecturer: float, prover: float) -> Gateway:
+    """The gateway `build_gateway` makes to replay `source`, over `SlowReplay`."""
+    return Gateway(
+        SlowReplay(source, {"conjecturer": conjecturer, "prover": prover}),
+        retry_cap=1,
+        transcript_path=out / "transcript.jsonl",
+        clock=FixedClock(),
+    )
+
+
+class OneAtATime:
+    """A verifier session that notes whether two threads were ever inside
+    its checks at once; each check takes a millisecond, so an overlap
+    would show."""
+
+    def __init__(self, session):
+        self._session = session
+        self._lock = threading.Lock()
+        self._inside = 0
+        self.overlapped = False
+
+    def __getattr__(self, name):
+        return getattr(self._session, name)
+
+    def _check(self, method: str, *args):
+        with self._lock:
+            self._inside += 1
+            self.overlapped |= self._inside > 1
+        try:
+            time.sleep(0.001)
+            return getattr(self._session, method)(*args)
+        finally:
+            with self._lock:
+                self._inside -= 1
+
+    def check_validity(self, *args):
+        return self._check("check_validity", *args)
+
+    def check_novelty(self, *args):
+        return self._check("check_novelty", *args)
+
+    def verify_proof(self, *args):
+        return self._check("verify_proof", *args)
+
+
+def demo_session(config: RunConfig) -> OneAtATime:
+    seed = Path(config.seed_path).read_text(encoding="utf-8")
+    return OneAtATime(orchestrator.build_verifier(config, seed))
+
+
+def transcript_requests(out: Path) -> list:
+    return [(e["role_id"], e["request"]) for e in read_transcript(out / "transcript.jsonl")]
+
+
+def assert_same_run(out: Path, reference: Path) -> None:
+    """`out` holds the files of the run in `reference`, but for latencies."""
+    assert (out / "library.lean").read_bytes() == (reference / "library.lean").read_bytes()
+    assert normalized_event_lines(out / "events.jsonl") == normalized_event_lines(
+        reference / "events.jsonl"
+    )
+    assert transcript_requests(out) == transcript_requests(reference)
+
+
+def test_campaigns_run_during_the_phase_write_what_a_serial_run_writes(tmp_path):
+    reference = tmp_path / "ref"
+    run_demo_uninterrupted(reference)
+    out = tmp_path / "slow"
+    config = demo_config(out)
+    # A campaign's exchange and check (a millisecond each) take less time
+    # than a conjecturer call, so the phase's calls end while the helper
+    # works on.
+    gateway = slow_gateway(DEMO_RESPONSES, out, conjecturer=0.006, prover=0.002)
+    session = demo_session(config)
+    threads = threading.active_count()
+    run(config, gateway=gateway, session=session)
+    assert threading.active_count() == threads
+    assert_same_run(out, reference)
+    calls = gateway.provider.calls
+    assert gateway.provider.most_in_flight == 2
+    assert ("prover", False) in calls  # a campaign ran on the helper
+    assert ("prover", True) in calls  # and one after the phase, on the main thread
+    assert not session.overlapped
+
+
+def test_a_kill_at_any_event_of_a_run_with_campaigns_in_the_phase_resumes_to_the_uninterrupted_run(
+    tmp_path,
+):
+    reference = tmp_path / "ref"
+    run_demo_uninterrupted(reference)
+    threads = threading.active_count()
+    providers = []
+
+    def start(out, listener, resume, replay_dir):
+        config = demo_config(out)
+        config.resume = resume
+        source = DEMO_RESPONSES
+        if replay_dir is not None:
+            source = replay_dir
+            config.replay_dir = str(replay_dir)
+        gateway = slow_gateway(source, out, conjecturer=0.001, prover=0.001)
+        providers.append(gateway.provider)
+        try:
+            run(config, gateway=gateway, listener=listener)
+        finally:
+            assert threading.active_count() == threads
+
+    notes = assert_kills_resume_to(reference, tmp_path, start)
+    assert any("rolled back 1 uncommitted entry" in note for note in notes)
+    assert any(("prover", False) in provider.calls for provider in providers)
+
+
+def short_transcript(out: Path, role: str, keep: int) -> Path:
+    """A copy of the demo's recording that holds only `role`'s first `keep`
+    replies."""
+    out.mkdir()
+    seen = 0
+    with open(out / "transcript.jsonl", "w", encoding="utf-8") as handle:
+        for line in (DEMO_RESPONSES / "transcript.jsonl").read_text("utf-8").splitlines():
+            if json.loads(line)["role_id"] == role:
+                seen += 1
+                if seen > keep:
+                    continue
+            handle.write(line + "\n")
+    return out
+
+
+@pytest.mark.parametrize(
+    "role, keep",
+    [
+        ("prover", 0),  # the helper's first campaign runs out
+        ("conjecturer", 1),  # the phase runs out during the helper's campaign
+    ],
+)
+def test_a_run_that_runs_out_of_replies_leaves_the_files_and_error_of_a_serial_run(
+    tmp_path, role, keep
+):
+    source = short_transcript(tmp_path / "short", role, keep)
+    reference = demo_config(tmp_path / "ref")
+    reference.replay_dir = str(source)
+    with pytest.raises(FixtureExhaustedError) as serial:
+        run(reference)
+
+    config = demo_config(tmp_path / "slow")
+    config.replay_dir = str(source)
+    gateway = slow_gateway(source, tmp_path / "slow", conjecturer=0.005, prover=0.005)
+    threads = threading.active_count()
+    with pytest.raises(FixtureExhaustedError) as overlapped:
+        run(config, gateway=gateway)
+    assert threading.active_count() == threads
+    assert str(overlapped.value) == str(serial.value)
+    assert_same_run(tmp_path / "slow", tmp_path / "ref")
+    assert gateway.provider.most_in_flight == 2
+    # The helper made a prover call; with no prover replies, it made the
+    # only one, which ran out.
+    provers = [call for call in gateway.provider.calls if call[0] == "prover"]
+    assert ("prover", False) in provers
+    assert role != "prover" or provers == [("prover", False)]
 
 
 # ---------------------------------------------------------------------------

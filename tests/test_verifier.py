@@ -586,10 +586,12 @@ def assert_matches_reference(steps, answers=None, raising=None, seed=SEED) -> tu
     return ref_repl, repl, session
 
 
-def loop_steps(answers: dict) -> list:
+def loop_steps(answers: dict, overlap: bool = False) -> list:
     """The checks three cpl loops make, with their contexts built as the
     conjecture phase and `prove` build them: the library's rendering, then
-    in a conjecture phase the accepted stubs."""
+    in a conjecture phase the accepted stubs. With `overlap`, the proof
+    checks of each accepted conjecture come one at a time after the
+    phase's next checks, as when campaigns run during the phase."""
     steps = []
     library = Library(seed_source=SEED)
     plans = [
@@ -602,29 +604,35 @@ def loop_steps(answers: dict) -> list:
     outcomes = {"c1": True, "c4": True, "c5": True, "c6": False, "c7": True}
     for plan in plans:
         accepted: list[TheoremStatement] = []
+        proofs: list = []
         context = library.rendered[0]
+
+        def check(*step):
+            steps.append(step)
+            if overlap and proofs:
+                steps.append(proofs.pop(0))
+
         for name, body, known in plan:
             stmt = statement(name, body)
-            steps.append(("check_validity", context, stmt, None))
+            check("check_validity", context, stmt, None)
             if "BAD" in body:
                 continue
-            steps.append(("check_novelty", context, stmt, None))
+            check("check_novelty", context, stmt, None)
             if known:
                 answers[stmt.render_for_exact_check()] = [("info", 1, "Try this: exact rfl")]
                 continue
             accepted.append(stmt)
-            stub = stmt.source_text.strip()
-            context = f"{context}\n\n{stub}" if context else stub
-        verified = []
-        for stmt in accepted:
-            context = library.rendered[0]
             bad = ProofScript("by\n  simp")
             answers[stmt.render_with_proof(bad)] = [("error", 2, "unsolved goals")]
-            steps.append(("verify_proof", context, stmt, bad))
+            proofs.append(("verify_proof", library.rendered[0], stmt, bad))
             if outcomes[stmt.name]:
-                steps.append(("verify_proof", context, stmt, ProofScript("by rfl")))
-                verified.append((stmt, ProofScript("by rfl"), "cpl", "t"))
-        library = library.extend(verified)
+                proofs.append(("verify_proof", library.rendered[0], stmt, ProofScript("by rfl")))
+            stub = stmt.source_text.strip()
+            context = f"{context}\n\n{stub}" if context else stub
+        steps += proofs
+        library = library.extend(
+            (stmt, ProofScript("by rfl"), "cpl", "t") for stmt in accepted if outcomes[stmt.name]
+        )
     return steps
 
 
@@ -647,6 +655,18 @@ def test_reuse_sends_a_suffix_on_the_environment_holding_the_rest():
     for full in ref_repl.held.values():
         names = _NAME.findall(full)
         assert len(names) == len(set(names))
+
+
+def test_proof_checks_among_a_phases_checks_resend_nothing_either_would_not():
+    answers: dict = {}
+    _, serial, _ = assert_matches_reference(loop_steps(answers), answers)
+    _, overlapped, _ = assert_matches_reference(loop_steps(answers, overlap=True), answers)
+
+    def sent(repl) -> int:
+        return sum(len(cmd) for _, cmd, _ in repl.sent)
+
+    assert len(overlapped.sent) == len(serial.sent)
+    assert sent(overlapped) <= sent(serial)
 
 
 def test_random_sessions_match_the_full_resend_reference():
@@ -771,7 +791,9 @@ def test_a_context_that_differs_before_the_held_text_is_not_reused():
         ("check_validity", SEED + "\n" + x2.source_text + "\n\n" + a.source_text, z, None),
     ]
     _, repl, _ = assert_matches_reference(steps)
-    assert [env for env, _, _ in repl.sent] == [0, 0, 0, 3, 0]
+    # The third check goes back to the first context, which the session
+    # still remembers as its other one, so it builds on x1, a.
+    assert [env for env, _, _ in repl.sent] == [0, 0, 1, 3, 0]
 
 
 def test_a_context_whose_tail_starts_elsewhere_is_not_reused():
