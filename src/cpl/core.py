@@ -639,7 +639,12 @@ def read_json_lines(path: str | Path, with_ends: bool = False) -> Iterator:
     `json.loads` raises for it. With `with_ends`, each value comes with
     the byte offset just past its line.
     """
-    data = Path(path).read_bytes()
+    yield from parse_json_lines(Path(path).read_bytes(), with_ends)
+
+
+def parse_json_lines(data: bytes, with_ends: bool = False) -> Iterator:
+    """The values of the JSON-lines bytes `data`, as `read_json_lines`
+    reads a file that holds them."""
     text = data[: data.rfind(b"\n") + 1].decode("utf-8")
     start = byte_end = 0
     while start < len(text):
@@ -710,6 +715,7 @@ class JsonLinesLog:
     def __init__(self, path: str | Path, next_sequence: int = 0):
         self.path = Path(path)
         self.next_sequence = next_sequence
+        self.cut_lines = b""  # the complete lines `open` cut past `keep`
 
     @classmethod
     def open(
@@ -725,6 +731,10 @@ class JsonLinesLog:
         the number of records. If that record does not parse, the error
         `json.loads` raises for it propagates and the file is left as it
         was. The cut is fsynced only with `fsync`.
+
+        The log's `cut_lines` holds the bytes of the complete lines a
+        `keep` cut removed, unparsed, for a caller that reads them back (a
+        resumed gateway); a torn last line is never among them.
         """
         path = Path(path)
         try:
@@ -745,7 +755,9 @@ class JsonLinesLog:
                 next_sequence = record["sequence"] + 1
         if size < len(data):
             cut_file(path, size, fsync=fsync)
-        return cls(path, next_sequence)
+        log = cls(path, next_sequence)
+        log.cut_lines = data[size:complete]
+        return log
 
     def append(self, record: dict) -> None:
         """Write `record` as one line, `json.dumps(record, ensure_ascii=False)`."""

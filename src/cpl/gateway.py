@@ -23,6 +23,18 @@ follows what they copy of it: all of it, or the ranges in
 `user_content_spans` for a context that drops a stretch of it, as a
 front-truncated prompt does. `read_transcript` puts every request back
 whole.
+
+A resume cuts the transcript back to the committed calls
+(`Gateway.fast_forward`), but the loop it redoes sends the same requests
+again as long as nothing differs. So the gateway keeps the complete
+lines it cut and, at its first call, reads them back through
+`read_transcript`'s decoder into one queue per role. A call whose
+request equals the head of its role's queue gets that recorded reply,
+with no provider call, and its line is written again with `"reused":
+true`. At the first request that differs, or once the queue is spent,
+the role's queue is dropped and the provider is moved to the role's next
+call. The transcript does not record the model name, so a resume with
+other models configured is served the old replies.
 """
 
 from __future__ import annotations
@@ -33,10 +45,12 @@ import logging
 import os
 import threading
 import time
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
+from itertools import chain, islice
 from pathlib import Path
 
-from .core import JsonLinesLog, read_json_lines, write_atomically
+from .core import JsonLinesLog, parse_json_lines, read_json_lines, write_atomically
 
 logger = logging.getLogger(__name__)
 
@@ -79,6 +93,7 @@ class ChatResponse:
     provider: str
     latency: float
     attempt: int
+    reused: bool = False  # read from the transcript on a resume, not asked again
 
 
 class HttpChatProvider:
@@ -155,7 +170,8 @@ class HttpChatProvider:
 
 class ReplayProvider:
     """Deterministic per-role reply queues: a run's transcript, or replies
-    given in memory (tests, dry runs).
+    given in memory (tests, dry runs). A resumed gateway keeps the
+    exchanges it reads back from its own transcript in one too.
 
     Replay is keyed on (role_id, per-role call index) only, never on
     prompt content, so cosmetic context changes cannot break a replay.
@@ -190,6 +206,20 @@ class ReplayProvider:
 
     def fast_forward(self, role_id: str, count: int) -> None:
         self._cursor[role_id] = count
+
+    def head(self, role_id: str):
+        """The item `complete` gives `role_id` next, or None once its queue
+        is spent."""
+        items = self._responses.get(role_id, ())
+        cursor = self._cursor.get(role_id, 0)
+        return items[cursor] if cursor < len(items) else None
+
+    def drop(self, role_id: str) -> int | None:
+        """Remove `role_id`'s queue; the number of items it gave, or None
+        if there was no queue."""
+        if self._responses.pop(role_id, None) is None:
+            return None
+        return self._cursor.pop(role_id, 0)
 
     def complete(self, request: ChatRequest) -> str:
         items = self._responses.get(request.role_id, [])
@@ -420,6 +450,10 @@ class Gateway:
     that overlaps calls may run exchanges on several threads at once (the
     token bucket is shared under its lock), but records them from one
     thread, in the order their lines belong in the transcript.
+
+    After a resume (`fast_forward`), `exchange` first serves each role the
+    exchanges the cut transcript lines recorded, in their order, for as
+    long as each request equals the recorded one (`_recorded`).
     """
 
     def __init__(
@@ -447,6 +481,11 @@ class Gateway:
         self._clock = clock
         self._lock = threading.Lock()
         self.calls_by_role: dict[str, int] = {role: 0 for role in ROLE_IDS}
+        # What `fast_forward` restored, and the complete lines its cut
+        # removed: their bytes until the first exchange after it, then their
+        # exchanges by role; None when there are none.
+        self._committed: dict[str, int] = {}
+        self._recorded: bytes | ReplayProvider | None = None
 
     def fast_forward(self, calls_by_role: dict[str, int]) -> None:
         """Restore per-role call counters on resume, pass each count to
@@ -454,14 +493,22 @@ class Gateway:
         one line per counted call.
 
         Transcript numbering continues after the last line kept, so
-        sequence numbers stay unique across resumes.
+        sequence numbers stay unique across resumes. The complete lines
+        cut are kept as bytes, and the first exchange after this reads
+        them back as recorded exchanges to serve instead of the provider
+        (`_recorded`). A fresh run removes its transcript first, so it has
+        no lines to cut.
         """
         for role, count in calls_by_role.items():
             self.calls_by_role[role] = count
             if hasattr(self.provider, "fast_forward"):
                 self.provider.fast_forward(role, count)
+        self._committed = dict(self.calls_by_role)
+        self._recorded = None
         if self._transcript_path is not None:
             self._open_transcript(keep=sum(self.calls_by_role.values()))
+            self._recorded = self._transcript.cut_lines or None
+            self._transcript.cut_lines = b""
 
     def _open_transcript(self, keep: int | None = None) -> None:
         self._transcript = JsonLinesLog.open(self._transcript_path, keep=keep)
@@ -475,9 +522,13 @@ class Gateway:
         return exchange.reply()
 
     def exchange(self, request: ChatRequest) -> Exchange:
-        """Pace the call, then try the provider up to `retry_cap` times,
-        backing off between attempts. Writes nothing; a fatal error
-        propagates."""
+        """The recorded exchange for the call, if a resume kept one
+        (`_recorded`). Otherwise pace the call, then try the provider up to
+        `retry_cap` times, backing off between attempts. Writes nothing; a
+        fatal error propagates."""
+        response = self._recorded_response(request)
+        if response is not None:
+            return Exchange(request, response)
         if self._bucket is not None:
             self._bucket.acquire()
         last_error: TransportError | None = None
@@ -512,6 +563,77 @@ class Gateway:
             return Exchange(request, response)
         return Exchange(request, None, str(last_error), self.retry_cap)
 
+    def _recorded_response(self, request: ChatRequest) -> ChatResponse | None:
+        """The recorded reply at the head of the role's queue, taken from
+        it, if that exchange's request equals `request`.
+
+        At the first request that does not, or once the queue is spent,
+        the rest of the role's queue is dropped and the provider moved to
+        the role's next call, so this call and the role's later ones go to
+        it. The queues are built at the first call after `fast_forward`,
+        not during the resume, under the lock, as calls may come from two
+        threads. A gateway with no cut lines to serve (a fresh run, or a
+        resume whose transcript ends at the committed calls) takes no lock:
+        `_recorded` is None, and only `fast_forward` changes that.
+        """
+        if self._recorded is None:
+            return None
+        with self._lock:
+            recorded = self._recorded
+            if isinstance(recorded, bytes):
+                try:
+                    recorded = self._read_cut_lines(recorded)
+                except (ValueError, OSError) as exc:
+                    # Reuse only saves calls: a transcript that does not
+                    # read back is asked again, as before it was kept.
+                    logger.warning("recorded exchanges not reused: %s", exc)
+                    recorded = None
+                self._recorded = recorded
+            if recorded is None:
+                return None
+            role = request.role_id
+            head = recorded.head(role)
+            if head is not None and head.request == request:
+                return recorded.complete(request).response
+            given = recorded.drop(role)
+            if given is not None and hasattr(self.provider, "fast_forward"):
+                self.provider.fast_forward(role, self._committed.get(role, 0) + given)
+            return None
+
+    def _read_cut_lines(self, cut_lines: bytes) -> ReplayProvider:
+        """The exchanges of `cut_lines`, one queue per role in line order,
+        their requests made whole by reading the kept lines before them
+        again. A role's queue ends before its first line without a reply:
+        that call exhausted its retries and is asked again."""
+        lines = chain(read_json_lines(self._transcript_path), parse_json_lines(cut_lines))
+        entries = _whole_requests(lines, self._prompts)
+        queues: dict[str, list[Exchange]] = {}
+        ended: set[str] = set()
+        for entry in islice(entries, sum(self._committed.values()), None):
+            role, request, reply = entry["role_id"], entry["request"], entry["response"]
+            if reply is None or role in ended:
+                ended.add(role)
+                continue
+            queues.setdefault(role, []).append(
+                Exchange(
+                    ChatRequest(
+                        role,
+                        request["system_prompt"],
+                        request["user_content"],
+                        request["temperature"],
+                        request["max_output"],
+                    ),
+                    ChatResponse(
+                        reply["text"],
+                        reply["provider"],
+                        reply["latency"],
+                        reply["attempt"],
+                        reused=True,
+                    ),
+                )
+            )
+        return ReplayProvider(queues)
+
     def record(self, exchange: Exchange) -> None:
         """Count the call and write its transcript line."""
         request, response = exchange.request, exchange.response
@@ -539,6 +661,8 @@ class Gateway:
                 },
                 "error": exchange.error,
             }
+            if response is not None and response.reused:
+                entry["response"]["reused"] = True
             self._transcript.append(entry)
 
 
@@ -557,11 +681,17 @@ def read_transcript(path: str | Path) -> list[dict]:
     are not ordered ranges inside what they copy, raises `ValueError`.
     """
     path = Path(path)
-    store = PromptStore(path.parent)
-    stored: dict[str, str] = {}
+    return list(_whole_requests(read_json_lines(path), PromptStore(path.parent)))
+
+
+def _whole_requests(entries: Iterable[dict], store: PromptStore) -> Iterator[dict]:
+    """`read_transcript`'s decoder: each of the transcript `entries`, in
+    order, with its request made whole from the lines before it and the
+    contexts in `store`'s directory. Only the last request and the last
+    stored context read are kept."""
+    ref_read, text_read = None, ""
     previous: dict | None = None
-    entries = []
-    for entry in read_json_lines(path):
+    for entry in entries:
         request = entry["request"]
         sequence = entry.get("sequence")
         ref = request.pop("user_content_ref", None)
@@ -581,17 +711,16 @@ def read_transcript(path: str | Path) -> list[dict]:
             if ref is None:
                 text = previous["user_content"]
             else:
-                if ref not in stored:
+                if ref != ref_read:
                     # bytes, not text mode, which would rewrite "\r\n"
-                    stored[ref] = store.path(ref).read_bytes().decode("utf-8")
-                text = stored[ref]
+                    ref_read, text_read = ref, store.path(ref).read_bytes().decode("utf-8")
+                text = text_read
             if spans is not None:
                 spans = _checked(spans, len(text), sequence)
                 text = "".join(text[start:end] for start, end in spans)
             request["user_content"] = text + request.pop("user_content_suffix")
         previous = request
-        entries.append(entry)
-    return entries
+        yield entry
 
 
 def _checked(spans, size: int, sequence) -> list:

@@ -40,6 +40,13 @@ committed entries, which drops any partial block a crash left at its
 end, and the transcript to that loop's calls. Resuming a run whose
 `run_complete` is logged changes nothing.
 
+The redone loop is not asked of the model again where the transcript
+already holds it: the gateway serves each role the replies of the lines
+it cut, in order, while each request equals the recorded one (see
+`gateway`), so the files end as an uninterrupted run's. Lines a kill
+never wrote are asked: the tail of the loop, and the staged exchanges of
+the helper's campaigns when the kill came during the conjecture phase.
+
 With `replay_dir` set, the model is replaced by that run directory's
 transcript (`ReplayProvider.from_dir`), which is never the output
 directory's own: a fresh run removes that one, and any run appends to
@@ -373,7 +380,9 @@ def _run_loops(
     log = JsonLinesLog(events_path, sequence)
     events = EventLog(log, clock=clock, listener=listener)
     # Also cuts the transcript to the committed loops' calls, so a gateway
-    # that made calls before a fresh run starts its counts over.
+    # that made calls before a fresh run starts its counts over. On a
+    # resume the gateway serves the cut lines' replies while the redone
+    # loop's requests match them; a fresh run has none to cut.
     gateway.fast_forward(calls)
     if config.resume:
         events.emit(

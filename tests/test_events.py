@@ -130,6 +130,17 @@ def test_opening_a_log_cuts_it_in_place_to_its_first_records(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["t.jsonl"]  # no temp file
 
 
+def test_opening_a_log_keeps_the_complete_lines_it_cut(tmp_path):
+    path = tmp_path / "t.jsonl"
+    torn = b'{"a": 0}\n{"a": 1}\n\n{"a": 2}\n{"a": 3, "b": "tor'
+    path.write_bytes(torn)
+    assert JsonLinesLog.open(path, keep=5).cut_lines == b""  # a torn line is never kept
+    path.write_bytes(torn)
+    assert JsonLinesLog.open(path, keep=1).cut_lines == b'{"a": 1}\n\n{"a": 2}\n'
+    assert path.read_bytes() == b'{"a": 0}\n'
+    assert JsonLinesLog.open(path).cut_lines == b""
+
+
 def test_opening_a_log_parses_only_its_last_kept_record(tmp_path):
     path = tmp_path / "t.jsonl"
     path.write_bytes(b'not json\n{"sequence": 7}\n\nnot json either\n{"sequence": 9, "x": "to')

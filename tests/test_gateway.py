@@ -203,6 +203,123 @@ def test_fast_forward_continues_after_last_complete_transcript_line(
     assert json.loads(text[len(complete) :])["sequence"] == expected
 
 
+def test_a_resumed_gateway_serves_each_roles_cut_lines_in_order_while_the_requests_match(
+    tmp_path,
+):
+    path = tmp_path / "transcript.jsonl"
+    conjecture = request(role="conjecturer", user="c", system=CONJECTURER_PROMPT)
+    first = Gateway(
+        ReplayProvider({"conjecturer": ["r0", "r1", "r2"], "prover": ["x0", "x1"]}),
+        transcript_path=path,
+        sleep=lambda s: None,
+    )
+    for sent in (conjecture, conjecture, conjecture, request(user="p"), request(user="q")):
+        first.complete(sent)
+    latencies = [line["response"]["latency"] for line in read_json_lines(path)]
+
+    live = ReplayProvider({"conjecturer": ["L0", "L1", "L2", "L3"], "prover": ["P0", "P1"]})
+    gateway = Gateway(live, retry_cap=1, transcript_path=path, sleep=lambda s: None)
+    gateway.fast_forward({"conjecturer": 1})  # the first line is committed
+    # Two identical requests get their two replies, in order.
+    assert gateway.complete(conjecture).text == "r1"
+    assert gateway.complete(conjecture).text == "r2"
+    # The first prover request that differs goes to the provider, at the
+    # role's next call, and so does every later one, matching or not.
+    assert gateway.complete(request(user="p, reworded")).text == "P0"
+    assert gateway.complete(request(user="q")).text == "P1"
+    # A spent queue: the provider is moved past the calls it served.
+    assert gateway.complete(conjecture).text == "L3"
+    assert gateway.calls_by_role["conjecturer"] == 4
+
+    lines = list(read_json_lines(path))
+    assert [line["response"].get("reused", False) for line in lines] == [
+        False, True, True, False, False, False,
+    ]
+    assert [line["response"]["latency"] for line in lines[1:3]] == latencies[1:3]
+    assert ReplayProvider.from_dir(tmp_path).complete(conjecture) == "r0"
+
+
+def test_a_line_without_a_reply_is_never_served_and_ends_its_roles_queue(tmp_path):
+    path = tmp_path / "transcript.jsonl"
+    attempts = iter(["x0", "down", "down", "down", "x1"])
+
+    def answer(req):
+        text = next(attempts)
+        if text == "down":
+            raise TransportError("endpoint down")
+        return text
+
+    first = Gateway(CallableProvider(answer), transcript_path=path, sleep=lambda s: None)
+    first.complete(request())
+    with pytest.raises(TransportError):
+        first.complete(request())
+    first.complete(request())  # the same request again, answered this time
+
+    gateway = Gateway(
+        ReplayProvider({"prover": ["P0", "P1", "P2"]}), retry_cap=1, transcript_path=path
+    )
+    gateway.fast_forward({"prover": 0})
+    # Only the call before the exhausted one is served; that one and the
+    # one after it, whose request is the same, are asked.
+    assert [gateway.complete(request()).text for _ in range(3)] == ["x0", "P1", "P2"]
+    assert [line["response"].get("reused", False) for line in read_json_lines(path)] == [
+        True, False, False,
+    ]
+
+
+def test_threads_sharing_a_resumed_gateway_are_served_each_recorded_reply_once(tmp_path):
+    path = tmp_path / "transcript.jsonl"
+    replies = [f"r{i}" for i in range(40)]
+    first = Gateway(ReplayProvider({"prover": replies}), transcript_path=path)
+    for _ in replies:
+        first.complete(request())
+    gateway = Gateway(ReplayProvider({"prover": ["live"]}), retry_cap=1, transcript_path=path)
+    gateway.fast_forward({"prover": 0})
+    served: list[str] = []
+    start = threading.Barrier(8, timeout=10)
+
+    def call() -> None:
+        start.wait()  # all eight make the first call, which reads the cut lines, at once
+        for _ in range(5):
+            served.append(gateway.exchange(request()).reply().text)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=call) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert sorted(served, key=lambda text: int(text[1:])) == replies
+
+
+def test_cut_lines_are_read_back_at_the_first_call_and_asked_again_if_they_do_not_read(
+    tmp_path, caplog
+):
+    path = tmp_path / "transcript.jsonl"
+    long = "y" * INLINE_CONTEXT_CHARS
+    first = Gateway(
+        ReplayProvider({"prover": ["x0", "x1"]}), transcript_path=path, sleep=lambda s: None
+    )
+    first.complete(request(user=long))
+    first.complete(request(user=long + " more"))
+
+    gateway = Gateway(
+        ReplayProvider({"prover": ["P0", "P1"]}), retry_cap=1, transcript_path=path
+    )
+    gateway.fast_forward({"prover": 1})
+    # The kept line's context goes after the resume and before the first
+    # call, so serving x1 would show a read made during the resume.
+    for blob in (tmp_path / "prompts").iterdir():
+        blob.unlink()
+    assert gateway.complete(request(user=long + " more")).text == "P1"
+    assert "recorded exchanges not reused" in caplog.text
+
+
 @pytest.mark.parametrize(
     "lines, tail",
     [(['{"sequence": 3}', "not json", ""], ""), (["not json"], '{"sequence": 7}')],
@@ -289,33 +406,35 @@ def test_token_bucket_paces_requests():
 
 
 def test_token_bucket_spaces_the_grants_of_two_threads():
-    # Each thread sleeps until its slot, so the others run meanwhile, and a
-    # short switch interval also preempts them inside `acquire`. A bucket
-    # that chose a thread's slot before it slept and reserved the next one
-    # after would let threads that slept together through at once. A grant
-    # is the time `acquire` returns; half an interval absorbs wake-up delay.
-    bucket = TokenBucket(rate=50.0)
-    grants: list[float] = []
+    # Time stands still at 0, so a grant's slot is the length of the sleep
+    # the bucket asks for, or 0 for the one grant that does not sleep. The
+    # clock and the sleep each really sleep a little, so the other threads
+    # run meanwhile: a bucket that chose a slot and reserved the next one
+    # in separate steps, outside one hold of its lock, would hand two
+    # threads the same slot. Nothing here depends on when a thread wakes.
+    waits: list[float] = []
+
+    def monotonic() -> float:
+        time.sleep(0.0002)
+        return 0.0
+
+    def sleep(seconds: float) -> None:
+        waits.append(seconds)
+        time.sleep(0.001)
+
+    bucket = TokenBucket(rate=50.0, monotonic=monotonic, sleep=sleep)
 
     def take() -> None:
         for _ in range(3):
             bucket.acquire()
-            grants.append(time.monotonic())
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        threads = [threading.Thread(target=take) for _ in range(4)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=10)
-    finally:
-        sys.setswitchinterval(interval)
+    threads = [threading.Thread(target=take) for _ in range(4)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=10)
     assert not any(thread.is_alive() for thread in threads)
-    grants.sort()
-    assert len(grants) == 12
-    assert all(b - a >= bucket.interval / 2 for a, b in zip(grants, grants[1:]))
+    assert sorted(waits) == pytest.approx([bucket.interval * k for k in range(1, 12)])
 
 
 def test_unknown_role_rejected():

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
+import shutil
 import stat
 import threading
 import time
@@ -585,6 +587,7 @@ def test_resumed_recorded_run_keeps_only_committed_exchanges_and_replays(
 
     with pytest.raises(SimulatedCrash):
         run(demo_config(crash_dir), listener=listener)
+    held = len(transcript_lines(crash_dir))
     with open(crash_dir / "transcript.jsonl", "a", encoding="utf-8") as handle:
         handle.write('{"sequence": 99, "role_id": "pro')  # a torn last write
     config = demo_config(crash_dir)
@@ -596,6 +599,13 @@ def test_resumed_recorded_run_keeps_only_committed_exchanges_and_replays(
     assert [json.loads(line)["sequence"] for line in lines] == list(range(13))
     entries = read_transcript(crash_dir / "transcript.jsonl")
     assert [e["request"] for e in entries] == [e["request"] for e in expected]
+    # The redone loop's exchanges the kill left whole were served from the
+    # transcript; the torn write was not one of them.
+    committed = {1: 0, 3: 6}[kill_at_append]
+    assert reused_flags(crash_dir) == [committed <= i < held for i in range(13)]
+    assert [e["response"]["text"] for e in entries] == [
+        e["response"]["text"] for e in expected
+    ]
     replay_demo(crash_dir, tmp_path / "replayed", reference)
 
 
@@ -945,7 +955,8 @@ DEMO_RESPONSES = FIXTURES / "cpl_demo" / "responses"
 class SlowReplay:
     """A replay provider whose every call first waits, as a model would:
     `delays[role]` seconds. It notes the most calls in flight at once and,
-    for each call, its role and whether the main thread made it."""
+    for each call, its role and whether the main thread made it, and its
+    request."""
 
     name = "replay"
 
@@ -956,6 +967,7 @@ class SlowReplay:
         self._in_flight = 0
         self.most_in_flight = 0
         self.calls: list[tuple[str, bool]] = []
+        self.requests: list = []
 
     def fast_forward(self, role_id: str, count: int) -> None:
         self._replay.fast_forward(role_id, count)
@@ -967,6 +979,7 @@ class SlowReplay:
             self.calls.append(
                 (request.role_id, threading.current_thread() is threading.main_thread())
             )
+            self.requests.append(request)
         try:
             time.sleep(self._delays[request.role_id])
             return self._replay.complete(request)
@@ -1367,3 +1380,266 @@ def test_a_run_past_its_budget_splices_its_prompts_and_reads_them_back(tmp_path)
     long_contexts = {text for _, text in received if len(text) >= INLINE_CONTEXT_CHARS}
     blobs = list((out / "prompts").iterdir())
     assert 0 < len(blobs) < len(long_contexts) / 4
+
+
+# ---------------------------------------------------------------------------
+# A resume serves the redone loop's exchanges from the transcript
+# ---------------------------------------------------------------------------
+
+
+def transcript_lines(out: Path) -> list[dict]:
+    """The lines of `out`'s transcript as written; none if there is none."""
+    path = out / "transcript.jsonl"
+    if not path.exists():
+        return []
+    return [json.loads(line) for line in path.read_text("utf-8").splitlines()]
+
+
+def reused_flags(out: Path) -> list[bool]:
+    """For each transcript line, whether its reply was served from the
+    transcript a resume cut."""
+    lines = transcript_lines(out)
+    return [bool(line["response"] and line["response"].get("reused")) for line in lines]
+
+
+def committed_calls(out: Path) -> int:
+    """The calls the last `loop_complete` of `out`'s event log counts."""
+    ends = [e for e in read_events(out / "events.jsonl") if e.kind == "loop_complete"]
+    return sum(ends[-1].payload["gateway_calls"].values()) if ends else 0
+
+
+def assert_resumed_to(out: Path, reference: Path) -> None:
+    """The resumed run in `out` ended as the run in `reference`: the same
+    library bytes, events but for the resume's note, and requests."""
+    assert (out / "library.lean").read_bytes() == (reference / "library.lean").read_bytes()
+    assert logged_events(out / "events.jsonl") == logged_events(reference / "events.jsonl")
+    assert transcript_requests(out) == transcript_requests(reference)
+
+
+def role_counts(lines) -> dict[str, int]:
+    roles = [line["role_id"] for line in lines]
+    return {role: roles.count(role) for role in ("conjecturer", "prover")}
+
+
+def resume_through(out: Path, delay: float = 0.0, **overrides) -> SlowReplay:
+    """Resume the demo run in `out` through a replay of the demo's replies
+    that waits `delay` seconds a call; the replay, with the calls it got."""
+    config = demo_config(out)
+    config.resume = True
+    for key, value in overrides.items():
+        setattr(config, key, value)
+    gateway = slow_gateway(DEMO_RESPONSES, out, conjecturer=delay, prover=delay)
+    run(config, gateway=gateway, session=demo_session(config))
+    return gateway.provider
+
+
+@pytest.mark.parametrize("delay", [0.0, 0.001])  # counting only; sleeping as a model would
+def test_a_resume_asks_the_model_only_for_the_exchanges_the_killed_transcript_lacks(
+    tmp_path, delay
+):
+    reference = tmp_path / "ref"
+    run_demo_uninterrupted(reference)
+    wanted = role_counts(transcript_lines(reference))
+    for k in range(len(read_events(reference / "events.jsonl"))):
+        out = tmp_path / f"kill-{k}"
+        with pytest.raises(SimulatedCrash):
+            run(demo_config(out), listener=KillAt(k))
+        held = role_counts(transcript_lines(out))
+        committed = committed_calls(out)
+        provider = resume_through(out, delay)
+        assert_resumed_to(out, reference)
+        asked = {role: sum(call[0] == role for call in provider.calls) for role in wanted}
+        assert asked == {role: wanted[role] - held[role] for role in wanted}, k
+        assert sum(reused_flags(out)) == sum(held.values()) - committed, k
+
+
+class Reworded:
+    """A verifier session whose failed proof checks of theorem `name` give
+    `message` as their diagnostics' text."""
+
+    def __init__(self, session, name: str, message: str):
+        self._session, self._name, self._message = session, name, message
+
+    def __getattr__(self, name):
+        return getattr(self._session, name)
+
+    def verify_proof(self, context, stmt, proof):
+        result = self._session.verify_proof(context, stmt, proof)
+        if stmt.name != self._name:
+            return result
+        diagnostics = tuple(
+            dataclasses.replace(d, message=self._message) for d in result.diagnostics
+        )
+        return dataclasses.replace(result, diagnostics=diagnostics)
+
+
+def cut_events_after(out: Path, index: int) -> None:
+    """Keep the first `index + 1` lines of `out`'s event log, as a kill
+    right after that event leaves it."""
+    lines = (out / "events.jsonl").read_bytes().splitlines(keepends=True)
+    (out / "events.jsonl").write_bytes(b"".join(lines[: index + 1]))
+
+
+def test_a_resume_asks_a_role_again_from_its_first_request_that_differs(tmp_path):
+    reference = tmp_path / "ref"
+    run_demo_uninterrupted(reference)
+    out = tmp_path / "out"
+    shutil.copytree(reference, out)
+    # Inside loop 1, after its prove phase starts: nothing is committed, and
+    # the transcript holds the whole run, so every loop could be served.
+    cut_events_after(out, 8)
+    config = demo_config(out)
+    config.resume = True
+    gateway = slow_gateway(DEMO_RESPONSES, out, conjecturer=0.0, prover=0.0)
+    # alphaOpen_univ's first trial fails with other diagnostics, so the
+    # feedback in its retry, the run's third prover request, differs.
+    session = Reworded(demo_session(config), "alphaOpen_univ", "tactic failed")
+    run(config, gateway=gateway, session=session)
+
+    provider = gateway.provider
+    assert (out / "library.lean").read_bytes() == (reference / "library.lean").read_bytes()
+    lines, expected = transcript_lines(out), transcript_lines(reference)
+    assert [line["role_id"] for line in lines] == [line["role_id"] for line in expected]
+    # Every conjecturer line is served; prover lines only up to the first
+    # that differs. Live calls take the replies at the same positions.
+    assert reused_flags(out) == [
+        line["role_id"] == "conjecturer" or line["sequence"] in (2, 3) for line in expected
+    ]
+    assert [line["response"]["text"] for line in lines] == [
+        line["response"]["text"] for line in expected
+    ]
+    assert [call[0] for call in provider.calls] == ["prover"] * 5
+    assert "tactic failed" in provider.requests[0].user_content
+
+
+def kill_before_loop_one_commits(event) -> None:
+    if event.kind == "proof_attempt" and event.payload["conjecture"] == "semiOpen_of_isOpen":
+        raise SimulatedCrash("killed before loop 1 commits")
+
+
+def test_a_line_without_a_reply_is_asked_again_and_ends_its_roles_reuse(tmp_path):
+    fixture = ReplayProvider.from_dir(DEMO_RESPONSES)
+    prover_calls = {"n": 0}
+
+    def reply(request):
+        # The second prover call fails every attempt.
+        if request.role_id == "prover":
+            prover_calls["n"] += 1
+            if 2 <= prover_calls["n"] <= 4:
+                raise TransportError("endpoint down")
+        return fixture.complete(request)
+
+    out = tmp_path / "out"
+    out.mkdir()
+    gateway = Gateway(
+        CallableProvider(reply),
+        retry_cap=3,
+        transcript_path=out / "transcript.jsonl",
+        sleep=lambda s: None,
+    )
+    with pytest.raises(SimulatedCrash):
+        run(demo_config(out), gateway=gateway, listener=kill_before_loop_one_commits)
+    killed = read_transcript(out / "transcript.jsonl")
+    assert [line["role_id"] for line in killed] == ["conjecturer"] * 2 + ["prover"] * 5
+    assert killed[3]["response"] is None and killed[3]["error"] == "endpoint down"
+
+    provider = resume_through(out)
+    # The conjecturer lines and the prover line before the exhausted one
+    # are served. The exhausted call and every prover call after it are
+    # asked, from the fixture's second prover reply on, so the run ends as
+    # the demo does.
+    assert reused_flags(out) == [True] * 3 + [False] * 10
+    asked = [r for r in provider.requests if r.role_id == "prover"]
+    assert len(asked) == 6
+    assert (asked[0].system_prompt, asked[0].user_content) == (
+        killed[3]["request"]["system_prompt"],
+        killed[3]["request"]["user_content"],
+    )
+    reference = tmp_path / "ref"
+    run_demo_uninterrupted(reference)
+    assert_resumed_to(out, reference)
+
+
+def test_a_torn_last_line_is_not_served_though_it_holds_the_next_request(tmp_path):
+    reference = tmp_path / "ref"
+    run_demo_uninterrupted(reference)
+    out = tmp_path / "out"
+    with pytest.raises(SimulatedCrash):
+        run(demo_config(out), listener=KillAt(20))  # loop 2's append
+    assert (len(transcript_lines(out)), committed_calls(out)) == (9, 6)
+    # Loop 3's first line, whole but for its newline: a write a kill tore.
+    line = (reference / "transcript.jsonl").read_bytes().splitlines()[9]
+    with open(out / "transcript.jsonl", "ab") as handle:
+        handle.write(line)
+    provider = resume_through(out)
+    assert_resumed_to(out, reference)
+    assert reused_flags(out) == [6 <= i < 9 for i in range(13)]
+    assert sorted(call[0] for call in provider.calls) == ["conjecturer"] * 2 + ["prover"] * 2
+
+
+def test_a_fresh_run_into_a_used_directory_serves_nothing_from_its_transcript(tmp_path):
+    out = tmp_path / "used"
+    with pytest.raises(SimulatedCrash):
+        run(demo_config(out), listener=kill_before_loop_one_commits)
+    gateway = slow_gateway(DEMO_RESPONSES, out, conjecturer=0.0, prover=0.0)
+    run(demo_config(out), gateway=gateway)
+    assert len(gateway.provider.calls) == 13
+    assert reused_flags(out) == [False] * 13
+
+
+def test_a_resume_with_another_prompt_variant_serves_no_prover_exchange(tmp_path):
+    out = tmp_path / "out"
+    with pytest.raises(SimulatedCrash):
+        run(demo_config(out), listener=kill_before_loop_one_commits)
+    held = role_counts(transcript_lines(out))
+    assert held == {"conjecturer": 2, "prover": 4}
+    provider = resume_through(out, prompt_variant="false")
+    served = [line["role_id"] for line in transcript_lines(out) if line["response"].get("reused")]
+    assert served == ["conjecturer", "conjecturer"]
+    assert [call[0] for call in provider.calls].count("prover") == 7
+
+
+def test_a_resume_past_the_budget_serves_exchanges_whose_prompts_are_stored(tmp_path):
+    big = 10**120
+
+    def reply(request):
+        if request.role_id == "prover":
+            return "by omega"
+        n = big + len(request.user_content)
+        return f"theorem c{len(request.user_content)} (x : ℕ) : x + {n} = {n} + x := sorry"
+
+    def start(out: Path, listener=None, resume=False) -> list:
+        config = base_config(
+            tmp_path, loops=12, conjecture_iterations=3, context_budget=5000, resume=resume
+        )
+        config.output_dir = str(out)
+        asked = []
+
+        def answer(request):
+            asked.append(request)
+            return reply(request)
+
+        gateway = Gateway(
+            CallableProvider(answer), sleep=lambda s: None, transcript_path=out / "transcript.jsonl"
+        )
+        session = ScriptedVerifier(SEED, defaults={"verify_proof": "verified"})
+        run_cpl(config, gateway=gateway, session=session, listener=listener)
+        return asked
+
+    def kill_in_loop_eleven(event):
+        if event.kind == "theorem_added" and event.payload["loop"] == 11:
+            raise SimulatedCrash("killed after an append in loop 11")
+
+    reference, out = tmp_path / "ref", tmp_path / "out"
+    total = len(start(reference))
+    with pytest.raises(SimulatedCrash):
+        start(out, kill_in_loop_eleven)
+    killed = transcript_lines(out)
+    committed = committed_calls(out)
+    assert any("user_content_ref" in line["request"] for line in killed[committed:])
+    asked = start(out, resume=True)
+
+    assert (out / "library.lean").read_bytes() == (reference / "library.lean").read_bytes()
+    assert transcript_requests(out) == transcript_requests(reference)
+    assert len(asked) == total - len(killed)
+    assert reused_flags(out) == [committed <= i < len(killed) for i in range(total)]
