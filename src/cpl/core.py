@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import os
 import re
-import secrets
 from bisect import bisect_left
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -603,7 +602,8 @@ def write_atomically(
     the umask.
     """
     path = Path(path)
-    tmp_name = path.with_name(f"{path.name}.{secrets.token_hex(8)}.tmp")
+    # What `secrets.token_hex(8)` gives, without importing `hashlib` with it.
+    tmp_name = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
     flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
     fd = os.open(tmp_name, flags, 0o666)
     try:
@@ -715,6 +715,7 @@ class JsonLinesLog:
     def __init__(self, path: str | Path, next_sequence: int = 0):
         self.path = Path(path)
         self.next_sequence = next_sequence
+        self.kept = 0  # the records `open` kept
         self.cut_lines = b""  # the complete lines `open` cut past `keep`
 
     @classmethod
@@ -756,6 +757,7 @@ class JsonLinesLog:
         if size < len(data):
             cut_file(path, size, fsync=fsync)
         log = cls(path, next_sequence)
+        log.kept = count
         log.cut_lines = data[size:complete]
         return log
 
@@ -765,6 +767,12 @@ class JsonLinesLog:
         with open(self.path, "ab") as handle:
             handle.write(line.encode("utf-8"))
         self.next_sequence += 1
+
+    def sync(self) -> None:
+        """Fsync the file, so every line appended so far outlasts a power loss."""
+        if self.path.exists():
+            with open(self.path, "rb") as handle:
+                os.fsync(handle.fileno())
 
 
 def library_blocks(text: str) -> list[tuple[re.Match, str]]:

@@ -11,18 +11,18 @@ reply, or no reply and the error of a call that exhausted its retries.
 It is a `JsonLinesLog`, so a gateway continues the numbering of a
 transcript that is already there, after cutting a torn last line.
 `ReplayProvider.from_dir` replays it. Each line's request holds what
-differs from the line before (`PromptStore`), as HTTP/2 header
-compression sends what changed since the previous request (RFC 7541):
-the system prompt, the temperature and the output cap only when they
-change, and a short user context as the first n chars of the previous
-request's plus its new text when it copies more than it adds. The first
-line a gateway writes after opening or cutting the transcript is whole.
-A long user context is written once, to `prompts/<sha256>.txt` beside
-the transcript, and its lines hold the context's hash plus the text that
-follows what they copy of it: all of it, or the ranges in
-`user_content_spans` for a context that drops a stretch of it, as a
-front-truncated prompt does. `read_transcript` puts every request back
-whole.
+differs from the lines before (`PromptStore`), as HTTP/2 header
+compression sends what changed since the previous request and refers
+back to earlier entries of the same stream (RFC 7541): the system
+prompt, the temperature and the output cap only when they change, and a
+short user context as the first n chars of the previous request's plus
+its new text when it copies more than it adds. A long user context is
+written whole in the first line that sends it, the base line; later
+lines copy from it by its `sequence`, all of it or the ranges a
+front-truncated prompt keeps, plus their new text. The first line a
+gateway writes after opening or cutting the transcript is whole, and so
+is its first long context. The transcript is the one file:
+`read_transcript` puts every request back whole from its lines alone.
 
 A resume cuts the transcript back to the committed calls
 (`Gateway.fast_forward`), but the loop it redoes sends the same requests
@@ -39,7 +39,6 @@ other models configured is served the old replies.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import logging
 import os
@@ -50,7 +49,7 @@ from dataclasses import dataclass, replace
 from itertools import chain, islice
 from pathlib import Path
 
-from .core import JsonLinesLog, parse_json_lines, read_json_lines, write_atomically
+from .core import JsonLinesLog, parse_json_lines, read_json_lines
 
 logger = logging.getLogger(__name__)
 
@@ -237,66 +236,60 @@ class ReplayProvider:
 
 
 # A shorter context is written in its line, whole or as a copy of the
-# previous line's: creating a blob file costs more than writing a few KB
-# into each line that needs it.
+# previous line's, and never becomes the base: a short prompt sent between
+# a long context's retries would otherwise replace it.
 INLINE_CONTEXT_CHARS = 4096
 
 
 class PromptStore:
     """The request fields of each transcript line: what differs from the
-    line before it, and each distinct long user context written once as
-    `prompts/<sha256>.txt` beside the transcript, or spliced from the one
-    stored last.
+    lines before it.
 
-    `request_fields` writes `system_prompt`, `temperature` and
-    `max_output` only where they differ from the previous request's (all
-    three on the first line after the transcript is opened or cut, which
-    `forget_previous` marks). A user context shorter than
-    `INLINE_CONTEXT_CHARS` that copies more of the previous request's
-    context than it adds is `user_content_spans`, `[[0, n]]`, the first n
-    chars of that context, plus `user_content_suffix`, its new text; any
-    other short context is inline as `user_content`. A longer context is
-    `user_content_ref`, the sha256 of a stored context, plus
-    `user_content_suffix`, the text after what it copies from it:
+    `system_prompt`, `temperature` and `max_output` are written only where
+    they differ from the previous request's (all three on the first line
+    after the transcript is opened or cut, which `forget` marks). A user
+    context is inline, as `user_content`, or a copy: ranges of a source
+    line's context, `user_content_spans`, then its new text,
+    `user_content_suffix`. The source is the previous line, or the base
+    line whose sequence `user_content_base` names.
 
-    - A context that starts with the stored one copies all of it: a
-      prover retry is its campaign's context plus a feedback block, and a
-      conjecture context grows by accepted stubs.
-    - A context that is the stored one with a stretch after their common
-      prefix dropped, running on to the stored context's end, plus new
-      text shorter than `INLINE_CONTEXT_CHARS`, copies the two ranges
-      listed in `user_content_spans`. Past the budget `render_context`
-      drops the oldest entries, a different number for each prompt, and
-      keeps the seed.
-    - Any other context is hashed and stored.
+    A context shorter than `INLINE_CONTEXT_CHARS` copies the previous
+    context's first n chars, `[[0, n]]`, if that is more than it adds, and
+    is inline otherwise. A longer one copies from the base, the last long
+    context written inline:
 
-    The last context stored or spliced and its fields are kept, so a
-    retry that extends it costs one `startswith`. Copying grows a line:
-    the text after a copy may be no longer than the context it extends,
-    so a context that keeps growing (the simple loop's, below the budget)
-    is stored again each time it doubles. Roles take turns in phases in
-    the file, so one context is kept, not one per role: the prover
-    campaigns that run during a conjecture phase have their lines staged
-    and written after it.
+    - all of it, if it starts with it: a prover retry is its campaign's
+      context plus a feedback block, and a conjecture context grows by
+      accepted stubs;
+    - the two ranges it keeps, if it is the base with a stretch after
+      their common prefix dropped, running on to the base's end, plus new
+      text shorter than `INLINE_CONTEXT_CHARS`: past the budget
+      `render_context` drops the oldest entries, a different number for
+      each prompt, and keeps the seed.
+
+    Any other long context is inline, and its line becomes the base. The
+    last long context and its fields as a copy are kept, so a retry that
+    extends it costs one `startswith`. The text after a copy may be no
+    longer than what it copies, so a context that keeps growing (the
+    simple loop's, below the budget) is written whole each time it
+    doubles. One base is kept, not one per role: roles take turns in
+    phases in the file, as the prover campaigns that run during a
+    conjecture phase have their lines staged and written after it.
     """
 
-    def __init__(self, beside: str | Path):
-        self.directory = Path(beside) / "prompts"
+    def __init__(self):
+        self.forget()
+
+    def forget(self) -> None:
+        """The next line is written in full, and so is its first long
+        context: the transcript was opened or cut, so the line before and
+        the base line may not be the ones seen here."""
         self._previous: ChatRequest | None = None  # the line before's request, cut short
-        self._base = ""  # the last context stored
-        self._base_ref: str | None = None  # and its sha256
-        self._last = ""  # the last context stored or spliced
-        self._last_fields: dict = {}  # and its fields, suffix last
+        self._base, self._base_sequence = "", None  # the base's context and sequence
+        self._last, self._last_fields = "", {}  # the last long context, and its fields as a copy
 
-    def path(self, ref: str) -> Path:
-        return self.directory / f"{ref}.txt"
-
-    def forget_previous(self) -> None:
-        """The next line is written in full: the transcript was opened or
-        cut, so the line before it is not the request last seen here."""
-        self._previous = None
-
-    def request_fields(self, request: ChatRequest) -> dict:
+    def request_fields(self, request: ChatRequest, sequence: int) -> dict:
+        """The fields of `request` for the line numbered `sequence`."""
         previous = self._previous
         # A short context can copy only the head of the one before: keeping
         # all of a long one would keep a string of up to a few MB alive.
@@ -304,7 +297,7 @@ class PromptStore:
         fields = _changed(request, previous, "system_prompt")
         content = request.user_content
         if len(content) >= INLINE_CONTEXT_CHARS:
-            fields.update(self._copy(content))
+            fields.update(self._copy(content, sequence))
         else:
             copied = 0 if previous is None else _common_prefix(previous.user_content, content)
             if copied > len(content) - copied:
@@ -315,29 +308,34 @@ class PromptStore:
         fields.update(_changed(request, previous, "temperature", "max_output"))
         return fields
 
-    def _copy(self, content: str) -> dict:
+    def _copy(self, content: str, sequence: int) -> dict:
         last = self._last
         if len(content) <= 2 * len(last) and content.startswith(last):
             fields = dict(self._last_fields)
             fields["user_content_suffix"] += content[len(last) :]
             return fields
-        fields = self._splice(content) or self._store(content)
-        self._last, self._last_fields = content, fields
-        return fields
+        copy = self._splice(content)
+        if copy is None:  # inline, and its line is the new base
+            self._base, self._base_sequence = content, sequence
+        spans, suffix = copy or ([[0, len(content)]], "")
+        self._last, self._last_fields = content, {
+            "user_content_base": self._base_sequence,
+            "user_content_spans": spans,
+            "user_content_suffix": suffix,
+        }
+        return self._last_fields if copy else {"user_content": content}
 
-    def _splice(self, content: str) -> dict | None:
-        """`content` as ranges of the stored context plus its new text, or
-        None if it is not the stored one with one stretch dropped."""
-        if self._base_ref is None:
+    def _splice(self, content: str) -> tuple[list, str] | None:
+        """`content` as ranges of the base and its new text, or None if it
+        neither extends the base nor is it with one stretch dropped."""
+        if self._base_sequence is None:
             return None
         base = self._base
         prefix = _common_prefix(base, content)
-        if prefix == len(base):  # it extends the stored context
-            if len(content) > 2 * len(base):
-                return None
-            return {"user_content_ref": self._base_ref, "user_content_suffix": content[prefix:]}
+        if prefix == len(base):  # it extends the base
+            return None if len(content) > 2 * len(base) else ([[0, prefix]], content[prefix:])
         if prefix == len(content):
-            return None  # it drops the stored context's tail
+            return None  # it drops the base's tail
         # `content` is base[:prefix] + base[resume:] + new text shorter than
         # INLINE_CONTEXT_CHARS, so `resume` lies in a window of that width.
         # The rest of the line after the common prefix names the first kept
@@ -352,21 +350,7 @@ class PromptStore:
         resume = base.find(probe, max(prefix + 1, earliest), latest + len(probe))
         if resume < 0 or not content.startswith(base[resume:], prefix):
             return None
-        return {
-            "user_content_ref": self._base_ref,
-            "user_content_spans": [[0, prefix], [resume, len(base)]],
-            "user_content_suffix": content[prefix + len(base) - resume :],
-        }
-
-    def _store(self, content: str) -> dict:
-        data = content.encode("utf-8")
-        ref = hashlib.sha256(data).hexdigest()
-        path = self.path(ref)
-        if not path.exists():
-            self.directory.mkdir(parents=True, exist_ok=True)
-            write_atomically(path, [data], fsync=False)
-        self._base, self._base_ref = content, ref
-        return {"user_content_ref": ref, "user_content_suffix": ""}
+        return [[0, prefix], [resume, len(base)]], content[prefix + len(base) - resume :]
 
 
 def _changed(request: ChatRequest, previous: ChatRequest | None, *keys: str) -> dict:
@@ -475,9 +459,7 @@ class Gateway:
         # Opened by the first record or by `fast_forward`: a gateway may be
         # built before a resume cuts the transcript.
         self._transcript: JsonLinesLog | None = None
-        self._prompts = (
-            PromptStore(self._transcript_path.parent) if self._transcript_path else None
-        )
+        self._prompts = PromptStore()
         self._clock = clock
         self._lock = threading.Lock()
         self.calls_by_role: dict[str, int] = {role: 0 for role in ROLE_IDS}
@@ -487,10 +469,12 @@ class Gateway:
         self._committed: dict[str, int] = {}
         self._recorded: bytes | ReplayProvider | None = None
 
-    def fast_forward(self, calls_by_role: dict[str, int]) -> None:
+    def fast_forward(self, calls_by_role: dict[str, int]) -> int | None:
         """Restore per-role call counters on resume, pass each count to
         the provider (a replay's cursors), and cut the transcript back to
-        one line per counted call.
+        one line per counted call, fsynced. Returns the number of lines
+        kept, fewer than the calls if the transcript lost some, or None
+        without a transcript.
 
         Transcript numbering continues after the last line kept, so
         sequence numbers stay unique across resumes. The complete lines
@@ -505,14 +489,22 @@ class Gateway:
                 self.provider.fast_forward(role, count)
         self._committed = dict(self.calls_by_role)
         self._recorded = None
-        if self._transcript_path is not None:
-            self._open_transcript(keep=sum(self.calls_by_role.values()))
-            self._recorded = self._transcript.cut_lines or None
-            self._transcript.cut_lines = b""
+        if self._transcript_path is None:
+            return None
+        self._open_transcript(keep=sum(self.calls_by_role.values()))
+        self._recorded = self._transcript.cut_lines or None
+        self._transcript.cut_lines = b""
+        return self._transcript.kept
 
     def _open_transcript(self, keep: int | None = None) -> None:
-        self._transcript = JsonLinesLog.open(self._transcript_path, keep=keep)
-        self._prompts.forget_previous()
+        self._transcript = JsonLinesLog.open(self._transcript_path, keep=keep, fsync=True)
+        self._prompts.forget()
+
+    def sync(self) -> None:
+        """Fsync the transcript: the lines written so far outlast a power loss."""
+        with self._lock:
+            if self._transcript is not None:
+                self._transcript.sync()
 
     def complete(self, request: ChatRequest) -> ChatResponse:
         """One call: its exchange, then its record. Returns the response,
@@ -583,7 +575,7 @@ class Gateway:
             if isinstance(recorded, bytes):
                 try:
                     recorded = self._read_cut_lines(recorded)
-                except (ValueError, OSError) as exc:
+                except (ValueError, TypeError, KeyError, OSError) as exc:
                     # Reuse only saves calls: a transcript that does not
                     # read back is asked again, as before it was kept.
                     logger.warning("recorded exchanges not reused: %s", exc)
@@ -606,7 +598,7 @@ class Gateway:
         again. A role's queue ends before its first line without a reply:
         that call exhausted its retries and is asked again."""
         lines = chain(read_json_lines(self._transcript_path), parse_json_lines(cut_lines))
-        entries = _whole_requests(lines, self._prompts)
+        entries = _whole_requests(lines)
         queues: dict[str, list[Exchange]] = {}
         ended: set[str] = set()
         for entry in islice(entries, sum(self._committed.values()), None):
@@ -614,24 +606,8 @@ class Gateway:
             if reply is None or role in ended:
                 ended.add(role)
                 continue
-            queues.setdefault(role, []).append(
-                Exchange(
-                    ChatRequest(
-                        role,
-                        request["system_prompt"],
-                        request["user_content"],
-                        request["temperature"],
-                        request["max_output"],
-                    ),
-                    ChatResponse(
-                        reply["text"],
-                        reply["provider"],
-                        reply["latency"],
-                        reply["attempt"],
-                        reused=True,
-                    ),
-                )
-            )
+            response = ChatResponse(**{**reply, "reused": True})
+            queues.setdefault(role, []).append(Exchange(ChatRequest(role, **request), response))
         return ReplayProvider(queues)
 
     def record(self, exchange: Exchange) -> None:
@@ -650,7 +626,7 @@ class Gateway:
                 "sequence": self._transcript.next_sequence,
                 "timestamp": self._clock.now() if self._clock else None,
                 "role_id": request.role_id,
-                "request": self._prompts.request_fields(request),
+                "request": self._prompts.request_fields(request, self._transcript.next_sequence),
                 "response": None
                 if response is None
                 else {
@@ -668,38 +644,40 @@ class Gateway:
 
 def read_transcript(path: str | Path) -> list[dict]:
     """The entries of a transcript, read by `read_json_lines`, with each
-    request whole again. A field a line leaves out (`system_prompt`,
-    `temperature`, `max_output`) is the previous request's. The full
-    `user_content` is put back from what the line copies, then
-    `user_content_suffix`: with `user_content_ref`, the stored context or
-    the ranges of it in `user_content_spans`; with spans alone, the ranges
-    of the previous request's `user_content`.
+    request whole again (`PromptStore` says how lines copy). A base line
+    is one whose inline `user_content` is `INLINE_CONTEXT_CHARS` or longer.
+    Lines in the oldest form, every field inline, read as they did.
 
-    Lines in older forms hold every field and `user_content` inline, or
-    only the stored contexts' fields, and read as they did. A line that
-    copies from a previous request with no line before it, or whose spans
-    are not ordered ranges inside what they copy, raises `ValueError`.
+    A line that copies from a previous request with no line before it,
+    that names a base other than the last base line read, or whose spans
+    are not ordered ranges inside what they copy raises `ValueError`. So
+    does a line in the form that named a context file in `prompts/`
+    (`user_content_ref`); `--replay` reads only replies, so such a
+    transcript still replays.
     """
-    path = Path(path)
-    return list(_whole_requests(read_json_lines(path), PromptStore(path.parent)))
+    return list(_whole_requests(read_json_lines(path)))
 
 
-def _whole_requests(entries: Iterable[dict], store: PromptStore) -> Iterator[dict]:
+def _whole_requests(entries: Iterable[dict]) -> Iterator[dict]:
     """`read_transcript`'s decoder: each of the transcript `entries`, in
-    order, with its request made whole from the lines before it and the
-    contexts in `store`'s directory. Only the last request and the last
-    stored context read are kept."""
-    ref_read, text_read = None, ""
+    order, with its request made whole from the lines before it. Only
+    the last request and the last base context read are kept."""
+    base_sequence, base = None, ""
     previous: dict | None = None
     for entry in entries:
         request = entry["request"]
         sequence = entry.get("sequence")
-        ref = request.pop("user_content_ref", None)
+        if "user_content_ref" in request:
+            raise ValueError(
+                f"transcript line {sequence}: user_content_ref names a context "
+                f"stored in prompts/, a form this reader no longer reads"
+            )
+        named = request.pop("user_content_base", None)
         spans = request.pop("user_content_spans", None)
         carried = [
             key for key in ("system_prompt", "temperature", "max_output") if key not in request
         ]
-        copied = carried + (["user_content"] if ref is None and spans is not None else [])
+        copied = carried + (["user_content"] if spans is not None and named is None else [])
         if copied and previous is None:
             raise ValueError(
                 f"transcript line {sequence}: it copies {', '.join(copied)} from "
@@ -707,18 +685,18 @@ def _whole_requests(entries: Iterable[dict], store: PromptStore) -> Iterator[dic
             )
         for key in carried:
             request[key] = previous[key]
-        if ref is not None or spans is not None:
-            if ref is None:
-                text = previous["user_content"]
-            else:
-                if ref != ref_read:
-                    # bytes, not text mode, which would rewrite "\r\n"
-                    ref_read, text_read = ref, store.path(ref).read_bytes().decode("utf-8")
-                text = text_read
-            if spans is not None:
-                spans = _checked(spans, len(text), sequence)
-                text = "".join(text[start:end] for start, end in spans)
+        if spans is not None:
+            if named is not None and named != base_sequence:
+                raise ValueError(
+                    f"transcript line {sequence}: it copies base line {named}, and "
+                    f"the last base line before it is {base_sequence}"
+                )
+            text = previous["user_content"] if named is None else base
+            spans = _checked(spans, len(text), sequence)
+            text = "".join(text[start:end] for start, end in spans)
             request["user_content"] = text + request.pop("user_content_suffix")
+        elif len(request["user_content"]) >= INLINE_CONTEXT_CHARS:
+            base_sequence, base = sequence, request["user_content"]
         previous = request
         yield entry
 

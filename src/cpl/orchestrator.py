@@ -25,11 +25,10 @@ then each new entry appended and fsynced before its `theorem_added`
 event), `events.jsonl` (append-only, flushed per event),
 `transcript.jsonl` (every model exchange, read through
 `gateway.read_transcript`; each request line holds what differs from the
-line before: a system prompt, temperature or output cap only when it
-changes, and a short prompt as the start of the previous one plus its
-new text), `prompts/` (the long user contexts of the transcript, each
-stored once; a prompt past the context budget is most often copied from
-one of them as ranges, `user_content_spans`, plus its new text), and
+lines before: a system prompt, temperature or output cap only when it
+changes, a short prompt as the start of the previous one plus its new
+text, and a long one whole in its first line, then as ranges of that
+line plus new text), fsynced before each `loop_complete`, and
 `report.json` (the summary, written before the `run_complete` event that
 commits it). A fresh run removes
 the event log, the transcript and the report of an earlier run. A resume
@@ -383,7 +382,7 @@ def _run_loops(
     # that made calls before a fresh run starts its counts over. On a
     # resume the gateway serves the cut lines' replies while the redone
     # loop's requests match them; a fresh run has none to cut.
-    gateway.fast_forward(calls)
+    kept = gateway.fast_forward(calls)
     if config.resume:
         events.emit(
             "warning",
@@ -393,6 +392,16 @@ def _run_loops(
                 f"{'y' if rolled_back == 1 else 'ies'}"
             ),
         )
+        counted = sum(calls.values())
+        if kept is not None and kept < counted:
+            events.emit(
+                "warning",
+                message=(
+                    f"transcript.jsonl holds {kept} lines, fewer than the {counted} "
+                    f"model calls the committed loops count; --replay of this "
+                    f"directory will not reproduce the run"
+                ),
+            )
     run = _OpenRun(config, clock, gateway, session, events, library_path, provenance)
     loops = config.resolved_loops()
     for loop in range(completed + 1, loops + 1):
@@ -404,6 +413,8 @@ def _run_loops(
             gateway_calls=dict(gateway.calls_by_role),
         )
         library = step(run, loop, library)
+        # The lines a `loop_complete` counts outlast a power loss with it.
+        gateway.sync()
         events.emit(
             "loop_complete",
             loop=loop,

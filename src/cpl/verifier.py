@@ -19,7 +19,6 @@ configuration.
 from __future__ import annotations
 
 import contextlib
-import hashlib
 import json
 import logging
 import queue
@@ -110,6 +109,8 @@ def _timeout_diag(op: str, timeout: float, severity: str = "error") -> Diagnosti
 
 
 def proof_text_hash(text: str) -> str:
+    import hashlib  # here: only scripted fixture keys need it, and it loads OpenSSL
+
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 

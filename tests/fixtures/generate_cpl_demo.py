@@ -222,8 +222,6 @@ def write_transcript(replies: dict[str, list[str]]) -> None:
                 entry = json.loads(line)
                 entry["response"]["latency"] = 0.0
                 target.write(json.dumps(entry, ensure_ascii=False) + "\n")
-        if (Path(tmp) / "prompts").exists():  # contexts of 4096 chars or more
-            shutil.copytree(Path(tmp) / "prompts", responses / "prompts")
 
 
 if __name__ == "__main__":

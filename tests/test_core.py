@@ -1,9 +1,14 @@
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cpl
 from cpl.core import (
     _SORRY_TOKEN,
     ConjectureList,
@@ -633,3 +638,17 @@ def test_conjecture_list_rejects_duplicate_bodies():
     with pytest.raises(ValueError):
         items.add(stmt("theorem c : 1 = 1 := sorry"))
     assert len(items) == 1
+
+
+def test_importing_cpl_loads_no_hashing_module():
+    # `hashlib` loads OpenSSL's bindings, and only scripted fixture keys
+    # hash anything.
+    code = (
+        "import sys, cpl, cpl.cli; "
+        "print([m for m in ('hashlib', '_hashlib', 'secrets', 'hmac') if m in sys.modules])"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cpl.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert done.stdout == "[]\n"

@@ -1,8 +1,8 @@
 from __future__ import annotations
 
-import hashlib
 import io
 import json
+import os
 import random
 import sys
 import threading
@@ -312,12 +312,31 @@ def test_cut_lines_are_read_back_at_the_first_call_and_asked_again_if_they_do_no
         ReplayProvider({"prover": ["P0", "P1"]}), retry_cap=1, transcript_path=path
     )
     gateway.fast_forward({"prover": 1})
-    # The kept line's context goes after the resume and before the first
-    # call, so serving x1 would show a read made during the resume.
-    for blob in (tmp_path / "prompts").iterdir():
-        blob.unlink()
+    # The kept line turns into the older stored-context form after the
+    # resume and before the first call, so serving x1 would show a read
+    # made during the resume.
+    kept = json.loads(path.read_bytes())
+    kept["request"] = {"user_content_ref": "0" * 64, "user_content_suffix": ""}
+    path.write_text(json.dumps(kept) + "\n", encoding="utf-8")
     assert gateway.complete(request(user=long + " more")).text == "P1"
-    assert "recorded exchanges not reused" in caplog.text
+    assert "recorded exchanges not reused: transcript line 0: user_content_ref" in caplog.text
+
+
+def test_a_resumes_cut_of_the_transcript_is_fsynced(tmp_path, monkeypatch):
+    path = tmp_path / "transcript.jsonl"
+    gateway = Gateway(echo_provider([]), transcript_path=path, sleep=lambda s: None)
+    for text in ("first", "second"):
+        gateway.complete(request(user=text))
+    synced, real_fsync = [], os.fsync
+
+    def fsync(fd):
+        synced.append(os.fstat(fd).st_ino)
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    assert gateway.fast_forward({"prover": 1}) == 1
+    assert synced == [path.stat().st_ino]
+    assert [line["sequence"] for line in read_json_lines(path)] == [0]
 
 
 @pytest.mark.parametrize(
@@ -598,7 +617,8 @@ def test_read_transcript_returns_the_exact_user_content(tmp_path):
     contents = [e["request"]["user_content"] for e in entries]
     assert contents == ["old ∀ context\r\n"] + sent
     assert entries[0] == old_line
-    assert all("user_content_ref" not in e["request"] for e in entries)
+    whole = {"system_prompt", "user_content", "temperature", "max_output"}
+    assert all(e["request"].keys() == whole for e in entries)
     assert [e["response"]["text"] for e in entries[1:]] == [
         f"reply {i}" for i in range(1, len(sent) + 1)
     ]
@@ -609,13 +629,14 @@ def test_retries_and_grown_contexts_store_only_the_rest(tmp_path):
     gateway = Gateway(echo_provider([]), transcript_path=path, sleep=lambda s: None)
     sent = record_cases(gateway)
     raw = path.read_text(encoding="utf-8").split("\n")[:-1]
-    assert all(len(line) < len(CONTEXT) for line in raw)  # no line holds it
     lines = [json.loads(line) for line in raw]
-    first = lines[0]["request"]
-    assert first["user_content_suffix"] == ""
-    assert "user_content" not in first
+    # CONTEXT, TRUNCATED * 2 + "!" and NON_ASCII * 100 are written whole
+    assert base_lines(lines) == [0, 21, 22]
+    assert lines[0]["request"]["user_content"] == CONTEXT
+    assert all(len(line) < len(CONTEXT) for number, line in enumerate(raw) if number not in (0, 21))
     for line, text in zip(lines[1:20], sent[1:20]):
-        assert line["request"]["user_content_ref"] == first["user_content_ref"]
+        assert line["request"]["user_content_base"] == 0
+        assert line["request"]["user_content_spans"] == [[0, len(CONTEXT)]]
         assert line["request"]["user_content_suffix"] == text[len(CONTEXT) :]
     short, empty = (line["request"] for line in lines[-2:])
     # NON_ASCII copies the start of the NON_ASCII * 100 before it
@@ -623,33 +644,33 @@ def test_retries_and_grown_contexts_store_only_the_rest(tmp_path):
     assert short["user_content_suffix"] == ""
     assert empty["user_content"] == sent[-1]
     for line in lines[-2:]:
-        assert "user_content_ref" not in line["request"]
+        assert "user_content_base" not in line["request"]
 
 
-def test_each_distinct_context_is_written_once_under_its_sha256(
-    tmp_path, monkeypatch
+def base_lines(lines: list[dict]) -> list[int]:
+    """The sequences of the `lines` that hold a long context whole."""
+    return [
+        line["sequence"]
+        for line in lines
+        if len(line["request"].get("user_content", "")) >= INLINE_CONTEXT_CHARS
+    ]
+
+
+def test_each_base_is_written_whole_once_per_open_and_nothing_beside_the_transcript(
+    tmp_path,
 ):
-    import cpl.gateway
-
-    written = []
-
-    def spy(path, chunks, fsync=True):
-        written.append(path)
-        real_write(path, chunks, fsync)
-
-    real_write = cpl.gateway.write_atomically
-    monkeypatch.setattr(cpl.gateway, "write_atomically", spy)
     path = tmp_path / "transcript.jsonl"
-    for _ in range(2):  # a second gateway, as after a restart, finds the blobs
+    sent = []
+    for _ in range(2):  # a second gateway, as after a restart, knows no base
         gateway = Gateway(echo_provider([]), transcript_path=path, sleep=lambda s: None)
-        record_cases(gateway)
-    blobs = {p.name: p.read_bytes() for p in (tmp_path / "prompts").iterdir()}
-    assert sorted(written) == sorted(tmp_path / "prompts" / name for name in blobs)
-    for name, data in blobs.items():
-        assert name == hashlib.sha256(data).hexdigest() + ".txt"
-    expected = [CONTEXT, TRUNCATED * 2 + "!", NON_ASCII * 100]  # TRUNCATED: spans of CONTEXT
-    assert sorted(blobs.values()) == sorted(text.encode("utf-8") for text in expected)
-    assert len(read_transcript(path)) == 2 * len(store_cases())
+        sent += record_cases(gateway)
+    assert [p.name for p in tmp_path.iterdir()] == ["transcript.jsonl"]
+    lines = list(read_json_lines(path))
+    # TRUNCATED is spans of CONTEXT
+    expected = [CONTEXT, TRUNCATED * 2 + "!", NON_ASCII * 100]
+    assert [lines[n]["request"]["user_content"] for n in base_lines(lines)] == expected * 2
+    assert base_lines(lines) == [0, 21, 22, 25, 46, 47]
+    assert [e["request"]["user_content"] for e in read_transcript(path)] == sent
 
 
 def test_recording_through_the_store_replays(tmp_path):
@@ -658,8 +679,7 @@ def test_recording_through_the_store_replays(tmp_path):
     replay = Gateway(ReplayProvider.from_dir(tmp_path), sleep=lambda s: None)
     for number, (role, text) in enumerate(store_cases(), start=1):
         assert replay.complete(request(role=role, user=text)).text == f"reply {number}"
-    blob = hashlib.sha256(CONTEXT.encode("utf-8")).hexdigest() + ".txt"
-    assert (tmp_path / "prompts" / blob).exists()
+    assert [p.name for p in tmp_path.iterdir()] == ["transcript.jsonl"]
 
 
 # A library past the budget: the seed, then blocks of which a prompt keeps
@@ -690,14 +710,22 @@ def test_a_front_truncated_context_is_spliced_from_the_stored_one(tmp_path):
     stored, truncated = rendered(0), rendered(7, STUBS[:3])
     assert len(truncated) >= INLINE_CONTEXT_CHARS
     first, second = recorded_lines(tmp_path / "transcript.jsonl", [stored, truncated])
-    assert [p.read_bytes() for p in (tmp_path / "prompts").iterdir()] == [stored.encode("utf-8")]
+    assert first["request"]["user_content"] == stored
     request = second["request"]
-    assert request["user_content_ref"] == first["request"]["user_content_ref"]
+    assert request["user_content_base"] == first["sequence"]
     assert request["user_content_suffix"] == "".join("\n\n" + stub for stub in STUBS[:3])
     (head, head_end), (resume, end) = request["user_content_spans"]
     assert head == 0 and end == len(stored)
     assert stored[:head_end] + stored[resume:] == rendered(7)
     assert "user_content_spans" not in first["request"]
+
+
+def test_a_context_of_inline_context_chars_is_a_base_and_one_char_less_is_not(tmp_path):
+    below, at = "𝔽" * (INLINE_CONTEXT_CHARS - 1), "∀" * INLINE_CONTEXT_CHARS
+    lines = recorded_lines(tmp_path / "transcript.jsonl", [below, at, at + "\r\n retry"])
+    assert [line["request"].get("user_content") for line in lines[:2]] == [below, at]
+    assert base_lines(lines) == [1]
+    assert lines[2]["request"]["user_content_base"] == 1
 
 
 def test_each_retry_of_a_spliced_context_carries_only_its_own_feedback(tmp_path):
@@ -712,7 +740,8 @@ def test_each_retry_of_a_spliced_context_carries_only_its_own_feedback(tmp_path)
         tmp_path / "transcript.jsonl", [rendered(0), campaign, *retries], role="prover"
     )
     spliced = lines[1]["request"]
-    assert len(list((tmp_path / "prompts").iterdir())) == 1
+    assert base_lines(lines) == [0]
+    assert all("user_content" not in line["request"] for line in lines[1:])
     for line, retry in zip(lines[2:], retries):
         assert line["request"]["user_content_spans"] == spliced["user_content_spans"]
         assert line["request"]["user_content_suffix"] == (
@@ -720,11 +749,12 @@ def test_each_retry_of_a_spliced_context_carries_only_its_own_feedback(tmp_path)
         )
 
 
-def test_a_dropped_tail_or_long_new_text_is_stored_as_a_new_blob(tmp_path):
+def test_a_dropped_tail_or_long_new_text_is_written_whole_as_a_new_base(tmp_path):
     stored = rendered(0)
     kept = rendered(6)
     # New text one char short of INLINE_CONTEXT_CHARS is spliced; at that
-    # length, or with the stored context's tail dropped, it is stored.
+    # length, or with the base's tail dropped, it is written whole, and
+    # the retry after it copies it.
     longest = kept + "\n\n" + "∀" * (INLINE_CONTEXT_CHARS - 3)
     assert len(longest) - len(kept) == INLINE_CONTEXT_CHARS - 1
     for number, (text, spliced) in enumerate(
@@ -732,10 +762,11 @@ def test_a_dropped_tail_or_long_new_text_is_stored_as_a_new_blob(tmp_path):
     ):
         run_dir = tmp_path / str(number)
         run_dir.mkdir()
-        _, line = recorded_lines(run_dir / "transcript.jsonl", [stored, text])
-        assert ("user_content_spans" in line["request"]) == spliced
-        blobs = {p.read_bytes() for p in (run_dir / "prompts").iterdir()}
-        assert blobs == {t.encode("utf-8") for t in ([stored] if spliced else [stored, text])}
+        lines = recorded_lines(run_dir / "transcript.jsonl", [stored, text, text + "\r\nretry"])
+        assert ("user_content_spans" in lines[1]["request"]) == spliced
+        assert base_lines(lines) == ([0] if spliced else [0, 1])
+        assert lines[2]["request"]["user_content_base"] == (0 if spliced else 1)
+        assert [p.name for p in run_dir.iterdir()] == ["transcript.jsonl"]
 
 
 def random_contexts(rng: random.Random, count: int) -> list[str]:
@@ -772,14 +803,13 @@ def test_a_seeded_random_run_of_contexts_reads_back_exactly(tmp_path):
     assert [e["request"]["user_content"] for e in read_transcript(path)] == sent
     lines = list(read_json_lines(path))
     spliced = sum("user_content_spans" in line["request"] for line in lines)
-    blobs = len(list((tmp_path / "prompts").iterdir()))
-    assert spliced > len(lines) / 4 and blobs < len(set(sent)) / 2
+    assert spliced > len(lines) / 4 and len(base_lines(lines)) < len(set(sent)) / 2
 
 
 def test_spans_outside_their_stored_context_are_refused(tmp_path):
     path = tmp_path / "transcript.jsonl"
     recorded_lines(path, [rendered(0), rendered(3), rendered(4)])
-    good = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    good = [line + "\n" for line in path.read_text(encoding="utf-8").split("\n")[:-1]]
     size = len(rendered(0))
     for spans in (
         [[0, 40], [30, size]],  # overlapping
@@ -878,11 +908,11 @@ def test_a_seeded_run_of_short_and_long_requests_reads_back_exactly_across_a_cut
     lines = [line["request"] for line in read_json_lines(path)]
     for key in CARRIED_FIELDS:
         assert sum(key in line for line in lines) < len(lines) / 3
-    copies = [line for line in lines if "user_content_spans" in line and "user_content_ref" not in line]
+    copies = [line for line in lines if "user_content_spans" in line and "user_content_base" not in line]
     assert len(copies) > len(lines) / 4
     # each copies more of the context before it than it adds
     assert all(line["user_content_spans"][0][1] > len(line["user_content_suffix"]) for line in copies)
-    assert any("user_content_ref" in line for line in lines)
+    assert any("user_content_base" in line for line in lines)
     assert any("user_content" in line for line in lines)
 
 
@@ -936,57 +966,105 @@ def test_a_copy_with_nothing_before_it_or_past_what_it_copies_is_refused(tmp_pat
             read_transcript(path)
 
 
-def test_inline_and_stored_lines_in_the_older_forms_then_new_lines_read_back_exactly(tmp_path):
-    """Every line holds every field in the older forms: inline contexts,
-    and long contexts as a stored blob, its ranges and a suffix."""
+def test_inline_lines_in_the_older_form_read_back_and_stored_lines_are_refused(tmp_path):
+    """Lines in the oldest form hold every field inline and read as they
+    did, before new lines. A line that names a context stored in
+    `prompts/` is refused by its sequence, and its replies still replay."""
     path = tmp_path / "transcript.jsonl"
-    stored, spliced = rendered(0), rendered(7, STUBS[:2])
-    ref = hashlib.sha256(stored.encode("utf-8")).hexdigest()
-    (tmp_path / "prompts").mkdir()
-    (tmp_path / "prompts" / f"{ref}.txt").write_bytes(stored.encode("utf-8"))
-    head = len(LEAN_SEED) + 1
-    resume = stored.index(BLOCKS[7])
+    stored = rendered(0)
     older = [
-        ("prover", {"user_content": "old ∀ context\r\n"}, "old ∀ context\r\n"),
-        ("prover", {"user_content_ref": ref, "user_content_suffix": ""}, stored),
-        (
-            "conjecturer",
-            {
-                "user_content_ref": ref,
-                "user_content_spans": [[0, head], [resume, len(stored)]],
-                "user_content_suffix": spliced[head + len(stored) - resume :],
-            },
-            spliced,
-        ),
-        (
-            "prover",
-            {"user_content_ref": ref, "user_content_suffix": "\n\n𝔽\u2028"},
-            stored + "\n\n𝔽\u2028",
-        ),
+        ("prover", {"user_content": "old ∀ context\r\n"}),
+        ("conjecturer", {"user_content": stored}),
+        ("prover", {"user_content_ref": "ab" * 32, "user_content_suffix": "\n\n𝔽\u2028"}),
     ]
     lines = []
-    for sequence, (role, content, _) in enumerate(older):
+    for sequence, (role, content) in enumerate(older):
         fields = {
             "system_prompt": SYSTEMS[sequence % 2], **content, "temperature": 1.0, "max_output": 16384
         }
         line = {"sequence": sequence, "timestamp": None, "role_id": role, "request": fields,
-                "response": {"text": "r", "provider": "x", "latency": 0.0, "attempt": 1}, "error": None}
+                "response": {"text": f"r{sequence}", "provider": "x", "latency": 0.0, "attempt": 1},
+                "error": None}
         lines.append(json.dumps(line, ensure_ascii=False) + "\n")
-    path.write_text("".join(lines), encoding="utf-8")
+    path.write_text("".join(lines[:2]), encoding="utf-8")
     newer = [
-        request(user=older[-1][2][:100]),  # a short cut of the last older line
-        request(user=older[-1][2][:100] + "\r\n retry"),
-        request(user=spliced),
-        request(user=rendered(9)),
+        request(user=stored[:100]),  # a short cut of the last older line
+        request(user=stored[:100] + "\r\n retry"),
+        request(user=rendered(7, STUBS[:2])),
+        request(user=rendered(7, STUBS[:3])),
     ]
     gateway = Gateway(echo_provider([]), transcript_path=path, sleep=lambda s: None)
     for item in newer:
         gateway.complete(item)
     olders = [
-        as_read(ChatRequest(role, SYSTEMS[sequence % 2], text))
-        for sequence, (role, _, text) in enumerate(older)
+        as_read(ChatRequest(role, SYSTEMS[sequence % 2], content["user_content"]))
+        for sequence, (role, content) in enumerate(older[:2])
     ]
     assert read_requests(path) == olders + [as_read(item) for item in newer]
-    written = [line["request"] for line in read_json_lines(path)][len(older) :]
+    written = [line["request"] for line in read_json_lines(path)][2:]
     assert set(CARRIED_FIELDS) <= written[0].keys() and "user_content" in written[0]
     assert all(not set(CARRIED_FIELDS) & line.keys() for line in written[1:])
+    # The gateway knows no base in the lines it found, so it writes its own.
+    assert written[2]["user_content"] == rendered(7, STUBS[:2])
+    assert written[3]["user_content_base"] == 4
+
+    path.write_text("".join(lines), encoding="utf-8")
+    with pytest.raises(ValueError, match="transcript line 2: user_content_ref names a context"):
+        read_transcript(path)
+    replay = ReplayProvider.from_dir(tmp_path)
+    assert [replay.complete(request(role=role)) for role, _ in older] == ["r0", "r1", "r2"]
+
+
+def write_lines(path, lines: list[dict]) -> None:
+    path.write_text(
+        "".join(json.dumps(line, ensure_ascii=False) + "\n" for line in lines), encoding="utf-8"
+    )
+
+
+def test_a_copy_of_any_base_but_the_last_one_read_is_refused(tmp_path):
+    path = tmp_path / "transcript.jsonl"
+    # A base, a splice of it, a second base (the first one's tail
+    # dropped), and a splice of that.
+    contexts = [rendered(0), rendered(3), rendered(0, end=len(BLOCKS) - 2)]
+    lines = recorded_lines(path, [*contexts, rendered(3, end=len(BLOCKS) - 2)])
+    assert base_lines(lines) == [0, 2]
+    assert [line["request"].get("user_content_base") for line in lines] == [None, 0, None, 2]
+    for number, named, last in ((1, 2, 0), (3, 0, 2), (3, 1, 2), (1, 7, 0), (3, "2", 2)):
+        edited = json.loads(json.dumps(lines))
+        edited[number]["request"]["user_content_base"] = named
+        write_lines(path, edited)
+        with pytest.raises(
+            ValueError,
+            match=f"transcript line {number}: it copies base line {named}, and the last base line before it is {last}",
+        ):
+            read_transcript(path)
+    lines[0]["request"]["user_content"] = "short"  # no base line before line 1
+    write_lines(path, lines)
+    with pytest.raises(ValueError, match="transcript line 1: it copies base line 0, and the last base line before it is None"):
+        read_transcript(path)
+
+
+def test_a_resume_that_cuts_the_base_line_writes_the_next_long_context_whole_again(tmp_path):
+    path = tmp_path / "transcript.jsonl"
+    campaign = rendered(0)
+    retries = [campaign + f"\r\n\nretry {i} ∀" for i in range(3)]
+    gateway = Gateway(echo_provider([]), transcript_path=path, sleep=lambda s: None)
+    gateway.complete(request(role="conjecturer", user="short ∀ prompt"))
+    for text in [campaign, *retries[:2]]:
+        gateway.complete(request(user=text))
+    lines = list(read_json_lines(path))
+    assert [line["request"].get("user_content_base") for line in lines] == [None, None, 1, 1]
+    # The resume cuts the base line with the loop it belonged to; the
+    # redone loop's first call is served from the cut line.
+    assert gateway.fast_forward({"conjecturer": 1, "prover": 0}) == 1
+    for text in [campaign, retries[2]]:
+        gateway.complete(request(user=text))
+    lines = list(read_json_lines(path))
+    assert base_lines(lines) == [1]
+    assert lines[1]["request"]["user_content"] == campaign
+    assert lines[1]["response"]["reused"]
+    assert lines[2]["request"]["user_content_base"] == 1
+    assert [e["request"]["user_content"] for e in read_transcript(path)] == [
+        "short ∀ prompt", campaign, retries[2]
+    ]
+    assert [p.name for p in tmp_path.iterdir()] == ["transcript.jsonl"]

@@ -13,12 +13,14 @@ import pytest
 
 from cpl import orchestrator
 from cpl.core import (
+    JsonLinesLog,
     Library,
     ProofScript,
     TheoremStatement,
     dump_library,
     dump_tail,
     load_library,
+    read_json_lines,
     save_library,
 )
 from cpl.events import (
@@ -1378,8 +1380,12 @@ def test_a_run_past_its_budget_splices_its_prompts_and_reads_them_back(tmp_path)
     entries = read_transcript(out / "transcript.jsonl")
     assert [(e["role_id"], e["request"]["user_content"]) for e in entries] == received
     long_contexts = {text for _, text in received if len(text) >= INLINE_CONTEXT_CHARS}
-    blobs = list((out / "prompts").iterdir())
-    assert 0 < len(blobs) < len(long_contexts) / 4
+    bases = [
+        line for line in read_json_lines(out / "transcript.jsonl")
+        if len(line["request"].get("user_content", "")) >= INLINE_CONTEXT_CHARS
+    ]
+    assert 0 < len(bases) < len(long_contexts) / 4
+    assert not (out / "prompts").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -1636,10 +1642,101 @@ def test_a_resume_past_the_budget_serves_exchanges_whose_prompts_are_stored(tmp_
         start(out, kill_in_loop_eleven)
     killed = transcript_lines(out)
     committed = committed_calls(out)
-    assert any("user_content_ref" in line["request"] for line in killed[committed:])
+    assert any("user_content_base" in line["request"] for line in killed[committed:])
     asked = start(out, resume=True)
+    # The base lines the cut removed are written again, in the transcript.
+    assert not (out / "prompts").exists()
 
     assert (out / "library.lean").read_bytes() == (reference / "library.lean").read_bytes()
     assert transcript_requests(out) == transcript_requests(reference)
     assert len(asked) == total - len(killed)
     assert reused_flags(out) == [committed <= i < len(killed) for i in range(total)]
+
+
+# ---------------------------------------------------------------------------
+# The transcript outlasts a power loss as far as `loop_complete` counts it
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("mode", ["cpl", "simple_loop"])
+def test_the_transcript_is_fsynced_before_each_loop_complete(tmp_path, monkeypatch, mode):
+    writes = []
+    real_fsync, real_append = os.fsync, JsonLinesLog.append
+
+    def fsync(fd):
+        writes.append(("fsync", os.fstat(fd).st_ino))
+        real_fsync(fd)
+
+    def append(log, record):
+        real_append(log, record)
+        writes.append((log.path.name, record.get("kind"), log.path.stat().st_ino))
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(JsonLinesLog, "append", append)
+    if mode == "cpl":
+        out = tmp_path / "run"
+        run(demo_config(out))
+    else:
+        config = base_config(tmp_path, mode="simple_loop", loops=3, max_trials=2)
+        out = Path(config.output_dir)
+        replies = [full_decl(f"s{i}", i, "by rfl") for i in range(3)]
+        session = ScriptedVerifier(SEED, defaults={"verify_proof": "verified"})
+        gateway = Gateway(
+            ReplayProvider({"simple_loop": replies}),
+            sleep=lambda s: None,
+            transcript_path=out / "transcript.jsonl",
+        )
+        run_simple_loop(config, gateway=gateway, session=session)
+    transcript = (out / "transcript.jsonl").stat().st_ino
+    ends = [n for n, write in enumerate(writes) if write[:2] == ("events.jsonl", "loop_complete")]
+    assert len(ends) == 3
+    start = 0
+    for end in ends:
+        lines = [n for n in range(start, end) if writes[n][0] == "transcript.jsonl"]
+        synced = [n for n in range(start, end) if writes[n] == ("fsync", transcript)]
+        # The loop's last transcript line, then the fsync, then its end.
+        assert lines and synced and lines[-1] < synced[-1]
+        start = end
+
+
+def logged_warnings(out: Path) -> list[tuple[int, str]]:
+    return [
+        (e.sequence, e.payload["message"])
+        for e in read_events(out / "events.jsonl")
+        if e.kind == "warning"
+    ]
+
+
+def test_a_resume_over_a_short_transcript_warns_that_a_replay_will_not_reproduce_it(
+    tmp_path,
+):
+    reference, out = tmp_path / "ref", tmp_path / "out"
+    run_demo_uninterrupted(reference)
+    shutil.copytree(reference, out)
+    lines = (out / "events.jsonl").read_bytes().splitlines(keepends=True)
+    ends = [n for n, line in enumerate(lines) if json.loads(line)["kind"] == "loop_complete"]
+    (out / "events.jsonl").write_bytes(b"".join(lines[: ends[1] + 1]))
+    transcript = (out / "transcript.jsonl").read_bytes().splitlines(keepends=True)
+    (out / "transcript.jsonl").write_bytes(b"".join(transcript[:6]))
+    counted = sum(json.loads(lines[ends[1]])["payload"]["gateway_calls"].values())
+    assert counted == 9
+
+    config = demo_config(out)
+    config.resume = True
+    run(config)
+    warnings = logged_warnings(out)
+    resumed = next(
+        n for n, (_, message) in enumerate(warnings) if message.startswith("resumed at loop 3")
+    )
+    assert warnings[resumed + 1] == (
+        warnings[resumed][0] + 1,
+        "transcript.jsonl holds 6 lines, fewer than the 9 model calls the committed "
+        "loops count; --replay of this directory will not reproduce the run",
+    )
+    assert (out / "library.lean").read_bytes() == (reference / "library.lean").read_bytes()
+    # A transcript that holds every counted call gets no such warning.
+    shutil.rmtree(out)
+    shutil.copytree(reference, out)
+    (out / "events.jsonl").write_bytes(b"".join(lines[: ends[1] + 1]))
+    run(config)
+    assert not any("fewer than" in message for _, message in logged_warnings(out))
