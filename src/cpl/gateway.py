@@ -139,7 +139,8 @@ class HttpChatProvider:
             "temperature": request.temperature,
         }
         if request.max_output:
-            payload["max_tokens"] = request.max_output
+            # o-series models refuse `max_tokens`; every chat model takes this.
+            payload["max_completion_tokens"] = request.max_output
         data = json.dumps(payload).encode("utf-8")
         req = urllib.request.Request(
             self.endpoint,

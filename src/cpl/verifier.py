@@ -7,7 +7,8 @@ Two interchangeable session implementations:
   the seed file) per session. Each check is one command: the context
   after the seed (the library's own rendering, never a prompt), then the
   checked declaration. The session keeps the environment of each clean
-  check (VALID, VERIFIED), and a later check whose text extends that
+  check (VALID, VERIFIED) in a `_Remembered` record of its context, for
+  at most two contexts, and a later check whose text extends that
   check's text at a block start sends only the rest, on that environment.
 * `ScriptedVerifier` replays canned verdicts from a fixture map, making
   the whole pipeline deterministic and runnable offline.
@@ -26,7 +27,7 @@ import re
 import subprocess
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .core import ProofScript, TheoremStatement, normalize_statement
@@ -108,12 +109,6 @@ def _timeout_diag(op: str, timeout: float, severity: str = "error") -> Diagnosti
     )
 
 
-def proof_text_hash(text: str) -> str:
-    import hashlib  # here: only scripted fixture keys need it, and it loads OpenSSL
-
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
 def _normalize_key(body_text: str) -> str:
     return " ".join(body_text.split())
 
@@ -132,9 +127,9 @@ _OP_DEFAULT_VERDICTS = {
 class ScriptedVerifier:
     """Deterministic fixture-backed session for offline runs and tests.
 
-    Fixture keys are (operation, normalized statement body, proof text
-    hash); unknown keys fall back to a per-operation default verdict
-    and are logged as fixture misses.
+    Fixture keys are (operation, normalized statement body, proof text);
+    unknown keys fall back to a per-operation default verdict and are
+    logged as fixture misses.
     """
 
     def __init__(
@@ -174,8 +169,7 @@ class ScriptedVerifier:
             norm = normalize_statement(statement)
         else:
             norm = _normalize_key(statement)
-        digest = proof_text_hash(proof_text) if proof_text else ""
-        return (op, norm, digest)
+        return (op, norm, proof_text)
 
     @classmethod
     def from_file(cls, path: str | Path, seed_source: str) -> "ScriptedVerifier":
@@ -386,6 +380,29 @@ def _rebase(diags: list[Diagnostic], offset_lines: int) -> tuple[Diagnostic, ...
 _DECLARATION = re.compile(r"theorem\s")
 
 
+@dataclass(eq=False)
+class _Remembered:
+    """What a `LeanVerifier` session remembers of one context.
+
+    * `context`: the caller's string, kept without a copy; its tail (the
+      context after the seed, without the blank lines around it) is
+      `context[start:end]`;
+    * `prefixes`: (end, environment id, sorry-free) for environments
+      holding `context[start:end]`, in ascending order of `end`;
+    * `checks`: declaration -> (environment id, sorry-free) for clean
+      checks against this context;
+    * `newlines`: start -> the newlines in `context[start:end]`, the line
+      offset of a declaration sent after the tail from `start`.
+    """
+
+    context: str
+    start: int
+    end: int
+    prefixes: list[tuple[int, object, bool]] = field(default_factory=list)
+    checks: dict[str, tuple[object, bool]] = field(default_factory=dict)
+    newlines: dict[int, int] = field(default_factory=dict)
+
+
 class LeanVerifier:
     """Session over a live Lean REPL with a fixed base environment.
 
@@ -398,29 +415,18 @@ class LeanVerifier:
     a later check whose text extends it up to a block start sends only
     the rest, on that environment: still one request per check.
 
-    Remembered, for the last context checked (`_context`, the caller's
-    string, kept without a copy; its tail is `[_start:_end]`):
-
-    * `_prefixes`: (end, environment id, sorry-free) for environments
-      holding `_context[_start:end]`, in ascending order of `end`;
-    * `_checks`: declaration -> (environment id, sorry-free) for clean
-      checks against this context;
-    * `_newlines`: start -> the newlines in `_context[start:_end]`, the
-      line offset of a declaration sent after the tail from `start`.
-
-    The same is kept for one other context, `_other`, so two callers that
-    take turns do not make each other resend: a conjecture phase checks
-    against the library plus its accepted stubs while the campaigns that
-    run during it check against the library alone. A new context keeps
-    what it extends of the longer remembered context it starts with (else
-    of the last one) and drops the rest. It takes the place of the
-    context it builds on when it extends it, as a phase's context grows
-    by each accepted stub; otherwise it takes the place of the other
-    one. Proof checks
-    use sorry-free environments only, so the `sorries` a reply reports
-    cover everything the proof rests on. Any client error, and any error
-    reply (a top-level `message` and no `env`, as for an unknown
-    environment), forgets all and raises `VerifierTransportError`.
+    The session remembers at most two contexts in `_contexts`, one
+    `_Remembered` record each, the last one checked first. So two callers
+    that take turns do not make each other resend: a conjecture phase
+    checks against the library plus its accepted stubs while the
+    campaigns that run during it check against the library alone. A new
+    context's record takes the place of the one it builds on when it
+    extends it, as a phase's context grows by each accepted stub (see
+    `_advance`). Proof checks use sorry-free environments only, so the
+    `sorries` a reply reports cover everything the proof rests on. Any
+    client error, and any error reply (a top-level `message` and no
+    `env`, as for an unknown environment), forgets all and raises
+    `VerifierTransportError`.
     """
 
     def __init__(
@@ -455,115 +461,92 @@ class LeanVerifier:
         self._forget()
 
     def _forget(self) -> None:
-        self._context, self._start, self._end = "", 0, 0
-        self._prefixes: list[tuple[int, object, bool]] = []
-        self._checks: dict[str, tuple[object, bool]] = {}
-        self._newlines: dict[int, int] = {}
-        self._other: tuple | None = None  # the other context's six fields
+        self._contexts: list[_Remembered] = []
 
-    def _state(self) -> tuple:
-        return (
-            self._context,
-            self._start,
-            self._end,
-            self._prefixes,
-            self._checks,
-            self._newlines,
-        )
+    def _advance(self, context: str) -> _Remembered:
+        """Return the record of `context`, first in `_contexts`.
 
-    def _restore(self, state: tuple) -> None:
-        (
-            self._context,
-            self._start,
-            self._end,
-            self._prefixes,
-            self._checks,
-            self._newlines,
-        ) = state
-
-    def _tail_bounds(self, context: str) -> tuple[int, int]:
-        """Where the context's tail lies: after the seed, without the
-        blank lines around it (no copy of the tail is made)."""
+        A new context derives its record from the longest remembered
+        context it starts with, else from the last one checked: it keeps
+        each environment whose text the new tail starts with, when a
+        block starts (or the tail ends) right after it. The new record
+        takes the place of the one it derives from when it extends it;
+        otherwise it pushes the older record out.
+        """
+        for record in self._contexts:
+            if record.context is context:
+                self._contexts.remove(record)
+                self._contexts.insert(0, record)
+                return record
+        # The tail: after the seed, without the blank lines around it.
         start = len(self.seed_source) if context.startswith(self.seed_source) else 0
         end = len(context)
         while start < end and context[start] == "\n":
             start += 1
         while end > start and context[end - 1] == "\n":
             end -= 1
-        return start, end
+        current = _Remembered(context, start, end)
+        extended = [r for r in self._contexts if context.startswith(r.context)]
+        base = max(extended, key=lambda r: len(r.context), default=None)
+        if base is not None:
+            self._contexts.remove(base)
+        elif self._contexts:
+            base = self._contexts[0]
+            del self._contexts[1:]
+        self._contexts.insert(0, current)
+        if base is None:
+            return current
+        old, old_start, old_end = base.context, base.start, base.end
+        if context == old:
+            current.prefixes, current.checks = base.prefixes, base.checks
+            current.newlines = base.newlines
+            return current
 
-    def _advance(self, context: str, start: int, end: int) -> None:
-        """Make `context` the current one. Keep each environment whose text
-        the new tail starts with, when a block starts (or the tail ends)
-        right after it."""
-        if context is self._context:
-            return
-        current, other = self._state(), self._other
-        if other is not None and other[0] is context:
-            self._restore(other)
-            self._other = current
-            return
-        grows = context.startswith(current[0])
-        if (
-            other is not None
-            and (not grows or len(other[0]) > len(current[0]))
-            and context.startswith(other[0])
+        def block_starts(at: int) -> bool:
+            return at == end or (
+                context.startswith("\n\n", at)
+                and _DECLARATION.match(context, at + 2, end) is not None
+            )
+
+        # Positions carry over when both tails start at the same place.
+        aligned = start == old_start
+        kept = current.prefixes
+        shared = 0  # `context` and `old` agree on `[:shared]`
+        for held, env, sorry_free in reversed(base.prefixes if aligned else []):
+            if held <= shared or (held <= end and context.startswith(old[:held])):
+                shared = max(shared, held)
+                if block_starts(held):
+                    kept.append((held, env, sorry_free))
+        kept.reverse()
+        # A check against `old` holds its tail, a blank line and the
+        # declaration (just the declaration when the tail is empty).
+        if old_end == old_start:
+            at = start
+        elif (
+            aligned
+            and context.startswith(old[:old_end])
+            and context.startswith("\n\n", old_end)
         ):
-            self._restore(other)  # it builds on the other context
-            self._other = current
-        elif not grows:
-            self._other = current
-        old, old_start, old_end = self._context, self._start, self._end
-        if context != old:
-
-            def block_starts(at: int) -> bool:
-                return at == end or (
-                    context.startswith("\n\n", at)
-                    and _DECLARATION.match(context, at + 2, end) is not None
-                )
-
-            # Positions carry over when both tails start at the same place.
-            aligned = start == old_start
-            kept = []
-            shared = 0  # `context` and `old` agree on `[:shared]`
-            for held, env, sorry_free in reversed(self._prefixes if aligned else []):
-                if held <= shared or (
-                    held <= end and context.startswith(old[:held])
-                ):
-                    shared = max(shared, held)
-                    if block_starts(held):
-                        kept.append((held, env, sorry_free))
-            kept.reverse()
-            # A check against `old` holds its tail, a blank line and the
-            # declaration (just the declaration when the tail is empty).
-            if old_end == old_start:
-                at = start
-            elif (
-                aligned
-                and context.startswith(old[:old_end])
-                and context.startswith("\n\n", old_end)
-            ):
-                at = old_end + 2
-            else:
-                at = None
-            if at is not None:
-                for decl, (env, sorry_free) in self._checks.items():
-                    held = at + len(decl)
-                    if held <= end and context.startswith(decl, at) and block_starts(held):
-                        kept.append((held, env, sorry_free))
-                kept.sort(key=lambda item: item[0])
-            self._prefixes, self._checks, self._newlines = kept, {}, {}
-        self._context, self._start, self._end = context, start, end
+            at = old_end + 2
+        else:
+            at = None
+        if at is not None:
+            for decl, (env, sorry_free) in base.checks.items():
+                held = at + len(decl)
+                if held <= end and context.startswith(decl, at) and block_starts(held):
+                    kept.append((held, env, sorry_free))
+            kept.sort(key=lambda item: item[0])
+        return current
 
     def _submit(
         self, context: str, decl_text: str, timeout: float, proof: bool = False
     ) -> tuple:
         """Elaborate `decl_text` after `context`; returns (rebased
         diagnostics, sorry count, elapsed seconds, environment id)."""
-        start, end = self._tail_bounds(context)
-        self._advance(context, start, end)
+        current = self._advance(context)
+        start, end = current.start, current.end
         rest, env = start, self.base_environment
-        for held, candidate, sorry_free in reversed(self._prefixes):
+        for held, candidate, sorry_free in reversed(current.prefixes):
             if (sorry_free or not proof) and (
                 held < end or _DECLARATION.match(decl_text)
             ):
@@ -571,9 +554,9 @@ class LeanVerifier:
                 break
         if rest < end:
             snippet = "".join((context[rest:end], "\n\n", decl_text))
-            lines = self._newlines.get(rest)
+            lines = current.newlines.get(rest)
             if lines is None:
-                lines = self._newlines[rest] = context.count("\n", rest, end)
+                lines = current.newlines[rest] = context.count("\n", rest, end)
             offset = lines + 2
         else:
             snippet = decl_text
@@ -598,7 +581,7 @@ class LeanVerifier:
     def _remember(self, decl_text: str, env, sorry_free: bool = False) -> None:
         """Keep the environment of a clean check against the current context."""
         if env is not None:
-            self._checks[decl_text] = (env, sorry_free)
+            self._contexts[0].checks[decl_text] = (env, sorry_free)
 
     def check_validity(self, context: str, stmt: TheoremStatement) -> CheckResult:
         try:

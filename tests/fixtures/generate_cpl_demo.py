@@ -52,7 +52,9 @@ def body_of(source: str) -> str:
     return " ".join(stmt.body.split())
 
 
-def main() -> None:
+def main(demo: Path = DEMO) -> None:
+    """Write the fixtures into `demo`, which reads the seed from
+    `../seed.lean` beside it."""
     focused_decl = (HERE / "alpha_open_intersection.lean").read_text(
         encoding="utf-8"
     )
@@ -178,7 +180,8 @@ def main() -> None:
     )
     proof_check(s_inter, p_inter_good, "verified")
 
-    (DEMO / "verifier.json").write_text(
+    demo.mkdir(exist_ok=True)
+    (demo / "verifier.json").write_text(
         json.dumps({"checks": checks}, indent=2, ensure_ascii=False) + "\n",
         encoding="utf-8",
     )
@@ -195,20 +198,20 @@ def main() -> None:
         "verifier_fixtures": "verifier.json",
         "clock": "fixed",
     }
-    (DEMO / "config.json").write_text(
+    (demo / "config.json").write_text(
         json.dumps(config, indent=2) + "\n", encoding="utf-8"
     )
-    write_transcript({"conjecturer": conjecturer, "prover": prover})
-    print(f"wrote fixtures under {DEMO}")
+    write_transcript({"conjecturer": conjecturer, "prover": prover}, demo)
+    print(f"wrote fixtures under {demo}")
 
 
-def write_transcript(replies: dict[str, list[str]]) -> None:
+def write_transcript(replies: dict[str, list[str]], demo: Path) -> None:
     """Run the demo on `replies` and keep its transcript as the fixture."""
-    responses = DEMO / "responses"
+    responses = demo / "responses"
     shutil.rmtree(responses, ignore_errors=True)
     responses.mkdir()
     with tempfile.TemporaryDirectory() as tmp:
-        config = RunConfig.from_file(DEMO / "config.json")
+        config = RunConfig.from_file(demo / "config.json")
         config.output_dir = tmp
         transcript = Path(tmp) / "transcript.jsonl"
         gateway = Gateway(

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from cpl import cli
-from cpl.core import Library, ProofScript, TheoremStatement, save_library
+from cpl.core import Library, ProofScript, TheoremStatement, read_json_lines, save_library
 from cpl.events import read_events
 from cpl.gateway import read_transcript
 
@@ -337,11 +337,9 @@ def test_eval_commands_continue_a_run_directorys_numbering(tmp_path):
     assert cli.main(nl_args) == 0
 
     for name in ("events.jsonl", "transcript.jsonl"):
-        lines = (out / name).read_text(encoding="utf-8").splitlines()
-        sequences = [json.loads(line)["sequence"] for line in lines]
+        sequences = [line["sequence"] for line in read_json_lines(out / name)]
         assert sequences == list(range(len(sequences))), name
-    transcript = (out / "transcript.jsonl").read_text(encoding="utf-8")
-    assert len(transcript.splitlines()) == 13 + 4 + 2
+    assert len(list(read_json_lines(out / "transcript.jsonl"))) == 13 + 4 + 2
 
 
 def test_an_eval_command_after_a_kill_cuts_torn_lines_and_continues(tmp_path):

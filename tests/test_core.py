@@ -652,3 +652,20 @@ def test_importing_cpl_loads_no_hashing_module():
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     )
     assert done.stdout == "[]\n"
+
+
+def test_the_demo_run_loads_no_hashing_module(tmp_path, fixtures_dir):
+    # Scripted fixtures are keyed by the proof text itself, so nothing in a
+    # run hashes.
+    config = fixtures_dir / "cpl_demo" / "config.json"
+    code = (
+        "import sys, cpl.cli; "
+        f"assert cpl.cli.main(['run', '--config', {str(config)!r}, '--out', {str(tmp_path)!r}]) == 0; "
+        "print([m for m in ('hashlib', '_hashlib', 'secrets', 'hmac') if m in sys.modules])"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cpl.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert done.stdout.endswith("[]\n")
+    assert (tmp_path / "library.lean").exists()

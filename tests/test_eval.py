@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from cpl.core import Library, ProofScript, TheoremStatement
+from cpl.core import Library, ProofScript, TheoremStatement, read_json_lines
 from cpl.evalharness import (
     DEFAULT_FOCUSED_REPETITIONS,
     DEFAULT_NL_REPETITIONS,
@@ -314,8 +314,7 @@ def test_nl_regrade_appends_audit_trail_latest_wins(tmp_path):
     assert report["categories"]["gap"] == 1
     assert report["categories"]["correctly_proven"] == 0
     # both grades stay on disk
-    lines = (tmp_path / "grades.jsonl").read_text(encoding="utf-8").splitlines()
-    assert len(lines) == 2
+    assert len(list(read_json_lines(tmp_path / "grades.jsonl"))) == 2
 
 
 def test_nl_unknown_response_id_rejected(tmp_path):
@@ -419,8 +418,7 @@ def test_a_grade_torn_by_a_kill_is_cut_before_the_next_grade(tmp_path):
     assert report["pending"] == [ids[1]]
     assert report["categories"]["gap"] == 1
     grade_response(tmp_path, ids[1], "correctly_proven", grader="b")
-    lines = grades.read_text(encoding="utf-8").splitlines()
-    assert [json.loads(line)["response_id"] for line in lines] == ids
+    assert [grade["response_id"] for grade in read_json_lines(grades)] == ids
     assert nl_report(tmp_path)["categories"] == {
         "correctly_proven": 1,
         "gap": 1,

@@ -45,7 +45,7 @@ def test_listener_called_after_write(tmp_path):
 
     def listener(event):
         # the event is already on disk when the listener runs
-        on_disk = path.read_text(encoding="utf-8").splitlines()
+        on_disk = list(read_json_lines(path))
         seen.append((event.sequence, len(on_disk)))
 
     with EventLog(path, clock=FixedClock(), listener=listener) as log:
@@ -357,7 +357,8 @@ def test_event_lines_are_plain_json(tmp_path):
     path = tmp_path / "e.jsonl"
     with EventLog(path, clock=SystemClock()) as log:
         log.emit("phase_start", loop=1, phase="conjecture")
-    (line,) = path.read_text(encoding="utf-8").splitlines()
+    line, rest = path.read_text(encoding="utf-8").split("\n")
+    assert rest == ""
     data = json.loads(line)
     assert data["kind"] == "phase_start"
     assert data["payload"]["loop"] == 1

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import io
 import json
 import os
@@ -153,8 +154,8 @@ def test_a_transcript_with_a_torn_last_line_replays(tmp_path):
     with pytest.raises(FixtureExhaustedError):
         replay.complete(request())
 
-    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
-    path.write_text(lines[0] + '{"sequence": 1, "ro\n' + lines[1], encoding="utf-8")
+    lines = path.read_bytes().splitlines(keepends=True)
+    path.write_bytes(lines[0] + b'{"sequence": 1, "ro\n' + lines[1])
     for read in (read_transcript, lambda p: ReplayProvider.from_dir(p.parent)):
         with pytest.raises(ValueError):  # a torn line that is not the last
             read(path)
@@ -499,7 +500,12 @@ def test_http_provider_payload_and_parse(monkeypatch):
     }
     assert captured["payload"]["messages"][1] == {"role": "user", "content": "ctx"}
     assert captured["payload"]["temperature"] == 1.0
+    assert captured["payload"]["max_completion_tokens"] == request().max_output
+    assert "max_tokens" not in captured["payload"]
     assert captured["auth"] == "Bearer secret-key"
+    provider.complete(dataclasses.replace(request(user="ctx"), max_output=0))
+    assert "max_completion_tokens" not in captured["payload"]
+    assert "max_tokens" not in captured["payload"]
 
 
 def test_http_provider_missing_credential_is_fatal(monkeypatch):
@@ -947,7 +953,7 @@ def test_a_copy_with_nothing_before_it_or_past_what_it_copies_is_refused(tmp_pat
     gateway = Gateway(echo_provider([]), transcript_path=path, sleep=lambda s: None)
     for text in ("∀ 𝔽 context\r\n", "∀ 𝔽 context\r\n and more"):
         gateway.complete(request(user=text))
-    full, copy = (json.loads(line) for line in path.read_text(encoding="utf-8").splitlines())
+    full, copy = read_json_lines(path)
     assert copy["request"]["user_content_spans"] == [[0, len("∀ 𝔽 context\r\n")]]
     full_copying = json.loads(json.dumps(full))
     full_copying["request"]["user_content_spans"] = [[0, 3]]

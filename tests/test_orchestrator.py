@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import importlib.util
 import json
 import os
 import shutil
@@ -390,6 +391,24 @@ def run_demo_uninterrupted(out_dir: Path):
     return run(demo_config(out_dir))
 
 
+def test_the_tracked_demo_fixtures_are_what_their_generator_writes(tmp_path):
+    path = FIXTURES / "generate_cpl_demo.py"
+    spec = importlib.util.spec_from_file_location("generate_cpl_demo", path)
+    generator = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(generator)
+    shutil.copy(FIXTURES / "seed.lean", tmp_path / "seed.lean")
+    generator.main(tmp_path / "cpl_demo")
+    for name in ("config.json", "verifier.json"):
+        written = (tmp_path / "cpl_demo" / name).read_bytes()
+        assert written == (FIXTURES / "cpl_demo" / name).read_bytes(), name
+
+    def exchanges(responses: Path) -> list:
+        entries = read_transcript(responses / "transcript.jsonl")
+        return [(e["role_id"], e["request"], e["response"]) for e in entries]
+
+    assert exchanges(tmp_path / "cpl_demo" / "responses") == exchanges(DEMO_RESPONSES)
+
+
 def test_resume_after_interrupt_matches_uninterrupted(tmp_path):
     reference = run_demo_uninterrupted(tmp_path / "ref")
     reference_bytes = (tmp_path / "ref" / "library.lean").read_bytes()
@@ -546,14 +565,14 @@ def test_resume_continues_transcript_sequence_numbers(tmp_path):
     with pytest.raises(SimulatedCrash):
         run(demo_config(crash_dir), listener=listener)
     transcript = crash_dir / "transcript.jsonl"
-    before = len(transcript.read_text(encoding="utf-8").splitlines())
+    before = len(transcript_sequences(crash_dir))
 
     config = demo_config(crash_dir)
     config.resume = True
     run(config)
-    lines = transcript.read_text(encoding="utf-8").splitlines()
-    assert len(lines) > before
-    assert [json.loads(line)["sequence"] for line in lines] == list(range(len(lines)))
+    sequences = transcript_sequences(crash_dir)
+    assert len(sequences) > before
+    assert sequences == list(range(len(sequences)))
 
 
 def replay_demo(source: Path, out: Path, reference: Path) -> None:
@@ -596,9 +615,9 @@ def test_resumed_recorded_run_keeps_only_committed_exchanges_and_replays(
     config.resume = True
     run(config)
 
-    lines = (crash_dir / "transcript.jsonl").read_text(encoding="utf-8").splitlines()
-    assert len(lines) == len(expected) == 13
-    assert [json.loads(line)["sequence"] for line in lines] == list(range(13))
+    sequences = transcript_sequences(crash_dir)
+    assert len(sequences) == len(expected) == 13
+    assert sequences == list(range(13))
     entries = read_transcript(crash_dir / "transcript.jsonl")
     assert [e["request"] for e in entries] == [e["request"] for e in expected]
     # The redone loop's exchanges the kill left whole were served from the
@@ -767,11 +786,7 @@ def test_prover_calls_match_transcript_and_attempts(tmp_path):
     run(demo_config(out))
     events = read_events(out / "events.jsonl")
     attempt_events = [e for e in events if e.kind == "proof_attempt"]
-    transcript_lines = [
-        json.loads(line)
-        for line in (out / "transcript.jsonl").read_text().splitlines()
-    ]
-    prover_calls = [t for t in transcript_lines if t["role_id"] == "prover"]
+    prover_calls = [t for t in transcript_lines(out) if t["role_id"] == "prover"]
     assert len(prover_calls) == len(attempt_events)
     # Every library entry corresponds to a verified attempt earlier in the log.
     verified_names = {
@@ -854,8 +869,7 @@ def run_report(out: Path) -> dict:
 
 
 def transcript_sequences(out: Path) -> list[int]:
-    lines = (out / "transcript.jsonl").read_text(encoding="utf-8").splitlines()
-    return [json.loads(line)["sequence"] for line in lines]
+    return [line["sequence"] for line in read_json_lines(out / "transcript.jsonl")]
 
 
 def resume_notes(out: Path) -> list[str]:
@@ -1107,12 +1121,12 @@ def short_transcript(out: Path, role: str, keep: int) -> Path:
     out.mkdir()
     seen = 0
     with open(out / "transcript.jsonl", "w", encoding="utf-8") as handle:
-        for line in (DEMO_RESPONSES / "transcript.jsonl").read_text("utf-8").splitlines():
-            if json.loads(line)["role_id"] == role:
+        for line in read_json_lines(DEMO_RESPONSES / "transcript.jsonl"):
+            if line["role_id"] == role:
                 seen += 1
                 if seen > keep:
                     continue
-            handle.write(line + "\n")
+            handle.write(json.dumps(line, ensure_ascii=False) + "\n")
     return out
 
 
@@ -1398,7 +1412,31 @@ def transcript_lines(out: Path) -> list[dict]:
     path = out / "transcript.jsonl"
     if not path.exists():
         return []
-    return [json.loads(line) for line in path.read_text("utf-8").splitlines()]
+    return list(read_json_lines(path))
+
+
+def test_transcript_helpers_read_lines_that_hold_unicode_line_breaks(tmp_path):
+    # Transcript lines hold U+2028, U+2029 and U+0085 raw; `str.splitlines`
+    # breaks a line at each of them, a reader of JSON lines must not.
+    breaks = "\u2028 \u2029 \u0085"
+    seed = tmp_path / "seed.lean"
+    text = (FIXTURES / "seed.lean").read_text(encoding="utf-8")
+    seed.write_text(text + "\n/- " + breaks + " -/\n", encoding="utf-8")
+    recorded, replayed = tmp_path / "recorded", tmp_path / "replayed"
+    for out, replay_dir in ((recorded, None), (replayed, recorded)):
+        config = demo_config(out)
+        config.seed_path = str(seed)
+        if replay_dir is not None:
+            config.replay_dir = str(replay_dir)
+        run(config)
+    text = (recorded / "transcript.jsonl").read_text(encoding="utf-8")
+    assert len(text.splitlines()) > text.count("\n") == 13
+    assert (replayed / "library.lean").read_bytes() == (recorded / "library.lean").read_bytes()
+    assert transcript_requests(replayed) == transcript_requests(recorded)
+    assert all(breaks in request["user_content"] for _, request in transcript_requests(recorded))
+    for out in (recorded, replayed):
+        sequences = [line["sequence"] for line in transcript_lines(out)]
+        assert sequences == transcript_sequences(out) == list(range(13))
 
 
 def reused_flags(out: Path) -> list[bool]:

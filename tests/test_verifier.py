@@ -754,8 +754,9 @@ def test_client_failure_forgets_every_environment(failure):
     ]
     _, repl, session = assert_matches_reference(steps, raising={2: failure})
     assert [env for env, _, _ in repl.sent] == [0, 1, 1, 0]
-    assert session._prefixes == []
-    assert session._checks == {c.source_text: (repl.sent[-1][2], False)}
+    [remembered] = session._contexts
+    assert remembered.prefixes == []
+    assert remembered.checks == {c.source_text: (repl.sent[-1][2], False)}
 
 
 def test_a_declaration_extended_within_its_block_is_not_reused():
@@ -849,7 +850,9 @@ def test_remembered_environments_stay_bounded_over_unrelated_contexts():
         context = SEED + "\n" + entry.render_with_proof(ProofScript("by rfl"))
         session.check_validity(context, statement(f"s{i}", f"({i} : ℕ) = {i}"))
         session.verify_proof(context, statement(f"t{i}"), ProofScript("by rfl"))
-        assert len(session._prefixes) + len(session._checks) <= 2
+        remembered = session._contexts
+        assert len(remembered) <= 2
+        assert sum(len(r.prefixes) + len(r.checks) for r in remembered) <= 4
     assert len(repl.sent) == 2000
 
 
