@@ -7,6 +7,7 @@ Subcommands: `run` (pipeline or baseline), `reprove-all`,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from pathlib import Path
@@ -82,18 +83,19 @@ def _cmd_reprove_all(args) -> int:
     out, gateway, session, events = _build_eval_context(
         args, config, library.seed_source
     )
-    report = evalharness.reprove_all(
-        library,
-        mode=args.reprove_mode,
-        session=session,
-        gateway=gateway,
-        max_trials=config.max_trials,
-        prompt_variant=config.prompt_variant,
-        context_budget=config.context_budget,
-        temperature=config.temperature,
-        max_output=config.max_output,
-        events=events,
-    )
+    with contextlib.closing(session):
+        report = evalharness.reprove_all(
+            library,
+            mode=args.reprove_mode,
+            session=session,
+            gateway=gateway,
+            max_trials=config.max_trials,
+            prompt_variant=config.prompt_variant,
+            context_budget=config.context_budget,
+            temperature=config.temperature,
+            max_output=config.max_output,
+            events=events,
+        )
     path = out / f"reprove_{args.reprove_mode}.json"
     write_json(path, report.to_dict())
     print(
@@ -125,19 +127,20 @@ def _cmd_reprove_focused(args) -> int:
     out, gateway, session, events = _build_eval_context(
         args, config, library.seed_source
     )
-    report = evalharness.reprove_focused(
-        statement,
-        library,
-        session=session,
-        gateway=gateway,
-        n=args.n,
-        max_trials=config.max_trials,
-        prompt_variant=config.prompt_variant,
-        context_budget=config.context_budget,
-        temperature=config.temperature,
-        max_output=config.max_output,
-        events=events,
-    )
+    with contextlib.closing(session):
+        report = evalharness.reprove_focused(
+            statement,
+            library,
+            session=session,
+            gateway=gateway,
+            n=args.n,
+            max_trials=config.max_trials,
+            prompt_variant=config.prompt_variant,
+            context_budget=config.context_budget,
+            temperature=config.temperature,
+            max_output=config.max_output,
+            events=events,
+        )
     path = out / "reprove_focused.json"
     write_json(path, report.to_dict())
     print(

@@ -785,12 +785,9 @@ def library_blocks(text: str) -> list[tuple[re.Match, str]]:
     return [(m, text[m.end() : end].strip()) for m, end in zip(markers, ends)]
 
 
-def load_library(text_or_path: str | Path, from_path: bool = True) -> Library:
+def load_library(path: str | Path) -> Library:
     """Parse a library file back into a Library value."""
-    if from_path:
-        text = Path(text_or_path).read_text(encoding="utf-8")
-    else:
-        text = str(text_or_path)
+    text = Path(path).read_text(encoding="utf-8")
     blocks = library_blocks(text)
     if not blocks:
         return Library(seed_source=text)

@@ -372,74 +372,82 @@ def _run_loops(
 
     if gateway is None:
         gateway = build_gateway(config, out, clock)
-    if session is None:
+    # A session this run opens, it closes; one passed in stays open.
+    owned = session is None
+    if owned:
         session = build_verifier(config, seed)
-    # A fresh run has removed the log and a resume has cut it: it is not
-    # read again.
-    log = JsonLinesLog(events_path, sequence)
-    events = EventLog(log, clock=clock, listener=listener)
-    # Also cuts the transcript to the committed loops' calls, so a gateway
-    # that made calls before a fresh run starts its counts over. On a
-    # resume the gateway serves the cut lines' replies while the redone
-    # loop's requests match them; a fresh run has none to cut.
-    kept = gateway.fast_forward(calls)
-    if config.resume:
-        events.emit(
-            "warning",
-            message=(
-                f"resumed at loop {completed + 1}; rolled back "
-                f"{rolled_back} uncommitted entr"
-                f"{'y' if rolled_back == 1 else 'ies'}"
-            ),
-        )
-        counted = sum(calls.values())
-        if kept is not None and kept < counted:
+    try:
+        # A fresh run has removed the log and a resume has cut it: it is not
+        # read again.
+        log = JsonLinesLog(events_path, sequence)
+        events = EventLog(log, clock=clock, listener=listener)
+        # Also cuts the transcript to the committed loops' calls, so a gateway
+        # that made calls before a fresh run starts its counts over. On a
+        # resume the gateway serves the cut lines' replies while the redone
+        # loop's requests match them; a fresh run has none to cut.
+        kept = gateway.fast_forward(calls)
+        if config.resume:
             events.emit(
                 "warning",
                 message=(
-                    f"transcript.jsonl holds {kept} lines, fewer than the {counted} "
-                    f"model calls the committed loops count; --replay of this "
-                    f"directory will not reproduce the run"
+                    f"resumed at loop {completed + 1}; rolled back "
+                    f"{rolled_back} uncommitted entr"
+                    f"{'y' if rolled_back == 1 else 'ies'}"
                 ),
             )
-    run = _OpenRun(config, clock, gateway, session, events, library_path, provenance)
-    loops = config.resolved_loops()
-    for loop in range(completed + 1, loops + 1):
+            counted = sum(calls.values())
+            if kept is not None and kept < counted:
+                events.emit(
+                    "warning",
+                    message=(
+                        f"transcript.jsonl holds {kept} lines, fewer than the "
+                        f"{counted} model calls the committed loops count; "
+                        f"--replay of this directory will not reproduce the run"
+                    ),
+                )
+        run = _OpenRun(
+            config, clock, gateway, session, events, library_path, provenance
+        )
+        loops = config.resolved_loops()
+        for loop in range(completed + 1, loops + 1):
+            events.emit(
+                "phase_start",
+                loop=loop,
+                phase=phase,
+                library_size=len(library),
+                gateway_calls=dict(gateway.calls_by_role),
+            )
+            library = step(run, loop, library)
+            # The lines a `loop_complete` counts outlast a power loss with it.
+            gateway.sync()
+            events.emit(
+                "loop_complete",
+                loop=loop,
+                library_size=len(library),
+                gateway_calls=dict(gateway.calls_by_role),
+            )
+        # Before `run_complete`, which commits it: a resume after that
+        # event does nothing.
+        write_json(
+            out / "report.json",
+            {
+                "mode": config.mode,
+                "loops": loops,
+                "library_entries": len(library),
+                "gateway_calls": dict(gateway.calls_by_role),
+                "config": config.public_dict(),
+            },
+        )
         events.emit(
-            "phase_start",
-            loop=loop,
-            phase=phase,
+            "run_complete",
+            loops=loops,
             library_size=len(library),
             gateway_calls=dict(gateway.calls_by_role),
         )
-        library = step(run, loop, library)
-        # The lines a `loop_complete` counts outlast a power loss with it.
-        gateway.sync()
-        events.emit(
-            "loop_complete",
-            loop=loop,
-            library_size=len(library),
-            gateway_calls=dict(gateway.calls_by_role),
-        )
-    # Before `run_complete`, which commits it: a resume after that
-    # event does nothing.
-    write_json(
-        out / "report.json",
-        {
-            "mode": config.mode,
-            "loops": loops,
-            "library_entries": len(library),
-            "gateway_calls": dict(gateway.calls_by_role),
-            "config": config.public_dict(),
-        },
-    )
-    events.emit(
-        "run_complete",
-        loops=loops,
-        library_size=len(library),
-        gateway_calls=dict(gateway.calls_by_role),
-    )
-    return library
+        return library
+    finally:
+        if owned:
+            session.close()
 
 
 class _Stopped(Exception):

@@ -3,8 +3,10 @@
 Two interchangeable session implementations:
 
 * `LeanVerifier` drives a real Lean REPL child process speaking JSON
-  over stdin/stdout, with one expensive base environment (Mathlib plus
-  the seed file) per session. Each check is one command: the context
+  over stdin/stdout through `LeanReplClient` (POSIX only), which reads
+  each reply on the calling thread and kills the REPL's whole process
+  group on a timeout. A session has one expensive base environment
+  (Mathlib plus the seed file). Each check is one command: the context
   after the seed (the library's own rendering, never a prompt), then the
   checked declaration. The session keeps the environment of each clean
   check (VALID, VERIFIED) in a `_Remembered` record of its context, for
@@ -22,10 +24,11 @@ from __future__ import annotations
 import contextlib
 import json
 import logging
-import queue
+import os
 import re
+import select
+import signal
 import subprocess
-import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -245,12 +248,16 @@ class ScriptedVerifier:
 
 
 class LeanReplClient:
-    """Minimal client for the Lean REPL wire protocol.
+    """Minimal client for the Lean REPL wire protocol (POSIX only).
 
     One request at a time: a JSON object (``{"cmd": ..., "env": ...}``)
-    followed by a blank line; the response is a JSON object (possibly
-    pretty-printed over several lines) terminated by a blank line.
-    Unknown response fields are ignored.
+    followed by a blank line; the reply is a JSON object (possibly
+    pretty-printed over several lines) ended by a blank line. Unknown
+    reply fields are ignored. `run` reads the reply on the calling thread
+    and keeps the bytes after it for the next call. The REPL runs in a
+    process group of its own, so a timeout, a transport error or `close`
+    kills it and anything it started (`lake env` runs `repl` as its
+    child), reaps it and closes both pipes; later calls are refused.
     """
 
     def __init__(self, command: list[str], cwd: str | None = None):
@@ -261,80 +268,62 @@ class LeanReplClient:
                 stdin=subprocess.PIPE,
                 stdout=subprocess.PIPE,
                 stderr=subprocess.DEVNULL,
-                text=True,
-                encoding="utf-8",
-                bufsize=1,
+                start_new_session=True,
             )
         except OSError as exc:
             raise VerifierTransportError(f"cannot start verifier: {exc}") from exc
-        self._lines: queue.Queue[str | None] = queue.Queue()
-        self._dead = False
-        self._reader = threading.Thread(target=self._pump, daemon=True)
-        self._reader.start()
-
-    def _pump(self) -> None:
-        assert self._proc.stdout is not None
-        for line in self._proc.stdout:
-            self._lines.put(line.rstrip("\n"))
-        self._lines.put(None)
+        self._ready = select.poll()  # not select(), which refuses fds past 1023
+        self._ready.register(self._proc.stdout, select.POLLIN)
+        self._pending = b""  # read past the last reply, leading whitespace dropped
 
     def run(self, payload: dict, timeout: float) -> dict:
-        if self._dead:
+        if self._proc.returncode is not None:
             raise VerifierTransportError("verifier process is no longer usable")
-        assert self._proc.stdin is not None
+        request = json.dumps(payload, ensure_ascii=False) + "\n\n"
         try:
-            self._proc.stdin.write(json.dumps(payload, ensure_ascii=False) + "\n\n")
+            self._proc.stdin.write(request.encode("utf-8"))
             self._proc.stdin.flush()
-        except (BrokenPipeError, OSError) as exc:
-            self._dead = True
+        except OSError as exc:
+            self.close()
             raise VerifierTransportError(f"verifier pipe closed: {exc}") from exc
         deadline = time.monotonic() + timeout
-        chunks: list[str] = []
-        while True:
+        searched = 0  # the reply's end, a blank line, starts here or later
+        while (end := _BLANK_LINE.search(self._pending, searched)) is None:
             remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                self._kill()
-                raise VerifierTimeoutError(
-                    f"no response within {timeout:.0f}s"
-                )
-            try:
-                line = self._lines.get(timeout=min(remaining, 0.25))
-            except queue.Empty:
-                continue
-            if line is None:
-                self._dead = True
+            if remaining <= 0 or not self._ready.poll(remaining * 1000):
+                self.close()
+                raise VerifierTimeoutError(f"no response within {timeout:.0f}s")
+            chunk = os.read(self._proc.stdout.fileno(), 1 << 16)
+            if not chunk:
+                self.close()
                 raise VerifierTransportError("verifier process exited")
-            if line.strip() == "":
-                if chunks:
-                    break
-                continue
-            chunks.append(line)
-        text = "\n".join(chunks)
+            last = self._pending.rfind(b"\n", searched)
+            searched = last if last >= 0 else len(self._pending)
+            self._pending += chunk if self._pending else chunk.lstrip()
+        reply = self._pending[: end.start()]
+        self._pending = self._pending[end.end() :].lstrip()
         try:
-            return json.loads(text)
-        except json.JSONDecodeError as exc:
-            self._dead = True
+            return json.loads(reply.decode("utf-8"))
+        except ValueError as exc:  # not UTF-8, or not JSON
+            self.close()
             raise VerifierTransportError(
-                f"malformed verifier response: {text[:200]!r}"
+                f"malformed verifier response: {reply[:200]!r}"
             ) from exc
 
-    def _kill(self) -> None:
-        """Kill the process, reap it, and close both pipes."""
-        self._dead = True
-        with contextlib.suppress(OSError):
-            self._proc.kill()
-        self._proc.wait()
-        with contextlib.suppress(OSError):
-            self._proc.stdin.close()
-        # The process's end of stdout is gone, so the reader stops, unless
-        # a child of the process still holds it: closing the pipe under a
-        # blocked reader would block too, so it is then left open.
-        self._reader.join(timeout=1.0)
-        if not self._reader.is_alive():
-            self._proc.stdout.close()
-
     def close(self) -> None:
-        self._kill()
+        """Kill the REPL's process group, reap the REPL, close both pipes."""
+        if self._proc.returncode is None:
+            # Until it is reaped, the REPL holds its group id from reuse.
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(self._proc.pid, signal.SIGKILL)
+            self._proc.wait()
+        with contextlib.suppress(OSError):  # flushing into a closed pipe
+            self._proc.stdin.close()
+        self._proc.stdout.close()
+
+
+# A reply ends at its first blank line; it starts with a non-blank one.
+_BLANK_LINE = re.compile(rb"\n[ \t\r]*\n")
 
 
 def _parse_messages(response: dict) -> list[Diagnostic]:
@@ -448,15 +437,21 @@ class LeanVerifier:
             base_cmd = "import Mathlib\n\n" + seed_source
         try:
             response = self._client.run({"cmd": base_cmd}, timeout=startup_timeout)
+            diags = _parse_messages(response)
+            errors = tuple(d for d in diags if d.severity == "error")
+            if errors:
+                raise VerifierStartupError("seed failed to elaborate", errors)
+            if response.get("env") is None:
+                # Without it every check would start from an empty environment.
+                raise VerifierStartupError(
+                    "seed elaboration returned no environment id"
+                )
         except VerifierTimeoutError as exc:
+            self._client.close()
             raise VerifierStartupError(f"seed elaboration timed out: {exc}") from exc
-        diags = _parse_messages(response)
-        errors = tuple(d for d in diags if d.severity == "error")
-        if errors:
-            raise VerifierStartupError("seed failed to elaborate", errors)
-        if response.get("env") is None:
-            # Without it every check would start from an empty environment.
-            raise VerifierStartupError("seed elaboration returned no environment id")
+        except BaseException:
+            self._client.close()
+            raise
         self.base_environment = response["env"]
         self._forget()
 

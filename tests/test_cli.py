@@ -233,6 +233,28 @@ def test_reprove_focused_via_cli(tmp_path):
     assert report["mode"] == "focused[1 entries]"
 
 
+@pytest.mark.parametrize("command", ["reprove-all", "reprove-focused"])
+def test_eval_commands_close_their_lean_session(
+    tmp_path, fake_repl_cmd, repl_gone, command
+):
+    library_path = tmp_path / "library.lean"
+    small_library(library_path)
+    pid_file = tmp_path / "repl.pid"
+    config = tmp_path / "config.json"
+    lean_command = fake_repl_cmd + ["--pid-file", str(pid_file)]
+    config.write_text(json.dumps({"lean_command": lean_command}), encoding="utf-8")
+    replay = tmp_path / "replay"
+    write_replay(replay, "prover", ["by rfl", "by rfl"])
+    args = [command, "--config", str(config), "--library", str(library_path)]
+    args += ["--replay", str(replay), "--verifier", "lean", "--max-trials", "1"]
+    if command == "reprove-focused":
+        statement = tmp_path / "statement.lean"
+        statement.write_text("theorem focus : 9 = 9 := sorry\n", encoding="utf-8")
+        args += ["--statement", str(statement), "--n", "1"]
+    assert cli.main(args + ["--out", str(tmp_path / "out")]) == 0
+    assert repl_gone(pid_file)
+
+
 def test_nl_workflow_via_cli(tmp_path, capsys):
     replay = tmp_path / "replay"
     write_replay(replay, "nl_prover", ["False", "Here is a proof sketch..."])

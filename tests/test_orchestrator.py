@@ -1163,6 +1163,24 @@ def test_a_run_that_runs_out_of_replies_leaves_the_files_and_error_of_a_serial_r
     assert role != "prover" or provers == [("prover", False)]
 
 
+@pytest.mark.parametrize("short", [False, True])
+def test_a_run_closes_the_lean_session_it_opened(
+    tmp_path, fake_repl_cmd, repl_gone, short
+):
+    pid_file = tmp_path / "repl.pid"
+    config = demo_config(tmp_path / "out")
+    config.verifier_backend = "lean"
+    config.lean_command = fake_repl_cmd + ["--pid-file", str(pid_file)]
+    if short:
+        config.replay_dir = str(short_transcript(tmp_path / "short", "prover", 0))
+        with pytest.raises(FixtureExhaustedError):
+            run(config)
+    else:
+        # The fake REPL finds every check clean.
+        assert len(run(config)) == 6
+    assert repl_gone(pid_file)
+
+
 # ---------------------------------------------------------------------------
 # report.json describes the run in its directory
 # ---------------------------------------------------------------------------

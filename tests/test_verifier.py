@@ -3,8 +3,6 @@ from __future__ import annotations
 import json
 import random
 import re
-import sys
-import textwrap
 import time
 
 import pytest
@@ -993,37 +991,6 @@ def test_past_the_budget_checks_see_the_entries_the_prompt_dropped(tmp_path):
 # Wire protocol against a fake REPL child process
 # ---------------------------------------------------------------------------
 
-FAKE_REPL = textwrap.dedent(
-    """
-    import json, sys, time
-
-    for line in sys.stdin:
-        line = line.strip()
-        if not line:
-            continue
-        request = json.loads(line)
-        cmd = request.get("cmd", "")
-        if "SLEEP" in cmd:
-            time.sleep(30)
-        response = {"env": request.get("env", -1) + 1, "messages": [], "extra": 1}
-        if "BAD" in cmd:
-            response["messages"] = [
-                {"severity": "error", "pos": {"line": 1, "column": 0},
-                 "data": "boom", "endPos": None}
-            ]
-        sys.stdout.write(json.dumps(response, indent=2) + "\\n\\n")
-        sys.stdout.flush()
-    """
-)
-
-
-@pytest.fixture()
-def fake_repl_cmd(tmp_path):
-    script = tmp_path / "fake_repl.py"
-    script.write_text(FAKE_REPL, encoding="utf-8")
-    return [sys.executable, str(script)]
-
-
 def test_client_roundtrip_with_pretty_printed_response(fake_repl_cmd):
     client = LeanReplClient(fake_repl_cmd)
     try:
@@ -1053,6 +1020,94 @@ def test_full_session_over_fake_process(fake_repl_cmd):
         assert result.verdict == "valid"
     finally:
         session.close()
+
+
+def test_client_reads_a_reply_written_one_byte_at_a_time(fake_repl_cmd):
+    client = LeanReplClient(fake_repl_cmd + ["--bytewise"])
+    try:
+        for env in range(3):
+            response = client.run({"cmd": "x", "env": env - 1}, timeout=10)
+            assert response == {"env": env, "messages": [], "extra": 1}
+    finally:
+        client.close()
+
+
+def test_client_skips_blank_lines_before_a_reply_and_reads_crlf(fake_repl_cmd):
+    client = LeanReplClient(fake_repl_cmd)
+    try:
+        assert client.run({"cmd": "CRLF"}, timeout=10)["env"] == 0
+        assert client.run({"cmd": "CRLF", "env": 0}, timeout=10)["env"] == 1
+        assert client.run({"cmd": "x", "env": 1}, timeout=10)["env"] == 2
+    finally:
+        client.close()
+
+
+@pytest.mark.parametrize(
+    "cmd, error",
+    [
+        ("HALF", "exited"),  # EOF in the middle of a reply
+        ("MALFORMED", "malformed"),
+        ("LATIN1", "malformed"),  # not UTF-8
+    ],
+)
+def test_a_broken_reply_ends_the_client(fake_repl_cmd, cmd, error):
+    client = LeanReplClient(fake_repl_cmd)
+    try:
+        with pytest.raises(VerifierTransportError, match=error):
+            client.run({"cmd": cmd}, timeout=10)
+        assert client._proc.returncode is not None
+        assert client._proc.stdin.closed and client._proc.stdout.closed
+        with pytest.raises(VerifierTransportError, match="no longer usable"):
+            client.run({"cmd": "x"}, timeout=10)
+    finally:
+        client.close()
+
+
+def test_a_timeout_kills_the_repl_behind_a_launcher(fake_repl_cmd, repl_gone, tmp_path):
+    # `lake env repl` runs the REPL as the launcher's child.
+    pid_file = tmp_path / "repl.pid"
+    client = LeanReplClient(
+        fake_repl_cmd + ["--launcher", "--pid-file", str(pid_file)]
+    )
+    try:
+        assert client.run({"cmd": "import Mathlib"}, timeout=10)["env"] == 0
+        started = time.monotonic()
+        with pytest.raises(VerifierTimeoutError):
+            client.run({"cmd": "SLEEP"}, timeout=0.5)
+        assert time.monotonic() - started < 1.0
+        assert client._proc.returncode is not None  # the launcher is reaped
+        assert client._proc.stdin.closed and client._proc.stdout.closed
+        assert repl_gone(pid_file)
+    finally:
+        client.close()
+
+
+def test_a_session_that_fails_to_start_leaves_no_repl(
+    fake_repl_cmd, repl_gone, tmp_path
+):
+    pid_file = tmp_path / "repl.pid"
+    with pytest.raises(VerifierStartupError, match="seed failed"):
+        LeanVerifier(
+            "def BAD := 1\n",
+            command=fake_repl_cmd + ["--pid-file", str(pid_file)],
+            startup_timeout=10,
+        )
+    assert repl_gone(pid_file)
+
+
+@pytest.mark.parametrize(
+    "reply",
+    [
+        VerifierTimeoutError("no response within 1s"),
+        {"env": 0, "messages": [{"severity": "error", "data": "unexpected"}]},
+        {"messages": []},  # no env id
+    ],
+)
+def test_every_startup_error_closes_the_client(reply):
+    client = FakeClient([reply])
+    with pytest.raises(VerifierStartupError):
+        LeanVerifier("import Mathlib\n", command=[], client=client)
+    assert client.closed
 
 
 def test_open_session_unknown_backend(seed_source):
