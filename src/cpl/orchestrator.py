@@ -9,16 +9,18 @@ step and emit `loop_complete`, then write `report.json` and emit
 A `cpl` loop's prover campaigns all prove against the library as the
 loop found it, so one helper thread runs them while the conjecture phase
 waits on the model, and the main thread runs those still pending when
-the phase ends (`_cpl_loop`). Only one thread at a time runs cpl code
-outside a model wait. The helper writes nothing: its transcript lines and
-events are staged, holding at most `max_trials` prompts per campaign,
-and the main thread writes them after the `prove` phase_start, in
-conjecture order, with their `theorem_added` appends. So `library.lean`,
-`events.jsonl` and the transcript, but for its latencies and timestamps,
-are those of running the campaigns one after the other, and `--replay`
-keeps each role's order. Staged events and lines carry the time they are
-written, not the time they happened, and a live run's transcript shows
-the helper's exchanges at the end of the phase they overlapped.
+the phase ends (`_cpl_loop`). One lock, let go only inside a model
+exchange (`_Campaigns.waiting`), keeps cpl code on one thread, so the
+session, the library and the logs need no lock of their own. The helper
+writes nothing: its transcript lines and events are staged, holding at
+most `max_trials` prompts per campaign, and the main thread writes them
+after the `prove` phase_start, in conjecture order, with their
+`theorem_added` appends. So `library.lean`, `events.jsonl` and the
+transcript, but for its latencies and timestamps, are those of running
+the campaigns one after the other, and `--replay` keeps each role's
+order. Staged events and lines carry the time they are written, not the
+time they happened, and a live run's transcript shows the helper's
+exchanges at the end of the phase they overlapped.
 
 A run directory holds `library.lean` (written atomically at the start,
 then each new entry appended and fsynced before its `theorem_added`
@@ -454,94 +456,22 @@ class _Stopped(Exception):
     """Unwinds a helper campaign whose loop failed."""
 
 
-class _Turn:
-    """Which of a loop's two threads may run cpl code, and the accepted
-    conjectures waiting for a campaign.
-
-    The main thread holds the turn except while it is lent, for each of
-    its model exchanges (`lent`) and for good once the phase is over
-    (`close`). It takes the turn back only once the helper has given it
-    up. The helper starts a campaign (`next`) only while the turn is lent
-    and not closed, gives the turn up for each of its own exchanges
-    (`give`) and waits for it again after them (`take`). So at most one
-    thread runs cpl code outside a model wait, and the session, the
-    library and the logs need no lock.
-    """
-
-    def __init__(self):
-        self._changed = threading.Condition()
-        self._lent = False  # the main thread is in a model exchange, or joining
-        self._held = False  # the helper runs cpl code
-        self._closed = False  # start no campaign
-        self._stopped = False  # unwind the running campaign at its next turn
-        self._pending: deque = deque()
-
-    # On the main thread.
-
-    def queue(self, stmt) -> None:
-        with self._changed:
-            self._pending.append(stmt)
-
-    @contextmanager
-    def lent(self):
-        with self._changed:
-            self._lent = True
-            self._changed.notify_all()
-        try:
-            yield
-        finally:
-            with self._changed:
-                self._lent = False
-                self._changed.wait_for(lambda: not self._held)
-
-    def close(self, stop: bool) -> None:
-        with self._changed:
-            self._lent = self._closed = True
-            self._stopped = stop
-            self._changed.notify_all()
-
-    # On the helper thread.
-
-    def next(self):
-        """Give the turn up, then wait for it to start the next campaign;
-        its conjecture, or None once closed."""
-        with self._changed:
-            self._held = False
-            self._changed.notify_all()
-            self._changed.wait_for(lambda: self._closed or (self._lent and self._pending))
-            if self._closed:
-                return None
-            self._held = True
-            return self._pending.popleft()
-
-    def give(self) -> None:
-        with self._changed:
-            self._held = False
-            self._changed.notify_all()
-
-    def take(self) -> None:
-        with self._changed:
-            self._changed.wait_for(lambda: self._lent)
-            if self._stopped:
-                raise _Stopped()
-            self._held = True
-
-
 class _Staged:
     """A helper campaign's gateway and event log: it runs each exchange
-    with the turn given up and keeps each exchange and event, in order,
-    for `commit` to write. It holds at most `max_trials` prompts."""
+    with the lock let go and keeps each exchange and event, in order, for
+    `commit` to write. It holds at most `max_trials` prompts."""
 
-    def __init__(self, turn: _Turn, gateway: Gateway):
-        self._turn, self._gateway = turn, gateway
+    def __init__(self, campaigns: "_Campaigns", gateway: Gateway):
+        self._campaigns, self._gateway = campaigns, gateway
         self._items: list = []  # `Exchange`s and (kind, payload) pairs
         self.outcome = None
         self.error: Exception | None = None
 
     def complete(self, request: ChatRequest):
-        self._turn.give()
-        exchange = self._gateway.exchange(request)
-        self._turn.take()
+        with self._campaigns.waiting():
+            exchange = self._gateway.exchange(request)
+        if self._campaigns.stopped:
+            raise _Stopped()
         self._items.append(exchange)
         return exchange.reply()
 
@@ -565,21 +495,48 @@ class _Staged:
 
 class _Campaigns:
     """A loop's prover campaigns, run on one helper thread while the
-    conjecture phase waits on the model (see `_Turn`).
+    conjecture phase waits on the model.
 
-    `complete` is the phase's gateway: each exchange lends the helper the
-    turn. `accept` queues a conjecture and starts the helper. `close`
-    lends the turn for good, so the helper finishes its campaign, or with
-    `stop` unwinds it at its next turn, and joins it. Campaigns still
-    queued then run on the main thread. The helper's campaigns write
-    nothing: `ran` holds them staged, in conjecture order.
+    The main thread takes the lock here; a thread lets it go only inside
+    `waiting`, around a model exchange. The helper holds it from taking a
+    queued campaign, which it does only while the main thread's exchange
+    runs, to its next exchange. `close` lets it go for good, so the helper
+    finishes its campaign, or with `stop` unwinds it once its exchange
+    returns, and joins it. Campaigns still queued then run on the main
+    thread. The helper writes nothing: `ran` holds its campaigns staged,
+    in conjecture order.
     """
 
     def __init__(self, run: _OpenRun, loop: int, snapshot: Library):
         self._run, self._loop, self._snapshot = run, loop, snapshot
-        self._turn = _Turn()
+        self._lock = threading.Condition(threading.Lock())
+        # Set by `_take`, cleared by `_give`: `close` reads it to tell
+        # whether the main thread holds the lock.
+        self._holder: threading.Thread | None = None
+        self._closed = False  # start no campaign
+        self._exchanging = False  # the main thread's exchange runs
+        self.stopped = False  # unwind the running campaign when its exchange returns
+        self._pending: deque = deque()
         self._thread: threading.Thread | None = None
         self.ran: list[_Staged] = []
+        self._take()
+
+    def _take(self) -> None:
+        self._lock.acquire()
+        self._holder = threading.current_thread()
+
+    def _give(self) -> None:
+        self._holder = None
+        self._lock.release()
+
+    @contextmanager
+    def waiting(self):
+        """Let the lock go for a model exchange, and take it back after."""
+        self._give()
+        try:
+            yield
+        finally:
+            self._take()
 
     def prove(self, stmt, gateway, events):
         """One campaign against the loop-start library."""
@@ -599,7 +556,7 @@ class _Campaigns:
         )
 
     def accept(self, stmt) -> None:
-        self._turn.queue(stmt)
+        self._pending.append(stmt)
         if self._thread is None:
             # A daemon: a helper that was never joined does not keep the
             # process alive.
@@ -608,49 +565,57 @@ class _Campaigns:
             self._thread = thread
 
     def complete(self, request: ChatRequest):
-        """The phase's call: its exchange with the turn lent, then its record."""
+        """The phase's call: its exchange with the lock let go, then its record."""
         gateway = self._run.gateway
-        with self._turn.lent():
+        # The helper may start a campaign while the exchange runs, not once
+        # it returns: this thread would then wait on that campaign.
+        self._exchanging = True
+        self._lock.notify()
+        with self.waiting():
             exchange = gateway.exchange(request)
+            self._exchanging = False
         gateway.record(exchange)
         return exchange.reply()
 
     def close(self, stop: bool = False) -> None:
-        self._turn.close(stop)
+        # An interrupt in `waiting` can leave the main thread without the
+        # lock, maybe while the helper holds it: take it, never release it.
+        if self._holder is not threading.current_thread():
+            self._take()
+        self._closed, self.stopped = True, stop
+        self._lock.notify_all()
+        self._give()
         if self._thread is not None:
             self._thread.join()
 
     def _work(self) -> None:
-        turn = self._turn
-        try:
-            while (stmt := turn.next()) is not None:
-                staged = _Staged(turn, self._run.gateway)
+        with self._lock:
+            while True:
+                self._lock.wait_for(
+                    lambda: self._closed or (self._exchanging and self._pending)
+                )
+                if self._closed:
+                    return
+                staged = _Staged(self, self._run.gateway)
                 self.ran.append(staged)
                 try:
-                    staged.outcome = self.prove(stmt, staged, staged)
-                except _Stopped:
-                    return
-                except Exception as exc:  # raised by `commit`, on the main thread
+                    staged.outcome = self.prove(self._pending.popleft(), staged, staged)
+                except Exception as exc:  # raised by `commit`, unless stopped
                     staged.error = exc
                     return
-        finally:
-            turn.give()
 
 
 def _cpl_loop(run: _OpenRun, loop: int, library: Library) -> Library:
     """One loop of the pipeline: the conjecture phase, then one prover
-    campaign per accepted conjecture.
-
-    Every campaign proves against the library as it stood when the loop
-    began, so the campaigns depend neither on each other nor on the rest
-    of the phase. A helper thread runs them during the phase's model
-    waits (`_Campaigns`). After the `prove` phase_start the main thread
-    commits the helper's campaigns in conjecture order, their events
-    stamped at commit time, and runs the rest itself, writing as it goes.
-    The library, the event log and the transcript (but for latencies and
-    timestamps) are those of running every campaign after the phase.
-    Successes land in the library (and on disk) at once but only enter
-    contexts next loop.
+    campaign per accepted conjecture, each against the library as the loop
+    began, so they depend neither on each other nor on the rest of the
+    phase. A helper thread runs them during the phase's model waits
+    (`_Campaigns`); one lock, let go only inside `waiting`, keeps cpl code
+    on one thread. After the `prove` phase_start the main thread commits
+    the helper's campaigns in conjecture order and runs the rest itself,
+    so the files are a serial run's (see the module docstring). Successes
+    land in the library (and on disk) at once but only enter contexts next
+    loop.
     """
     config = run.config
     campaigns = _Campaigns(run, loop, library)

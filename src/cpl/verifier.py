@@ -108,7 +108,7 @@ def _timeout_diag(op: str, timeout: float, severity: str = "error") -> Diagnosti
         severity=severity,
         line=1,
         column=0,
-        message=f"{op} timed out after {timeout:.0f}s",
+        message=f"{op} timed out after {timeout:g}s",
     )
 
 
@@ -253,8 +253,9 @@ class LeanReplClient:
     One request at a time: a JSON object (``{"cmd": ..., "env": ...}``)
     followed by a blank line; the reply is a JSON object (possibly
     pretty-printed over several lines) ended by a blank line. Unknown
-    reply fields are ignored. `run` reads the reply on the calling thread
-    and keeps the bytes after it for the next call. The REPL runs in a
+    reply fields are ignored. `run` writes the request and reads the reply
+    on the calling thread, both under the request's deadline, and keeps
+    the bytes after the reply for the next call. The REPL runs in a
     process group of its own, so a timeout, a transport error or `close`
     kills it and anything it started (`lake env` runs `repl` as its
     child), reaps it and closes both pipes; later calls are refused.
@@ -272,27 +273,31 @@ class LeanReplClient:
             )
         except OSError as exc:
             raise VerifierTransportError(f"cannot start verifier: {exc}") from exc
-        self._ready = select.poll()  # not select(), which refuses fds past 1023
+        # A REPL that stops reading must not block a write past its deadline.
+        os.set_blocking(self._proc.stdin.fileno(), False)
+        # poll, not select(), which refuses fds past 1023.
+        self._writable = select.poll()
+        self._writable.register(self._proc.stdin, select.POLLOUT)
+        self._ready = select.poll()
         self._ready.register(self._proc.stdout, select.POLLIN)
         self._pending = b""  # read past the last reply, leading whitespace dropped
 
     def run(self, payload: dict, timeout: float) -> dict:
         if self._proc.returncode is not None:
             raise VerifierTransportError("verifier process is no longer usable")
-        request = json.dumps(payload, ensure_ascii=False) + "\n\n"
-        try:
-            self._proc.stdin.write(request.encode("utf-8"))
-            self._proc.stdin.flush()
-        except OSError as exc:
-            self.close()
-            raise VerifierTransportError(f"verifier pipe closed: {exc}") from exc
         deadline = time.monotonic() + timeout
+        text = json.dumps(payload, ensure_ascii=False) + "\n\n"
+        request, written = memoryview(text.encode("utf-8")), 0
+        while written < len(request):
+            self._wait(self._writable, deadline, timeout)
+            try:
+                written += os.write(self._proc.stdin.fileno(), request[written:])
+            except OSError as exc:
+                self.close()
+                raise VerifierTransportError(f"verifier pipe closed: {exc}") from exc
         searched = 0  # the reply's end, a blank line, starts here or later
         while (end := _BLANK_LINE.search(self._pending, searched)) is None:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0 or not self._ready.poll(remaining * 1000):
-                self.close()
-                raise VerifierTimeoutError(f"no response within {timeout:.0f}s")
+            self._wait(self._ready, deadline, timeout)
             chunk = os.read(self._proc.stdout.fileno(), 1 << 16)
             if not chunk:
                 self.close()
@@ -309,6 +314,14 @@ class LeanReplClient:
             raise VerifierTransportError(
                 f"malformed verifier response: {reply[:200]!r}"
             ) from exc
+
+    def _wait(self, poller, deadline: float, timeout: float) -> None:
+        """Wait until the pipe `poller` watches is ready; past the deadline,
+        kill the REPL and raise."""
+        remaining = deadline - time.monotonic()
+        if remaining <= 0 or not poller.poll(remaining * 1000):
+            self.close()
+            raise VerifierTimeoutError(f"no response within {timeout:g}s")
 
     def close(self) -> None:
         """Kill the REPL's process group, reap the REPL, close both pipes."""

@@ -1163,6 +1163,67 @@ def test_a_run_that_runs_out_of_replies_leaves_the_files_and_error_of_a_serial_r
     assert role != "prover" or provers == [("prover", False)]
 
 
+class Interrupted(BaseException):
+    """Stands for a KeyboardInterrupt."""
+
+
+def test_an_interrupt_while_the_helper_holds_the_lock_still_stops_and_joins_it(
+    tmp_path, monkeypatch
+):
+    out = tmp_path / "out"
+    config = demo_config(out)
+    # The helper runs two campaigns during the second conjecturer call.
+    gateway = slow_gateway(DEMO_RESPONSES, out, conjecturer=0.05, prover=0.001)
+    seed = Path(config.seed_path).read_text(encoding="utf-8")
+    session = orchestrator.build_verifier(config, seed)
+    checking, interrupted = threading.Event(), threading.Event()
+    verify_proof = session.verify_proof
+
+    def helper_holds_the_lock(context, stmt, proof):
+        # The helper's first check of the campaign that takes two trials
+        # waits for the interrupt, holding the lock.
+        if threading.current_thread() is not threading.main_thread():
+            if stmt.name == "alphaOpen_univ" and not checking.is_set():
+                checking.set()
+                assert interrupted.wait(10)
+        return verify_proof(context, stmt, proof)
+
+    session.verify_proof = helper_holds_the_lock
+    take = orchestrator._Campaigns._take
+    seen = []
+
+    def interrupt_the_first_retake_after_the_helper_starts(self):
+        if threading.current_thread() is threading.main_thread():
+            if self._thread is not None and not interrupted.is_set():
+                assert checking.wait(10)
+                seen.append(self)
+                interrupted.set()
+                raise Interrupted()
+        take(self)
+
+    monkeypatch.setattr(
+        orchestrator._Campaigns, "_take", interrupt_the_first_retake_after_the_helper_starts
+    )
+    threads = threading.active_count()
+    with pytest.raises(Interrupted):
+        run(config, gateway=gateway, session=session)
+    assert threading.active_count() == threads
+    (campaigns,) = seen
+    assert campaigns.stopped
+    # The helper finished its first campaign. The second one's next
+    # exchange let the lock go to `close`, and it unwound when that returned.
+    first, second = campaigns.ran
+    assert first.outcome.status == "verified"
+    assert second.outcome is None and isinstance(second.error, orchestrator._Stopped)
+    assert [call for call in gateway.provider.calls if call[0] == "prover"] == [
+        ("prover", False)
+    ] * 3
+    # Nothing the helper staged is written.
+    kinds = [event.kind for event in read_events(out / "events.jsonl")]
+    assert kinds == ["phase_start", "conjecture_accepted", "conjecture_accepted"]
+    assert [role for role, _ in transcript_requests(out)] == ["conjecturer"]
+
+
 @pytest.mark.parametrize("short", [False, True])
 def test_a_run_closes_the_lean_session_it_opened(
     tmp_path, fake_repl_cmd, repl_gone, short

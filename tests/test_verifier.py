@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import random
 import re
+import sys
 import time
 
 import pytest
@@ -303,7 +304,7 @@ def test_validity_timeout_is_conservative_invalid():
     session, _ = make_session(seed, [VerifierTimeoutError("slow")])
     result = session.check_validity(seed, STMT)
     assert result.verdict == "invalid"
-    assert "timed out" in result.errors()[0].message
+    assert result.errors()[0].message == "validity check timed out after 120s"
 
 
 def test_novelty_try_this_means_known():
@@ -352,9 +353,12 @@ def test_novelty_failure_means_novel():
 def test_novelty_timeout_keeps_the_conjecture():
     seed = "import Mathlib\n"
     session, _ = make_session(seed, [VerifierTimeoutError("deep search")])
+    session.novelty_timeout = 0.3
     result = session.check_novelty(seed, STMT)
     assert result.verdict == "novel"
     assert any(d.severity == "warning" for d in result.diagnostics)
+    # A sub-second deadline shows as such, not rounded to 0s.
+    assert result.diagnostics[0].message == "novelty check timed out after 0.3s"
 
 
 def test_verify_proof_success():
@@ -1004,7 +1008,7 @@ def test_client_roundtrip_with_pretty_printed_response(fake_repl_cmd):
 
 def test_client_timeout_kills_process(fake_repl_cmd):
     client = LeanReplClient(fake_repl_cmd)
-    with pytest.raises(VerifierTimeoutError):
+    with pytest.raises(VerifierTimeoutError, match=r"^no response within 0\.5s$"):
         client.run({"cmd": "SLEEP"}, timeout=0.5)
     assert client._proc.returncode is not None
     with pytest.raises(VerifierTransportError):
@@ -1078,6 +1082,20 @@ def test_a_timeout_kills_the_repl_behind_a_launcher(fake_repl_cmd, repl_gone, tm
         assert client._proc.returncode is not None  # the launcher is reaped
         assert client._proc.stdin.closed and client._proc.stdout.closed
         assert repl_gone(pid_file)
+    finally:
+        client.close()
+
+
+def test_a_repl_that_stops_reading_times_out_the_request_write():
+    # The request is larger than the pipe buffer, and the child never reads.
+    client = LeanReplClient([sys.executable, "-c", "import time; time.sleep(30)"])
+    try:
+        started = time.monotonic()
+        with pytest.raises(VerifierTimeoutError):
+            client.run({"cmd": "x" * 400_000}, timeout=0.5)
+        assert time.monotonic() - started < 1.5
+        assert client._proc.returncode is not None  # reaped
+        assert client._proc.stdin.closed and client._proc.stdout.closed
     finally:
         client.close()
 
