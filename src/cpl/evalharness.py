@@ -153,6 +153,10 @@ def reprove_all(
         raise ValueError(f"unknown reprove mode {mode!r}")
     if not library.entries:
         raise ValueError("cannot reprove an empty library")
+    if mode == "with_context":
+        # Rendered once here, so each prefix below starts from this
+        # rendering; a loaded library has none to derive them from.
+        library.rendered
     per_theorem: list[tuple[int, str]] = []
     flagged: list[int] = []
     for entry in library.entries:

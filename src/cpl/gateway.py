@@ -16,13 +16,16 @@ compression sends what changed since the previous request and refers
 back to earlier entries of the same stream (RFC 7541): the system
 prompt, the temperature and the output cap only when they change, and a
 short user context as the first n chars of the previous request's plus
-its new text when it copies more than it adds. A long user context is
-written whole in the first line that sends it, the base line; later
-lines copy from it by its `sequence`, all of it or the ranges a
-front-truncated prompt keeps, plus their new text. The first line a
-gateway writes after opening or cutting the transcript is whole, and so
-is its first long context. The transcript is the one file:
-`read_transcript` puts every request back whole from its lines alone.
+its new text when it copies more than it adds. A long user context
+copies the base line, the last line that holds one whole, by its
+`sequence`: all of it or the ranges a front-truncated prompt keeps, plus
+its new text. Failing that, it copies the line before: the head they
+share and at most one kept stretch, plus less new text than it copies.
+Failing both, it is written whole, and its line becomes the base. So
+the transcript grows with what each prompt adds, not with the library.
+The first line a gateway writes after opening or cutting the transcript
+is whole. The transcript is the one file: `read_transcript` puts every
+request back whole from its lines alone.
 
 A resume cuts the transcript back to the committed calls
 (`Gateway.fast_forward`), but the loop it redoes sends the same requests
@@ -268,13 +271,25 @@ class PromptStore:
       `render_context` drops the oldest entries, a different number for
       each prompt, and keeps the seed.
 
-    Any other long context is inline, and its line becomes the base. The
-    last long context and its fields as a copy are kept, so a retry that
-    extends it costs one `startswith`. The text after a copy may be no
-    longer than what it copies, so a context that keeps growing (the
-    simple loop's, below the budget) is written whole each time it
-    doubles. One base is kept, not one per role: roles take turns in
-    phases in the file, as the prover campaigns that run during a
+    Any other long context copies the line before: the head they share,
+    then at most one kept stretch of that line's context, then new text
+    shorter than `INLINE_CONTEXT_CHARS` and than what it copies. A
+    re-proof campaign's context is the one before's with one more entry
+    and another target (past the budget its front moves on too), a loop's
+    first conjecture context is the last prover context with the new
+    entries and no target, and a retry of either adds its feedback to it.
+
+    A long context that copies neither way is inline, and its line becomes
+    the base. What is kept of the line before is its request with the
+    context cut to `INLINE_CONTEXT_CHARS` chars, all of a short one. The
+    last long context is kept too, and every long line's context starts
+    with it, so a copy of a long line before takes its ranges from it.
+    When it is the base or a copy of the base, its fields are kept with
+    it, so a retry that extends it costs one `startswith`. The text after
+    a copy may be no longer than what it copies, so a context that keeps
+    growing (the simple loop's, below the budget) is written whole each
+    time it doubles. One base is kept, not one per role: roles take turns
+    in phases in the file, as the prover campaigns that run during a
     conjecture phase have their lines staged and written after it.
     """
 
@@ -282,12 +297,12 @@ class PromptStore:
         self.forget()
 
     def forget(self) -> None:
-        """The next line is written in full, and so is its first long
-        context: the transcript was opened or cut, so the line before and
-        the base line may not be the ones seen here."""
+        """The next line is written in full, and its first long context
+        copies no base: the transcript was opened or cut, so the line
+        before and the base line may not be the ones seen here."""
         self._previous: ChatRequest | None = None  # the line before's request, cut short
         self._base, self._base_sequence = "", None  # the base's context and sequence
-        self._last, self._last_fields = "", {}  # the last long context, and its fields as a copy
+        self._last, self._last_fields = "", {}  # the last long context, and its fields as a base copy
 
     def request_fields(self, request: ChatRequest, sequence: int) -> dict:
         """The fields of `request` for the line numbered `sequence`."""
@@ -298,7 +313,7 @@ class PromptStore:
         fields = _changed(request, previous, "system_prompt")
         content = request.user_content
         if len(content) >= INLINE_CONTEXT_CHARS:
-            fields.update(self._copy(content, sequence))
+            fields.update(self._copy(content, sequence, previous))
         else:
             copied = 0 if previous is None else _common_prefix(previous.user_content, content)
             if copied > len(content) - copied:
@@ -309,22 +324,38 @@ class PromptStore:
         fields.update(_changed(request, previous, "temperature", "max_output"))
         return fields
 
-    def _copy(self, content: str, sequence: int) -> dict:
-        last = self._last
-        if len(content) <= 2 * len(last) and content.startswith(last):
-            fields = dict(self._last_fields)
+    def _copy(self, content: str, sequence: int, previous: ChatRequest | None) -> dict:
+        """The fields of a long `content`, after the line of `previous`."""
+        last, fields = self._last, self._last_fields
+        if fields and len(content) <= 2 * len(last) and content.startswith(last):
+            fields = dict(fields)
             fields["user_content_suffix"] += content[len(last) :]
             return fields
+        self._last, self._last_fields = content, {}
         copy = self._splice(content)
-        if copy is None:  # inline, and its line is the new base
-            self._base, self._base_sequence = content, sequence
-        spans, suffix = copy or ([[0, len(content)]], "")
-        self._last, self._last_fields = content, {
-            "user_content_base": self._base_sequence,
-            "user_content_spans": spans,
-            "user_content_suffix": suffix,
+        if copy is not None:
+            spans, suffix = copy
+            self._last_fields = {
+                "user_content_base": self._base_sequence,
+                "user_content_spans": spans,
+                "user_content_suffix": suffix,
+            }
+            return self._last_fields
+        # What is kept of the line before's context is all of a short one;
+        # a long one (only a long one is cut to INLINE_CONTEXT_CHARS chars)
+        # starts with `last`.
+        before = "" if previous is None else previous.user_content
+        copy = _copy_of(last if len(before) == INLINE_CONTEXT_CHARS else before, content)
+        if copy is not None:
+            spans, suffix = copy
+            return {"user_content_spans": spans, "user_content_suffix": suffix}
+        self._base, self._base_sequence = content, sequence  # inline: the new base
+        self._last_fields = {
+            "user_content_base": sequence,
+            "user_content_spans": [[0, len(content)]],
+            "user_content_suffix": "",
         }
-        return self._last_fields if copy else {"user_content": content}
+        return {"user_content": content}
 
     def _splice(self, content: str) -> tuple[list, str] | None:
         """`content` as ranges of the base and its new text, or None if it
@@ -338,17 +369,13 @@ class PromptStore:
         if prefix == len(content):
             return None  # it drops the base's tail
         # `content` is base[:prefix] + base[resume:] + new text shorter than
-        # INLINE_CONTEXT_CHARS, so `resume` lies in a window of that width.
-        # The rest of the line after the common prefix names the first kept
-        # entry, so its first match in the window is where the copy resumes;
-        # the comparison after it makes sure.
+        # INLINE_CONTEXT_CHARS, so `resume` lies in a window of that width;
+        # the comparison after the search makes sure.
         earliest = prefix + len(base) - len(content)
         latest = earliest + INLINE_CONTEXT_CHARS - 1
         if latest <= prefix:
             return None  # too much new text
-        line_end = content.find("\n", prefix + 1)
-        probe = content[prefix : line_end + 1 if line_end >= 0 else len(content)]
-        resume = base.find(probe, max(prefix + 1, earliest), latest + len(probe))
+        resume = _resume(base, content, prefix, max(prefix + 1, earliest), latest)
         if resume < 0 or not content.startswith(base[resume:], prefix):
             return None
         return [[0, prefix], [resume, len(base)]], content[prefix + len(base) - resume :]
@@ -367,14 +394,41 @@ def _changed(request: ChatRequest, previous: ChatRequest | None, *keys: str) -> 
     return fields
 
 
-def _common_prefix(text: str, other: str) -> int:
-    """The length of the common prefix of `text` and `other`, by bisection:
-    each step compares at most half of the range still open, in place, so
-    the search reads O(n) chars."""
-    low, high = 0, min(len(text), len(other))
+def _copy_of(source: str, content: str) -> tuple[list, str] | None:
+    """`content` as ranges of `source` and its new text: the head they
+    share, then the longest stretch of `source` from where `_resume` finds
+    the rest of `content` starting again. None if the new text is not
+    shorter than both `INLINE_CONTEXT_CHARS` and what it copies."""
+    head = _common_prefix(source, content)
+    spans, copied = [[0, head]], head
+    if head < len(content):
+        resume = _resume(source, content, head, head + 1, len(source))
+        if resume >= 0:
+            kept = _common_prefix(source, content, resume, head)
+            spans.append([resume, resume + kept])
+            copied += kept
+    suffix = content[copied:]
+    return (spans, suffix) if len(suffix) < min(INLINE_CONTEXT_CHARS, copied) else None
+
+
+def _resume(source: str, content: str, head: int, earliest: int, latest: int) -> int:
+    """Where in `source`, from `earliest` to `latest`, the text of `content`
+    after its first `head` chars starts again, or -1: the first match of
+    the rest of the line at `head`, which in a context names the first
+    entry kept after the dropped ones. The caller compares what follows."""
+    line_end = content.find("\n", head + 1)
+    probe = content[head : line_end + 1 if line_end >= 0 else len(content)]
+    return source.find(probe, earliest, latest + len(probe))
+
+
+def _common_prefix(text: str, other: str, start: int = 0, other_start: int = 0) -> int:
+    """The length of the common prefix of `text[start:]` and
+    `other[other_start:]`, by bisection: each step compares at most half of
+    the range still open, in place, so the search reads O(n) chars."""
+    low, high = 0, min(len(text) - start, len(other) - other_start)
     while low < high:
         middle = (low + high + 1) // 2
-        if other.startswith(text[low:middle], low):
+        if other.startswith(text[start + low : start + middle], other_start + low):
             low = middle
         else:
             high = middle - 1
@@ -647,7 +701,10 @@ def read_transcript(path: str | Path) -> list[dict]:
     """The entries of a transcript, read by `read_json_lines`, with each
     request whole again (`PromptStore` says how lines copy). A base line
     is one whose inline `user_content` is `INLINE_CONTEXT_CHARS` or longer.
-    Lines in the oldest form, every field inline, read as they did.
+    A line with `user_content_spans` and no `user_content_base` copies
+    the previous line's context, short or long. Lines in the older forms,
+    every field inline or long contexts copied only from base lines, read
+    as they did.
 
     A line that copies from a previous request with no line before it,
     that names a base other than the last base line read, or whose spans

@@ -29,8 +29,9 @@ event), `events.jsonl` (append-only, flushed per event),
 `gateway.read_transcript`; each request line holds what differs from the
 lines before: a system prompt, temperature or output cap only when it
 changes, a short prompt as the start of the previous one plus its new
-text, and a long one whole in its first line, then as ranges of that
-line plus new text), fsynced before each `loop_complete`, and
+text, and a long one as ranges of the base line, the last one written
+whole, or of the line before, plus new text, or else whole), fsynced
+before each `loop_complete`, and
 `report.json` (the summary, written before the `run_complete` event that
 commits it). A fresh run removes
 the event log, the transcript and the report of an earlier run. A resume

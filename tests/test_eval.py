@@ -7,7 +7,15 @@ from pathlib import Path
 
 import pytest
 
-from cpl.core import Library, ProofScript, TheoremStatement, read_json_lines
+from cpl.core import (
+    Library,
+    LibraryEntry,
+    ProofScript,
+    TheoremStatement,
+    dump_library,
+    load_library,
+    read_json_lines,
+)
 from cpl.evalharness import (
     DEFAULT_FOCUSED_REPETITIONS,
     DEFAULT_NL_REPETITIONS,
@@ -22,7 +30,7 @@ from cpl.evalharness import (
     reprove_focused,
     summarize_events,
 )
-from cpl.gateway import Gateway, ReplayProvider, TransportError
+from cpl.gateway import INLINE_CONTEXT_CHARS, Gateway, ReplayProvider, TransportError, read_transcript
 from cpl.orchestrator import RunConfig, run
 from cpl.prompts import DEFAULT_NL_STATEMENT, NL_PROVER_PROMPT
 from cpl.verifier import CheckResult, Diagnostic, ScriptedVerifier
@@ -103,6 +111,59 @@ def test_reprove_with_context_entry_zero_sees_seed_only():
     assert "theorem gen0" in contexts[2]
     assert "theorem gen1" in contexts[2]
     assert contexts[2].count("theorem gen2") == 1  # only as the sorry target
+
+
+def loaded_library_of(path: Path, n: int, proof_lines: int) -> Library:
+    """`library_of(n)` with proofs of `proof_lines` lines, written to `path`
+    and loaded back, as `cpl reprove-all` reads a library."""
+    path.write_text(dump_library(library_of(n, [proof_lines] * n)), encoding="utf-8")
+    return load_library(path)
+
+
+def test_reprove_with_context_renders_each_entry_of_a_loaded_library_once(tmp_path, monkeypatch):
+    library = loaded_library_of(tmp_path / "library.lean", 40, 3)
+    render_source = LibraryEntry.render_source
+    rendered: list[str] = []
+
+    def counted(entry):
+        rendered.append(entry.statement.name)
+        return render_source(entry)
+
+    monkeypatch.setattr(LibraryEntry, "render_source", counted)
+    gateway = Gateway(ReplayProvider({"prover": [""] * 40}), sleep=lambda s: None)
+    reprove_all(library, "with_context", ScriptedVerifier(SEED), gateway, max_trials=1)
+    assert len(rendered) <= len(library) + 2
+
+
+@pytest.mark.parametrize("budget", [400_000, 9_000])
+def test_a_reprove_with_context_writes_each_campaigns_new_text_not_its_library(tmp_path, budget):
+    """Each campaign's context is the one before's plus one entry, with
+    another target, and past the budget its front moves on. Its first line
+    copies the line before, so the transcript grows with each prompt's new
+    text, not with the library."""
+    library = loaded_library_of(tmp_path / "library.lean", 60, 10)
+    assert len(library.rendered[0]) > 4 * INLINE_CONTEXT_CHARS
+    path = tmp_path / "transcript.jsonl"
+    sent: list[str] = []
+
+    def echo(request):
+        sent.append(request.user_content)
+        return "by simp"
+
+    gateway = Gateway(CallableProvider(echo), sleep=lambda s: None, transcript_path=path)
+    session = ScriptedVerifier(SEED, defaults={"verify_proof": "failed"})
+    reprove_all(library, "with_context", session, gateway, max_trials=2, context_budget=budget)
+    # past the budget, the last campaigns' contexts drop the oldest entries
+    assert ("theorem gen0 :" in sent[-1]) == (budget == 400_000)
+    assert [e["request"]["user_content"] for e in read_transcript(path)] == sent
+    lines = [line["request"] for line in read_json_lines(path)]
+    long_lines = [line for line, text in zip(lines, sent) if len(text) >= INLINE_CONTEXT_CHARS]
+    assert len(long_lines) > len(lines) / 2
+    # No long context is written whole, the first one included: each copies the line before.
+    assert not any("user_content" in line or "user_content_base" in line for line in long_lines)
+    # Written whole, the 45 long campaign contexts took 531 kB at budget
+    # 400000 and 412 kB at 9000; as copies, the transcript is 55 kB.
+    assert path.stat().st_size < len(library.rendered[0]) + 1024 * len(lines)
 
 
 def test_reprove_definitions_only_never_includes_entries():

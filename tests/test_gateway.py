@@ -9,6 +9,7 @@ import sys
 import threading
 import time
 import urllib.request
+from pathlib import Path
 
 import pytest
 
@@ -755,17 +756,18 @@ def test_each_retry_of_a_spliced_context_carries_only_its_own_feedback(tmp_path)
         )
 
 
-def test_a_dropped_tail_or_long_new_text_is_written_whole_as_a_new_base(tmp_path):
+def test_long_new_text_is_written_whole_as_a_new_base_and_a_dropped_tail_copies_the_line_before(
+    tmp_path,
+):
     stored = rendered(0)
     kept = rendered(6)
     # New text one char short of INLINE_CONTEXT_CHARS is spliced; at that
-    # length, or with the base's tail dropped, it is written whole, and
-    # the retry after it copies it.
+    # length it is written whole, and the retry after it copies it. The
+    # base with its tail dropped copies the line before, and so does its
+    # retry.
     longest = kept + "\n\n" + "∀" * (INLINE_CONTEXT_CHARS - 3)
     assert len(longest) - len(kept) == INLINE_CONTEXT_CHARS - 1
-    for number, (text, spliced) in enumerate(
-        [(longest, True), (longest + "∀", False), (rendered(0, end=len(BLOCKS) - 2), False)]
-    ):
+    for number, (text, spliced) in enumerate([(longest, True), (longest + "∀", False)]):
         run_dir = tmp_path / str(number)
         run_dir.mkdir()
         lines = recorded_lines(run_dir / "transcript.jsonl", [stored, text, text + "\r\nretry"])
@@ -773,6 +775,13 @@ def test_a_dropped_tail_or_long_new_text_is_written_whole_as_a_new_base(tmp_path
         assert base_lines(lines) == ([0] if spliced else [0, 1])
         assert lines[2]["request"]["user_content_base"] == (0 if spliced else 1)
         assert [p.name for p in run_dir.iterdir()] == ["transcript.jsonl"]
+    dropped = rendered(0, end=len(BLOCKS) - 2)
+    lines = recorded_lines(tmp_path / "transcript.jsonl", [stored, dropped, dropped + "\r\nretry"])
+    assert base_lines(lines) == [0]
+    assert [line["request"] for line in lines[1:]] == [
+        {"user_content_spans": [[0, len(dropped)]], "user_content_suffix": ""},
+        {"user_content_spans": [[0, len(dropped)]], "user_content_suffix": "\r\nretry"},
+    ]
 
 
 def random_contexts(rng: random.Random, count: int) -> list[str]:
@@ -856,8 +865,16 @@ def mixed_requests(rng: random.Random, count: int) -> list[ChatRequest]:
         if rng.random() < 0.05:
             max_output = rng.choice([16384, 512, 0])
         kind = rng.random()
-        if kind < 0.25:  # a long context, maybe with retries
+        if kind < 0.2:  # a long context, maybe with retries
             texts = random_contexts(rng, 1)
+        elif kind < 0.3:  # long contexts re-targeted, as re-proof campaigns send them
+            front = rng.randrange(0, 150)
+            end = front + rng.randrange(80, 120)
+            texts = []
+            for _ in range(rng.randrange(2, 5)):
+                texts.append(rendered(front, rng.sample(STUBS, rng.choice([1, 2])), end=end))
+                end += rng.choice([1, 2])  # the head it shares, then a new tail
+                front += rng.choice([0, 0, 1, 3])  # or its front moved on as well
         elif kind < 0.75:  # a short one, with retries that extend it
             front = rng.randrange(0, 300)
             extras = rng.sample(STUBS, rng.choice([0, 1, 3]))
@@ -901,25 +918,95 @@ def test_a_seeded_run_of_short_and_long_requests_reads_back_exactly_across_a_cut
     gateway = Gateway(echo_provider([]), transcript_path=path, sleep=lambda s: None)
     for item in first:
         gateway.complete(item)
-    kept = first[:70]
+    kept, redone = first[:70], first[70:100]
+    cut = list(read_json_lines(path))[70:100]
     gateway.fast_forward(role_counts(kept))  # as a resume cuts the lines of a rolled-back loop
-    for item in after_cut:
+    # The redone calls are served from the cut lines; the first that differs is asked.
+    asked: list[str] = []
+    gateway.provider = echo_provider(asked)
+    for item in redone + after_cut:
         gateway.complete(item)
+    assert len(asked) == len(after_cut)
     restarted = Gateway(echo_provider([]), transcript_path=path, sleep=lambda s: None)
     for item in second:
         restarted.complete(item)
-    expected = [as_read(item) for item in kept + after_cut + second]
+    expected = [as_read(item) for item in kept + redone + after_cut + second]
     assert len(expected) >= 200
     assert read_requests(path) == expected
-    lines = [line["request"] for line in read_json_lines(path)]
+    entries = list(read_json_lines(path))
+    assert [bool(e["response"].get("reused")) for e in entries[70:101]] == [True] * 30 + [False]
+    assert any(is_long_copy(line["request"]) for line in cut)
+    lines = [line["request"] for line in entries]
     for key in CARRIED_FIELDS:
         assert sum(key in line for line in lines) < len(lines) / 3
     copies = [line for line in lines if "user_content_spans" in line and "user_content_base" not in line]
     assert len(copies) > len(lines) / 4
     # each copies more of the context before it than it adds
-    assert all(line["user_content_spans"][0][1] > len(line["user_content_suffix"]) for line in copies)
+    assert all(copied(line) > len(line["user_content_suffix"]) for line in copies)
+    # long contexts copied from the line before: the head alone, or with a kept stretch
+    long_copies = [line for line in copies if is_long_copy(line)]
+    assert {len(line["user_content_spans"]) for line in long_copies} == {1, 2}
+    assert all(len(line["user_content_suffix"]) < INLINE_CONTEXT_CHARS for line in long_copies)
     assert any("user_content_base" in line for line in lines)
     assert any("user_content" in line for line in lines)
+
+
+def copied(fields: dict) -> int:
+    """The chars a line's `user_content_spans` copy."""
+    return sum(end - start for start, end in fields["user_content_spans"])
+
+
+def is_long_copy(fields: dict) -> bool:
+    """Whether a line's request copies a long context from the line before."""
+    return (
+        "user_content_spans" in fields
+        and "user_content_base" not in fields
+        and copied(fields) >= INLINE_CONTEXT_CHARS
+    )
+
+
+# A transcript in the older form, whose long contexts copy only from base
+# lines: `older_form_requests()` recorded by a gateway that wrote no copy of
+# a long context from the line before.
+BASE_COPIES_TRANSCRIPT = Path(__file__).parent / "fixtures" / "base_copies_transcript.jsonl"
+
+
+def older_form_requests() -> list[ChatRequest]:
+    diagnostics = (Diagnostic("error", 1, 0, "⊢ 𝔽\r\n\u2028"),)
+    campaign, retarget = rendered(0, STUBS[:1], end=90), rendered(7, STUBS[5:6], end=91)
+    conjecture = ChatRequest("conjecturer", CONJECTURER_PROMPT, rendered(0, end=91))
+    return [
+        request(user=campaign),
+        request(user=format_feedback(campaign, "by simp", diagnostics)),  # a copy of the base
+        conjecture,  # the campaign's target dropped, an entry added: a new base
+        dataclasses.replace(conjecture, user_content=rendered(5, STUBS[2:5], end=91)),  # a splice
+        dataclasses.replace(conjecture, user_content="∀ 𝔽 short\r\n"),
+        request(user=retarget),  # a splice
+        request(user=format_feedback(retarget, "by ring", diagnostics)),
+    ]
+
+
+def test_a_transcript_of_base_copies_only_reads_back_and_serves_a_resume(tmp_path):
+    path = tmp_path / "transcript.jsonl"
+    path.write_bytes(BASE_COPIES_TRANSCRIPT.read_bytes())
+    requests = older_form_requests()
+    older = [line["request"] for line in read_json_lines(path)]
+    assert not any(is_long_copy(line) for line in older)
+    assert [n for n, line in enumerate(older) if "user_content_base" in line] == [1, 3, 5, 6]
+    assert read_requests(path) == [as_read(item) for item in requests]
+    # A resume cuts all but the first two lines, then is served the rest.
+    asked: list[str] = []
+    gateway = Gateway(echo_provider(asked), transcript_path=path, sleep=lambda s: None)
+    assert gateway.fast_forward(role_counts(requests[:2])) == 2
+    # The base's tail dropped and a new target: a copy of the line before.
+    retarget = request(user=rendered(9, STUBS[7:8], end=89))
+    for item in requests[2:] + [retarget]:
+        gateway.complete(item)
+    assert asked == [retarget.user_content]
+    entries = list(read_json_lines(path))
+    assert [bool(e["response"].get("reused")) for e in entries] == [False] * 2 + [True] * 5 + [False]
+    assert is_long_copy(entries[-1]["request"])
+    assert read_requests(path) == [as_read(item) for item in requests + [retarget]]
 
 
 def test_a_gateway_whose_transcript_was_cut_writes_its_next_line_in_full(tmp_path):

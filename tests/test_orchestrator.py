@@ -33,6 +33,7 @@ from cpl.events import (
     truncate_events,
 )
 from cpl.gateway import (
+    INLINE_CONTEXT_CHARS,
     FixtureExhaustedError,
     Gateway,
     ReplayProvider,
@@ -1448,8 +1449,6 @@ def test_a_resume_of_a_finished_run_leaves_both_files_untouched(tmp_path):
 
 
 def test_a_run_past_its_budget_splices_its_prompts_and_reads_them_back(tmp_path):
-    from cpl.gateway import INLINE_CONTEXT_CHARS
-
     config = base_config(tmp_path, loops=10, conjecture_iterations=3, context_budget=5000)
     big = 10**120
     received = []
@@ -1759,7 +1758,14 @@ def test_a_resume_past_the_budget_serves_exchanges_whose_prompts_are_stored(tmp_
         start(out, kill_in_loop_eleven)
     killed = transcript_lines(out)
     committed = committed_calls(out)
-    assert any("user_content_base" in line["request"] for line in killed[committed:])
+    # The cut removes lines that copy a long prompt from the line before.
+    read_back = read_transcript(out / "transcript.jsonl")
+    assert any(
+        "user_content_spans" in line["request"]
+        and "user_content_base" not in line["request"]
+        and len(entry["request"]["user_content"]) >= INLINE_CONTEXT_CHARS
+        for line, entry in zip(killed[committed:], read_back[committed:])
+    )
     asked = start(out, resume=True)
     # The base lines the cut removed are written again, in the transcript.
     assert not (out / "prompts").exists()
