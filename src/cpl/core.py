@@ -619,6 +619,17 @@ def write_atomically(
         raise
 
 
+def log_warning(logger_name: str, message: str, *args) -> None:
+    """Log a warning on the logger `logger_name`, attributed to the caller.
+
+    `logging` loads here, at a run's first warning, not with cpl: most
+    runs log none.
+    """
+    import logging
+
+    logging.getLogger(logger_name).warning(message, *args, stacklevel=2)
+
+
 def write_json(path: str | Path, data) -> None:
     """Write `data` as indented JSON plus a newline, atomically."""
     text = json.dumps(data, indent=2, ensure_ascii=False) + "\n"

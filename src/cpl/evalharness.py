@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .core import (
     JsonLinesLog,
@@ -33,6 +33,9 @@ from .prover import (
     VERIFIER_FAULT,
     prove,
 )
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 REPROVE_MODES = ("with_context", "definitions_only")
 
@@ -112,6 +115,10 @@ def _outcome_had_transport_failure(outcome) -> bool:
 
 
 def _make_report(mode: str, per_theorem: list[tuple[int, str]], flagged) -> ReproveReport:
+    # Imported here: `fractions` loads `decimal`, and only a reprove
+    # campaign's report needs an exact rate.
+    from fractions import Fraction
+
     total = len(per_theorem)
     success = sum(1 for _, status in per_theorem if status == STATUS_VERIFIED)
     breakdown = {

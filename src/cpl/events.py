@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Iterable
 
@@ -40,6 +39,9 @@ class SystemClock:
     """Wall-clock timestamps, ISO 8601 with UTC offset."""
 
     def now(self) -> str:
+        # Imported here: replay runs and the tests use `FixedClock`.
+        from datetime import datetime, timezone
+
         return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 

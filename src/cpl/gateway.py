@@ -43,7 +43,6 @@ other models configured is served the old replies.
 from __future__ import annotations
 
 import json
-import logging
 import os
 import threading
 import time
@@ -52,9 +51,7 @@ from dataclasses import dataclass, replace
 from itertools import chain, islice
 from pathlib import Path
 
-from .core import JsonLinesLog, parse_json_lines, read_json_lines
-
-logger = logging.getLogger(__name__)
+from .core import JsonLinesLog, log_warning, parse_json_lines, read_json_lines
 
 ROLE_IDS = ("conjecturer", "prover", "simple_loop", "nl_prover")
 
@@ -585,7 +582,8 @@ class Gateway:
                 text = self.provider.complete(request)
             except TransportError as exc:
                 last_error = exc
-                logger.warning(
+                log_warning(
+                    __name__,
                     "provider attempt %d/%d failed for %s: %s",
                     attempt,
                     self.retry_cap,
@@ -633,7 +631,7 @@ class Gateway:
                 except (ValueError, TypeError, KeyError, OSError) as exc:
                     # Reuse only saves calls: a transcript that does not
                     # read back is asked again, as before it was kept.
-                    logger.warning("recorded exchanges not reused: %s", exc)
+                    log_warning(__name__, "recorded exchanges not reused: %s", exc)
                     recorded = None
                 self._recorded = recorded
             if recorded is None:

@@ -23,19 +23,13 @@ from __future__ import annotations
 
 import contextlib
 import json
-import logging
 import os
 import re
-import select
-import signal
-import subprocess
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .core import ProofScript, TheoremStatement, normalize_statement
-
-logger = logging.getLogger(__name__)
+from .core import ProofScript, TheoremStatement, log_warning, normalize_statement
 
 VALID = "valid"
 INVALID = "invalid"
@@ -212,7 +206,7 @@ class ScriptedVerifier:
         if hit is not None:
             return hit
         self.fixture_misses.append(key)
-        logger.warning("scripted verifier fixture miss: %s", key)
+        log_warning(__name__, "scripted verifier fixture miss: %s", key)
         verdict = self.defaults[op]
         if verdict in (INVALID, FAILED):
             return CheckResult(
@@ -262,6 +256,10 @@ class LeanReplClient:
     """
 
     def __init__(self, command: list[str], cwd: str | None = None):
+        # Imported here: only a real-Lean session starts a process.
+        import select
+        import subprocess
+
         try:
             self._proc = subprocess.Popen(
                 command,
@@ -325,6 +323,8 @@ class LeanReplClient:
 
     def close(self) -> None:
         """Kill the REPL's process group, reap the REPL, close both pipes."""
+        import signal
+
         if self._proc.returncode is None:
             # Until it is reaped, the REPL holds its group id from reuse.
             with contextlib.suppress(ProcessLookupError):

@@ -654,6 +654,21 @@ def test_importing_cpl_loads_no_hashing_module():
     assert done.stdout == "[]\n"
 
 
+def test_importing_cpl_loads_no_module_only_a_real_session_or_report_needs():
+    # `-S`: a site package may import any of these itself.
+    src = str(Path(cpl.__file__).parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); "
+        "import cpl, cpl.orchestrator, cpl.evalharness; "
+        "print([m for m in ('subprocess', 'select', 'selectors', 'signal', 'logging', "
+        "'datetime', 'fractions', 'decimal') if m in sys.modules])"
+    )
+    done = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, check=True
+    )
+    assert done.stdout == "[]\n"
+
+
 def test_the_demo_run_loads_no_hashing_module(tmp_path, fixtures_dir):
     # Scripted fixtures are keyed by the proof text itself, so nothing in a
     # run hashes.

@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import io
 import json
+import logging
 import os
 import random
 import sys
@@ -66,6 +67,17 @@ def test_retry_then_success_records_attempt_number():
     response = gateway.complete(request())
     assert response.text == "ok"
     assert response.attempt == 2
+
+
+def test_a_failed_attempt_logs_a_warning_on_the_gateway_logger(caplog):
+    gateway = Gateway(FlakyProvider(failures=1), retry_cap=2, sleep=lambda s: None)
+    with caplog.at_level(logging.WARNING, logger="cpl.gateway"):
+        gateway.complete(request())
+    (record,) = caplog.records
+    assert (record.name, record.levelname) == ("cpl.gateway", "WARNING")
+    assert record.getMessage() == "provider attempt 1/2 failed for prover: flaky"
+    # The record names the gateway's code, not the helper that logged it.
+    assert (record.funcName, Path(record.pathname).name) == ("exchange", "gateway.py")
 
 
 def test_retries_exhausted_raises_transport_error():

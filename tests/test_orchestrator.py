@@ -1225,6 +1225,76 @@ def test_an_interrupt_while_the_helper_holds_the_lock_still_stops_and_joins_it(
     assert [role for role, _ in transcript_requests(out)] == ["conjecturer"]
 
 
+def test_the_helper_starts_a_campaign_only_while_the_main_threads_exchange_runs(
+    tmp_path, monkeypatch
+):
+    # A campaign the helper starts once the main thread's exchange has
+    # returned holds the main thread until that campaign's first exchange.
+    # Here the second conjecturer call ends while the helper's first
+    # campaign runs and a second one waits, and the main thread then takes
+    # the lock back only after that first campaign ends.
+    reference = tmp_path / "ref"
+    run_demo_uninterrupted(reference)
+    out = tmp_path / "out"
+    config = demo_config(out)
+    gateway = slow_gateway(DEMO_RESPONSES, out, conjecturer=0.001, prover=0.001)
+    session = demo_session(config)
+    started, gap_opened, first_done = threading.Event(), threading.Event(), threading.Event()
+    in_gap = threading.Event()  # set while the main thread's re-take is held back
+    helper_starts = []  # (statement, whether the main thread was in its gap)
+
+    prove = orchestrator._Campaigns.prove
+
+    def noted_prove(self, stmt, gateway, events):
+        if threading.current_thread() is threading.main_thread():
+            return prove(self, stmt, gateway, events)
+        helper_starts.append((stmt.name, in_gap.is_set()))
+        started.set()
+        try:
+            return prove(self, stmt, gateway, events)
+        finally:
+            first_done.set()
+
+    complete = gateway.provider.complete
+    conjecturer_calls = []
+
+    def second_conjecturer_call_waits_for_the_helper(request):
+        if request.role_id == "conjecturer":
+            conjecturer_calls.append(request)
+            if len(conjecturer_calls) == 2:
+                assert started.wait(10)
+        return complete(request)
+
+    verify_proof = session.verify_proof
+
+    def helper_checks_once_the_gap_opens(context, stmt, proof):
+        if threading.current_thread() is not threading.main_thread():
+            assert gap_opened.wait(10)
+        return verify_proof(context, stmt, proof)
+
+    take = orchestrator._Campaigns._take
+
+    def retake_late_after_the_helper_starts(self):
+        main = threading.current_thread() is threading.main_thread()
+        if not main or not started.is_set() or gap_opened.is_set():
+            return take(self)
+        in_gap.set()
+        gap_opened.set()
+        assert first_done.wait(10)
+        take(self)
+        in_gap.clear()
+
+    monkeypatch.setattr(orchestrator._Campaigns, "prove", noted_prove)
+    monkeypatch.setattr(orchestrator._Campaigns, "_take", retake_late_after_the_helper_starts)
+    gateway.provider.complete = second_conjecturer_call_waits_for_the_helper
+    session.verify_proof = helper_checks_once_the_gap_opens
+    run(config, gateway=gateway, session=session)
+    assert gap_opened.is_set() and helper_starts
+    assert [name for name, during_gap in helper_starts if during_gap] == []
+    assert_same_run(out, reference)
+    assert not session.overlapped
+
+
 @pytest.mark.parametrize("short", [False, True])
 def test_a_run_closes_the_lean_session_it_opened(
     tmp_path, fake_repl_cmd, repl_gone, short
