@@ -53,7 +53,7 @@ def _config_from_args(args) -> RunConfig:
     return config
 
 
-def _build_eval_context(args, config: RunConfig, seed_source: str):
+def _build_eval_context(config: RunConfig, seed_source: str):
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     clock = make_clock(config.resolved_clock())
@@ -80,9 +80,7 @@ def _cmd_run(args) -> int:
 def _cmd_reprove_all(args) -> int:
     config = _config_from_args(args)
     library = load_library(args.library)
-    out, gateway, session, events = _build_eval_context(
-        args, config, library.seed_source
-    )
+    out, gateway, session, events = _build_eval_context(config, library.seed_source)
     with contextlib.closing(session):
         report = evalharness.reprove_all(
             library,
@@ -106,6 +104,10 @@ def _cmd_reprove_all(args) -> int:
 
 
 def _cmd_reprove_focused(args) -> int:
+    if args.n < 1:
+        raise ValueError(f"--n is {args.n}; a focused campaign runs at least once")
+    if args.prefix is not None and not args.library:
+        raise ValueError("--prefix needs --library, the entries it counts")
     config = _config_from_args(args)
     config.prompt_variant = args.variant or "false"
     statement = TheoremStatement.from_source(
@@ -114,6 +116,10 @@ def _cmd_reprove_focused(args) -> int:
     if args.library:
         library = load_library(args.library)
         if args.prefix is not None:
+            if not 0 <= args.prefix <= len(library):
+                raise ValueError(
+                    f"--prefix is {args.prefix}; the library has {len(library)} entries"
+                )
             library = library.prefix(args.prefix)
         if args.reprove_mode == "definitions_only":
             library = Library(seed_source=library.seed_source)
@@ -124,9 +130,7 @@ def _cmd_reprove_focused(args) -> int:
         library = Library(
             seed_source=Path(config.seed_path).read_text(encoding="utf-8")
         )
-    out, gateway, session, events = _build_eval_context(
-        args, config, library.seed_source
-    )
+    out, gateway, session, events = _build_eval_context(config, library.seed_source)
     with contextlib.closing(session):
         report = evalharness.reprove_focused(
             statement,

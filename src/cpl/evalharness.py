@@ -114,20 +114,27 @@ def _outcome_had_transport_failure(outcome) -> bool:
     )
 
 
-def _make_report(mode: str, per_theorem: list[tuple[int, str]], flagged) -> ReproveReport:
+def _run_campaigns(mode: str, campaigns, session, gateway: Gateway, **options) -> ReproveReport:
+    """One `prove` campaign for each `(key, statement, context library,
+    event_extra)` of `campaigns`, with `options` passed on, reported under
+    `mode`: each key's status, the breakdown, and the keys whose campaign
+    lost a trial to a gateway or verifier fault. `prove` is looked up in
+    this module at each campaign, so a wrap of `evalharness.prove` sees
+    them all."""
     # Imported here: `fractions` loads `decimal`, and only a reprove
     # campaign's report needs an exact rate.
     from fractions import Fraction
 
-    total = len(per_theorem)
-    success = sum(1 for _, status in per_theorem if status == STATUS_VERIFIED)
-    breakdown = {
-        STATUS_VERIFIED: 0,
-        STATUS_FAILED: 0,
-        STATUS_UNPROVABLE: 0,
-    }
-    for _, status in per_theorem:
-        breakdown[status] = breakdown.get(status, 0) + 1
+    per_theorem: list[tuple[int, str]] = []
+    flagged: list[int] = []
+    breakdown = {STATUS_VERIFIED: 0, STATUS_FAILED: 0, STATUS_UNPROVABLE: 0}
+    for key, statement, context, event_extra in campaigns:
+        outcome = prove(statement, context, session, gateway, event_extra=event_extra, **options)
+        per_theorem.append((key, outcome.status))
+        breakdown[outcome.status] = breakdown.get(outcome.status, 0) + 1
+        if _outcome_had_transport_failure(outcome):
+            flagged.append(key)
+    total, success = len(per_theorem), breakdown[STATUS_VERIFIED]
     return ReproveReport(
         mode=mode,
         per_theorem=per_theorem,
@@ -164,30 +171,29 @@ def reprove_all(
         # Rendered once here, so each prefix below starts from this
         # rendering; a loaded library has none to derive them from.
         library.rendered
-    per_theorem: list[tuple[int, str]] = []
-    flagged: list[int] = []
-    for entry in library.entries:
-        if mode == "with_context":
-            context_library = library.prefix(entry.sequence_index)
-        else:
-            context_library = Library(seed_source=library.seed_source)
-        outcome = prove(
+    campaigns = (
+        (
+            entry.sequence_index,
             entry.statement,
-            context_library,
-            session,
-            gateway,
-            max_trials=max_trials,
-            prompt_variant=prompt_variant,
-            context_budget=context_budget,
-            temperature=temperature,
-            max_output=max_output,
-            events=events,
-            event_extra={"reprove_index": entry.sequence_index, "mode": mode},
+            library.prefix(entry.sequence_index)
+            if mode == "with_context"
+            else Library(seed_source=library.seed_source),
+            {"reprove_index": entry.sequence_index, "mode": mode},
         )
-        per_theorem.append((entry.sequence_index, outcome.status))
-        if _outcome_had_transport_failure(outcome):
-            flagged.append(entry.sequence_index)
-    return _make_report(mode, per_theorem, flagged)
+        for entry in library.entries
+    )
+    return _run_campaigns(
+        mode,
+        campaigns,
+        session,
+        gateway,
+        max_trials=max_trials,
+        prompt_variant=prompt_variant,
+        context_budget=context_budget,
+        temperature=temperature,
+        max_output=max_output,
+        events=events,
+    )
 
 
 def reprove_focused(
@@ -209,27 +215,22 @@ def reprove_focused(
     and declared-false (the empty-response surrender under the
     falsity-judgment prompt).
     """
-    per_theorem: list[tuple[int, str]] = []
-    flagged: list[int] = []
-    for repetition in range(n):
-        outcome = prove(
-            statement,
-            library_prefix,
-            session,
-            gateway,
-            max_trials=max_trials,
-            prompt_variant=prompt_variant,
-            context_budget=context_budget,
-            temperature=temperature,
-            max_output=max_output,
-            events=events,
-            event_extra={"focused_repetition": repetition},
-        )
-        per_theorem.append((repetition, outcome.status))
-        if _outcome_had_transport_failure(outcome):
-            flagged.append(repetition)
-    mode = f"focused[{len(library_prefix.entries)} entries]"
-    return _make_report(mode, per_theorem, flagged)
+    campaigns = (
+        (repetition, statement, library_prefix, {"focused_repetition": repetition})
+        for repetition in range(n)
+    )
+    return _run_campaigns(
+        f"focused[{len(library_prefix.entries)} entries]",
+        campaigns,
+        session,
+        gateway,
+        max_trials=max_trials,
+        prompt_variant=prompt_variant,
+        context_budget=context_budget,
+        temperature=temperature,
+        max_output=max_output,
+        events=events,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -14,15 +14,16 @@ transcript that is already there, after cutting a torn last line.
 differs from the lines before (`PromptStore`), as HTTP/2 header
 compression sends what changed since the previous request and refers
 back to earlier entries of the same stream (RFC 7541): the system
-prompt, the temperature and the output cap only when they change, and a
-short user context as the first n chars of the previous request's plus
-its new text when it copies more than it adds. A long user context
-copies the base line, the last line that holds one whole, by its
-`sequence`: all of it or the ranges a front-truncated prompt keeps, plus
-its new text. Failing that, it copies the line before: the head they
-share and at most one kept stretch, plus less new text than it copies.
-Failing both, it is written whole, and its line becomes the base. So
-the transcript grows with what each prompt adds, not with the library.
+prompt, the temperature and the output cap only when they change. A
+user context is copied by one rule, from one of two sources: the head
+it shares with the source, at most one kept stretch of it, then new text
+shorter than both 4096 chars and what it copies. A long context (4096
+chars or more) first reuses the copy of the long one before it that it
+extends (a prover retry), then tries the base line, the last line that
+holds a long context whole, by its `sequence`; any context then tries
+the line before. One that neither serves is written whole, and a long
+one's line becomes the base. So the transcript grows with what each
+prompt adds, not with the library.
 The first line a gateway writes after opening or cutting the transcript
 is whole. The transcript is the one file: `read_transcript` puts every
 request back whole from its lines alone.
@@ -47,7 +48,7 @@ import os
 import threading
 import time
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import chain, islice
 from pathlib import Path
 
@@ -152,7 +153,7 @@ class HttpChatProvider:
         )
         try:
             with urllib.request.urlopen(req, timeout=self.timeout) as resp:
-                body = json.loads(resp.read().decode("utf-8"))
+                body = resp.read()
         except urllib.error.HTTPError as exc:
             if exc.code in (401, 403):
                 raise FatalGatewayError(
@@ -162,10 +163,17 @@ class HttpChatProvider:
             raise TransportError(f"HTTP {exc.code} from provider") from exc
         except (urllib.error.URLError, TimeoutError, OSError) as exc:
             raise TransportError(f"provider unreachable: {exc}") from exc
+        # A reply that is not JSON (a proxy's error page) or has no text is
+        # retried like a failed connection; a null content is an empty reply.
         try:
-            return body["choices"][0]["message"]["content"] or ""
-        except (KeyError, IndexError, TypeError) as exc:
+            content = json.loads(body.decode("utf-8"))["choices"][0]["message"]["content"]
+        except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise TransportError(f"malformed provider response: {exc}") from exc
+        if content is not None and not isinstance(content, str):
+            raise TransportError(
+                f"malformed provider response: content is {type(content).__name__}"
+            )
+        return content or ""
 
 
 class ReplayProvider:
@@ -236,9 +244,8 @@ class ReplayProvider:
         return reply
 
 
-# A shorter context is written in its line, whole or as a copy of the
-# previous line's, and never becomes the base: a short prompt sent between
-# a long context's retries would otherwise replace it.
+# A shorter context never becomes the base: a short prompt sent between a
+# long context's retries would otherwise replace it.
 INLINE_CONTEXT_CHARS = 4096
 
 
@@ -249,45 +256,25 @@ class PromptStore:
     `system_prompt`, `temperature` and `max_output` are written only where
     they differ from the previous request's (all three on the first line
     after the transcript is opened or cut, which `forget` marks). A user
-    context is inline, as `user_content`, or a copy: ranges of a source
-    line's context, `user_content_spans`, then its new text,
-    `user_content_suffix`. The source is the previous line, or the base
-    line whose sequence `user_content_base` names.
+    context is inline, as `user_content`, or a copy (`_copy_of`): ranges of
+    a source line's context, `user_content_spans`, then its new text,
+    `user_content_suffix`. A context takes the first of these that serves:
 
-    A context shorter than `INLINE_CONTEXT_CHARS` copies the previous
-    context's first n chars, `[[0, n]]`, if that is more than it adds, and
-    is inline otherwise. A longer one copies from the base, the last long
-    context written inline:
+    1. a long context (`INLINE_CONTEXT_CHARS` chars or more) that extends
+       the last long one, to at most twice its length, when that one is or
+       copies the base, is that copy plus the rest: a prover retry is its
+       campaign's context plus a feedback block;
+    2. a long context copies the base line, the last that holds a long
+       context inline, which `user_content_base` names: a conjecture
+       context grows by stubs, and past the budget drops the oldest
+       entries, a different number for each prompt;
+    3. any context copies the line before: a re-proof campaign's context
+       is the one before's with one more entry and another target;
+    4. it is inline, and a long one's line becomes the base.
 
-    - all of it, if it starts with it: a prover retry is its campaign's
-      context plus a feedback block, and a conjecture context grows by
-      accepted stubs;
-    - the two ranges it keeps, if it is the base with a stretch after
-      their common prefix dropped, running on to the base's end, plus new
-      text shorter than `INLINE_CONTEXT_CHARS`: past the budget
-      `render_context` drops the oldest entries, a different number for
-      each prompt, and keeps the seed.
-
-    Any other long context copies the line before: the head they share,
-    then at most one kept stretch of that line's context, then new text
-    shorter than `INLINE_CONTEXT_CHARS` and than what it copies. A
-    re-proof campaign's context is the one before's with one more entry
-    and another target (past the budget its front moves on too), a loop's
-    first conjecture context is the last prover context with the new
-    entries and no target, and a retry of either adds its feedback to it.
-
-    A long context that copies neither way is inline, and its line becomes
-    the base. What is kept of the line before is its request with the
-    context cut to `INLINE_CONTEXT_CHARS` chars, all of a short one. The
-    last long context is kept too, and every long line's context starts
-    with it, so a copy of a long line before takes its ranges from it.
-    When it is the base or a copy of the base, its fields are kept with
-    it, so a retry that extends it costs one `startswith`. The text after
-    a copy may be no longer than what it copies, so a context that keeps
-    growing (the simple loop's, below the budget) is written whole each
-    time it doubles. One base is kept, not one per role: roles take turns
-    in phases in the file, as the prover campaigns that run during a
-    conjecture phase have their lines staged and written after it.
+    One base is kept, not one per role: roles take turns in phases in the
+    file, as the campaigns that run during a conjecture phase have their
+    lines staged and written after it.
     """
 
     def __init__(self):
@@ -297,85 +284,39 @@ class PromptStore:
         """The next line is written in full, and its first long context
         copies no base: the transcript was opened or cut, so the line
         before and the base line may not be the ones seen here."""
-        self._previous: ChatRequest | None = None  # the line before's request, cut short
+        self._previous: ChatRequest | None = None  # the line before's request
         self._base, self._base_sequence = "", None  # the base's context and sequence
         self._last, self._last_fields = "", {}  # the last long context, and its fields as a base copy
 
     def request_fields(self, request: ChatRequest, sequence: int) -> dict:
         """The fields of `request` for the line numbered `sequence`."""
-        previous = self._previous
-        # A short context can copy only the head of the one before: keeping
-        # all of a long one would keep a string of up to a few MB alive.
-        self._previous = replace(request, user_content=request.user_content[:INLINE_CONTEXT_CHARS])
+        previous, self._previous = self._previous, request
         fields = _changed(request, previous, "system_prompt")
-        content = request.user_content
-        if len(content) >= INLINE_CONTEXT_CHARS:
-            fields.update(self._copy(content, sequence, previous))
-        else:
-            copied = 0 if previous is None else _common_prefix(previous.user_content, content)
-            if copied > len(content) - copied:
-                fields["user_content_spans"] = [[0, copied]]
-                fields["user_content_suffix"] = content[copied:]
-            else:
-                fields["user_content"] = content
+        fields.update(self._content_fields(request.user_content, sequence, previous))
         fields.update(_changed(request, previous, "temperature", "max_output"))
         return fields
 
-    def _copy(self, content: str, sequence: int, previous: ChatRequest | None) -> dict:
-        """The fields of a long `content`, after the line of `previous`."""
-        last, fields = self._last, self._last_fields
-        if fields and len(content) <= 2 * len(last) and content.startswith(last):
-            fields = dict(fields)
-            fields["user_content_suffix"] += content[len(last) :]
-            return fields
-        self._last, self._last_fields = content, {}
-        copy = self._splice(content)
+    def _content_fields(self, content: str, sequence: int, previous: ChatRequest | None) -> dict:
+        """The fields of `content`, the steps of the class docstring in order."""
+        long = len(content) >= INLINE_CONTEXT_CHARS
+        if long:
+            last, fields = self._last, self._last_fields
+            if fields and len(content) <= 2 * len(last) and content.startswith(last):
+                fields = dict(fields)
+                fields["user_content_suffix"] += content[len(last) :]
+                return fields
+            self._last, self._last_fields = content, {}
+            copy = None if self._base_sequence is None else _copy_of(self._base, content)
+            if copy is not None:
+                self._last_fields = {"user_content_base": self._base_sequence, **copy}
+                return self._last_fields
+        copy = None if previous is None else _copy_of(previous.user_content, content)
         if copy is not None:
-            spans, suffix = copy
-            self._last_fields = {
-                "user_content_base": self._base_sequence,
-                "user_content_spans": spans,
-                "user_content_suffix": suffix,
-            }
-            return self._last_fields
-        # What is kept of the line before's context is all of a short one;
-        # a long one (only a long one is cut to INLINE_CONTEXT_CHARS chars)
-        # starts with `last`.
-        before = "" if previous is None else previous.user_content
-        copy = _copy_of(last if len(before) == INLINE_CONTEXT_CHARS else before, content)
-        if copy is not None:
-            spans, suffix = copy
-            return {"user_content_spans": spans, "user_content_suffix": suffix}
-        self._base, self._base_sequence = content, sequence  # inline: the new base
-        self._last_fields = {
-            "user_content_base": sequence,
-            "user_content_spans": [[0, len(content)]],
-            "user_content_suffix": "",
-        }
+            return copy
+        if long:  # the new base, which step 1 extends as a copy of itself
+            self._base, self._base_sequence = content, sequence
+            self._last_fields = {"user_content_base": sequence, **_copy_of(content, content)}
         return {"user_content": content}
-
-    def _splice(self, content: str) -> tuple[list, str] | None:
-        """`content` as ranges of the base and its new text, or None if it
-        neither extends the base nor is it with one stretch dropped."""
-        if self._base_sequence is None:
-            return None
-        base = self._base
-        prefix = _common_prefix(base, content)
-        if prefix == len(base):  # it extends the base
-            return None if len(content) > 2 * len(base) else ([[0, prefix]], content[prefix:])
-        if prefix == len(content):
-            return None  # it drops the base's tail
-        # `content` is base[:prefix] + base[resume:] + new text shorter than
-        # INLINE_CONTEXT_CHARS, so `resume` lies in a window of that width;
-        # the comparison after the search makes sure.
-        earliest = prefix + len(base) - len(content)
-        latest = earliest + INLINE_CONTEXT_CHARS - 1
-        if latest <= prefix:
-            return None  # too much new text
-        resume = _resume(base, content, prefix, max(prefix + 1, earliest), latest)
-        if resume < 0 or not content.startswith(base[resume:], prefix):
-            return None
-        return [[0, prefix], [resume, len(base)]], content[prefix + len(base) - resume :]
 
 
 def _changed(request: ChatRequest, previous: ChatRequest | None, *keys: str) -> dict:
@@ -391,7 +332,7 @@ def _changed(request: ChatRequest, previous: ChatRequest | None, *keys: str) -> 
     return fields
 
 
-def _copy_of(source: str, content: str) -> tuple[list, str] | None:
+def _copy_of(source: str, content: str) -> dict | None:
     """`content` as ranges of `source` and its new text: the head they
     share, then the longest stretch of `source` from where `_resume` finds
     the rest of `content` starting again. None if the new text is not
@@ -399,23 +340,26 @@ def _copy_of(source: str, content: str) -> tuple[list, str] | None:
     head = _common_prefix(source, content)
     spans, copied = [[0, head]], head
     if head < len(content):
-        resume = _resume(source, content, head, head + 1, len(source))
+        resume = _resume(source, content, head)
         if resume >= 0:
             kept = _common_prefix(source, content, resume, head)
             spans.append([resume, resume + kept])
             copied += kept
     suffix = content[copied:]
-    return (spans, suffix) if len(suffix) < min(INLINE_CONTEXT_CHARS, copied) else None
+    if len(suffix) >= min(INLINE_CONTEXT_CHARS, copied):
+        return None
+    return {"user_content_spans": spans, "user_content_suffix": suffix}
 
 
-def _resume(source: str, content: str, head: int, earliest: int, latest: int) -> int:
-    """Where in `source`, from `earliest` to `latest`, the text of `content`
-    after its first `head` chars starts again, or -1: the first match of
-    the rest of the line at `head`, which in a context names the first
-    entry kept after the dropped ones. The caller compares what follows."""
+def _resume(source: str, content: str, head: int) -> int:
+    """Where in `source`, after its first `head` chars, the text of
+    `content` after its first `head` chars starts again, or -1: the first
+    match of the rest of the line at `head`, which in a context names the
+    first entry kept after the dropped ones. The caller compares what
+    follows."""
     line_end = content.find("\n", head + 1)
     probe = content[head : line_end + 1 if line_end >= 0 else len(content)]
-    return source.find(probe, earliest, latest + len(probe))
+    return source.find(probe, head + 1)
 
 
 def _common_prefix(text: str, other: str, start: int = 0, other_start: int = 0) -> int:

@@ -28,9 +28,10 @@ event), `events.jsonl` (append-only, flushed per event),
 `transcript.jsonl` (every model exchange, read through
 `gateway.read_transcript`; each request line holds what differs from the
 lines before: a system prompt, temperature or output cap only when it
-changes, a short prompt as the start of the previous one plus its new
-text, and a long one as ranges of the base line, the last one written
-whole, or of the line before, plus new text, or else whole), fsynced
+changes, and a prompt as ranges of another line's plus new text, or else
+whole: a long prompt extends the copy before it or copies the base line,
+the last one that holds a long prompt whole, and then any prompt copies
+the line before), fsynced
 before each `loop_complete`, and
 `report.json` (the summary, written before the `run_complete` event that
 commits it). A fresh run removes

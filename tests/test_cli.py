@@ -233,6 +233,42 @@ def test_reprove_focused_via_cli(tmp_path):
     assert report["mode"] == "focused[1 entries]"
 
 
+@pytest.mark.parametrize(
+    "options, message",
+    [
+        (["--prefix", "-1"], "--prefix is -1; the library has 2 entries"),
+        (["--prefix", "3"], "--prefix is 3; the library has 2 entries"),
+        (["--n", "0"], "--n is 0; a focused campaign runs at least once"),
+        (["--n", "-2"], "--n is -2; a focused campaign runs at least once"),
+        (["--no-library", "--prefix", "0"], "--prefix needs --library, the entries it counts"),
+    ],
+)
+def test_reprove_focused_refuses_a_prefix_outside_the_library_or_no_repetition(
+    tmp_path, capsys, options, message
+):
+    library_path = tmp_path / "library.lean"
+    small_library(library_path)
+    statement_path = tmp_path / "statement.lean"
+    statement_path.write_text("theorem focus : 9 = 9 := sorry\n", encoding="utf-8")
+    replay = tmp_path / "replay"
+    write_replay(replay, "prover", [""])
+    out = tmp_path / "out"
+    args = ["reprove-focused", "--statement", str(statement_path)]
+    args += ["--replay", str(replay), "--out", str(out)]
+    if options[0] == "--no-library":
+        options = options[1:]
+    else:
+        args += ["--library", str(library_path)]
+    assert cli.main(args + options) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+    # The bounds themselves are accepted.
+    for edge in (["--prefix", "0"], ["--prefix", "2"], ["--n", "1"]):
+        edge_out = tmp_path / "edge" / "".join(edge)
+        edge_args = args[:-1] + [str(edge_out), "--library", str(library_path), "--n", "1"]
+        assert cli.main(edge_args + edge) == 0
+
+
 @pytest.mark.parametrize("command", ["reprove-all", "reprove-focused"])
 def test_eval_commands_close_their_lean_session(
     tmp_path, fake_repl_cmd, repl_gone, command

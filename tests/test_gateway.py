@@ -550,6 +550,41 @@ def test_http_provider_server_error_is_retryable(monkeypatch):
         provider.complete(request())
 
 
+@pytest.mark.parametrize(
+    "body",
+    [
+        b"<html>bad gateway</html>",
+        b'{"choices": [{"message": {"content": "by \xff"}}]}',
+        json.dumps({"choices": [{"message": {"content": ["by rfl"]}}]}).encode(),
+        json.dumps({"choices": []}).encode(),
+    ],
+    ids=["not-json", "not-utf8", "content-not-a-string", "no-choice"],
+)
+def test_a_malformed_reply_is_a_transport_error_the_gateway_retries_and_records(
+    tmp_path, monkeypatch, body
+):
+    monkeypatch.setattr(urllib.request, "urlopen", lambda req, timeout=None: FakeHttpResponse(body))
+    monkeypatch.setenv("CPL_API_KEY", "key")
+    provider = HttpChatProvider(endpoint="https://example.test", models={"prover": "o3"})
+    with pytest.raises(TransportError, match="malformed provider response: "):
+        provider.complete(request())
+    path = tmp_path / "transcript.jsonl"
+    gateway = Gateway(provider, retry_cap=2, transcript_path=path, sleep=lambda s: None)
+    with pytest.raises(TransportError, match="retries exhausted"):
+        gateway.complete(request())
+    (line,) = read_json_lines(path)
+    assert line["response"] is None
+    assert line["error"].startswith("malformed provider response: ")
+
+
+def test_a_null_content_is_an_empty_reply(monkeypatch):
+    body = json.dumps({"choices": [{"message": {"content": None}}]}).encode()
+    monkeypatch.setattr(urllib.request, "urlopen", lambda req, timeout=None: FakeHttpResponse(body))
+    monkeypatch.setenv("CPL_API_KEY", "key")
+    provider = HttpChatProvider(endpoint="https://example.test", models={"prover": "o3"})
+    assert provider.complete(request()) == ""
+
+
 def test_credential_never_written_to_transcript(tmp_path, monkeypatch):
     def fake_urlopen(req, timeout=None):
         body = {"choices": [{"message": {"content": "out"}}]}
@@ -768,15 +803,15 @@ def test_each_retry_of_a_spliced_context_carries_only_its_own_feedback(tmp_path)
         )
 
 
-def test_long_new_text_is_written_whole_as_a_new_base_and_a_dropped_tail_copies_the_line_before(
+def test_long_new_text_is_written_whole_as_a_new_base_and_a_dropped_tail_copies_the_base(
     tmp_path,
 ):
     stored = rendered(0)
     kept = rendered(6)
     # New text one char short of INLINE_CONTEXT_CHARS is spliced; at that
     # length it is written whole, and the retry after it copies it. The
-    # base with its tail dropped copies the line before, and so does its
-    # retry.
+    # base with its tail dropped is its head, and its retry extends that
+    # copy.
     longest = kept + "\n\n" + "∀" * (INLINE_CONTEXT_CHARS - 3)
     assert len(longest) - len(kept) == INLINE_CONTEXT_CHARS - 1
     for number, (text, spliced) in enumerate([(longest, True), (longest + "∀", False)]):
@@ -790,9 +825,10 @@ def test_long_new_text_is_written_whole_as_a_new_base_and_a_dropped_tail_copies_
     dropped = rendered(0, end=len(BLOCKS) - 2)
     lines = recorded_lines(tmp_path / "transcript.jsonl", [stored, dropped, dropped + "\r\nretry"])
     assert base_lines(lines) == [0]
+    head = {"user_content_base": 0, "user_content_spans": [[0, len(dropped)]]}
     assert [line["request"] for line in lines[1:]] == [
-        {"user_content_spans": [[0, len(dropped)]], "user_content_suffix": ""},
-        {"user_content_spans": [[0, len(dropped)]], "user_content_suffix": "\r\nretry"},
+        {**head, "user_content_suffix": ""},
+        {**head, "user_content_suffix": "\r\nretry"},
     ]
 
 
@@ -947,7 +983,8 @@ def test_a_seeded_run_of_short_and_long_requests_reads_back_exactly_across_a_cut
     assert read_requests(path) == expected
     entries = list(read_json_lines(path))
     assert [bool(e["response"].get("reused")) for e in entries[70:101]] == [True] * 30 + [False]
-    assert any(is_long_copy(line["request"]) for line in cut)
+    # The cut lines copy a base line the cut keeps.
+    assert any(line["request"].get("user_content_base", 70) < 70 for line in cut)
     lines = [line["request"] for line in entries]
     for key in CARRIED_FIELDS:
         assert sum(key in line for line in lines) < len(lines) / 3
@@ -955,11 +992,10 @@ def test_a_seeded_run_of_short_and_long_requests_reads_back_exactly_across_a_cut
     assert len(copies) > len(lines) / 4
     # each copies more of the context before it than it adds
     assert all(copied(line) > len(line["user_content_suffix"]) for line in copies)
-    # long contexts copied from the line before: the head alone, or with a kept stretch
-    long_copies = [line for line in copies if is_long_copy(line)]
-    assert {len(line["user_content_spans"]) for line in long_copies} == {1, 2}
-    assert all(len(line["user_content_suffix"]) < INLINE_CONTEXT_CHARS for line in long_copies)
-    assert any("user_content_base" in line for line in lines)
+    # long contexts copied from the base: the head alone, or with a kept stretch
+    base_copies = [line for line in lines if "user_content_base" in line]
+    assert {len(line["user_content_spans"]) for line in base_copies} == {1, 2}
+    assert len(base_lines(entries)) < len(base_copies) / 4
     assert any("user_content" in line for line in lines)
 
 
@@ -1010,15 +1046,46 @@ def test_a_transcript_of_base_copies_only_reads_back_and_serves_a_resume(tmp_pat
     asked: list[str] = []
     gateway = Gateway(echo_provider(asked), transcript_path=path, sleep=lambda s: None)
     assert gateway.fast_forward(role_counts(requests[:2])) == 2
-    # The base's tail dropped and a new target: a copy of the line before.
+    # The base's front and tail dropped and a new target: a copy of the base.
     retarget = request(user=rendered(9, STUBS[7:8], end=89))
     for item in requests[2:] + [retarget]:
         gateway.complete(item)
     assert asked == [retarget.user_content]
     entries = list(read_json_lines(path))
     assert [bool(e["response"].get("reused")) for e in entries] == [False] * 2 + [True] * 5 + [False]
-    assert is_long_copy(entries[-1]["request"])
+    assert entries[-1]["request"]["user_content_base"] == 2
+    assert len(entries[-1]["request"]["user_content_spans"]) == 2
     assert read_requests(path) == [as_read(item) for item in requests + [retarget]]
+
+
+def test_a_long_context_after_a_short_one_copies_the_base(tmp_path):
+    """`older_form_requests()` written afresh: the sixth request follows the
+    short one, and the line before cannot serve it, so it copies the base."""
+    path = tmp_path / "transcript.jsonl"
+    requests = older_form_requests()
+    gateway = Gateway(echo_provider([]), transcript_path=path, sleep=lambda s: None)
+    for item in requests:
+        gateway.complete(item)
+    assert read_requests(path) == [as_read(item) for item in requests]
+    lines = [line["request"] for line in read_json_lines(path)]
+    assert [n for n, line in enumerate(lines) if "user_content" in line] == [0, 4]
+    assert len(requests[5].user_content) == 5441
+    assert lines[5]["user_content_base"] == 0
+    # With the sixth request written whole, the requests took 15,443 bytes.
+    assert sum(len(json.dumps(line, ensure_ascii=False).encode()) for line in lines) < 10_000
+
+
+def test_a_prover_context_after_a_front_truncated_conjecture_context_copies_the_base(tmp_path):
+    """The conjecture context drops the oldest entries for its stubs; the
+    prover context after it, with fewer dropped, holds most of them again.
+    The line before lacks them, the base does not."""
+    stored = rendered(0, end=300)
+    conjecture = rendered(60, STUBS[1:12], end=300)
+    prover = rendered(5, STUBS[12:13], end=300)
+    lines = recorded_lines(tmp_path / "transcript.jsonl", [stored, conjecture, prover])
+    assert base_lines(lines) == [0]
+    assert [line["request"].get("user_content_base") for line in lines] == [None, 0, 0]
+    assert "user_content" not in lines[2]["request"]
 
 
 def test_a_gateway_whose_transcript_was_cut_writes_its_next_line_in_full(tmp_path):
@@ -1128,10 +1195,11 @@ def write_lines(path, lines: list[dict]) -> None:
 
 def test_a_copy_of_any_base_but_the_last_one_read_is_refused(tmp_path):
     path = tmp_path / "transcript.jsonl"
-    # A base, a splice of it, a second base (the first one's tail
-    # dropped), and a splice of that.
-    contexts = [rendered(0), rendered(3), rendered(0, end=len(BLOCKS) - 2)]
-    lines = recorded_lines(path, [*contexts, rendered(3, end=len(BLOCKS) - 2)])
+    # A base, a splice of it, a second base (the first one's tail dropped
+    # for more new text than a copy may add), and a splice of that.
+    new_text = "\n\n" + "∀" * INLINE_CONTEXT_CHARS
+    contexts = [rendered(0), rendered(3), rendered(0, end=len(BLOCKS) - 2) + new_text]
+    lines = recorded_lines(path, [*contexts, rendered(3, end=len(BLOCKS) - 2) + new_text])
     assert base_lines(lines) == [0, 2]
     assert [line["request"].get("user_content_base") for line in lines] == [None, 0, None, 2]
     for number, named, last in ((1, 2, 0), (3, 0, 2), (3, 1, 2), (1, 7, 0), (3, "2", 2)):

@@ -1828,11 +1828,10 @@ def test_a_resume_past_the_budget_serves_exchanges_whose_prompts_are_stored(tmp_
         start(out, kill_in_loop_eleven)
     killed = transcript_lines(out)
     committed = committed_calls(out)
-    # The cut removes lines that copy a long prompt from the line before.
+    # The cut removes lines that copy a long prompt from a base line it keeps.
     read_back = read_transcript(out / "transcript.jsonl")
     assert any(
-        "user_content_spans" in line["request"]
-        and "user_content_base" not in line["request"]
+        line["request"].get("user_content_base", committed) < committed
         and len(entry["request"]["user_content"]) >= INLINE_CONTEXT_CHARS
         for line, entry in zip(killed[committed:], read_back[committed:])
     )
