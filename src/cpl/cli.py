@@ -84,16 +84,14 @@ def _cmd_reprove_all(args) -> int:
     with contextlib.closing(session):
         report = evalharness.reprove_all(
             library,
-            mode=args.reprove_mode,
-            session=session,
-            gateway=gateway,
-            max_trials=config.max_trials,
-            prompt_variant=config.prompt_variant,
-            context_budget=config.context_budget,
-            temperature=config.temperature,
-            max_output=config.max_output,
+            args.reprove_mode,
+            session,
+            gateway,
             events=events,
+            **config.campaign_options(),
         )
+    # The report outlasts a power loss only with the exchanges it counts.
+    gateway.sync()
     path = out / f"reprove_{args.reprove_mode}.json"
     write_json(path, report.to_dict())
     print(
@@ -135,16 +133,13 @@ def _cmd_reprove_focused(args) -> int:
         report = evalharness.reprove_focused(
             statement,
             library,
-            session=session,
-            gateway=gateway,
+            session,
+            gateway,
             n=args.n,
-            max_trials=config.max_trials,
-            prompt_variant=config.prompt_variant,
-            context_budget=config.context_budget,
-            temperature=config.temperature,
-            max_output=config.max_output,
             events=events,
+            **config.campaign_options(),
         )
+    gateway.sync()
     path = out / "reprove_focused.json"
     write_json(path, report.to_dict())
     print(

@@ -19,6 +19,7 @@ from .core import (
 )
 from .gateway import ChatRequest, FatalGatewayError, Gateway, TransportError
 from .prompts import CONJECTURER_PROMPT
+from .prover import VERIFIER_FAULT
 from .verifier import KNOWN, VALID, VerifierError
 
 DEFAULT_ITERATIONS = 16
@@ -61,7 +62,6 @@ def run_conjecture_phase(
     gateway: Gateway,
     iterations: int = DEFAULT_ITERATIONS,
     context_budget: int = 400_000,
-    system_prompt: str = CONJECTURER_PROMPT,
     temperature: float = 1.0,
     max_output: int = 16384,
     events=None,
@@ -94,7 +94,7 @@ def run_conjecture_phase(
             emit("warning", message=note, where="conjecture_context")
         request = ChatRequest(
             role_id="conjecturer",
-            system_prompt=system_prompt,
+            system_prompt=CONJECTURER_PROMPT,
             user_content=prompt,
             temperature=temperature,
             max_output=max_output,
@@ -153,7 +153,7 @@ def run_conjecture_phase(
                     continue
                 novelty = session.check_novelty(checked, stmt)
             except VerifierError as exc:
-                reject("invalid", f"verifier transport error: {exc}")
+                reject("invalid", f"{VERIFIER_FAULT}{exc}")
                 continue
             if novelty.verdict == KNOWN:
                 reject("known", novelty.closing_term)

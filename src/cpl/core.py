@@ -314,11 +314,9 @@ class Library:
 class ConjectureList:
     """Ordered accumulator of accepted conjectures, unique modulo whitespace."""
 
-    def __init__(self, items: list[TheoremStatement] | None = None):
+    def __init__(self):
         self.items: list[TheoremStatement] = []
         self._keys: set[str] = set()
-        for item in items or []:
-            self.add(item)
 
     def __len__(self) -> int:
         return len(self.items)

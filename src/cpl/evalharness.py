@@ -20,19 +20,13 @@ from .core import (
     load_library,
     proof_length,
     read_json_lines,
+    write_atomically,
     write_json,
 )
 from .events import read_events
 from .gateway import ChatRequest, Gateway, TransportError
 from .prompts import DEFAULT_NL_STATEMENT, NL_PROVER_PROMPT
-from .prover import (
-    GATEWAY_FAULT,
-    STATUS_FAILED,
-    STATUS_UNPROVABLE,
-    STATUS_VERIFIED,
-    VERIFIER_FAULT,
-    prove,
-)
+from .prover import STATUS_FAILED, STATUS_UNPROVABLE, STATUS_VERIFIED, prove
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -103,24 +97,13 @@ def render_percent(rate: Fraction) -> str:
     return f"{round(rate * 100)}%"
 
 
-def _outcome_had_transport_failure(outcome) -> bool:
-    """Whether a fault failed a trial: only `prover`'s two fault messages
-    count, never what Lean says."""
-    return any(
-        diag.message.startswith((GATEWAY_FAULT, VERIFIER_FAULT))
-        for attempt in outcome.attempts
-        if attempt.result is not None
-        for diag in attempt.result.diagnostics
-    )
-
-
 def _run_campaigns(mode: str, campaigns, session, gateway: Gateway, **options) -> ReproveReport:
     """One `prove` campaign for each `(key, statement, context library,
     event_extra)` of `campaigns`, with `options` passed on, reported under
     `mode`: each key's status, the breakdown, and the keys whose campaign
-    lost a trial to a gateway or verifier fault. `prove` is looked up in
-    this module at each campaign, so a wrap of `evalharness.prove` sees
-    them all."""
+    lost a trial to a gateway or verifier fault (a result with a `fault`,
+    never a verdict of Lean's). `prove` is looked up in this module at
+    each campaign, so a wrap of `evalharness.prove` sees them all."""
     # Imported here: `fractions` loads `decimal`, and only a reprove
     # campaign's report needs an exact rate.
     from fractions import Fraction
@@ -132,7 +115,7 @@ def _run_campaigns(mode: str, campaigns, session, gateway: Gateway, **options) -
         outcome = prove(statement, context, session, gateway, event_extra=event_extra, **options)
         per_theorem.append((key, outcome.status))
         breakdown[outcome.status] = breakdown.get(outcome.status, 0) + 1
-        if _outcome_had_transport_failure(outcome):
+        if any(a.result is not None and a.result.fault is not None for a in outcome.attempts):
             flagged.append(key)
     total, success = len(per_theorem), breakdown[STATUS_VERIFIED]
     return ReproveReport(
@@ -151,17 +134,16 @@ def reprove_all(
     mode: str,
     session,
     gateway: Gateway,
-    max_trials: int = 16,
-    prompt_variant: str = "not_provable",
-    context_budget: int = 400_000,
-    temperature: float = 1.0,
-    max_output: int = 16384,
     events=None,
+    **options,
 ) -> ReproveReport:
     """Re-prove every library entry under one of the two context modes.
 
     `with_context` gives the prover the entries generated before the
-    target; `definitions_only` gives it only the seed.
+    target; `definitions_only` gives it only the seed. `options` are
+    `prove`'s campaign options (`max_trials`, `prompt_variant`,
+    `context_budget`, `temperature`, `max_output`), passed to each
+    campaign with `events`; `prove`'s defaults fill the rest.
     """
     if mode not in REPROVE_MODES:
         raise ValueError(f"unknown reprove mode {mode!r}")
@@ -182,18 +164,7 @@ def reprove_all(
         )
         for entry in library.entries
     )
-    return _run_campaigns(
-        mode,
-        campaigns,
-        session,
-        gateway,
-        max_trials=max_trials,
-        prompt_variant=prompt_variant,
-        context_budget=context_budget,
-        temperature=temperature,
-        max_output=max_output,
-        events=events,
-    )
+    return _run_campaigns(mode, campaigns, session, gateway, events=events, **options)
 
 
 def reprove_focused(
@@ -202,35 +173,24 @@ def reprove_focused(
     session,
     gateway: Gateway,
     n: int = DEFAULT_FOCUSED_REPETITIONS,
-    max_trials: int = 16,
-    prompt_variant: str = "false",
-    context_budget: int = 400_000,
-    temperature: float = 1.0,
-    max_output: int = 16384,
     events=None,
+    **options,
 ) -> ReproveReport:
     """Run `n` independent prover campaigns for one focused statement.
 
-    The report's breakdown is three-way: verified, failed attempts,
-    and declared-false (the empty-response surrender under the
+    `options` are `prove`'s campaign options, passed on as `reprove_all`
+    passes them, except that `prompt_variant` defaults to `"false"`. The
+    report's breakdown is three-way: verified, failed attempts, and
+    declared-false (the empty-response surrender under the
     falsity-judgment prompt).
     """
+    options.setdefault("prompt_variant", "false")
     campaigns = (
         (repetition, statement, library_prefix, {"focused_repetition": repetition})
         for repetition in range(n)
     )
-    return _run_campaigns(
-        f"focused[{len(library_prefix.entries)} entries]",
-        campaigns,
-        session,
-        gateway,
-        max_trials=max_trials,
-        prompt_variant=prompt_variant,
-        context_budget=context_budget,
-        temperature=temperature,
-        max_output=max_output,
-        events=events,
-    )
+    mode = f"focused[{len(library_prefix.entries)} entries]"
+    return _run_campaigns(mode, campaigns, session, gateway, events=events, **options)
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +213,6 @@ def nl_session(
     out_dir: str | Path = ".",
     temperature: float = 1.0,
     max_output: int = 16384,
-    events=None,
 ) -> list[str]:
     """Collect `n` natural-language proof attempts for manual grading.
 
@@ -286,7 +245,7 @@ def nl_session(
             status = "failed_fetch"
         if status == "pending" and text.strip() == "False":
             status = "rejected_as_false"
-        (nl_dir / f"{response_id}.txt").write_text(text, encoding="utf-8")
+        write_atomically(nl_dir / f"{response_id}.txt", [text.encode("utf-8")], fsync=False)
         index.append({"id": response_id, "status": status})
         if status == "rejected_as_false":
             _append_grade(
@@ -297,12 +256,6 @@ def nl_session(
                     grader="auto",
                     note="literal False response",
                 ),
-            )
-        if events is not None:
-            events.emit(
-                "warning",
-                message=f"nl response {response_id} stored ({status})",
-                where="nl_session",
             )
         ids.append(response_id)
     return ids
@@ -417,7 +370,7 @@ def write_histogram_csv(
     lines = ["bin_start,bin_end,count,metric"]
     for start, end, count in histogram_rows(histogram, bin_width):
         lines.append(f"{start},{end},{count},{metric}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_atomically(path, [("\n".join(lines) + "\n").encode("utf-8")], fsync=False)
 
 
 def _format_histogram_table(
@@ -540,6 +493,6 @@ def emit_reports(
     write_json(report_path, report)
     written["report.json"] = report_path
     text_path = run_dir / "report.txt"
-    text_path.write_text("\n".join(text_lines) + "\n", encoding="utf-8")
+    write_atomically(text_path, [("\n".join(text_lines) + "\n").encode("utf-8")], fsync=False)
     written["report.txt"] = text_path
     return written

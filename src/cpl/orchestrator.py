@@ -25,20 +25,14 @@ exchanges at the end of the phase they overlapped.
 A run directory holds `library.lean` (written atomically at the start,
 then each new entry appended and fsynced before its `theorem_added`
 event), `events.jsonl` (append-only, flushed per event),
-`transcript.jsonl` (every model exchange, read through
-`gateway.read_transcript`; each request line holds what differs from the
-lines before: a system prompt, temperature or output cap only when it
-changes, and a prompt as ranges of another line's plus new text, or else
-whole: a long prompt extends the copy before it or copies the base line,
-the last one that holds a long prompt whole, and then any prompt copies
-the line before), fsynced
-before each `loop_complete`, and
-`report.json` (the summary, written before the `run_complete` event that
-commits it). A fresh run removes
-the event log, the transcript and the report of an earlier run. A resume
-reads the event log, `library.lean` and the transcript once each, and
-cuts all three in place back to the last committed loop: the log at the
-end of that loop's `loop_complete` line, the library to the dump of the
+`transcript.jsonl` (every model exchange, in the format the `gateway`
+module describes, read through `gateway.read_transcript`), fsynced before
+each `loop_complete`, and `report.json` (the summary, written before the
+`run_complete` event that commits it). A fresh run removes the event
+log, the transcript and the report of an earlier run. A resume reads the
+event log, `library.lean` and the transcript once each, and cuts all
+three in place back to the last committed loop: the log at the end of
+that loop's `loop_complete` line, the library to the dump of the
 committed entries, which drops any partial block a crash left at its
 end, and the transcript to that loop's calls. Resuming a run whose
 `run_complete` is logged changes nothing.
@@ -179,6 +173,16 @@ class RunConfig:
             if value is not None and not Path(value).is_absolute():
                 setattr(config, name, str((path.parent / value).resolve()))
         return config
+
+    def campaign_options(self) -> dict:
+        """The options of a prover campaign, as `prove` takes them."""
+        return {
+            "max_trials": self.max_trials,
+            "prompt_variant": self.prompt_variant,
+            "context_budget": self.context_budget,
+            "temperature": self.temperature,
+            "max_output": self.max_output,
+        }
 
     def public_dict(self) -> dict:
         data = dataclasses.asdict(self)
@@ -542,19 +546,14 @@ class _Campaigns:
 
     def prove(self, stmt, gateway, events):
         """One campaign against the loop-start library."""
-        config = self._run.config
         return prove(
             stmt,
             self._snapshot,
             self._run.session,
             gateway,
-            max_trials=config.max_trials,
-            prompt_variant=config.prompt_variant,
-            context_budget=config.context_budget,
-            temperature=config.temperature,
-            max_output=config.max_output,
             events=events,
             event_extra={"loop": self._loop},
+            **self._run.config.campaign_options(),
         )
 
     def accept(self, stmt) -> None:

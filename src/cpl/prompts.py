@@ -1,8 +1,7 @@
-"""Default system prompts for each model role.
+"""The system prompt of each model role.
 
-These are configuration defaults and can be overridden per run; the
-gateway sends whatever string it is given byte-for-byte. The wording
-(typos included) is kept exactly as the pipeline was tuned with it.
+The gateway sends each string byte-for-byte. The wording (typos
+included) is kept exactly as the pipeline was tuned with it.
 """
 
 from __future__ import annotations
@@ -67,11 +66,4 @@ DEFAULT_NL_STATEMENT = (
 PROVER_PROMPT_VARIANTS = {
     "not_provable": PROVER_PROMPT,
     "false": PROVER_FALSE_PROMPT,
-}
-
-DEFAULT_SYSTEM_PROMPTS = {
-    "conjecturer": CONJECTURER_PROMPT,
-    "prover": PROVER_PROMPT,
-    "simple_loop": SIMPLE_LOOP_PROMPT,
-    "nl_prover": NL_PROVER_PROMPT,
 }

@@ -23,7 +23,8 @@ STATUS_VERIFIED = "verified"
 STATUS_FAILED = "failed_exhausted"
 STATUS_UNPROVABLE = "declared_unprovable"
 
-# The diagnostic of a trial that a fault failed, not Lean.
+# The first words of a fault's diagnostic, where Lean gave none: a trial's
+# (whose `CheckResult.fault` holds the error) or a conjecture's.
 GATEWAY_FAULT = "gateway transport failure: "
 VERIFIER_FAULT = "verifier transport error: "
 
@@ -55,18 +56,20 @@ def format_feedback(
     return "\n".join(lines)
 
 
-def _synthetic_failure(message: str) -> CheckResult:
+def _synthetic_failure(message: str, fault: Exception | None = None) -> CheckResult:
+    """A failed trial that Lean never judged: an unusable reply, or with
+    `fault` set, the error of a gateway or verifier that gave up."""
     return CheckResult(
-        verdict=FAILED, diagnostics=(Diagnostic("error", 1, 0, message),)
+        verdict=FAILED, diagnostics=(Diagnostic("error", 1, 0, message),), fault=fault
     )
 
 
 def verify_with_retry(session, context, stmt, proof) -> CheckResult:
     """verify_proof with one retry on transport failure.
 
-    A second failure is converted into a failed-trial result rather
-    than an exception, so a crashing backend costs one trial, not the
-    run.
+    A second failure is converted into a failed-trial result, with the
+    error as its `fault`, rather than an exception, so a crashing backend
+    costs one trial, not the run.
     """
     for remaining in (1, 0):
         try:
@@ -74,7 +77,7 @@ def verify_with_retry(session, context, stmt, proof) -> CheckResult:
         except VerifierError as exc:
             if remaining:
                 continue
-            return _synthetic_failure(f"{VERIFIER_FAULT}{exc}")
+            return _synthetic_failure(f"{VERIFIER_FAULT}{exc}", exc)
     raise AssertionError("unreachable")
 
 
@@ -117,7 +120,7 @@ def run_trials(
         try:
             reading = read(gateway.complete(trial_request).text)
         except TransportError as exc:
-            result = _synthetic_failure(f"{GATEWAY_FAULT}{exc}")
+            result = _synthetic_failure(f"{GATEWAY_FAULT}{exc}", exc)
         except Unusable as exc:
             text, result = exc.text, _synthetic_failure(str(exc))
         else:

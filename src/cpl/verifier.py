@@ -82,12 +82,17 @@ class CheckResult:
     diagnostics: tuple[Diagnostic, ...] = ()
     closing_term: str | None = None
     elapsed: float = 0.0
+    # The gateway or verifier error that failed this trial, where Lean gave
+    # no verdict; only `prover` sets it.
+    fault: Exception | None = None
 
     def __post_init__(self) -> None:
         if self.verdict not in VERDICTS:
             raise ValueError(f"unknown verdict {self.verdict!r}")
         if (self.verdict == KNOWN) != (self.closing_term is not None):
             raise ValueError("closing_term must be present exactly for 'known'")
+        if self.fault is not None and self.verdict != FAILED:
+            raise ValueError("only a failed trial has a fault")
         if self.verdict in (INVALID, FAILED) and not any(
             d.severity == "error" for d in self.diagnostics
         ):

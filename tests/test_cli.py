@@ -2,14 +2,23 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 from pathlib import Path
 
 import pytest
 
 from cpl import cli
-from cpl.core import Library, ProofScript, TheoremStatement, read_json_lines, save_library
+from cpl.core import (
+    JsonLinesLog,
+    Library,
+    ProofScript,
+    TheoremStatement,
+    read_json_lines,
+    save_library,
+)
 from cpl.events import read_events
 from cpl.gateway import read_transcript
+from cpl.verifier import Diagnostic, VerifierStartupError
 
 FIXTURES = Path(__file__).parent / "fixtures"
 DEMO_CONFIG = FIXTURES / "cpl_demo" / "config.json"
@@ -435,6 +444,173 @@ def test_an_eval_command_after_a_kill_cuts_torn_lines_and_continues(tmp_path):
     transcript = [entry["sequence"] for entry in read_transcript(out / "transcript.jsonl")]
     assert events == list(range(len(events)))
     assert transcript == list(range(13 + 4))
+
+
+@pytest.mark.parametrize("command", ["reprove-all", "reprove-focused"])
+def test_an_eval_command_fsyncs_its_transcript_before_it_writes_its_report(
+    tmp_path, monkeypatch, command
+):
+    library_path = tmp_path / "library.lean"
+    small_library(library_path)
+    replay = tmp_path / "replay"
+    write_replay(replay, "prover", ["by re0", "by re1"])
+    out = tmp_path / "out"
+    args = [command, "--library", str(library_path), "--replay", str(replay)]
+    args += ["--max-trials", "1", "--out", str(out)]
+    if command == "reprove-focused":
+        statement = tmp_path / "statement.lean"
+        statement.write_text("theorem focus : 9 = 9 := sorry\n", encoding="utf-8")
+        args += ["--statement", str(statement), "--n", "2"]
+    writes = []
+    real_fsync, real_replace, real_append = os.fsync, os.replace, JsonLinesLog.append
+
+    def fsync(fd):
+        writes.append(("fsync", os.fstat(fd).st_ino))
+        real_fsync(fd)
+
+    def replace(source, target):
+        real_replace(source, target)
+        writes.append(("replace", Path(target).name))
+
+    def append(log, record):
+        real_append(log, record)
+        writes.append((log.path.name, log.path.stat().st_ino))
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "replace", replace)
+    monkeypatch.setattr(JsonLinesLog, "append", append)
+    assert cli.main(args) == 0
+    transcript = (out / "transcript.jsonl").stat().st_ino
+    name = "reprove_focused.json" if command == "reprove-focused" else "reprove_with_context.json"
+    report = writes.index(("replace", name))
+    lines = [n for n, write in enumerate(writes) if write == ("transcript.jsonl", transcript)]
+    synced = [n for n, write in enumerate(writes) if write == ("fsync", transcript)]
+    # The last transcript line, then its fsync, then the report.
+    assert len(lines) == 2 and synced and lines[-1] < synced[-1] < report
+
+
+def test_reprove_focused_with_definitions_only_gives_the_prover_no_entry(tmp_path):
+    library_path = tmp_path / "library.lean"
+    small_library(library_path)
+    statement = tmp_path / "statement.lean"
+    statement.write_text("theorem focus : 9 = 9 := sorry\n", encoding="utf-8")
+    replay = tmp_path / "replay"
+    write_replay(replay, "prover", ["", ""])
+    out = tmp_path / "out"
+    args = ["reprove-focused", "--statement", str(statement), "--library", str(library_path)]
+    args += ["--mode", "definitions_only", "--n", "2", "--replay", str(replay), "--out", str(out)]
+    assert cli.main(args) == 0
+    report = json.loads((out / "reprove_focused.json").read_text(encoding="utf-8"))
+    assert report["mode"] == "focused[0 entries]"
+    assert report["breakdown"]["declared_unprovable"] == 2
+    requests = [entry["request"] for entry in read_transcript(out / "transcript.jsonl")]
+    assert len(requests) == 2
+    for request in requests:
+        assert "theorem c0" not in request["user_content"]
+        assert request["user_content"].startswith(SEED)
+        assert request["user_content"].rstrip().endswith("theorem focus : 9 = 9 := sorry")
+
+
+def test_reprove_focused_without_a_library_proves_against_the_configs_seed(tmp_path, capsys):
+    seed = tmp_path / "seed.lean"
+    seed.write_text(SEED + "\ndef marker : ℕ := 7\n", encoding="utf-8")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"seed_path": "seed.lean"}), encoding="utf-8")
+    statement = tmp_path / "statement.lean"
+    statement.write_text("theorem focus : 9 = 9 := sorry\n", encoding="utf-8")
+    replay = tmp_path / "replay"
+    write_replay(replay, "prover", [""])
+    out = tmp_path / "out"
+    args = ["reprove-focused", "--statement", str(statement), "--n", "1"]
+    args += ["--replay", str(replay), "--out", str(out)]
+    assert cli.main(args + ["--config", str(config)]) == 0
+    report = json.loads((out / "reprove_focused.json").read_text(encoding="utf-8"))
+    assert report["mode"] == "focused[0 entries]"
+    (entry,) = read_transcript(out / "transcript.jsonl")
+    assert "def marker : ℕ := 7" in entry["request"]["user_content"]
+
+    # With neither a library nor a seed there is nothing to prove against.
+    no_seed = tmp_path / "no_seed.json"
+    no_seed.write_text("{}", encoding="utf-8")
+    capsys.readouterr()
+    assert cli.main(args[:-1] + [str(tmp_path / "other"), "--config", str(no_seed)]) == 2
+    assert capsys.readouterr().err == "error: provide --library or a config with seed_path\n"
+
+
+def test_nl_run_sends_the_statement_of_its_statement_file(tmp_path):
+    statement = tmp_path / "statement.txt"
+    statement.write_text("Every finite group of prime order is cyclic.\n", encoding="utf-8")
+    replay = tmp_path / "replay"
+    write_replay(replay, "nl_prover", ["A proof."])
+    out = tmp_path / "out"
+    args = ["nl", "run", "--n", "1", "--statement-file", str(statement)]
+    assert cli.main(args + ["--replay", str(replay), "--out", str(out)]) == 0
+    (entry,) = read_transcript(out / "transcript.jsonl")
+    assert entry["request"]["user_content"] == "Every finite group of prime order is cyclic.\n"
+    assert (out / "nl_responses" / "response_000.txt").read_text(encoding="utf-8") == "A proof."
+
+
+def test_analyze_report_over_a_run_directory_with_an_nl_session(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert cli.main(["run", "--config", str(DEMO_CONFIG), "--out", str(out)]) == 0
+    replay = tmp_path / "replay"
+    write_replay(replay, "nl_prover", ["False", "a sketch", "another sketch"])
+    assert cli.main(["nl", "run", "--n", "3", "--replay", str(replay), "--out", str(out)]) == 0
+    grade = ["nl", "grade", "--run-dir", str(out), "--id", "response_001"]
+    assert cli.main(grade + ["--category", "gap", "--grader", "reviewer"]) == 0
+    assert cli.main(["analyze", "report", "--run-dir", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    assert report["nl"] == {
+        "total": 3,
+        "failed_fetch": 0,
+        "pending": ["response_002"],
+        "categories": {"correctly_proven": 0, "gap": 1, "rejected_as_false": 1},
+    }
+    text = (out / "report.txt").read_text(encoding="utf-8")
+    assert text.endswith(
+        "natural-language session\n"
+        "  correctly_proven: 0\n"
+        "  gap: 1\n"
+        "  rejected_as_false: 1\n"
+        "  pending grades: 1\n"
+    )
+
+
+def test_main_exits_1_on_a_verifier_startup_error(tmp_path, capsys, monkeypatch):
+    # No REPL command configured: the session cannot start.
+    args = ["run", "--config", str(DEMO_CONFIG), "--verifier", "lean"]
+    assert cli.main(args + ["--out", str(tmp_path / "run")]) == 1
+    assert capsys.readouterr().err == "verifier startup error: no verifier command configured\n"
+
+    # A seed that does not elaborate: its diagnostics follow, one a line.
+    def seed_fails(config, seed_source):
+        raise VerifierStartupError(
+            "seed failed to elaborate", (Diagnostic("error", 3, 4, "unknown identifier 'x'"),)
+        )
+
+    monkeypatch.setattr(cli, "build_verifier", seed_fails)
+    library_path = tmp_path / "library.lean"
+    small_library(library_path)
+    write_replay(tmp_path / "replay", "prover", ["by rfl"])
+    args = ["reprove-all", "--library", str(library_path), "--replay", str(tmp_path / "replay")]
+    assert cli.main(args + ["--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        "verifier startup error: seed failed to elaborate\n"
+        "  3:4 error unknown identifier 'x'\n"
+    )
+
+
+def test_main_exits_1_on_a_resume_error(tmp_path, capsys):
+    out = tmp_path / "run"
+    args = ["run", "--config", str(DEMO_CONFIG), "--out", str(out)]
+    assert cli.main(args) == 0
+    library = out / "library.lean"
+    tampered = library.read_text(encoding="utf-8").replace("theorem", "lemma")
+    library.write_text(tampered, encoding="utf-8")
+    capsys.readouterr()
+    assert cli.main(args + ["--resume"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("resume error: library file diverges from event log")
 
 
 _IO = [("--config", "config"), ("--out", "out"), ("--replay", "replay")]

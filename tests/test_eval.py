@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import errno
 import json
+import os
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -233,6 +235,39 @@ def test_a_lean_error_that_mentions_transport_is_not_flagged():
     report = reprove_all(lib, "with_context", session, gateway, max_trials=1)
     assert report.success_count == 0
     assert report.transport_flagged == [1]
+
+
+def test_a_verifier_that_fails_twice_flags_its_campaign():
+    from cpl.verifier import VerifierTransportError
+
+    class DownForGen1(ScriptedVerifier):
+        def verify_proof(self, context, statement, proof):
+            if statement.name == "gen1":
+                raise VerifierTransportError("repl gone")
+            return super().verify_proof(context, statement, proof)
+
+    gateway = Gateway(CallableProvider(lambda request: "by simp"), sleep=lambda s: None)
+    report = reprove_all(library_of(3), "with_context", DownForGen1(SEED), gateway, max_trials=1)
+    assert report.transport_flagged == [1]
+
+
+def test_a_lean_error_that_begins_like_a_fault_is_not_flagged():
+    # Lean's messages may begin with the very words of `prover`'s fault
+    # diagnostics; only a trial's `fault` flags a campaign.
+    lib = library_of(2)
+    session = ScriptedVerifier(SEED)
+    for entry, message in zip(
+        lib.entries,
+        ("gateway transport failure: said by Lean", "verifier transport error: also Lean"),
+    ):
+        lean_says = Diagnostic("error", 1, 0, message)
+        session.script(
+            "verify_proof", entry.statement, CheckResult("failed", (lean_says,)), "by simp"
+        )
+    gateway = Gateway(CallableProvider(lambda request: "by simp"), sleep=lambda s: None)
+    report = reprove_all(lib, "with_context", session, gateway, max_trials=1)
+    assert report.per_theorem == [(0, "failed_exhausted"), (1, "failed_exhausted")]
+    assert report.transport_flagged == []
 
 
 # ---------------------------------------------------------------------------
@@ -582,3 +617,71 @@ def test_emit_reports_includes_reprove_sections(tmp_path):
     assert report["reprove"][0]["mode"] == "with_context"
     text = (run_dir / "report.txt").read_text(encoding="utf-8")
     assert "9/10 (90%)" in text
+
+
+class _TornHandle:
+    """A file handle whose `writelines` writes half of its bytes, then
+    fails as a full disk does."""
+
+    def __init__(self, handle):
+        self._handle = handle
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self._handle.close()
+
+    def writelines(self, chunks):
+        data = b"".join(chunks)
+        self._handle.write(data[: len(data) // 2])
+        self._handle.flush()
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def tear_writes_of(monkeypatch, name: str) -> None:
+    """Make every write through `core.write_atomically` to a file named
+    `name` fail halfway through its bytes."""
+    real_open, real_fdopen = os.open, os.fdopen
+    opened: dict[int, str] = {}
+
+    def open_(path, flags, *args, **kwargs):
+        fd = real_open(path, flags, *args, **kwargs)
+        opened[fd] = Path(path).name
+        return fd
+
+    def fdopen(fd, *args, **kwargs):
+        handle = real_fdopen(fd, *args, **kwargs)
+        # `write_atomically` writes to `<name>.<random hex>.tmp` beside `name`.
+        if opened.pop(fd, "").startswith(f"{name}."):
+            return _TornHandle(handle)
+        return handle
+
+    monkeypatch.setattr(os, "open", open_)
+    monkeypatch.setattr(os, "fdopen", fdopen)
+
+
+@pytest.mark.parametrize("name", ["histogram.csv", "report.txt"])
+def test_a_report_write_that_fails_partway_leaves_the_previous_file(tmp_path, monkeypatch, name):
+    run_dir = run_demo(tmp_path)
+    emit_reports(run_dir)
+    before = (run_dir / name).read_bytes()
+    tear_writes_of(monkeypatch, name)
+    with pytest.raises(OSError, match="No space left"):
+        emit_reports(run_dir, bin_width=3)  # would rewrite both files
+    assert (run_dir / name).read_bytes() == before
+    assert not list(run_dir.glob("*.tmp"))
+    monkeypatch.undo()
+    emit_reports(run_dir, bin_width=3)
+    assert (run_dir / name).read_bytes() != before
+
+
+def test_an_nl_response_write_that_fails_partway_leaves_no_response_file(tmp_path, monkeypatch):
+    gateway = Gateway(ReplayProvider({"nl_prover": ["A proof.", "Another proof."]}))
+    assert nl_session(gateway, n=1, out_dir=tmp_path) == ["response_000"]
+    tear_writes_of(monkeypatch, "response_001.txt")
+    with pytest.raises(OSError, match="No space left"):
+        nl_session(gateway, n=1, out_dir=tmp_path)
+    nl_dir = tmp_path / "nl_responses"
+    assert sorted(path.name for path in nl_dir.iterdir()) == ["index.jsonl", "response_000.txt"]
+    assert [record["id"] for record in read_json_lines(nl_dir / "index.jsonl")] == ["response_000"]

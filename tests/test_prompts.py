@@ -6,11 +6,9 @@ all); any change must be deliberate and show up here.
 
 from __future__ import annotations
 
-from cpl.gateway import ROLE_IDS
 from cpl.prompts import (
     CONJECTURER_PROMPT,
     DEFAULT_NL_STATEMENT,
-    DEFAULT_SYSTEM_PROMPTS,
     NL_PROVER_PROMPT,
     PROVER_FALSE_PROMPT,
     PROVER_PROMPT,
@@ -81,10 +79,6 @@ def test_nl_prompt_and_statement_frozen():
         "the interior of the closure of its interior. The intersection of "
         "any two alpha-open sets is alpha-open."
     )
-
-
-def test_every_role_has_a_default_prompt():
-    assert set(DEFAULT_SYSTEM_PROMPTS) == set(ROLE_IDS)
 
 
 def test_escape_sequence_mention_is_literal_backslash():

@@ -112,6 +112,7 @@ def test_sorry_proof_is_failed_trial_without_verifier_call():
     first = outcome.attempts[0]
     assert first.result is not None and first.result.verdict == "failed"
     assert "sorry" in first.result.diagnostics[0].message
+    assert first.result.fault is None  # an unusable reply is no fault
     assert len(session.calls) == 1  # only the good proof reached the verifier
 
 
@@ -138,6 +139,9 @@ def test_transport_error_counts_trial_and_continues():
     assert outcome.status == STATUS_VERIFIED
     assert len(outcome.attempts) == 2
     assert "transport" in outcome.attempts[0].result.diagnostics[0].message
+    fault = outcome.attempts[0].result.fault
+    assert isinstance(fault, TransportError) and "blip" in str(fault)
+    assert outcome.attempts[1].result.fault is None
 
 
 def test_verifier_crash_retried_once_then_counted_failed():
@@ -169,6 +173,8 @@ def test_verifier_crash_retried_once_then_counted_failed():
     assert outcome.status == STATUS_UNPROVABLE
     assert outcome.attempts[0].result.verdict == "failed"
     assert "transport" in outcome.attempts[0].result.diagnostics[0].message
+    fault = outcome.attempts[0].result.fault
+    assert isinstance(fault, VerifierTransportError) and str(fault) == "backend crashed"
 
 
 def test_prompt_variant_selects_false_prompt(tmp_path):

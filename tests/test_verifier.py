@@ -56,6 +56,15 @@ def test_invalid_and_failed_require_error_diagnostic():
     )
 
 
+def test_only_a_failed_result_has_a_fault():
+    fault = VerifierTransportError("gone")
+    with pytest.raises(ValueError, match="only a failed trial has a fault"):
+        CheckResult(verdict="verified", fault=fault)
+    failed = CheckResult("failed", (Diagnostic("error", 1, 0, "gone"),), fault=fault)
+    assert failed.fault is fault
+    assert CheckResult("failed", (Diagnostic("error", 1, 0, "boom"),)).fault is None
+
+
 # ---------------------------------------------------------------------------
 # Scripted backend
 # ---------------------------------------------------------------------------
