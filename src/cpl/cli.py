@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands: `run` (pipeline or baseline), `reprove-all`,
-`reprove-focused`, `nl run|grade|report`, `analyze histogram|report`.
+`reprove-focused`, `nl run|grade|report`, `analyze histogram|report|check`.
 """
 
 from __future__ import annotations
@@ -107,6 +107,8 @@ def _cmd_reprove_focused(args) -> int:
     if args.prefix is not None and not args.library:
         raise ValueError("--prefix needs --library, the entries it counts")
     config = _config_from_args(args)
+    # The focused protocol asks with the falsity prompt: only --variant
+    # changes it, not the config's prompt_variant.
     config.prompt_variant = args.variant or "false"
     statement = TheoremStatement.from_source(
         Path(args.statement).read_text(encoding="utf-8")
@@ -169,9 +171,13 @@ def _cmd_nl(args) -> int:
         print(f"stored {len(ids)} response(s) under {out / 'nl_responses'}")
         return 0
     if args.nl_command == "grade":
-        grade = evalharness.grade_response(
-            args.run_dir, args.id, args.category, args.grader, args.note
-        )
+        try:
+            grade = evalharness.grade_response(
+                args.run_dir, args.id, args.category, args.grader, args.note
+            )
+        except KeyError as exc:
+            print(f"error: {exc.args[0]}", file=sys.stderr)
+            return 2
         print(f"graded {grade.response_id} as {grade.category}")
         return 0
     if args.nl_command == "report":
@@ -206,6 +212,13 @@ def _cmd_analyze(args) -> int:
         for name, path in written.items():
             print(f"wrote {path}")
         return 0
+    if args.analyze_command == "check":
+        findings = evalharness.check_run(args.run_dir)
+        if args.same_as:
+            findings += evalharness.same_run(args.same_as, args.run_dir)
+        for finding in findings:
+            print(f"{args.run_dir}: {finding}")
+        return 1 if findings else 0
     raise AssertionError(args.analyze_command)
 
 
@@ -234,7 +247,12 @@ def build_parser() -> argparse.ArgumentParser:
         choices=list(evalharness.REPROVE_MODES),
         default="with_context",
     )
-    reprove.add_argument("--variant", choices=["not_provable", "false"])
+    reprove.add_argument(
+        "--variant",
+        choices=["not_provable", "false"],
+        help="prover prompt variant; reprove-all defaults to the config's "
+        "prompt_variant, reprove-focused to 'false' whatever the config holds",
+    )
     histogram = argparse.ArgumentParser(add_help=False)
     histogram.add_argument("--bin", type=int, default=10)
     histogram.add_argument("--metric", choices=["lines", "chars"], default="lines")
@@ -297,6 +315,13 @@ def build_parser() -> argparse.ArgumentParser:
         "report", parents=[histogram], help="emit report.json and tables"
     )
     an_rep.add_argument("--run-dir", dest="run_dir", required=True)
+    an_check = an_sub.add_parser(
+        "check", help="check a run directory's files; exit 1 with one line a finding"
+    )
+    an_check.add_argument("--run-dir", dest="run_dir", required=True)
+    an_check.add_argument(
+        "--same-as", dest="same_as", help="also check that this directory holds the same run"
+    )
     an.set_defaults(func=_cmd_analyze)
 
     return parser

@@ -17,14 +17,15 @@ from .core import (
     JsonLinesLog,
     Library,
     TheoremStatement,
+    dump_library,
     load_library,
     proof_length,
     read_json_lines,
     write_atomically,
     write_json,
 )
-from .events import read_events
-from .gateway import ChatRequest, Gateway, TransportError
+from .events import read_events, replay_library
+from .gateway import ChatRequest, Gateway, TransportError, read_transcript
 from .prompts import DEFAULT_NL_STATEMENT, NL_PROVER_PROMPT
 from .prover import STATUS_FAILED, STATUS_UNPROVABLE, STATUS_VERIFIED, prove
 
@@ -219,6 +220,9 @@ def nl_session(
     Responses are stored as raw text files; a literal "False" response
     is auto-graded rejected_as_false, everything else stays pending.
     Their ids continue after those already in the directory's index.
+    Each response file and the transcript are fsynced before the index
+    line that names the response, the index and the grades before this
+    returns.
     """
     nl_dir = _nl_dir(out_dir)
     nl_dir.mkdir(parents=True, exist_ok=True)
@@ -245,7 +249,10 @@ def nl_session(
             status = "failed_fetch"
         if status == "pending" and text.strip() == "False":
             status = "rejected_as_false"
-        write_atomically(nl_dir / f"{response_id}.txt", [text.encode("utf-8")], fsync=False)
+        # An index line never names a response file or a transcript line
+        # that a power loss can take.
+        write_atomically(nl_dir / f"{response_id}.txt", [text.encode("utf-8")])
+        gateway.sync()
         index.append({"id": response_id, "status": status})
         if status == "rejected_as_false":
             _append_grade(
@@ -258,11 +265,14 @@ def nl_session(
                 ),
             )
         ids.append(response_id)
+    index.sync()
+    JsonLinesLog(_grades_path(out_dir)).sync()
     return ids
 
 
-def _append_grade(out_dir: str | Path, grade: NLGrade) -> None:
-    JsonLinesLog.open(_grades_path(out_dir)).append(
+def _append_grade(out_dir: str | Path, grade: NLGrade) -> JsonLinesLog:
+    grades = JsonLinesLog.open(_grades_path(out_dir))
+    grades.append(
         {
             "response_id": grade.response_id,
             "category": grade.category,
@@ -270,6 +280,7 @@ def _append_grade(out_dir: str | Path, grade: NLGrade) -> None:
             "note": grade.note,
         }
     )
+    return grades
 
 
 def _read_index(out_dir: str | Path) -> dict[str, str]:
@@ -309,7 +320,7 @@ def grade_response(
     grade = NLGrade(
         response_id=response_id, category=category, grader=grader, note=note
     )
-    _append_grade(out_dir, grade)
+    _append_grade(out_dir, grade).sync()
     return grade
 
 
@@ -423,6 +434,105 @@ def summarize_events(events_path: str | Path) -> dict:
         "warnings": warnings,
         "gateway_calls": gateway_calls,
     }
+
+
+def _run_dir(path: str | Path) -> Path:
+    path = Path(path)
+    if not any((path / name).exists() for name in ("events.jsonl", "transcript.jsonl")):
+        raise FileNotFoundError(f"{path} holds neither events.jsonl nor transcript.jsonl")
+    return path
+
+
+def check_run(run_dir: str | Path) -> list[str]:
+    """Where one run directory's files disagree, a finding a line:
+    `library.lean` against the library the event log builds on its seed;
+    a transcript that does not decode, or holds fewer lines of a role
+    than the last `loop_complete` or `run_complete` counts (eval commands
+    may append more); `report.json`'s `library_entries` and
+    `gateway_calls` against the log's."""
+    run_dir = _run_dir(run_dir)
+    events_path, library = run_dir / "events.jsonl", run_dir / "library.lean"
+    findings, entries = [], []
+    summary = {"theorems_added": 0, "gateway_calls": {}}
+    if events_path.exists():
+        summary = summarize_events(events_path)
+        if library.exists():
+            events = read_events(events_path)
+            try:
+                built = dump_library(replay_library(events, load_library(library).seed_source))
+            except ValueError:  # a block that does not parse
+                built = None
+            if library.read_text(encoding="utf-8") != built:
+                findings.append("library.lean: not the library the event log builds")
+    try:
+        if (run_dir / "transcript.jsonl").exists():
+            entries = read_transcript(run_dir / "transcript.jsonl")
+    except (KeyError, ValueError) as exc:
+        findings.append(f"transcript.jsonl: does not decode: {exc!r}")
+    roles = [entry["role_id"] for entry in entries]
+    for role, logged in summary["gateway_calls"].items():
+        if roles.count(role) < logged:
+            findings.append(f"transcript.jsonl: {roles.count(role)} {role} lines, {logged} logged")
+    if (run_dir / "report.json").exists():
+        report = json.loads((run_dir / "report.json").read_text(encoding="utf-8"))
+        logged = {"library_entries": summary["theorems_added"], "gateway_calls": summary["gateway_calls"]}
+        for key, value in logged.items():
+            if key in report and report[key] != value:
+                findings.append(f"report.json: {key} is {report[key]}, {value} logged")
+    return findings
+
+
+# Where each of two directories of one run was written, and whether it
+# was resumed or replayed.
+_PLACE_KEYS = ("output_dir", "resume", "replay_dir", "clock")
+
+
+def _same_run_view(path: Path):
+    """What `same_run` compares of one run file."""
+    if path.name == "events.jsonl":
+        return [(e.kind, e.payload) for e in read_events(path) if e.payload.get("where") != "resume"]
+    if path.name == "transcript.jsonl":
+        return [(entry["role_id"], entry["request"]) for entry in read_transcript(path)]
+    if path.name == "report.json":
+        report = json.loads(path.read_text(encoding="utf-8"))
+        for key in _PLACE_KEYS:
+            report.get("config", {}).pop(key, None)
+        return report
+    return path.read_bytes()
+
+
+def same_run(a: str | Path, b: str | Path) -> list[str]:
+    """Where run directories `a` and `b` do not hold the same run, a
+    finding a line: `library.lean` and each `reprove_*.json` byte for
+    byte; events by kind and payload, in order, but for a resume's notes
+    (`where: "resume"`); each transcript line's role and whole request;
+    `report.json` but for its config's `output_dir`, `resume`,
+    `replay_dir` and `clock`. A file in only one of them is a finding."""
+    dirs = (_run_dir(a), _run_dir(b))
+    patterns = ("library.lean", "events.jsonl", "transcript.jsonl", "report.json", "reprove_*.json")
+    findings = []
+    for name in sorted({p.name for d in dirs for pattern in patterns for p in d.glob(pattern)}):
+        missing = [str(d) for d in dirs if not (d / name).exists()]
+        if missing:
+            findings.append(f"{name}: not in {missing[0]}")
+            continue
+        try:
+            left, right = (_same_run_view(d / name) for d in dirs)
+        except (KeyError, ValueError) as exc:
+            findings.append(f"{name}: does not read: {exc!r}")
+            continue
+        if left != right:
+            findings.append(f"{name}: {_difference(left, right)}")
+    return findings
+
+
+def _difference(left, right) -> str:
+    if isinstance(left, dict):
+        keys = sorted(k for k in left.keys() | right.keys() if left.get(k) != right.get(k))
+        return "differs in " + ", ".join(keys)
+    pairs = enumerate(zip(left, right))
+    first = next((i for i, (x, y) in pairs if x != y), min(len(left), len(right)))
+    return f"differs from {'byte' if isinstance(left, bytes) else 'record'} {first} on"
 
 
 def emit_reports(

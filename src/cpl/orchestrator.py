@@ -35,7 +35,8 @@ three in place back to the last committed loop: the log at the end of
 that loop's `loop_complete` line, the library to the dump of the
 committed entries, which drops any partial block a crash left at its
 end, and the transcript to that loop's calls. Resuming a run whose
-`run_complete` is logged changes nothing.
+`run_complete` is logged changes nothing. The warnings a resume logs
+carry `where: "resume"`, so `evalharness.same_run` leaves them out.
 
 The redone loop is not asked of the model again where the transcript
 already holds it: the gateway serves each role the replies of the lines
@@ -402,6 +403,7 @@ def _run_loops(
                     f"{rolled_back} uncommitted entr"
                     f"{'y' if rolled_back == 1 else 'ies'}"
                 ),
+                where="resume",
             )
             counted = sum(calls.values())
             if kept is not None and kept < counted:
@@ -412,6 +414,7 @@ def _run_loops(
                         f"{counted} model calls the committed loops count; "
                         f"--replay of this directory will not reproduce the run"
                     ),
+                    where="resume",
                 )
         run = _OpenRun(
             config, clock, gateway, session, events, library_path, provenance

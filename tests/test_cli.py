@@ -3,6 +3,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 from pathlib import Path
 
 import pytest
@@ -16,8 +17,10 @@ from cpl.core import (
     read_json_lines,
     save_library,
 )
+from cpl.evalharness import check_run, same_run
 from cpl.events import read_events
 from cpl.gateway import read_transcript
+from cpl.prompts import PROVER_FALSE_PROMPT, PROVER_PROMPT
 from cpl.verifier import Diagnostic, VerifierStartupError
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -613,6 +616,188 @@ def test_main_exits_1_on_a_resume_error(tmp_path, capsys):
     assert err.startswith("resume error: library file diverges from event log")
 
 
+def cpl(*args) -> None:
+    assert cli.main([str(arg) for arg in args]) == 0
+
+
+def test_nl_grade_of_an_unknown_id_exits_2(tmp_path, capsys):
+    write_replay(tmp_path / "replay", "nl_prover", ["a sketch"])
+    cpl("nl", "run", "--n", 1, "--replay", tmp_path / "replay", "--out", tmp_path / "out")
+    capsys.readouterr()
+    grade = ["nl", "grade", "--run-dir", str(tmp_path / "out"), "--id", "bogus"]
+    assert cli.main(grade + ["--category", "gap", "--grader", "reviewer"]) == 2
+    assert capsys.readouterr().err == "error: unknown response id 'bogus'\n"
+    assert not (tmp_path / "out" / "grades.jsonl").exists()
+
+
+def test_nl_run_and_grade_fsync_what_each_index_line_names_before_it(tmp_path, monkeypatch):
+    write_replay(tmp_path / "replay", "nl_prover", ["False", "a sketch"])
+    out, writes = tmp_path / "out", []
+    real_fsync, real_append = os.fsync, JsonLinesLog.append
+
+    def fsync(fd):
+        writes.append(("fsync", os.fstat(fd).st_ino))
+        real_fsync(fd)
+
+    def append(log, record):
+        real_append(log, record)
+        writes.append((log.path.name, log.path.stat().st_ino))
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(JsonLinesLog, "append", append)
+    cpl("nl", "run", "--n", 2, "--replay", tmp_path / "replay", "--out", out)
+    nl = out / "nl_responses"
+    transcript, index, grades = (
+        path.stat().st_ino for path in (out / "transcript.jsonl", nl / "index.jsonl", out / "grades.jsonl")
+    )
+    expected = []
+    for n in range(2):
+        # The response file and the transcript line, then the index line.
+        expected += [("transcript.jsonl", transcript), ("fsync", (nl / f"response_00{n}.txt").stat().st_ino)]
+        expected += [("fsync", transcript), ("index.jsonl", index)]
+        if n == 0:  # a literal False is graded at once
+            expected.append(("grades.jsonl", grades))
+    assert writes == expected + [("fsync", index), ("fsync", grades)]
+    writes.clear()
+    cpl("nl", "grade", "--run-dir", out, "--id", "response_001", "--category", "gap", "--grader", "r")
+    assert writes == [("grades.jsonl", grades), ("fsync", grades)]
+
+
+def test_reprove_focused_asks_with_the_falsity_prompt_whatever_the_config_holds(tmp_path):
+    small_library(tmp_path / "library.lean")
+    (tmp_path / "statement.lean").write_text("theorem focus : 9 = 9 := sorry\n", encoding="utf-8")
+    (tmp_path / "config.json").write_text('{"prompt_variant": "not_provable"}', encoding="utf-8")
+    write_replay(tmp_path / "replay", "prover", [""])
+    args = ["reprove-focused", "--config", tmp_path / "config.json", "--n", 1]
+    args += ["--statement", tmp_path / "statement.lean", "--library", tmp_path / "library.lean"]
+    for variant, prompt in (([], PROVER_FALSE_PROMPT), (["--variant", "not_provable"], PROVER_PROMPT)):
+        out = tmp_path / f"out{len(variant)}"
+        cpl(*args, *variant, "--replay", tmp_path / "replay", "--out", out)
+        (entry,) = read_transcript(out / "transcript.jsonl")
+        assert entry["request"]["system_prompt"] == prompt
+
+
+@pytest.fixture(scope="module")
+def runs(tmp_path_factory) -> dict[str, tuple[Path, Path]]:
+    """Pairs of directories that hold the same run: a demo run and its
+    replay, each eval command on its library and its replay, two copies
+    of the run that reprove-all appended to, and an NL session and its
+    replay. (`test_orchestrator` checks resumed and simple-loop runs.)"""
+    root = tmp_path_factory.mktemp("runs")
+    demo, library = ["--config", DEMO_CONFIG], ["--library", root / "run" / "library.lean"]
+    cpl("run", *demo, "--out", root / "run")
+    cpl("run", *demo, "--replay", root / "run", "--out", root / "replayed")
+    pairs = {"a run, replayed": (root / "run", root / "replayed")}
+    for name, command in {
+        "reprove-all with_context": ["reprove-all", "--mode", "with_context"],
+        "reprove-all definitions_only": ["reprove-all", "--mode", "definitions_only"],
+        "reprove-focused": ["reprove-focused", "--n", 2, "--statement", FIXTURES / "focused_statement.lean"],
+    }.items():
+        command += [*demo, *library, "--max-trials", 2]
+        cpl(*command, "--replay", root / "run", "--out", root / name)
+        cpl(*command, "--replay", root / name, "--out", root / f"{name} replayed")
+        pairs[f"{name}, replayed"] = (root / name, root / f"{name} replayed")
+    for name in ("appended", "appended again"):
+        shutil.copytree(root / "run", root / name)
+        cpl("reprove-all", *demo, *library, "--replay", root / "run", "--out", root / name)
+    pairs["a run reprove-all appended to, twice"] = (root / "appended", root / "appended again")
+    write_replay(root / "nl replies", "nl_prover", ["False", "a sketch"])
+    cpl("nl", "run", "--n", 2, "--replay", root / "nl replies", "--out", root / "nl")
+    cpl("nl", "run", "--n", 2, "--replay", root / "nl", "--out", root / "nl replayed")
+    pairs["an nl run, replayed"] = (root / "nl", root / "nl replayed")
+    return pairs
+
+
+def test_the_checker_finds_nothing_in_any_directory_the_commands_write(runs):
+    for name, (a, b) in runs.items():
+        assert check_run(a) == check_run(b) == same_run(a, b) == [], name
+    # reprove-all appended more prover lines than the run's events count.
+    appended, run = runs["a run reprove-all appended to, twice"][0], runs["a run, replayed"][0]
+    assert len(read_transcript(appended / "transcript.jsonl")) > len(read_transcript(run / "transcript.jsonl"))
+
+
+@pytest.mark.parametrize(
+    "how, check_findings, same_run_findings",
+    [
+        ("library cut mid-block", ["library.lean: not the library the event log builds"],
+         ["library.lean: differs from byte 6547 on"]),
+        ("a dropped transcript line", ["transcript.jsonl: 6 prover lines, 7 logged"],
+         ["transcript.jsonl: differs from record 12 on"]),
+        ("a report whose library_entries disagrees", ["report.json: library_entries is 5, 4 logged"],
+         ["report.json: differs in library_entries"]),
+        ("a replay whose requests differ", [], [
+            "events.jsonl: differs from record 18 on",
+            "report.json: differs in config",
+            "transcript.jsonl: differs from record 7 on",
+        ]),
+    ],
+)
+def test_the_checker_finds_a_corrupted_copy_of_the_demo_run(
+    runs, tmp_path, how, check_findings, same_run_findings
+):
+    reference, out = runs["a run, replayed"][0], tmp_path / "copy"
+    shutil.copytree(reference, out)
+    if how == "library cut mid-block":
+        (out / "library.lean").write_bytes((reference / "library.lean").read_bytes()[:-40])
+    elif how == "a dropped transcript line":
+        lines = (reference / "transcript.jsonl").read_bytes().splitlines(keepends=True)
+        (out / "transcript.jsonl").write_bytes(b"".join(lines[:-1]))
+    elif how == "a report whose library_entries disagrees":
+        report = json.loads((reference / "report.json").read_text(encoding="utf-8"))
+        report["library_entries"] += 1
+        (out / "report.json").write_text(json.dumps(report), encoding="utf-8")
+    else:  # past a 700-char budget, contexts are cut
+        cpl("run", "--config", DEMO_CONFIG, "--budget", 700, "--replay", reference, "--out", out)
+    assert check_run(out) == check_findings
+    assert same_run(reference, out) == same_run_findings
+
+
+def test_analyze_check_prints_a_line_a_finding_and_exits_1(runs, tmp_path, capsys):
+    reference, out = runs["a run, replayed"][0], tmp_path / "copy"
+    shutil.copytree(reference, out)
+    check = ["analyze", "check", "--run-dir", str(out), "--same-as", str(reference)]
+    assert cli.main(check) == 0
+    assert capsys.readouterr().out == ""
+    (out / "library.lean").write_bytes((reference / "library.lean").read_bytes()[:-40])
+    assert cli.main(check) == 1
+    assert capsys.readouterr().out == (
+        f"{out}: library.lean: not the library the event log builds\n"
+        f"{out}: library.lean: differs from byte 6547 on\n"
+    )
+    assert cli.main(["analyze", "check", "--run-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: {tmp_path} holds neither events.jsonl nor transcript.jsonl\n"
+
+
+def test_same_run_passes_over_what_two_directories_of_one_run_may_differ_in(runs, tmp_path):
+    reference, out = runs["a run, replayed"][0], tmp_path / "copy"
+    shutil.copytree(reference, out)
+
+    def rewrite(name, change):
+        records = list(read_json_lines(reference / name))
+        for record in records:
+            change(record)
+        (out / name).write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+
+    # Timestamps, sequence numbers, replies, latencies, where each run was
+    # written and whether it was resumed or replayed, and other files.
+    rewrite("events.jsonl", lambda e: e.update(sequence=e["sequence"] + 5, timestamp="2030"))
+    rewrite("transcript.jsonl", lambda line: line["response"].update(text="other", latency=9.0))
+    report = json.loads((reference / "report.json").read_text(encoding="utf-8"))
+    report["config"].update(output_dir="x", resume=True, replay_dir="y", clock="system")
+    (out / "report.json").write_text(json.dumps(report), encoding="utf-8")
+    (out / "report.txt").write_text("a table", encoding="utf-8")
+    assert same_run(reference, out) == []
+    # A payload that differs, and a file in only one of them.
+    rewrite("events.jsonl", lambda e: e["sequence"] == 3 and e["payload"].update(extra=1))
+    (out / "reprove_with_context.json").write_text("{}", encoding="utf-8")
+    assert same_run(reference, out) == [
+        "events.jsonl: differs from record 3 on",
+        f"reprove_with_context.json: not in {reference}",
+    ]
+    with pytest.raises(FileNotFoundError):
+        same_run(reference, tmp_path)
+
+
 _IO = [("--config", "config"), ("--out", "out"), ("--replay", "replay")]
 _CHECKING = [("--max-trials", "max_trials"), ("--verifier", "verifier"),
              ("--verifier-fixtures", "verifier_fixtures")]
@@ -638,6 +823,7 @@ OPTION_TABLE = {
     "analyze": [],
     "analyze histogram": _HISTOGRAM + [("--csv", "csv"), ("--library", "library")],
     "analyze report": _HISTOGRAM + [("--run-dir", "run_dir")],
+    "analyze check": [("--run-dir", "run_dir"), ("--same-as", "same_as")],
 }
 
 

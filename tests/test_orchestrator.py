@@ -24,10 +24,10 @@ from cpl.core import (
     read_json_lines,
     save_library,
 )
+from cpl.evalharness import check_run, same_run
 from cpl.events import (
     EventLog,
     FixedClock,
-    normalized_event_lines,
     read_events,
     replay_library,
     truncate_events,
@@ -410,10 +410,16 @@ def test_the_tracked_demo_fixtures_are_what_their_generator_writes(tmp_path):
     assert exchanges(tmp_path / "cpl_demo" / "responses") == exchanges(DEMO_RESPONSES)
 
 
-def test_resume_after_interrupt_matches_uninterrupted(tmp_path):
-    reference = run_demo_uninterrupted(tmp_path / "ref")
-    reference_bytes = (tmp_path / "ref" / "library.lean").read_bytes()
+def resume_demo(crash_dir: Path, reference: Path) -> None:
+    """Resume the killed demo run; it must end as the uninterrupted one."""
+    config = demo_config(crash_dir)
+    config.resume = True
+    run(config)
+    assert check_run(crash_dir) == same_run(reference, crash_dir) == []
 
+
+def test_resume_after_interrupt_matches_uninterrupted(tmp_path):
+    run_demo_uninterrupted(tmp_path / "ref")
     crash_dir = tmp_path / "crash"
     state = {"loops": 0}
 
@@ -425,21 +431,12 @@ def test_resume_after_interrupt_matches_uninterrupted(tmp_path):
 
     with pytest.raises(SimulatedCrash):
         run(demo_config(crash_dir), listener=listener)
-
-    config = demo_config(crash_dir)
-    config.resume = True
-    resumed = run(config)
-    assert (crash_dir / "library.lean").read_bytes() == reference_bytes
-    assert [e.statement.name for e in resumed.entries] == [
-        e.statement.name for e in reference.entries
-    ]
+    resume_demo(crash_dir, tmp_path / "ref")
 
 
 def test_resume_mid_loop_rolls_back_uncommitted_entries(tmp_path):
-    reference_bytes = None
     ref_dir = tmp_path / "ref"
     run_demo_uninterrupted(ref_dir)
-    reference_bytes = (ref_dir / "library.lean").read_bytes()
 
     crash_dir = tmp_path / "crash"
     counter = {"added": 0}
@@ -452,50 +449,18 @@ def test_resume_mid_loop_rolls_back_uncommitted_entries(tmp_path):
 
     with pytest.raises(SimulatedCrash):
         run(demo_config(crash_dir), listener=listener)
-
-    config = demo_config(crash_dir)
-    config.resume = True
-    run(config)
-    assert (crash_dir / "library.lean").read_bytes() == reference_bytes
+    resume_demo(crash_dir, ref_dir)
     events = read_events(crash_dir / "events.jsonl")
-    resumed_notes = [
-        e for e in events if e.kind == "warning" and "resumed" in e.payload["message"]
-    ]
-    assert len(resumed_notes) == 1
-
-
-def logged_events(path: Path) -> list:
-    """(kind, payload) of each event, without the note a resume adds."""
-    return [
-        (e.kind, e.payload)
-        for e in read_events(path)
-        if not (e.kind == "warning" and e.payload["message"].startswith("resumed at"))
-    ]
-
-
-def resume_demo(crash_dir: Path, reference: Path) -> None:
-    """Resume the killed demo run; it must end as the uninterrupted one."""
-    config = demo_config(crash_dir)
-    config.resume = True
-    run(config)
-    assert (crash_dir / "library.lean").read_bytes() == (
-        reference / "library.lean"
-    ).read_bytes()
-    assert logged_events(crash_dir / "events.jsonl") == logged_events(
-        reference / "events.jsonl"
-    )
+    assert len([e for e in events if e.payload.get("where") == "resume"]) == 1
 
 
 def test_library_file_is_the_dump_of_the_logged_library_at_every_append(tmp_path):
     out = tmp_path / "run"
-    seed = (FIXTURES / "seed.lean").read_text(encoding="utf-8")
     added = []
 
     def listener(event):
         if event.kind == "theorem_added":
-            library = replay_library(read_events(out / "events.jsonl"), seed)
-            text = (out / "library.lean").read_text(encoding="utf-8")
-            assert text == dump_library(library)
+            assert check_run(out) == []
             added.append(event.payload["sequence_index"])
 
     run(demo_config(out), listener=listener)
@@ -582,12 +547,7 @@ def replay_demo(source: Path, out: Path, reference: Path) -> None:
     config = demo_config(out)
     config.replay_dir = str(source)
     run(config)
-    assert (out / "library.lean").read_bytes() == (
-        reference / "library.lean"
-    ).read_bytes()
-    assert logged_events(out / "events.jsonl") == logged_events(
-        reference / "events.jsonl"
-    )
+    assert check_run(out) == same_run(reference, out) == []
 
 
 @pytest.mark.parametrize("kill_at_append", [1, 3])  # loop 1 (nothing committed), loop 2
@@ -695,7 +655,7 @@ def test_an_exhausted_call_replays_as_a_failed_trial(tmp_path):
 
     def attempts(out: Path) -> list:
         # The gateway's message counts the attempts: 3 live, 1 in a replay.
-        events = logged_events(out / "events.jsonl")
+        events = [(e.kind, e.payload) for e in read_events(out / "events.jsonl")]
         return [json.dumps(e).replace("(3)", "(1)") for e in events]
 
     assert attempts(replayed) == attempts(live)
@@ -861,14 +821,6 @@ class KillAt:
             raise SimulatedCrash(f"killed at event {self.index}")
 
 
-def run_report(out: Path) -> dict:
-    """report.json without what differs between two directories and
-    between a fresh and a resumed invocation."""
-    report = json.loads((out / "report.json").read_text(encoding="utf-8"))
-    del report["config"]["output_dir"], report["config"]["resume"]
-    return report
-
-
 def transcript_sequences(out: Path) -> list[int]:
     return [line["sequence"] for line in read_json_lines(out / "transcript.jsonl")]
 
@@ -877,7 +829,7 @@ def resume_notes(out: Path) -> list[str]:
     return [
         e.payload["message"]
         for e in read_events(out / "events.jsonl")
-        if e.kind == "warning" and e.payload["message"].startswith("resumed at")
+        if e.payload.get("where") == "resume"
     ]
 
 
@@ -887,6 +839,7 @@ def assert_kills_resume_to(reference: Path, tmp_path: Path, start) -> list[str]:
     resumed directory into a fresh one and compare again. Returns the
     resume notes."""
     count = len(read_events(reference / "events.jsonl"))
+    assert check_run(reference) == []
     notes = []
     for k in range(count):
         out = tmp_path / f"kill-{k}"
@@ -896,15 +849,9 @@ def assert_kills_resume_to(reference: Path, tmp_path: Path, start) -> list[str]:
         replayed = tmp_path / f"replay-{k}"
         start(replayed, None, False, out)
         for ended in (out, replayed):
-            assert (ended / "library.lean").read_bytes() == (
-                reference / "library.lean"
-            ).read_bytes(), (k, ended)
-            assert logged_events(ended / "events.jsonl") == logged_events(
-                reference / "events.jsonl"
-            ), (k, ended)
+            assert check_run(ended) == same_run(reference, ended) == [], (k, ended)
         sequences = transcript_sequences(out)
         assert sequences == list(range(len(sequences))), k
-        assert run_report(out) == run_report(reference), k
         notes += resume_notes(out)
     return notes
 
@@ -1055,19 +1002,6 @@ def demo_session(config: RunConfig) -> OneAtATime:
     return OneAtATime(orchestrator.build_verifier(config, seed))
 
 
-def transcript_requests(out: Path) -> list:
-    return [(e["role_id"], e["request"]) for e in read_transcript(out / "transcript.jsonl")]
-
-
-def assert_same_run(out: Path, reference: Path) -> None:
-    """`out` holds the files of the run in `reference`, but for latencies."""
-    assert (out / "library.lean").read_bytes() == (reference / "library.lean").read_bytes()
-    assert normalized_event_lines(out / "events.jsonl") == normalized_event_lines(
-        reference / "events.jsonl"
-    )
-    assert transcript_requests(out) == transcript_requests(reference)
-
-
 def test_campaigns_run_during_the_phase_write_what_a_serial_run_writes(tmp_path):
     reference = tmp_path / "ref"
     run_demo_uninterrupted(reference)
@@ -1081,7 +1015,7 @@ def test_campaigns_run_during_the_phase_write_what_a_serial_run_writes(tmp_path)
     threads = threading.active_count()
     run(config, gateway=gateway, session=session)
     assert threading.active_count() == threads
-    assert_same_run(out, reference)
+    assert check_run(out) == same_run(reference, out) == []
     calls = gateway.provider.calls
     assert gateway.provider.most_in_flight == 2
     assert ("prover", False) in calls  # a campaign ran on the helper
@@ -1155,7 +1089,7 @@ def test_a_run_that_runs_out_of_replies_leaves_the_files_and_error_of_a_serial_r
         run(config, gateway=gateway)
     assert threading.active_count() == threads
     assert str(overlapped.value) == str(serial.value)
-    assert_same_run(tmp_path / "slow", tmp_path / "ref")
+    assert same_run(tmp_path / "ref", tmp_path / "slow") == []
     assert gateway.provider.most_in_flight == 2
     # The helper made a prover call; with no prover replies, it made the
     # only one, which ran out.
@@ -1222,7 +1156,7 @@ def test_an_interrupt_while_the_helper_holds_the_lock_still_stops_and_joins_it(
     # Nothing the helper staged is written.
     kinds = [event.kind for event in read_events(out / "events.jsonl")]
     assert kinds == ["phase_start", "conjecture_accepted", "conjecture_accepted"]
-    assert [role for role, _ in transcript_requests(out)] == ["conjecturer"]
+    assert [e["role_id"] for e in read_transcript(out / "transcript.jsonl")] == ["conjecturer"]
 
 
 def test_the_helper_starts_a_campaign_only_while_the_main_threads_exchange_runs(
@@ -1291,7 +1225,7 @@ def test_the_helper_starts_a_campaign_only_while_the_main_threads_exchange_runs(
     run(config, gateway=gateway, session=session)
     assert gap_opened.is_set() and helper_starts
     assert [name for name, during_gap in helper_starts if during_gap] == []
-    assert_same_run(out, reference)
+    assert check_run(out) == same_run(reference, out) == []
     assert not session.overlapped
 
 
@@ -1347,7 +1281,7 @@ def test_a_kill_right_after_run_complete_keeps_the_report(tmp_path):
     config = demo_config(out)
     config.resume = True
     run(config)
-    assert run_report(out) == run_report(reference)
+    assert same_run(reference, out) == []
 
 
 # ---------------------------------------------------------------------------
@@ -1579,9 +1513,9 @@ def test_transcript_helpers_read_lines_that_hold_unicode_line_breaks(tmp_path):
         run(config)
     text = (recorded / "transcript.jsonl").read_text(encoding="utf-8")
     assert len(text.splitlines()) > text.count("\n") == 13
-    assert (replayed / "library.lean").read_bytes() == (recorded / "library.lean").read_bytes()
-    assert transcript_requests(replayed) == transcript_requests(recorded)
-    assert all(breaks in request["user_content"] for _, request in transcript_requests(recorded))
+    assert same_run(recorded, replayed) == []
+    requests = [e["request"] for e in read_transcript(recorded / "transcript.jsonl")]
+    assert all(breaks in request["user_content"] for request in requests)
     for out in (recorded, replayed):
         sequences = [line["sequence"] for line in transcript_lines(out)]
         assert sequences == transcript_sequences(out) == list(range(13))
@@ -1598,14 +1532,6 @@ def committed_calls(out: Path) -> int:
     """The calls the last `loop_complete` of `out`'s event log counts."""
     ends = [e for e in read_events(out / "events.jsonl") if e.kind == "loop_complete"]
     return sum(ends[-1].payload["gateway_calls"].values()) if ends else 0
-
-
-def assert_resumed_to(out: Path, reference: Path) -> None:
-    """The resumed run in `out` ended as the run in `reference`: the same
-    library bytes, events but for the resume's note, and requests."""
-    assert (out / "library.lean").read_bytes() == (reference / "library.lean").read_bytes()
-    assert logged_events(out / "events.jsonl") == logged_events(reference / "events.jsonl")
-    assert transcript_requests(out) == transcript_requests(reference)
 
 
 def role_counts(lines) -> dict[str, int]:
@@ -1639,7 +1565,7 @@ def test_a_resume_asks_the_model_only_for_the_exchanges_the_killed_transcript_la
         held = role_counts(transcript_lines(out))
         committed = committed_calls(out)
         provider = resume_through(out, delay)
-        assert_resumed_to(out, reference)
+        assert check_run(out) == same_run(reference, out) == []
         asked = {role: sum(call[0] == role for call in provider.calls) for role in wanted}
         assert asked == {role: wanted[role] - held[role] for role in wanted}, k
         assert sum(reused_flags(out)) == sum(held.values()) - committed, k
@@ -1749,7 +1675,7 @@ def test_a_line_without_a_reply_is_asked_again_and_ends_its_roles_reuse(tmp_path
     )
     reference = tmp_path / "ref"
     run_demo_uninterrupted(reference)
-    assert_resumed_to(out, reference)
+    assert check_run(out) == same_run(reference, out) == []
 
 
 def test_a_torn_last_line_is_not_served_though_it_holds_the_next_request(tmp_path):
@@ -1764,7 +1690,7 @@ def test_a_torn_last_line_is_not_served_though_it_holds_the_next_request(tmp_pat
     with open(out / "transcript.jsonl", "ab") as handle:
         handle.write(line)
     provider = resume_through(out)
-    assert_resumed_to(out, reference)
+    assert check_run(out) == same_run(reference, out) == []
     assert reused_flags(out) == [6 <= i < 9 for i in range(13)]
     assert sorted(call[0] for call in provider.calls) == ["conjecturer"] * 2 + ["prover"] * 2
 
@@ -1839,8 +1765,7 @@ def test_a_resume_past_the_budget_serves_exchanges_whose_prompts_are_stored(tmp_
     # The base lines the cut removed are written again, in the transcript.
     assert not (out / "prompts").exists()
 
-    assert (out / "library.lean").read_bytes() == (reference / "library.lean").read_bytes()
-    assert transcript_requests(out) == transcript_requests(reference)
+    assert check_run(out) == same_run(reference, out) == []
     assert len(asked) == total - len(killed)
     assert reused_flags(out) == [committed <= i < len(killed) for i in range(total)]
 
@@ -1891,14 +1816,6 @@ def test_the_transcript_is_fsynced_before_each_loop_complete(tmp_path, monkeypat
         start = end
 
 
-def logged_warnings(out: Path) -> list[tuple[int, str]]:
-    return [
-        (e.sequence, e.payload["message"])
-        for e in read_events(out / "events.jsonl")
-        if e.kind == "warning"
-    ]
-
-
 def test_a_resume_over_a_short_transcript_warns_that_a_replay_will_not_reproduce_it(
     tmp_path,
 ):
@@ -1916,12 +1833,15 @@ def test_a_resume_over_a_short_transcript_warns_that_a_replay_will_not_reproduce
     config = demo_config(out)
     config.resume = True
     run(config)
-    warnings = logged_warnings(out)
-    resumed = next(
-        n for n, (_, message) in enumerate(warnings) if message.startswith("resumed at loop 3")
-    )
-    assert warnings[resumed + 1] == (
-        warnings[resumed][0] + 1,
+    # Both of the resume's notes carry `where: "resume"`, one after the other.
+    (first, resumed), second = [
+        (e.sequence, e.payload["message"])
+        for e in read_events(out / "events.jsonl")
+        if e.kind == "warning" and e.payload.get("where") == "resume"
+    ]
+    assert resumed.startswith("resumed at loop 3")
+    assert second == (
+        first + 1,
         "transcript.jsonl holds 6 lines, fewer than the 9 model calls the committed "
         "loops count; --replay of this directory will not reproduce the run",
     )
@@ -1931,4 +1851,4 @@ def test_a_resume_over_a_short_transcript_warns_that_a_replay_will_not_reproduce
     shutil.copytree(reference, out)
     (out / "events.jsonl").write_bytes(b"".join(lines[: ends[1] + 1]))
     run(config)
-    assert not any("fewer than" in message for _, message in logged_warnings(out))
+    assert [note.startswith("resumed at loop 3") for note in resume_notes(out)] == [True]
