@@ -27,6 +27,9 @@ DEFAULT_ITERATIONS = 16
 
 @dataclass
 class ConjecturePhaseReport:
+    """One conjecture phase's counts: candidates, each rejection reason,
+    and the accepted list."""
+
     iterations_run: int = 0
     raw_candidates: int = 0
     rejected_parse: int = 0

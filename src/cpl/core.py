@@ -192,6 +192,9 @@ class ProofScript:
 
 @dataclass(frozen=True)
 class LibraryEntry:
+    """One verified theorem of a library: its statement, proof, position,
+    provenance and creation time."""
+
     statement: TheoremStatement
     proof: ProofScript
     sequence_index: int

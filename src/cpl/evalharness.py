@@ -24,7 +24,7 @@ from .core import (
     write_atomically,
     write_json,
 )
-from .events import read_events, replay_library
+from .events import RunEvent, read_events, replay_library
 from .gateway import ChatRequest, Gateway, TransportError, read_transcript
 from .prompts import DEFAULT_NL_STATEMENT, NL_PROVER_PROMPT
 from .prover import STATUS_FAILED, STATUS_UNPROVABLE, STATUS_VERIFIED, prove
@@ -50,6 +50,9 @@ class PendingGradesError(RuntimeError):
 
 @dataclass
 class ReproveReport:
+    """The outcome of re-proving a library's theorems in one mode: each
+    theorem's status and the success rate."""
+
     mode: str
     per_theorem: list[tuple[int, str]]
     success_count: int
@@ -84,6 +87,8 @@ class ReproveReport:
 
 @dataclass(frozen=True)
 class NLGrade:
+    """A grader's category for one natural-language proof response."""
+
     response_id: str
     category: str
     grader: str
@@ -397,9 +402,11 @@ def _format_histogram_table(
     return lines
 
 
-def summarize_events(events_path: str | Path) -> dict:
-    """Aggregate one run's event log into counters."""
-    events = read_events(events_path)
+def summarize_events(events: str | Path | list[RunEvent]) -> dict:
+    """Aggregate one run's event log into counters: `events` is the log's
+    path, or the events already read from it."""
+    if isinstance(events, (str, Path)):
+        events = read_events(events)
     rejected: dict[str, int] = {}
     accepted = 0
     proof_attempts = 0
@@ -455,9 +462,9 @@ def check_run(run_dir: str | Path) -> list[str]:
     findings, entries = [], []
     summary = {"theorems_added": 0, "gateway_calls": {}}
     if events_path.exists():
-        summary = summarize_events(events_path)
+        events = read_events(events_path)
+        summary = summarize_events(events)
         if library.exists():
-            events = read_events(events_path)
             try:
                 built = dump_library(replay_library(events, load_library(library).seed_source))
             except ValueError:  # a block that does not parse

@@ -65,6 +65,8 @@ def make_clock(kind: str) -> SystemClock | FixedClock:
 
 @dataclass(frozen=True)
 class RunEvent:
+    """One line of a run's event log."""
+
     sequence: int
     timestamp: str
     kind: str

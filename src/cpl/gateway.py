@@ -10,23 +10,29 @@ per call, in call order, with its role, its request fields and its
 reply, or no reply and the error of a call that exhausted its retries.
 It is a `JsonLinesLog`, so a gateway continues the numbering of a
 transcript that is already there, after cutting a torn last line.
-`ReplayProvider.from_dir` replays it. Each line's request holds what
-differs from the lines before (`PromptStore`), as HTTP/2 header
-compression sends what changed since the previous request and refers
-back to earlier entries of the same stream (RFC 7541): the system
-prompt, the temperature and the output cap only when they change. A
-user context is copied by one rule, from one of two sources: the head
-it shares with the source, at most one kept stretch of it, then new text
+`ReplayProvider.from_dir` replays it. Each line holds what differs from
+the lines before (`PromptStore`), as HTTP/2 header compression sends
+what changed since the previous request and refers back to earlier
+entries of the same stream (RFC 7541). `sequence`, `role_id`, the reply's
+`text` and `latency` and `reused` are on every line. The `timestamp`, the
+`error`, the reply's `provider` and `attempt`, the system prompt, the
+temperature and the output cap are written only where they differ from
+the line before's (the last reply's, for `provider` and `attempt`). A user
+context is copied by one rule, from one of two sources: the head it
+shares with the source, at most one kept stretch of it, then new text
 shorter than both 4096 chars and what it copies. A long context (4096
 chars or more) first reuses the copy of the long one before it that it
 extends (a prover retry), then tries the base line, the last line that
 holds a long context whole, by its `sequence`; any context then tries
-the line before. One that neither serves is written whole, and a long
-one's line becomes the base. So the transcript grows with what each
-prompt adds, not with the library.
+the line before, whose context is followed by its reply: a prover retry
+quotes the attempt that reply holds. One that neither serves is written
+whole, and a long one's line becomes the base. So the transcript grows
+with what each prompt adds, not with the library.
 The first line a gateway writes after opening or cutting the transcript
-is whole. The transcript is the one file: `read_transcript` puts every
-request back whole from its lines alone.
+writes every field, and its context is whole. The transcript is the one
+file: `read_transcript`'s decoder fills each line's gaps from the lines
+before it alone, and a replay reads its replies through the same
+`_fill_left_out`.
 
 A resume cuts the transcript back to the committed calls
 (`Gateway.fast_forward`), but the loop it redoes sends the same requests
@@ -76,6 +82,9 @@ class FixtureExhaustedError(FatalGatewayError):
 
 @dataclass(frozen=True)
 class ChatRequest:
+    """One chat call of a role: its system prompt, user content and
+    sampling settings."""
+
     role_id: str
     system_prompt: str
     user_content: str
@@ -89,6 +98,9 @@ class ChatRequest:
 
 @dataclass(frozen=True)
 class ChatResponse:
+    """The reply to one call, with the provider that gave it, its latency
+    and the attempt that succeeded."""
+
     text: str
     provider: str
     latency: float
@@ -199,13 +211,18 @@ class ReplayProvider:
         """Each role's replies in `run_dir/transcript.jsonl`, in file order.
 
         A line without a reply is a call that exhausted its retries: it
-        replays as a `TransportError` carrying the recorded error.
+        replays as a `TransportError` carrying the recorded error, the
+        line before's where it leaves it out (`_fill_left_out`). Requests
+        are not decoded, so a transcript in a form `read_transcript`
+        refuses still replays.
         """
         path = Path(run_dir) / "transcript.jsonl"
         if not path.exists():
             raise FixtureExhaustedError(f"no transcript to replay: {path} is missing")
         responses: dict[str, list] = {}
+        written: dict = {}
         for entry in read_json_lines(path):
+            _fill_left_out(entry, written)
             reply = entry["response"]
             responses.setdefault(entry["role_id"], []).append(
                 TransportError(entry["error"]) if reply is None else reply["text"]
@@ -247,17 +264,23 @@ class ReplayProvider:
 # A shorter context never becomes the base: a short prompt sent between a
 # long context's retries would otherwise replace it.
 INLINE_CONTEXT_CHARS = 4096
+# A shorter stretch of a reply is left in the new text: its span would
+# take about as many bytes as its chars.
+MIN_REPLY_STRETCH = 32
+_UNSET = object()
 
 
 class PromptStore:
-    """The request fields of each transcript line: what differs from the
-    lines before it.
+    """The fields of each transcript line: what differs from the lines
+    before it.
 
-    `system_prompt`, `temperature` and `max_output` are written only where
-    they differ from the previous request's (all three on the first line
-    after the transcript is opened or cut, which `forget` marks). A user
-    context is inline, as `user_content`, or a copy (`_copy_of`): ranges of
-    a source line's context, `user_content_spans`, then its new text,
+    `timestamp`, `error`, `system_prompt`, `temperature` and `max_output`
+    are written only where they differ from the line before's, and a
+    reply's `provider` and `attempt` only where they differ from the last
+    reply's (all of them on the first line after the transcript is opened
+    or cut, which `forget` marks). A user context is inline, as
+    `user_content`, or a copy (`_copy_of`): ranges of a source line's
+    context, `user_content_spans`, then its new text,
     `user_content_suffix`. A context takes the first of these that serves:
 
     1. a long context (`INLINE_CONTEXT_CHARS` chars or more) that extends
@@ -268,8 +291,11 @@ class PromptStore:
        context inline, which `user_content_base` names: a conjecture
        context grows by stubs, and past the budget drops the oldest
        entries, a different number for each prompt;
-    3. any context copies the line before: a re-proof campaign's context
-       is the one before's with one more entry and another target;
+    3. any context copies the line before, whose context is followed by
+       its reply text, so spans past the context are ranges of the reply:
+       a re-proof campaign's context is the one before's with one more
+       entry and another target, and a prover retry quotes the attempt
+       of the reply before it;
     4. it is inline, and a long one's line becomes the base.
 
     One base is kept, not one per role: roles take turns in phases in the
@@ -285,15 +311,45 @@ class PromptStore:
         copies no base: the transcript was opened or cut, so the line
         before and the base line may not be the ones seen here."""
         self._previous: ChatRequest | None = None  # the line before's request
+        self._reply = ""  # the line before's reply text
+        self._written: dict = {}  # the last value written of each left-out field
         self._base, self._base_sequence = "", None  # the base's context and sequence
         self._last, self._last_fields = "", {}  # the last long context, and its fields as a base copy
 
-    def request_fields(self, request: ChatRequest, sequence: int) -> dict:
+    def line(self, sequence: int, timestamp, exchange: Exchange) -> dict:
+        """The transcript line numbered `sequence` for `exchange`."""
+        request, response = exchange.request, exchange.response
+        entry = {"sequence": sequence, "role_id": request.role_id}
+        entry["request"] = self._request_fields(request, sequence)
+        entry["response"] = None
+        if response is not None:
+            entry["response"] = {"text": response.text, "latency": response.latency}
+            entry["response"].update(self._changed(provider=response.provider, attempt=response.attempt))
+            if response.reused:
+                entry["response"]["reused"] = True
+        entry.update(self._changed(timestamp=timestamp, error=exchange.error))
+        self._reply = "" if response is None else response.text
+        return entry
+
+    def _changed(self, **values) -> dict:
+        """The `values` that differ from the last written, in value or in
+        type (JSON writes 1 and 1.0 apart); each becomes the last written."""
+        fields = {}
+        for key, value in values.items():
+            before = self._written.get(key, _UNSET)
+            if type(value) is not type(before) or value != before:
+                fields[key] = self._written[key] = value
+        return fields
+
+    def _request_fields(self, request: ChatRequest, sequence: int) -> dict:
         """The fields of `request` for the line numbered `sequence`."""
         previous, self._previous = self._previous, request
-        fields = _changed(request, previous, "system_prompt")
+        fields = self._changed(
+            system_prompt=request.system_prompt,
+            temperature=request.temperature,
+            max_output=request.max_output,
+        )
         fields.update(self._content_fields(request.user_content, sequence, previous))
-        fields.update(_changed(request, previous, "temperature", "max_output"))
         return fields
 
     def _content_fields(self, content: str, sequence: int, previous: ChatRequest | None) -> dict:
@@ -310,7 +366,7 @@ class PromptStore:
             if copy is not None:
                 self._last_fields = {"user_content_base": self._base_sequence, **copy}
                 return self._last_fields
-        copy = None if previous is None else _copy_of(previous.user_content, content)
+        copy = None if previous is None else _copy_of(previous.user_content, content, self._reply)
         if copy is not None:
             return copy
         if long:  # the new base, which step 1 extends as a copy of itself
@@ -319,31 +375,20 @@ class PromptStore:
         return {"user_content": content}
 
 
-def _changed(request: ChatRequest, previous: ChatRequest | None, *keys: str) -> dict:
-    """The `keys` of `request` whose values differ from `previous`'s, in
-    value or in type (JSON writes 1 and 1.0 apart); all of them when there
-    is no previous request."""
-    fields = {}
-    for key in keys:
-        value = getattr(request, key)
-        before = getattr(previous, key, None)
-        if previous is None or type(value) is not type(before) or value != before:
-            fields[key] = value
-    return fields
-
-
-def _copy_of(source: str, content: str) -> dict | None:
-    """`content` as ranges of `source` and its new text: the head they
-    share, then the longest stretch of `source` from where `_resume` finds
-    the rest of `content` starting again. None if the new text is not
-    shorter than both `INLINE_CONTEXT_CHARS` and what it copies."""
+def _copy_of(source: str, content: str, reply: str = "") -> dict | None:
+    """`content` as ranges of `source` followed by `reply` and its new
+    text: the head they share, then the longest kept stretch (`_kept`).
+    None if the new text is not shorter than both `INLINE_CONTEXT_CHARS`
+    and what it copies. `source` and `reply` are never joined: a context
+    may be 400k chars."""
     head = _common_prefix(source, content)
+    if head == len(source) and reply:
+        head += _common_prefix(reply, content, 0, head)
     spans, copied = [[0, head]], head
     if head < len(content):
-        resume = _resume(source, content, head)
-        if resume >= 0:
-            kept = _common_prefix(source, content, resume, head)
-            spans.append([resume, resume + kept])
+        start, kept = _kept(source, content, head, reply)
+        if kept:
+            spans.append([start, start + kept])
             copied += kept
     suffix = content[copied:]
     if len(suffix) >= min(INLINE_CONTEXT_CHARS, copied):
@@ -351,15 +396,25 @@ def _copy_of(source: str, content: str) -> dict | None:
     return {"user_content_spans": spans, "user_content_suffix": suffix}
 
 
-def _resume(source: str, content: str, head: int) -> int:
-    """Where in `source`, after its first `head` chars, the text of
-    `content` after its first `head` chars starts again, or -1: the first
-    match of the rest of the line at `head`, which in a context names the
-    first entry kept after the dropped ones. The caller compares what
-    follows."""
+def _kept(source: str, content: str, head: int, reply: str) -> tuple[int, int]:
+    """The start, in `source` followed by `reply`, and the length of the
+    stretch that `content` continues with after its first `head` chars;
+    (0, 0) for none. Where the rest of `content`'s line at `head` starts
+    again after `head`: first in `source` (in a context, the first entry
+    kept after the dropped ones), then in `reply` (a retry's quoted
+    attempt), which serves only with a longer stretch of at least
+    `MIN_REPLY_STRETCH` chars."""
     line_end = content.find("\n", head + 1)
     probe = content[head : line_end + 1 if line_end >= 0 else len(content)]
-    return source.find(probe, head + 1)
+    start = source.find(probe, head + 1)
+    kept = 0 if start < 0 else _common_prefix(source, content, start, head)
+    least = max(kept + 1, MIN_REPLY_STRETCH)
+    found = reply.find(probe, max(0, head + 1 - len(source)))
+    if 0 <= found <= len(reply) - least:
+        longer = _common_prefix(reply, content, found, head)
+        if longer >= least:
+            return len(source) + found, longer
+    return (start, kept) if kept else (0, 0)
 
 
 def _common_prefix(text: str, other: str, start: int = 0, other_start: int = 0) -> int:
@@ -609,7 +664,7 @@ class Gateway:
 
     def record(self, exchange: Exchange) -> None:
         """Count the call and write its transcript line."""
-        request, response = exchange.request, exchange.response
+        request = exchange.request
         with self._lock:
             self.calls_by_role[request.role_id] = (
                 self.calls_by_role.get(request.role_id, 0) + 1
@@ -619,34 +674,20 @@ class Gateway:
             if self._transcript is None:
                 # Numbering continues after the lines already there.
                 self._open_transcript()
-            entry = {
-                "sequence": self._transcript.next_sequence,
-                "timestamp": self._clock.now() if self._clock else None,
-                "role_id": request.role_id,
-                "request": self._prompts.request_fields(request, self._transcript.next_sequence),
-                "response": None
-                if response is None
-                else {
-                    "text": response.text,
-                    "provider": response.provider,
-                    "latency": response.latency,
-                    "attempt": response.attempt,
-                },
-                "error": exchange.error,
-            }
-            if response is not None and response.reused:
-                entry["response"]["reused"] = True
+            timestamp = self._clock.now() if self._clock else None
+            entry = self._prompts.line(self._transcript.next_sequence, timestamp, exchange)
             self._transcript.append(entry)
 
 
 def read_transcript(path: str | Path) -> list[dict]:
-    """The entries of a transcript, read by `read_json_lines`, with each
-    request whole again (`PromptStore` says how lines copy). A base line
-    is one whose inline `user_content` is `INLINE_CONTEXT_CHARS` or longer.
-    A line with `user_content_spans` and no `user_content_base` copies
-    the previous line's context, short or long. Lines in the older forms,
-    every field inline or long contexts copied only from base lines, read
-    as they did.
+    """The entries of a transcript, read by `read_json_lines`, each whole
+    again: every field a line leaves out and its request (`PromptStore`
+    says what lines leave out and how they copy). A base line is one whose
+    inline `user_content` is `INLINE_CONTEXT_CHARS` or longer. A line with
+    `user_content_spans` and no `user_content_base` copies the previous
+    line's context followed by its reply text, short or long. Lines in the
+    older forms, every field inline, long contexts copied only from base
+    lines, or copies of the line before's context alone, read as they did.
 
     A line that copies from a previous request with no line before it,
     that names a base other than the last base line read, or whose spans
@@ -658,12 +699,32 @@ def read_transcript(path: str | Path) -> list[dict]:
     return list(_whole_requests(read_json_lines(path)))
 
 
+def _fill_left_out(entry: dict, written: dict) -> None:
+    """Set the `timestamp` and `error` that `entry` leaves out to the line
+    before's, and the `provider` and `attempt` its reply leaves out to the
+    last reply's; `written` holds those values, and takes `entry`'s. A
+    field no line before has stays out, as in a replay fixture that holds
+    only the replies."""
+    parts = [(entry, ("timestamp", "error"))]
+    if entry["response"] is not None:
+        parts.append((entry["response"], ("provider", "attempt")))
+    for fields, keys in parts:
+        for key in keys:
+            if key in fields:
+                written[key] = fields[key]
+            elif key in written:
+                fields[key] = written[key]
+
+
 def _whole_requests(entries: Iterable[dict]) -> Iterator[dict]:
     """`read_transcript`'s decoder: each of the transcript `entries`, in
-    order, with its request made whole from the lines before it. Only
-    the last request and the last base context read are kept."""
+    order, with its request made whole from the lines before it, then the
+    fields it leaves out set (`_fill_left_out`). Only the last request and
+    reply, the last base context and the last left-out values read are
+    kept."""
     base_sequence, base = None, ""
     previous: dict | None = None
+    reply, written = "", {}
     for entry in entries:
         request = entry["request"]
         sequence = entry.get("sequence")
@@ -691,14 +752,26 @@ def _whole_requests(entries: Iterable[dict]) -> Iterator[dict]:
                     f"transcript line {sequence}: it copies base line {named}, and "
                     f"the last base line before it is {base_sequence}"
                 )
-            text = previous["user_content"] if named is None else base
-            spans = _checked(spans, len(text), sequence)
-            text = "".join(text[start:end] for start, end in spans)
+            text, after = (previous["user_content"], reply) if named is None else (base, "")
+            spans = _checked(spans, len(text) + len(after), sequence)
+            text = "".join(_ranges(text, after, spans))
             request["user_content"] = text + request.pop("user_content_suffix")
         elif len(request["user_content"]) >= INLINE_CONTEXT_CHARS:
             base_sequence, base = sequence, request["user_content"]
+        _fill_left_out(entry, written)
         previous = request
+        reply = "" if entry["response"] is None else entry["response"]["text"]
         yield entry
+
+
+def _ranges(text: str, after: str, spans: list) -> Iterator[str]:
+    """The `spans` of `text` followed by `after`, never joined whole."""
+    size = len(text)
+    for start, end in spans:
+        if start < size:
+            yield text[start : min(end, size)]
+        if end > size:
+            yield after[max(start - size, 0) : end - size]
 
 
 def _checked(spans, size: int, sequence) -> list:

@@ -116,6 +116,9 @@ class ResumeConsistencyError(RuntimeError):
 
 @dataclass
 class RunConfig:
+    """Every setting of a run: its mode and loop sizes, provider, verifier
+    and output directory."""
+
     mode: str = "cpl"
     seed_path: str | None = None
     loops: int | None = None  # None → mode default (cpl 30, simple_loop 400)

@@ -31,12 +31,16 @@ VERIFIER_FAULT = "verifier transport error: "
 
 @dataclass(frozen=True)
 class ProofAttempt:
+    """One trial of a campaign: the attempt text and its check."""
+
     proof_text: str
     result: CheckResult | None  # None exactly for the empty surrender response
 
 
 @dataclass(frozen=True)
 class ProofOutcome:
+    """How a campaign ended, its trials, and the proof that verified."""
+
     status: str
     attempts: tuple[ProofAttempt, ...]
     final_proof: ProofScript | None = None

@@ -67,6 +67,8 @@ class VerifierTimeoutError(VerifierError):
 
 @dataclass(frozen=True)
 class Diagnostic:
+    """One Lean message, at a line and column of the checked declaration."""
+
     severity: str  # "error" | "warning" | "info"
     line: int
     column: int
@@ -78,6 +80,8 @@ class Diagnostic:
 
 @dataclass(frozen=True)
 class CheckResult:
+    """The verdict of one verifier check and the diagnostics behind it."""
+
     verdict: str
     diagnostics: tuple[Diagnostic, ...] = ()
     closing_term: str | None = None

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from cpl import cli
+from cpl import cli, evalharness
 from cpl.core import (
     JsonLinesLog,
     Library,
@@ -19,7 +19,7 @@ from cpl.core import (
 )
 from cpl.evalharness import check_run, same_run
 from cpl.events import read_events
-from cpl.gateway import read_transcript
+from cpl.gateway import ChatRequest, ChatResponse, Exchange, Gateway, read_transcript
 from cpl.prompts import PROVER_FALSE_PROMPT, PROVER_PROMPT
 from cpl.verifier import Diagnostic, VerifierStartupError
 
@@ -752,6 +752,14 @@ def test_the_checker_finds_a_corrupted_copy_of_the_demo_run(
     assert same_run(reference, out) == same_run_findings
 
 
+def test_check_run_reads_the_event_log_once(runs, monkeypatch):
+    reads, read_events = [], evalharness.read_events
+    monkeypatch.setattr(evalharness, "read_events", lambda path: reads.append(path) or read_events(path))
+    reference = runs["a run, replayed"][0]
+    assert check_run(reference) == []
+    assert reads == [reference / "events.jsonl"]
+
+
 def test_analyze_check_prints_a_line_a_finding_and_exits_1(runs, tmp_path, capsys):
     reference, out = runs["a run, replayed"][0], tmp_path / "copy"
     shutil.copytree(reference, out)
@@ -781,7 +789,13 @@ def test_same_run_passes_over_what_two_directories_of_one_run_may_differ_in(runs
     # Timestamps, sequence numbers, replies, latencies, where each run was
     # written and whether it was resumed or replayed, and other files.
     rewrite("events.jsonl", lambda e: e.update(sequence=e["sequence"] + 5, timestamp="2030"))
-    rewrite("transcript.jsonl", lambda line: line["response"].update(text="other", latency=9.0))
+    # A line may copy from the reply before it, so the other replies are
+    # written by a gateway, as a run that was given them writes them.
+    (out / "transcript.jsonl").unlink()
+    gateway = Gateway(None, transcript_path=out / "transcript.jsonl")
+    for entry in read_transcript(reference / "transcript.jsonl"):
+        reply = ChatResponse("other", entry["response"]["provider"], 9.0, entry["response"]["attempt"])
+        gateway.record(Exchange(ChatRequest(entry["role_id"], **entry["request"]), reply))
     report = json.loads((reference / "report.json").read_text(encoding="utf-8"))
     report["config"].update(output_dir="x", resume=True, replay_dir="y", clock="system")
     (out / "report.json").write_text(json.dumps(report), encoding="utf-8")

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import io
 import json
 import logging
@@ -14,11 +15,13 @@ from pathlib import Path
 
 import pytest
 
-from cpl.core import read_json_lines
+from cpl.core import read_json_lines, strip_code_fences
 from cpl.gateway import (
     INLINE_CONTEXT_CHARS,
     ROLE_IDS,
     ChatRequest,
+    ChatResponse,
+    Exchange,
     FatalGatewayError,
     FixtureExhaustedError,
     Gateway,
@@ -1124,8 +1127,9 @@ def test_a_copy_with_nothing_before_it_or_past_what_it_copies_is_refused(tmp_pat
     full_copying = json.loads(json.dumps(full))
     full_copying["request"]["user_content_spans"] = [[0, 3]]
     full_copying["request"]["user_content_suffix"] = full_copying["request"].pop("user_content")
+    # A copy of the line before takes ranges of its context followed by its reply.
     spans_past = json.loads(json.dumps(copy))
-    spans_past["request"]["user_content_spans"] = [[0, len("∀ 𝔽 context\r\n") + 1]]
+    spans_past["request"]["user_content_spans"] = [[0, len("∀ 𝔽 context\r\n" + "reply 1") + 1]]
     for lines, message in (
         ([copy], "transcript line 1: it copies system_prompt, temperature, max_output, user_content"),
         ([full_copying], "transcript line 0: it copies user_content from a previous request"),
@@ -1241,3 +1245,238 @@ def test_a_resume_that_cuts_the_base_line_writes_the_next_long_context_whole_aga
         "short ∀ prompt", campaign, retries[2]
     ]
     assert [p.name for p in tmp_path.iterdir()] == ["transcript.jsonl"]
+
+
+# ---------------------------------------------------------------------------
+# Left-out reply fields, and retries that copy the attempt they quote
+# ---------------------------------------------------------------------------
+
+DEMO_TRANSCRIPT = Path(__file__).parent / "fixtures" / "cpl_demo" / "responses" / "transcript.jsonl"
+# The sha256 of each entry the decoder returns for the committed older-form
+# transcripts (`json.dumps(entry, sort_keys=True, ensure_ascii=False)`):
+# role, whole request, and the reply with its provider, attempt, latency,
+# error and timestamp, as the reader of that form returned them.
+OLDER_FORM_DIGESTS = {
+    DEMO_TRANSCRIPT: [
+        "8743d731b2b1dd5b91b6ad12779dcf4c3e1598e06f89cd69bcea2b7446106b6f",
+        "7ec16b09e10b6364148d492e6bffac8c04ee8cb98e2bf280d2c16b51df7ecfc9",
+        "790a59709bce07da8ed6792422d16eb122cc5857e753ddc8ab9b4f07c278cbd9",
+        "afed6b033e87a878f869a816042036cd86e38c0551d40ddbdc16925b3aa3793b",
+        "d5172c1a3c1959fc51424213cb0274d2011e63e2779158bf03e68185f4bdf49b",
+        "a49ed1c8a42fe22f1968b97b6e8b695803375bb225e759742898ebb5bd906a22",
+        "3cdad663c76e080963cb418c8a8e27fe56f6e29a4d147510b01a2c8560680f24",
+        "802431b75caf2fcdd2728de669a1a1c7053c75aed22c190258319742c6f44276",
+        "177d4188e6d95300e9389c80664cd77a247e24d07e18d137092b92060b0f7f37",
+        "caca3e739db76a9a7a887a93fa4140eb6a3380f0f5760f332dc080358413fedd",
+        "0aa3e54ad03e29431ec3021b37d8a80f34a392cdafd0288aee112e67a9322aae",
+        "605d64e8860e0c6a58b0ed7e3c752d4e54792cb6e672e9fb496b04a7c18e00ab",
+        "3eb934f1a7375595ab13a0436b4764be5283b985ff1dd68af548c0da5997eb14",
+    ],
+    BASE_COPIES_TRANSCRIPT: [
+        "843ad392e20cb81d899b6e822607296f444e20f5751c00d6ca5982605fb40c66",
+        "b9750209d5040f20eb8cd19c19eae8183fa9b48f2663b93250a2e321613273d8",
+        "978fe0ce1e9a12ea6e07c4b39280c07cb63b45cc8b6b2531d3f5a097ad5b2afe",
+        "b1a984d6ba82229967142bce3db5e3034511c480c4751c8c72b7d05f7bb0b785",
+        "89d19282a0f975095295fd660f6418c3681a3fea84686fb8b63edab04565a7f2",
+        "17c0e05f1a3b38a8400c2f271afa75e50581645227339a70c3673a8214e5ec04",
+        "edd69113a0d08102e3514e8e5a06c814c4a6790004d45b33bbbf38794c2e5afe",
+    ],
+}
+OLDER_FORM_IDS = ["demo", "base-copies"]
+
+
+def digest(entry: dict) -> str:
+    return hashlib.sha256(json.dumps(entry, sort_keys=True, ensure_ascii=False).encode()).hexdigest()
+
+
+class RecordedClock:
+    """Gives the timestamps of recorded lines, in order."""
+
+    def __init__(self, stamps):
+        self._stamps = iter(stamps)
+
+    def now(self):
+        return next(self._stamps)
+
+
+@pytest.mark.parametrize("path", list(OLDER_FORM_DIGESTS), ids=OLDER_FORM_IDS)
+def test_the_committed_older_transcripts_decode_and_replay_as_they_did(tmp_path, path):
+    entries = read_transcript(path)
+    assert [digest(entry) for entry in entries] == OLDER_FORM_DIGESTS[path]
+    for entry in entries:
+        assert {"timestamp", "error"} <= entry.keys()
+        assert {"text", "provider", "latency", "attempt"} <= entry["response"].keys()
+    (tmp_path / "transcript.jsonl").write_bytes(path.read_bytes())
+    replay = ReplayProvider.from_dir(tmp_path)
+    for entry in entries:
+        assert replay.complete(request(role=entry["role_id"])) == entry["response"]["text"]
+
+
+@pytest.mark.parametrize("path", list(OLDER_FORM_DIGESTS), ids=OLDER_FORM_IDS)
+def test_older_transcripts_recorded_again_read_back_to_the_same_entries(tmp_path, path):
+    entries = read_transcript(path)
+    again = tmp_path / "transcript.jsonl"
+    gateway = Gateway(None, transcript_path=again, clock=RecordedClock(e["timestamp"] for e in entries))
+    for entry in entries:
+        reply = entry["response"]
+        response = ChatResponse(reply["text"], reply["provider"], reply["latency"], reply["attempt"])
+        gateway.record(Exchange(ChatRequest(entry["role_id"], **entry["request"]), response, entry["error"]))
+    assert read_transcript(again) == entries
+    lines = list(read_json_lines(again))
+    assert {"timestamp", "error"} <= lines[0].keys() and "provider" in lines[0]["response"]
+    # every reply here has the same provider, attempt, error and timestamp
+    assert not any({"timestamp", "error"} & line.keys() for line in lines[1:])
+    assert not any({"provider", "attempt"} & line["response"].keys() for line in lines[1:])
+    assert again.stat().st_size < path.stat().st_size
+
+
+def test_a_line_leaves_out_the_timestamp_error_provider_and_attempt_it_shares(tmp_path):
+    path = tmp_path / "transcript.jsonl"
+    outcomes = iter(["a", "b", "down", "c", "down", "down", "down", "down", "e"])
+
+    def answer(req):
+        text = next(outcomes)
+        if text == "down":
+            raise TransportError("endpoint down")
+        return text
+
+    stamps = ["t0", "t0", "t1", "t1", "t1", "t2"]
+    gateway = Gateway(CallableProvider(answer), retry_cap=2, transcript_path=path,
+                      clock=RecordedClock(stamps), sleep=lambda s: None)
+    for _ in stamps:
+        try:
+            gateway.complete(request())
+        except TransportError:
+            pass
+    lines = list(read_json_lines(path))
+    assert [sorted(line.keys() - {"sequence", "role_id", "request", "response"}) for line in lines] == [
+        ["error", "timestamp"], [], ["timestamp"], ["error"], [], ["error", "timestamp"],
+    ]
+    assert [line["response"] and sorted(line["response"].keys() - {"text", "latency"}) for line in lines] == [
+        ["attempt", "provider"], [], ["attempt"], None, None, ["attempt"],
+    ]
+    entries = read_transcript(path)
+    assert [e["timestamp"] for e in entries] == stamps
+    assert [e["error"] for e in entries] == [None, None, None, "endpoint down", "endpoint down", None]
+    assert [e["response"] and (e["response"]["provider"], e["response"]["attempt"]) for e in entries] == [
+        ("callable", 1), ("callable", 1), ("callable", 2), None, None, ("callable", 1),
+    ]
+    replay = ReplayProvider.from_dir(tmp_path)
+    for expected in ["a", "b", "c", "endpoint down", "endpoint down", "e"]:
+        try:
+            assert replay.complete(request()) == expected
+        except TransportError as exc:
+            assert str(exc) == expected
+
+
+PROOF_REPLIES = [
+    f"```lean\nby\n  intro x\n  have h{i} : x ∈ closure 𝔽 := subset_closure x\n"
+    f"  simp only [b{i}, Set.mem_def] at h{i} ⊢\n  exact h{i}\n```"
+    for i in range(6)
+]
+
+
+def retries_of(context: str, replies: list[str]) -> list[str]:
+    """A campaign's prompts: `context`, then each retry quoting the attempt
+    the reply before it holds, as `prover.run_trials` sends them."""
+    prompts = [context]
+    for trial, reply in enumerate(replies[:-1]):
+        diagnostics = (Diagnostic("error", 2, trial, f"unsolved goals ⊢ 𝔽 {trial}\r\n"),)
+        prompts.append(format_feedback(context, strip_code_fences(reply).strip(), diagnostics))
+    return prompts
+
+
+def test_a_retry_copies_the_attempt_it_quotes_from_the_reply_before_it(tmp_path):
+    path = tmp_path / "transcript.jsonl"
+    context = rendered(0, end=20)
+    assert len(context) < INLINE_CONTEXT_CHARS
+    prompts = retries_of(context, PROOF_REPLIES)
+    replies = iter(PROOF_REPLIES)
+    gateway = Gateway(CallableProvider(lambda req: next(replies)), transcript_path=path)
+    for prompt in prompts:
+        gateway.complete(request(user=prompt))
+    assert [e["request"]["user_content"] for e in read_transcript(path)] == prompts
+    lines = [line["request"] for line in read_json_lines(path)]
+    # The second trial quotes the first reply after new text: a copy of the context.
+    assert lines[1]["user_content_spans"] == [[0, len(context)]]
+    for before, line, prompt in zip(prompts[1:], lines[2:], prompts[2:]):
+        (_, head), (start, end) = line["user_content_spans"]
+        assert len(before) <= start  # a stretch of the reply, not of the context
+        assert end - start > 40 and line["user_content_suffix"].endswith("\r\n")
+        assert "exact h" not in line["user_content_suffix"]
+
+
+def test_a_line_after_a_resume_cut_writes_every_field_and_copies_no_reply_from_before_it(
+    tmp_path,
+):
+    path = tmp_path / "transcript.jsonl"
+    context = rendered(0, end=20)
+    prompts = retries_of(context, PROOF_REPLIES)
+    replies = iter(PROOF_REPLIES[:3])
+    first = Gateway(CallableProvider(lambda req: next(replies)), transcript_path=path)
+    for prompt in prompts[:3]:
+        first.complete(request(user=prompt))
+    assert list(read_json_lines(path))[2]["request"]["user_content_spans"][1][0] >= len(prompts[1])
+    # The resume cuts the third trial's line; the redone trial is served from it.
+    replies = iter(PROOF_REPLIES[3:])
+    gateway = Gateway(CallableProvider(lambda req: next(replies)), transcript_path=path)
+    assert gateway.fast_forward({"prover": 2}) == 2
+    for prompt in prompts[2:]:
+        gateway.complete(request(user=prompt))
+    lines = list(read_json_lines(path))
+    served = lines[2]
+    assert served["response"]["reused"]
+    assert {"timestamp", "error"} <= served.keys()
+    assert {"provider", "attempt"} <= served["response"].keys()
+    # It quotes the reply of the line before the cut, and copies none of it.
+    assert served["request"] == {
+        "system_prompt": PROVER_PROMPT, "user_content": prompts[2], "temperature": 1.0, "max_output": 16384,
+    }
+    # The line after it copies the reply written after the cut.
+    assert lines[3]["request"]["user_content_spans"][1][0] >= len(prompts[2])
+    assert [e["request"]["user_content"] for e in read_transcript(path)] == prompts
+
+
+def test_a_seeded_run_of_campaigns_quoting_their_replies_reads_back_exactly(tmp_path):
+    """Short and long campaigns whose retries quote the reply before them,
+    some replies lost to exhausted retries, with timestamps that sometimes
+    repeat, across a restart: every entry reads back whole and replays."""
+    rng = random.Random(1618)
+    path = tmp_path / "transcript.jsonl"
+    sent = []
+
+    def answer(req):
+        if rng.random() < 0.1:
+            raise TransportError(rng.choice(["down", "HTTP 503 from provider"]))
+        return rng.choice(PROOF_REPLIES + ["", "by simp", "```lean\nby\n  exact ⟨𝔽, rfl⟩\n```"])
+
+    for _ in range(2):  # a second gateway, as after a restart
+        gateway = Gateway(CallableProvider(answer), retry_cap=1, transcript_path=path,
+                          clock=RecordedClock(iter(lambda: rng.choice(["t0", "t1", None]), 0)))
+        for _ in range(12):
+            context = rendered(rng.randrange(300), rng.sample(STUBS, 1), end=rng.choice([305, 400]))
+            text = context
+            for _ in range(rng.randrange(1, 6)):
+                try:
+                    reply = gateway.complete(request(user=text)).text
+                except TransportError:
+                    reply = ""
+                sent.append(text)
+                diagnostics = (Diagnostic("error", 1, 0, f"⊢ 𝔽 {len(sent)}"),)
+                text = format_feedback(context, strip_code_fences(reply).strip(), diagnostics)
+    entries = read_transcript(path)
+    assert [e["request"]["user_content"] for e in entries] == sent
+    lines = list(read_json_lines(path))
+    assert any(
+        end > len(before["request"]["user_content"])
+        for before, line in zip(entries, lines[1:])
+        if "user_content_base" not in line["request"]
+        for _, end in line["request"].get("user_content_spans", [])
+    )
+    assert sum("timestamp" in line for line in lines) < len(lines)
+    replay = ReplayProvider.from_dir(tmp_path)
+    for entry in entries:
+        try:
+            assert replay.complete(request()) == entry["response"]["text"]
+        except TransportError as exc:
+            assert entry["response"] is None and str(exc) == entry["error"]
