@@ -11,13 +11,21 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .core import (
+    DEFAULT_CONTEXT_BUDGET,
     ConjectureList,
     Library,
     ParseWarning,
     parse_theorem_declarations,
     render_context,
 )
-from .gateway import ChatRequest, FatalGatewayError, Gateway, TransportError
+from .gateway import (
+    DEFAULT_MAX_OUTPUT,
+    DEFAULT_TEMPERATURE,
+    ChatRequest,
+    FatalGatewayError,
+    Gateway,
+    TransportError,
+)
 from .prompts import CONJECTURER_PROMPT
 from .prover import VERIFIER_FAULT
 from .verifier import KNOWN, VALID, VerifierError
@@ -64,9 +72,9 @@ def run_conjecture_phase(
     session,
     gateway: Gateway,
     iterations: int = DEFAULT_ITERATIONS,
-    context_budget: int = 400_000,
-    temperature: float = 1.0,
-    max_output: int = 16384,
+    context_budget: int = DEFAULT_CONTEXT_BUDGET,
+    temperature: float = DEFAULT_TEMPERATURE,
+    max_output: int = DEFAULT_MAX_OUTPUT,
     events=None,
     loop: int | None = None,
     on_accept=None,

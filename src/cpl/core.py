@@ -21,6 +21,9 @@ PROVENANCES = ("cpl", "simple_loop", "fixture")
 
 LENGTH_METRICS = ("lines", "chars")
 
+# How many chars of context a prompt carries unless a run sets its own.
+DEFAULT_CONTEXT_BUDGET = 400_000
+
 ENTRY_MARKER = re.compile(
     r"^-- \[cpl:entry (\d+) ([a-z_]+) (\S+)\]$", re.MULTILINE
 )

@@ -25,7 +25,14 @@ from .core import (
     write_json,
 )
 from .events import RunEvent, read_events, replay_library
-from .gateway import ChatRequest, Gateway, TransportError, read_transcript
+from .gateway import (
+    DEFAULT_MAX_OUTPUT,
+    DEFAULT_TEMPERATURE,
+    ChatRequest,
+    Gateway,
+    TransportError,
+    read_transcript,
+)
 from .prompts import DEFAULT_NL_STATEMENT, NL_PROVER_PROMPT
 from .prover import STATUS_FAILED, STATUS_UNPROVABLE, STATUS_VERIFIED, prove
 
@@ -217,8 +224,8 @@ def nl_session(
     statement_text: str = DEFAULT_NL_STATEMENT,
     n: int = DEFAULT_NL_REPETITIONS,
     out_dir: str | Path = ".",
-    temperature: float = 1.0,
-    max_output: int = 16384,
+    temperature: float = DEFAULT_TEMPERATURE,
+    max_output: int = DEFAULT_MAX_OUTPUT,
 ) -> list[str]:
     """Collect `n` natural-language proof attempts for manual grading.
 

@@ -61,8 +61,9 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .conjecture import run_conjecture_phase
+from .conjecture import DEFAULT_ITERATIONS, run_conjecture_phase
 from .core import (
+    DEFAULT_CONTEXT_BUDGET,
     ENTRY_MARKER,
     JsonLinesLog,
     Library,
@@ -78,6 +79,10 @@ from .core import (
 )
 from .events import EventLog, library_from_additions, make_clock
 from .gateway import (
+    DEFAULT_API_KEY_ENV,
+    DEFAULT_MAX_OUTPUT,
+    DEFAULT_RETRY_CAP,
+    DEFAULT_TEMPERATURE,
     ROLE_IDS,
     ChatRequest,
     Exchange,
@@ -87,8 +92,15 @@ from .gateway import (
     ReplayProvider,
 )
 from .prompts import SIMPLE_LOOP_PROMPT
-from .prover import STATUS_VERIFIED, Unusable, prove, run_trials
-from .verifier import open_session
+from .prover import (
+    DEFAULT_MAX_TRIALS,
+    DEFAULT_PROMPT_VARIANT,
+    STATUS_VERIFIED,
+    Unusable,
+    prove,
+    run_trials,
+)
+from .verifier import DEFAULT_COMMAND_TIMEOUT, DEFAULT_NOVELTY_TIMEOUT, open_session
 
 MODES = ("cpl", "simple_loop")
 
@@ -122,19 +134,19 @@ class RunConfig:
     mode: str = "cpl"
     seed_path: str | None = None
     loops: int | None = None  # None → mode default (cpl 30, simple_loop 400)
-    conjecture_iterations: int = 16
-    max_trials: int = 16
-    context_budget: int = 400_000
+    conjecture_iterations: int = DEFAULT_ITERATIONS
+    max_trials: int = DEFAULT_MAX_TRIALS
+    context_budget: int = DEFAULT_CONTEXT_BUDGET
     output_dir: str = "run_output"
     resume: bool = False
-    prompt_variant: str = "not_provable"
+    prompt_variant: str = DEFAULT_PROMPT_VARIANT
     # provider settings
     endpoint: str = "https://api.openai.com/v1/chat/completions"
-    api_key_env: str = "CPL_API_KEY"
+    api_key_env: str = DEFAULT_API_KEY_ENV
     models: dict = field(default_factory=lambda: dict(DEFAULT_MODELS))
-    temperature: float = 1.0
-    max_output: int = 16384
-    retry_cap: int = 3
+    temperature: float = DEFAULT_TEMPERATURE
+    max_output: int = DEFAULT_MAX_OUTPUT
+    retry_cap: int = DEFAULT_RETRY_CAP
     rate_limit_rps: float | None = 1.0
     # a run directory whose transcript replaces the model
     replay_dir: str | None = None
@@ -143,8 +155,8 @@ class RunConfig:
     verifier_fixtures: str | None = None
     lean_command: list = field(default_factory=list)
     lean_cwd: str | None = None
-    command_timeout: float = 120.0
-    novelty_timeout: float = 300.0
+    command_timeout: float = DEFAULT_COMMAND_TIMEOUT
+    novelty_timeout: float = DEFAULT_NOVELTY_TIMEOUT
     # determinism
     clock: str | None = None  # None → "fixed" when replaying, else "system"
 

@@ -12,12 +12,26 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .core import Library, ProofScript, TheoremStatement, render_context, strip_code_fences
-from .gateway import ChatRequest, Gateway, TransportError
+from .core import (
+    DEFAULT_CONTEXT_BUDGET,
+    Library,
+    ProofScript,
+    TheoremStatement,
+    render_context,
+    strip_code_fences,
+)
+from .gateway import (
+    DEFAULT_MAX_OUTPUT,
+    DEFAULT_TEMPERATURE,
+    ChatRequest,
+    Gateway,
+    TransportError,
+)
 from .prompts import PROVER_PROMPT_VARIANTS
 from .verifier import FAILED, VERIFIED, CheckResult, Diagnostic, VerifierError
 
 DEFAULT_MAX_TRIALS = 16
+DEFAULT_PROMPT_VARIANT = "not_provable"
 
 STATUS_VERIFIED = "verified"
 STATUS_FAILED = "failed_exhausted"
@@ -152,10 +166,10 @@ def prove(
     session,
     gateway: Gateway,
     max_trials: int = DEFAULT_MAX_TRIALS,
-    prompt_variant: str = "not_provable",
-    context_budget: int = 400_000,
-    temperature: float = 1.0,
-    max_output: int = 16384,
+    prompt_variant: str = DEFAULT_PROMPT_VARIANT,
+    context_budget: int = DEFAULT_CONTEXT_BUDGET,
+    temperature: float = DEFAULT_TEMPERATURE,
+    max_output: int = DEFAULT_MAX_OUTPUT,
     events=None,
     event_extra: dict | None = None,
 ) -> ProofOutcome:

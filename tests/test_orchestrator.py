@@ -48,6 +48,8 @@ from cpl.orchestrator import (
     run_simple_loop,
 )
 from cpl.verifier import CheckResult, ScriptedVerifier
+from fixtures.fake_repl import Repl
+from fixtures.full_resend import FullResend
 from providers import CallableProvider
 
 SEED = "import Mathlib\n"
@@ -1234,7 +1236,8 @@ def test_a_run_closes_the_lean_session_it_opened(
     tmp_path, fake_repl_cmd, repl_gone, short
 ):
     pid_file = tmp_path / "repl.pid"
-    config = demo_config(tmp_path / "out")
+    out = tmp_path / "out"
+    config = demo_config(out)
     config.verifier_backend = "lean"
     config.lean_command = fake_repl_cmd + ["--pid-file", str(pid_file)]
     if short:
@@ -1242,8 +1245,16 @@ def test_a_run_closes_the_lean_session_it_opened(
         with pytest.raises(FixtureExhaustedError):
             run(config)
     else:
-        # The fake REPL finds every check clean.
         assert len(run(config)) == 6
+        # The fake applies Lean's environment rules in the child process
+        # and in process under the full-resend reference: a check that sent
+        # a declaration again on an environment holding it would be a
+        # redeclaration in the first run only.
+        full = tmp_path / "full"
+        seed = Path(config.seed_path).read_text(encoding="utf-8")
+        reference = FullResend(seed, command=[], client=Repl())
+        run(dataclasses.replace(config, output_dir=str(full)), session=reference)
+        assert check_run(out) == check_run(full) == same_run(full, out) == []
     assert repl_gone(pid_file)
 
 

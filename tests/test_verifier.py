@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import json
 import random
-import re
 import sys
 import time
 
@@ -21,11 +20,13 @@ from cpl.verifier import (
     VerifierStartupError,
     VerifierTimeoutError,
     VerifierTransportError,
-    _parse_messages,
     _rebase,
     open_session,
 )
+from fixtures.fake_repl import Repl, names
+from fixtures.full_resend import FullResend
 
+SEED = "import Mathlib\n"
 STMT = TheoremStatement.from_source("theorem t : (1 : ℕ) = 1 := sorry")
 PROOF = ProofScript("rfl")
 
@@ -208,6 +209,11 @@ def make_session(seed: str, items) -> tuple[LeanVerifier, FakeClient]:
     return session, client
 
 
+def repl_session(answers: dict | None = None) -> tuple[LeanVerifier, Repl]:
+    repl = Repl(answers)
+    return LeanVerifier(SEED, command=[], client=repl), repl
+
+
 def sorry_warning(line: int) -> dict:
     return {
         "severity": "warning",
@@ -251,41 +257,26 @@ def test_startup_error_carries_diagnostics():
 
 
 def test_validity_accepts_sorry_warning_only():
-    seed = "import Mathlib\n"
-    session, client = make_session(seed, [{"env": 9, "messages": [sorry_warning(1)]}])
-    result = session.check_validity(seed, STMT)
+    session, repl = repl_session()
+    result = session.check_validity(SEED, STMT)
     assert result.verdict == "valid"
+    assert result.diagnostics[0].message == "declaration uses 'sorry'"
     # The seed prefix is stripped: only the statement is submitted.
-    assert client.requests[1]["payload"]["cmd"] == STMT.source_text
+    assert repl.sent == [(0, STMT.source_text, 1)]
 
 
 def test_validity_error_is_invalid():
-    seed = "import Mathlib\n"
-    session, _ = make_session(
-        seed,
-        [
-            {
-                "env": 9,
-                "messages": [
-                    {
-                        "severity": "error",
-                        "pos": {"line": 1, "column": 12},
-                        "data": "unknown identifier 'wat'",
-                    }
-                ],
-            }
-        ],
-    )
-    result = session.check_validity(seed, STMT)
+    session, repl = repl_session()
+    result = session.check_validity(SEED, TheoremStatement.from_source("theorem t : BAD := sorry"))
     assert result.verdict == "invalid"
-    assert result.errors()[0].message == "unknown identifier 'wat'"
+    assert result.errors()[0].message == "unknown identifier 'BAD'"
+    assert repl.sent == [(0, "theorem t : BAD := sorry", 1)]
 
 
 def test_context_is_submitted_and_positions_rebased():
-    seed = "import Mathlib\n"
-    context = seed + "theorem prior : True := sorry"
+    context = SEED + "theorem prior : True := sorry"
     session, client = make_session(
-        seed,
+        SEED,
         [
             {
                 "env": 9,
@@ -309,17 +300,15 @@ def test_context_is_submitted_and_positions_rebased():
 
 
 def test_validity_timeout_is_conservative_invalid():
-    seed = "import Mathlib\n"
-    session, _ = make_session(seed, [VerifierTimeoutError("slow")])
-    result = session.check_validity(seed, STMT)
+    session, _ = make_session(SEED, [VerifierTimeoutError("slow")])
+    result = session.check_validity(SEED, STMT)
     assert result.verdict == "invalid"
     assert result.errors()[0].message == "validity check timed out after 120s"
 
 
 def test_novelty_try_this_means_known():
-    seed = "import Mathlib\n"
     session, client = make_session(
-        seed,
+        SEED,
         [
             {
                 "env": 9,
@@ -333,37 +322,24 @@ def test_novelty_try_this_means_known():
             }
         ],
     )
-    result = session.check_novelty(seed, STMT)
+    result = session.check_novelty(SEED, STMT)
     assert result.verdict == "known"
     assert result.closing_term == "Nat.le_refl 1"
     assert client.requests[1]["payload"]["cmd"].endswith(":= by exact?")
 
 
 def test_novelty_failure_means_novel():
-    seed = "import Mathlib\n"
-    session, _ = make_session(
-        seed,
-        [
-            {
-                "env": 9,
-                "messages": [
-                    {
-                        "severity": "error",
-                        "pos": {"line": 1, "column": 30},
-                        "data": "exact? could not close the goal",
-                    }
-                ],
-            }
-        ],
-    )
-    assert session.check_novelty(seed, STMT).verdict == "novel"
+    session, repl = repl_session()
+    result = session.check_novelty(SEED, STMT)
+    assert result.verdict == "novel"
+    assert result.errors()[0].message == "`exact?` could not close the goal"
+    assert repl.sent == [(0, "theorem t : (1 : ℕ) = 1 := by exact?", 1)]
 
 
 def test_novelty_timeout_keeps_the_conjecture():
-    seed = "import Mathlib\n"
-    session, _ = make_session(seed, [VerifierTimeoutError("deep search")])
+    session, _ = make_session(SEED, [VerifierTimeoutError("deep search")])
     session.novelty_timeout = 0.3
-    result = session.check_novelty(seed, STMT)
+    result = session.check_novelty(SEED, STMT)
     assert result.verdict == "novel"
     assert any(d.severity == "warning" for d in result.diagnostics)
     # A sub-second deadline shows as such, not rounded to 0s.
@@ -371,17 +347,15 @@ def test_novelty_timeout_keeps_the_conjecture():
 
 
 def test_verify_proof_success():
-    seed = "import Mathlib\n"
-    session, client = make_session(seed, [{"env": 9, "messages": [], "sorries": []}])
-    result = session.verify_proof(seed, STMT, PROOF)
+    session, repl = repl_session()
+    result = session.verify_proof(SEED, STMT, PROOF)
     assert result.verdict == "verified"
-    assert client.requests[1]["payload"]["cmd"] == "theorem t : (1 : ℕ) = 1 := rfl"
+    assert repl.sent == [(0, "theorem t : (1 : ℕ) = 1 := rfl", 1)]
 
 
 def test_verify_proof_remaining_sorry_goal_fails():
-    seed = "import Mathlib\n"
     session, _ = make_session(
-        seed,
+        SEED,
         [
             {
                 "env": 9,
@@ -390,46 +364,30 @@ def test_verify_proof_remaining_sorry_goal_fails():
             }
         ],
     )
-    result = session.verify_proof(seed, STMT, ProofScript("by exact h"))
+    result = session.verify_proof(SEED, STMT, ProofScript("by exact h"))
     assert result.verdict == "failed"
     assert result.errors()
 
 
 def test_verify_proof_unknown_identifier_fails():
-    seed = "import Mathlib\n"
-    session, _ = make_session(
-        seed,
-        [
-            {
-                "env": 9,
-                "messages": [
-                    {
-                        "severity": "error",
-                        "pos": {"line": 1, "column": 28},
-                        "data": "unknown identifier 'nonexistent_lemma'",
-                    }
-                ],
-            }
-        ],
-    )
-    result = session.verify_proof(seed, STMT, ProofScript("nonexistent_lemma"))
+    session, repl = repl_session()
+    result = session.verify_proof(SEED, STMT, ProofScript("BAD"))
     assert result.verdict == "failed"
-    assert "unknown identifier" in result.errors()[0].message
+    assert result.errors()[0].message == "unknown identifier 'BAD'"
+    assert repl.sent == [(0, "theorem t : (1 : ℕ) = 1 := BAD", 1)]
 
 
 def test_verify_proof_timeout_fails():
-    seed = "import Mathlib\n"
-    session, _ = make_session(seed, [VerifierTimeoutError("slow")])
-    assert session.verify_proof(seed, STMT, PROOF).verdict == "failed"
+    session, _ = make_session(SEED, [VerifierTimeoutError("slow")])
+    assert session.verify_proof(SEED, STMT, PROOF).verdict == "failed"
 
 
 def test_verdicts_deterministic_for_fixed_fake_backend():
-    seed = "import Mathlib\n"
     response = {"env": 9, "messages": [], "sorries": []}
-    first, _ = make_session(seed, [dict(response)])
-    second, _ = make_session(seed, [dict(response)])
-    a = first.verify_proof(seed, STMT, PROOF)
-    b = second.verify_proof(seed, STMT, PROOF)
+    first, _ = make_session(SEED, [dict(response)])
+    second, _ = make_session(SEED, [dict(response)])
+    a = first.verify_proof(SEED, STMT, PROOF)
+    b = second.verify_proof(SEED, STMT, PROOF)
     # elapsed is wall clock; everything that matters must match exactly
     assert (a.verdict, a.diagnostics, a.closing_term) == (
         b.verdict,
@@ -451,93 +409,6 @@ def test_base_response_without_env_id_is_a_startup_error():
 # Environment reuse: contract tests against a full-resend reference
 # ---------------------------------------------------------------------------
 
-SEED = "import Mathlib\n"
-_BLOCK_SPLIT = re.compile(r"\n\n(?=theorem\s)")
-_NAME = re.compile(r"theorem\s+(\S+)")
-
-
-def message(severity: str, line: int, data: str) -> dict:
-    return {"severity": severity, "pos": {"line": line, "column": 2}, "data": data}
-
-
-class EnvRepl:
-    """Contract fake of the Lean REPL that keeps the text each environment
-    holds and answers for the whole of it, as Lean would.
-
-    A command on environment `e` continues `e`'s text. In each block of a
-    command: a name declared before is an error, a `BAD` token is an
-    error, a `:= sorry` stub warns and counts in `sorries`, `by exact?`
-    fails unless `answers` says otherwise, and `answers[block]` adds
-    messages (lines relative to the block). `raise_next` makes the next
-    check raise instead.
-    """
-
-    def __init__(self, answers: dict | None = None):
-        self.answers = answers or {}
-        self.held: dict[int, str] = {}
-        self.sent: list[tuple[int, str, int | None]] = []  # (env, cmd, reply env)
-        self.raise_next: Exception | None = None
-
-    def run(self, payload, timeout):
-        if "env" not in payload:
-            self.held[0] = ""
-            return {"env": 0, "messages": []}
-        env, cmd = payload["env"], payload["cmd"]
-        if self.raise_next is not None:
-            exc, self.raise_next = self.raise_next, None
-            self.sent.append((env, cmd, None))
-            raise exc
-        base = self.held[env]
-        names = set(_NAME.findall(base))
-        messages, sorries = [], []
-        line = 1
-        for block in _BLOCK_SPLIT.split(cmd):
-            name = _NAME.match(block).group(1)
-            if name in names:
-                messages.append(message("error", line, f"'{name}' has already been declared"))
-            names.add(name)
-            if "BAD" in block:
-                messages.append(message("error", line, "unknown identifier 'BAD'"))
-            if block.endswith(":= sorry"):
-                messages.append(message("warning", line, "declaration uses 'sorry'"))
-                sorries.append({"pos": {"line": line, "column": 0}, "goal": "⊢ True"})
-            extra = self.answers.get(block)
-            if extra is None and block.endswith("by exact?"):
-                extra = [("error", 1, "`exact?` could not close the goal")]
-            for severity, at, data in extra or []:
-                messages.append(message(severity, line + at - 1, data))
-            line += block.count("\n") + 2
-        reply = len(self.held)
-        self.held[reply] = base + "\n\n" + cmd if base else cmd
-        self.sent.append((env, cmd, reply))
-        return {"env": reply, "messages": messages, "sorries": sorries}
-
-    def close(self):
-        pass
-
-
-class FullResend(LeanVerifier):
-    """The reference: every check sends its whole tail on the base
-    environment, and no environment is remembered."""
-
-    def _submit(self, context, decl_text, timeout, proof=False):
-        if context.startswith(self.seed_source):
-            tail = context[len(self.seed_source) :].strip("\n")
-        else:
-            tail = context.strip("\n")
-        if tail:
-            snippet, offset = tail + "\n\n" + decl_text, tail.count("\n") + 2
-        else:
-            snippet, offset = decl_text, 0
-        started = time.monotonic()
-        response = self._client.run(
-            {"cmd": snippet, "env": self.base_environment}, timeout=timeout
-        )
-        diags = _rebase(_parse_messages(response), offset)
-        sorries = len(response.get("sorries") or [])
-        return diags, sorries, time.monotonic() - started, None
-
-
 def statement(name: str, body: str = "(1 : ℕ) = 1") -> TheoremStatement:
     return TheoremStatement.from_source(f"theorem {name} : {body} := sorry")
 
@@ -554,14 +425,14 @@ CLEAN = ("valid", "verified")
 
 def assert_matches_reference(steps, answers=None, raising=None, seed=SEED) -> tuple:
     """Run `steps` through a full-resend reference and the real session,
-    each over its own `EnvRepl`, and check the contract request by request.
+    each over its own `Repl`, and check the contract request by request.
 
     `raising` maps a step index to the exception the session's client
     raises there (the reference gets the same). Returns (reference repl,
     session repl, session).
     """
     raising = raising or {}
-    ref_repl, repl = EnvRepl(answers), EnvRepl(answers)
+    ref_repl, repl = Repl(answers), Repl(answers)
     reference = FullResend(seed, command=[], client=ref_repl)
     session = LeanVerifier(seed, command=[], client=repl)
     texts: dict[int, str] = {}  # reply env of a clean check -> its reference cmd
@@ -664,8 +535,7 @@ def test_reuse_sends_a_suffix_on_the_environment_holding_the_rest():
     assert sent < sum(len(cmd) for _, cmd, _ in ref_repl.sent) / 2
     # No check declares a name twice, so no "already declared" error.
     for full in ref_repl.held.values():
-        names = _NAME.findall(full)
-        assert len(names) == len(set(names))
+        assert len(names(full)) == len(set(names(full)))
 
 
 def test_proof_checks_among_a_phases_checks_resend_nothing_either_would_not():
@@ -854,8 +724,7 @@ def test_checks_against_one_context_rebase_from_where_each_command_starts():
 
 
 def test_remembered_environments_stay_bounded_over_unrelated_contexts():
-    repl = EnvRepl()
-    session = LeanVerifier(SEED, command=[], client=repl)
+    session, repl = repl_session()
     for i in range(1000):
         entry = statement(f"e{i}", f"({i} : ℕ) = {i}")
         context = SEED + "\n" + entry.render_with_proof(ProofScript("by rfl"))
@@ -871,31 +740,12 @@ def test_remembered_environments_stay_bounded_over_unrelated_contexts():
 # Error replies: the REPL refused the request and checked nothing
 # ---------------------------------------------------------------------------
 
-UNKNOWN_ENV = {"message": "Unknown environment."}
 FALSE_STMT = TheoremStatement.from_source("theorem t : (1:ℕ) = 2 := sorry")
 
 
-class RestartedRepl(EnvRepl):
-    """An `EnvRepl` that can lose every environment but the base, as a
-    restarted REPL would, and then answers a command on a lost one as the
-    Lean REPL does: a top-level `message` and no `env`."""
-
-    def __init__(self, answers: dict | None = None):
-        super().__init__(answers)
-        self.lost: set[int] = set()
-
-    def restart(self) -> None:
-        self.lost.update(env for env in self.held if env != 0)
-
-    def run(self, payload, timeout):
-        if payload.get("env") in self.lost:
-            self.sent.append((payload["env"], payload["cmd"], None))
-            return dict(UNKNOWN_ENV)
-        return super().run(payload, timeout)
-
-
 def test_an_error_reply_is_no_verdict():
-    session, client = make_session(SEED, [dict(UNKNOWN_ENV) for _ in range(5)])
+    session, repl = repl_session()
+    repl.held.clear()  # the REPL has lost every environment, the base too
     for check_op in (session.check_validity, session.check_novelty):
         with pytest.raises(VerifierTransportError, match="Unknown environment"):
             check_op(SEED, FALSE_STMT)
@@ -905,11 +755,12 @@ def test_an_error_reply_is_no_verdict():
     result = verify_with_retry(session, SEED, FALSE_STMT, PROOF)
     assert result.verdict == "failed"
     assert "Unknown environment" in result.diagnostics[0].message
-    assert not client.items
+    assert [reply for _, _, reply in repl.sent] == [None] * 5
 
 
 def test_the_conjecture_phase_rejects_a_candidate_on_an_error_reply():
-    session, _ = make_session(SEED, [dict(UNKNOWN_ENV)])
+    session, repl = repl_session()
+    repl.held.clear()
     gateway = Gateway(
         ReplayProvider({"conjecturer": [FALSE_STMT.source_text]}), sleep=lambda s: None
     )
@@ -918,12 +769,12 @@ def test_the_conjecture_phase_rejects_a_candidate_on_an_error_reply():
     )
     assert report.rejected_invalid == 1
     assert not report.accepted
+    assert repl.sent == [(0, FALSE_STMT.source_text, None)]
 
 
 def test_after_an_error_reply_the_next_request_goes_on_the_base_environment():
     a, b = statement("a"), statement("b", "(2 : ℕ) = 2")
-    repl = RestartedRepl()
-    session = LeanVerifier(SEED, command=[], client=repl)
+    session, repl = repl_session()
     assert session.check_validity(SEED, a).verdict == "valid"
     context = SEED + "\n" + a.source_text
     repl.restart()
@@ -955,11 +806,10 @@ def test_past_the_budget_checks_see_the_entries_the_prompt_dropped(tmp_path):
         (statement(f"e{i}", f"({i} : ℕ) = {i}"), ProofScript("by rfl"), "cpl", "t")
         for i in range(4)
     )
-    names = [entry.statement.name for entry in library.entries]
+    entries = [entry.statement.name for entry in library.entries]
     clash, fresh = statement("e0", "(7 : ℕ) = 7"), statement("f", "(8 : ℕ) = 8")
     budget = len(render_context(library, [], 10**9)) - 1
-    repl = EnvRepl()
-    session = LeanVerifier(SEED, command=[], client=repl)
+    session, repl = repl_session()
     transcript = tmp_path / "transcript.jsonl"
     gateway = Gateway(
         ReplayProvider(
@@ -992,11 +842,11 @@ def test_past_the_budget_checks_see_the_entries_the_prompt_dropped(tmp_path):
     assert any("'e0' has already been declared" in d for d in rejected["detail"])
     # The session's first command declares every entry, then the candidate.
     env, cmd, _ = repl.sent[0]
-    assert env == 0 and _NAME.findall(cmd) == names + ["e0"]
+    assert env == 0 and names(cmd) == entries + ["e0"]
     # The proof check, too, runs after every entry, and declares `f` once.
     assert outcome.status == STATUS_VERIFIED
     env, cmd, _ = repl.sent[-1]
-    assert _NAME.findall(repl.held[env] + "\n\n" + cmd) == names + ["f"]
+    assert names(repl.held[env] + "\n\n" + cmd) == entries + ["f"]
     assert cmd.endswith(fresh.render_with_proof(ProofScript("by rfl")))
 
 
@@ -1007,10 +857,11 @@ def test_past_the_budget_checks_see_the_entries_the_prompt_dropped(tmp_path):
 def test_client_roundtrip_with_pretty_printed_response(fake_repl_cmd):
     client = LeanReplClient(fake_repl_cmd)
     try:
-        response = client.run({"cmd": "import Mathlib"}, timeout=10)
-        assert response["env"] == 0
+        assert client.run({"cmd": "import Mathlib"}, timeout=10) == {"env": 0}
         response = client.run({"cmd": "theorem BAD", "env": 0}, timeout=10)
-        assert response["messages"][0]["data"] == "boom"
+        assert response["messages"][0]["data"] == "unknown identifier 'BAD'"
+        unknown = client.run({"cmd": "x", "env": 9}, timeout=10)
+        assert unknown == {"message": "Unknown environment."}
     finally:
         client.close()
 
@@ -1036,11 +887,15 @@ def test_full_session_over_fake_process(fake_repl_cmd):
 
 
 def test_client_reads_a_reply_written_one_byte_at_a_time(fake_repl_cmd):
-    client = LeanReplClient(fake_repl_cmd + ["--bytewise"])
+    # The stdio fake answers as the in-process one: the last request
+    # declares `t` again.
+    client, repl = LeanReplClient(fake_repl_cmd + ["--bytewise"]), Repl()
     try:
-        for env in range(3):
-            response = client.run({"cmd": "x", "env": env - 1}, timeout=10)
-            assert response == {"env": env, "messages": [], "extra": 1}
+        for env in (None, 0, 1):
+            payload = {"cmd": STMT.source_text, "env": env} if env is not None else {"cmd": SEED}
+            response = client.run(payload, timeout=10)
+            assert response == repl.run(payload)
+        assert response["messages"][0]["data"] == "'t' has already been declared"
     finally:
         client.close()
 
