@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -28,6 +29,9 @@ from .verifier import VerifierStartupError
 
 
 def _config_from_args(args) -> RunConfig:
+    """The config file's settings, or the defaults, with the flags'
+    overrides, which are checked as the file's values are: a bad one
+    raises `ValueError` before any file is touched."""
     if getattr(args, "config", None):
         config = RunConfig.from_file(args.config)
     else:
@@ -44,13 +48,14 @@ def _config_from_args(args) -> RunConfig:
         "verifier_fixtures": "verifier_fixtures",
         "variant": "prompt_variant",
     }
-    for arg_name, field_name in overrides.items():
-        value = getattr(args, arg_name, None)
-        if value is not None:
-            setattr(config, field_name, value)
+    changes = {
+        field_name: getattr(args, arg_name)
+        for arg_name, field_name in overrides.items()
+        if getattr(args, arg_name, None) is not None
+    }
     if getattr(args, "resume", False):
-        config.resume = True
-    return config
+        changes["resume"] = True
+    return dataclasses.replace(config, **changes)
 
 
 def _build_eval_context(config: RunConfig, seed_source: str):

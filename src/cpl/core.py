@@ -125,6 +125,20 @@ def contains_sorry(text: str) -> bool:
     return bool(_SORRY_TOKEN.search(mask_comments(text, mask_strings=True)))
 
 
+def _common_prefix(text: str, other: str, start: int = 0, other_start: int = 0) -> int:
+    """The length of the common prefix of `text[start:]` and
+    `other[other_start:]`, by bisection: each step compares at most half of
+    the range still open, in place, so the search reads O(n) chars."""
+    low, high = 0, min(len(text) - start, len(other) - other_start)
+    while low < high:
+        middle = (low + high + 1) // 2
+        if other.startswith(text[start + low : start + middle], other_start + low):
+            low = middle
+        else:
+            high = middle - 1
+    return low
+
+
 @dataclass(frozen=True)
 class TheoremStatement:
     """A parsed `theorem` declaration with its proof elided as `sorry`.
@@ -588,19 +602,35 @@ def save_library(
     a crash can leave at most a partial last block, which a resume cuts.
     """
     if on_disk is None:
-        write_atomically(path, [dump_library(library).encode("utf-8")])
-        return
-    with open(path, "ab") as handle:
-        handle.write(dump_tail(library, on_disk).encode("utf-8"))
-        handle.flush()
-        os.fsync(handle.fileno())
+        write_atomically(path, dump_library(library).encode("utf-8"))
+    else:
+        write_file(path, dump_tail(library, on_disk).encode("utf-8"), fsync=True)
 
 
-def write_atomically(
-    path: str | Path, chunks: Iterable[bytes], fsync: bool = True
+def write_file(
+    path: str | Path, data: bytes, at: int | None = None, fsync: bool = False
 ) -> None:
-    """Write `chunks` to a temp file beside `path`, then move it into
-    place, so a crash never leaves a partial file under `path`.
+    """Write `data` into the file `path` after its first `at` bytes, which
+    it keeps, cutting off the rest; with `at` None, after all of its bytes.
+    Then fsync it when asked. The file keeps its inode and its mode; with
+    `at` None a missing file is created, as a plain `open` creates one.
+
+    Every write cpl makes to a run file goes through here: appends, cuts,
+    fsyncs and the temp files of `write_atomically`.
+    """
+    with open(path, "ab" if at is None else "r+b") as handle:
+        if at is not None:
+            handle.truncate(at)
+            handle.seek(at)
+        handle.write(data)
+        if fsync:
+            handle.flush()
+            os.fsync(handle.fileno())
+
+
+def write_atomically(path: str | Path, data: bytes, fsync: bool = True) -> None:
+    """Write `data` to a temp file beside `path`, then move it into place,
+    so a crash never leaves a partial file under `path`.
 
     The file gets the mode a plain `open` gives a new file: 0666 less
     the umask.
@@ -608,18 +638,12 @@ def write_atomically(
     path = Path(path)
     # What `secrets.token_hex(8)` gives, without importing `hashlib` with it.
     tmp_name = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
-    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
-    fd = os.open(tmp_name, flags, 0o666)
+    os.close(os.open(tmp_name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
     try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.writelines(chunks)
-            if fsync:
-                handle.flush()
-                os.fsync(handle.fileno())
+        write_file(tmp_name, data, fsync=fsync)
         os.replace(tmp_name, path)
     except BaseException:
-        if os.path.exists(tmp_name):
-            os.unlink(tmp_name)
+        tmp_name.unlink(missing_ok=True)
         raise
 
 
@@ -637,7 +661,7 @@ def log_warning(logger_name: str, message: str, *args) -> None:
 def write_json(path: str | Path, data) -> None:
     """Write `data` as indented JSON plus a newline, atomically."""
     text = json.dumps(data, indent=2, ensure_ascii=False) + "\n"
-    write_atomically(path, [text.encode("utf-8")], fsync=False)
+    write_atomically(path, text.encode("utf-8"), fsync=False)
 
 
 _LINE_SPACE = re.compile(r"[ \t\r]*")  # what `json.loads` skips, short of a newline
@@ -697,19 +721,7 @@ def keep_lines(path: str | Path, count: int, fsync: bool = True) -> None:
         lines = source.readlines()
     kept = [line for line in lines if line.strip() and line.endswith(b"\n")][:count]
     if len(kept) < len(lines):
-        write_atomically(path, kept, fsync)
-
-
-def cut_file(path: str | Path, size: int, tail: bytes = b"", fsync: bool = True) -> None:
-    """Cut a file in place to its first `size` bytes, append `tail`, and
-    fsync it when asked. The file keeps its inode and its mode."""
-    with open(path, "r+b") as handle:
-        handle.truncate(size)
-        handle.seek(size)
-        handle.write(tail)
-        handle.flush()
-        if fsync:
-            os.fsync(handle.fileno())
+        write_atomically(path, b"".join(kept), fsync)
 
 
 _BLANK_LINE = re.compile(rb"[ \t\r\x0b\x0c]*\n")  # blank, as `bytes.strip` sees it
@@ -770,7 +782,7 @@ class JsonLinesLog:
             if isinstance(record, dict) and isinstance(record.get("sequence"), int):
                 next_sequence = record["sequence"] + 1
         if size < len(data):
-            cut_file(path, size, fsync=fsync)
+            write_file(path, b"", at=size, fsync=fsync)
         log = cls(path, next_sequence)
         log.kept = count
         log.cut_lines = data[size:complete]
@@ -779,15 +791,13 @@ class JsonLinesLog:
     def append(self, record: dict) -> None:
         """Write `record` as one line, `json.dumps(record, ensure_ascii=False)`."""
         line = json.dumps(record, ensure_ascii=False) + "\n"
-        with open(self.path, "ab") as handle:
-            handle.write(line.encode("utf-8"))
+        write_file(self.path, line.encode("utf-8"))
         self.next_sequence += 1
 
     def sync(self) -> None:
         """Fsync the file, so every line appended so far outlasts a power loss."""
         if self.path.exists():
-            with open(self.path, "rb") as handle:
-                os.fsync(handle.fileno())
+            write_file(self.path, b"", fsync=True)
 
 
 def library_blocks(text: str) -> list[tuple[re.Match, str]]:
@@ -800,15 +810,18 @@ def library_blocks(text: str) -> list[tuple[re.Match, str]]:
     return [(m, text[m.end() : end].strip()) for m, end in zip(markers, ends)]
 
 
+def library_seed(text: str) -> str:
+    """The seed of a library file's text: what precedes its first entry
+    marker, ending in one newline, or the whole text when it has none."""
+    marker = ENTRY_MARKER.search(text)
+    return text if marker is None else text[: marker.start()].rstrip("\n") + "\n"
+
+
 def load_library(path: str | Path) -> Library:
     """Parse a library file back into a Library value."""
     text = Path(path).read_text(encoding="utf-8")
-    blocks = library_blocks(text)
-    if not blocks:
-        return Library(seed_source=text)
-    seed = text[: blocks[0][0].start()].rstrip("\n") + "\n"
     entries: list[LibraryEntry] = []
-    for marker, decl_text in blocks:
+    for marker, decl_text in library_blocks(text):
         head, proof_text = split_declaration(decl_text)
         statement = _statement_from_head(head)
         if statement is None:
@@ -824,4 +837,4 @@ def load_library(path: str | Path) -> Library:
                 created_at=marker.group(3),
             )
         )
-    return Library(seed_source=seed, entries=tuple(entries))
+    return Library(seed_source=library_seed(text), entries=tuple(entries))

@@ -18,6 +18,7 @@ from .core import (
     Library,
     TheoremStatement,
     dump_library,
+    library_seed,
     load_library,
     proof_length,
     read_json_lines,
@@ -263,7 +264,7 @@ def nl_session(
             status = "rejected_as_false"
         # An index line never names a response file or a transcript line
         # that a power loss can take.
-        write_atomically(nl_dir / f"{response_id}.txt", [text.encode("utf-8")])
+        write_atomically(nl_dir / f"{response_id}.txt", text.encode("utf-8"))
         gateway.sync()
         index.append({"id": response_id, "status": status})
         if status == "rejected_as_false":
@@ -393,7 +394,7 @@ def write_histogram_csv(
     lines = ["bin_start,bin_end,count,metric"]
     for start, end, count in histogram_rows(histogram, bin_width):
         lines.append(f"{start},{end},{count},{metric}")
-    write_atomically(path, [("\n".join(lines) + "\n").encode("utf-8")], fsync=False)
+    write_atomically(path, ("\n".join(lines) + "\n").encode("utf-8"), fsync=False)
 
 
 def _format_histogram_table(
@@ -459,10 +460,12 @@ def _run_dir(path: str | Path) -> Path:
 
 def check_run(run_dir: str | Path) -> list[str]:
     """Where one run directory's files disagree, a finding a line:
-    `library.lean` against the library the event log builds on its seed;
-    a transcript that does not decode, or holds fewer lines of a role
-    than the last `loop_complete` or `run_complete` counts (eval commands
-    may append more); `report.json`'s `library_entries` and
+    `library.lean` against the library the event log builds on its seed
+    (the text before its first entry, which is not parsed); an event log
+    or transcript whose sequence numbers are not 0, 1, 2, ... in file
+    order; a transcript that does not decode, or holds fewer lines of a
+    role than the last `loop_complete` or `run_complete` counts (eval
+    commands may append more); `report.json`'s `library_entries` and
     `gateway_calls` against the log's."""
     run_dir = _run_dir(run_dir)
     events_path, library = run_dir / "events.jsonl", run_dir / "library.lean"
@@ -471,18 +474,17 @@ def check_run(run_dir: str | Path) -> list[str]:
     if events_path.exists():
         events = read_events(events_path)
         summary = summarize_events(events)
+        findings += _sequence_findings("events.jsonl", [event.sequence for event in events])
         if library.exists():
-            try:
-                built = dump_library(replay_library(events, load_library(library).seed_source))
-            except ValueError:  # a block that does not parse
-                built = None
-            if library.read_text(encoding="utf-8") != built:
+            text = library.read_text(encoding="utf-8")
+            if dump_library(replay_library(events, library_seed(text))) != text:
                 findings.append("library.lean: not the library the event log builds")
     try:
         if (run_dir / "transcript.jsonl").exists():
             entries = read_transcript(run_dir / "transcript.jsonl")
     except (KeyError, ValueError) as exc:
         findings.append(f"transcript.jsonl: does not decode: {exc!r}")
+    findings += _sequence_findings("transcript.jsonl", [entry.get("sequence") for entry in entries])
     roles = [entry["role_id"] for entry in entries]
     for role, logged in summary["gateway_calls"].items():
         if roles.count(role) < logged:
@@ -494,6 +496,15 @@ def check_run(run_dir: str | Path) -> list[str]:
             if key in report and report[key] != value:
                 findings.append(f"report.json: {key} is {report[key]}, {value} logged")
     return findings
+
+
+def _sequence_findings(name: str, sequences: list) -> list[str]:
+    """A finding for the first record of `name` whose sequence number is
+    not its place in the file, counted from 0; none if there is none."""
+    for place, sequence in enumerate(sequences):
+        if sequence != place:
+            return [f"{name}: record {place} has sequence {sequence}"]
+    return []
 
 
 # Where each of two directories of one run was written, and whether it
@@ -617,6 +628,6 @@ def emit_reports(
     write_json(report_path, report)
     written["report.json"] = report_path
     text_path = run_dir / "report.txt"
-    write_atomically(text_path, [("\n".join(text_lines) + "\n").encode("utf-8")], fsync=False)
+    write_atomically(text_path, ("\n".join(text_lines) + "\n").encode("utf-8"), fsync=False)
     written["report.txt"] = text_path
     return written

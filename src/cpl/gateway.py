@@ -58,7 +58,7 @@ from dataclasses import dataclass
 from itertools import chain, islice
 from pathlib import Path
 
-from .core import JsonLinesLog, log_warning, parse_json_lines, read_json_lines
+from .core import JsonLinesLog, _common_prefix, log_warning, parse_json_lines, read_json_lines
 
 ROLE_IDS = ("conjecturer", "prover", "simple_loop", "nl_prover")
 
@@ -415,20 +415,6 @@ def _kept(source: str, content: str, head: int, reply: str) -> tuple[int, int]:
         if longer >= least:
             return len(source) + found, longer
     return (start, kept) if kept else (0, 0)
-
-
-def _common_prefix(text: str, other: str, start: int = 0, other_start: int = 0) -> int:
-    """The length of the common prefix of `text[start:]` and
-    `other[other_start:]`, by bisection: each step compares at most half of
-    the range still open, in place, so the search reads O(n) chars."""
-    low, high = 0, min(len(text) - start, len(other) - other_start)
-    while low < high:
-        middle = (low + high + 1) // 2
-        if other.startswith(text[start + low : start + middle], other_start + low):
-            low = middle
-        else:
-            high = middle - 1
-    return low
 
 
 class TokenBucket:

@@ -29,14 +29,17 @@ event), `events.jsonl` (append-only, flushed per event),
 module describes, read through `gateway.read_transcript`), fsynced before
 each `loop_complete`, and `report.json` (the summary, written before the
 `run_complete` event that commits it). A fresh run removes the event
-log, the transcript and the report of an earlier run. A resume reads the
-event log, `library.lean` and the transcript once each, and cuts all
-three in place back to the last committed loop: the log at the end of
-that loop's `loop_complete` line, the library to the dump of the
-committed entries, which drops any partial block a crash left at its
-end, and the transcript to that loop's calls. Resuming a run whose
-`run_complete` is logged changes nothing. The warnings a resume logs
-carry `where: "resume"`, so `evalharness.same_run` leaves them out.
+log, the transcript and the report of an earlier run, and the files that
+derive from its library: `reprove_*.json`, `report.txt` and
+`histogram.csv` (`nl_responses/` and `grades.jsonl` grade a statement,
+not the library, and stay). A resume reads the event log, `library.lean`
+and the transcript once each, and cuts all three in place back to the
+last committed loop: the log at the end of that loop's `loop_complete`
+line, the library to the dump of the committed entries, which drops any
+partial block a crash left at its end, and the transcript to that loop's
+calls. Resuming a run whose `run_complete` is logged changes nothing.
+The warnings a resume logs carry `where: "resume"`, so
+`evalharness.same_run` leaves them out.
 
 The redone loop is not asked of the model again where the transcript
 already holds it: the gateway serves each role the replies of the lines
@@ -61,13 +64,13 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from . import core
 from .conjecture import DEFAULT_ITERATIONS, run_conjecture_phase
 from .core import (
     DEFAULT_CONTEXT_BUDGET,
     ENTRY_MARKER,
     JsonLinesLog,
     Library,
-    cut_file,
     dump_library,
     dump_tail,
     library_blocks,
@@ -163,6 +166,20 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
+        least = {"max_trials": 1, "retry_cap": 1, "conjecture_iterations": 1, "context_budget": 1}
+        if self.loops is not None:
+            least["loops"] = 0
+        for name, bound in least.items():
+            value = getattr(self, name)
+            if not isinstance(value, int) or value < bound:
+                raise ValueError(f"{name} is {value!r}; it must be an integer of at least {bound}")
+        above_zero = ["command_timeout", "novelty_timeout"]
+        if self.rate_limit_rps is not None:
+            above_zero.append("rate_limit_rps")
+        for name in above_zero:
+            value = getattr(self, name)
+            if not isinstance(value, (int, float)) or not value > 0:
+                raise ValueError(f"{name} is {value!r}; it must be above 0")
 
     def resolved_loops(self) -> int:
         if self.loops is not None:
@@ -318,13 +335,13 @@ def _load_resume_point(seed: str, events_path: Path, library_path: Path):
     if finished:
         return replayed, 0, 0, None, 0
 
-    cut_file(events_path, cut)
+    core.write_file(events_path, b"", at=cut, fsync=True)
     # The committed dump and `head` both start `expected`, so the file
     # starts with the shorter of them; the cut keeps that and appends
     # what the dump has beyond it, at most its last newline.
     want = dump.encode("utf-8")
     keep = min(len(want), len(head))
-    cut_file(library_path, keep, want[keep:])
+    core.write_file(library_path, want[keep:], at=keep, fsync=True)
     # Markers after the committed dump: the logged entries past the
     # boundary and the block a crash cut short.
     rolled_back = len(ENTRY_MARKER.findall(actual, len(dump)))
@@ -387,7 +404,9 @@ def _run_loops(
         if calls is None:
             return library
     else:
-        for path in (events_path, out / "transcript.jsonl", out / "report.json"):
+        # What an earlier run wrote, or what derives from its library.
+        stale = ["events.jsonl", "transcript.jsonl", "report.json", "report.txt", "histogram.csv"]
+        for path in [*(out / name for name in stale), *out.glob("reprove_*.json")]:
             path.unlink(missing_ok=True)
         library, completed, sequence = Library(seed_source=seed), 0, 0
         calls = dict.fromkeys(ROLE_IDS, 0)

@@ -29,7 +29,13 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .core import ProofScript, TheoremStatement, log_warning, normalize_statement
+from .core import (
+    ProofScript,
+    TheoremStatement,
+    _common_prefix,
+    log_warning,
+    normalize_statement,
+)
 
 VALID = "valid"
 INVALID = "invalid"
@@ -395,20 +401,18 @@ _DECLARATION = re.compile(r"theorem\s")
 class _Remembered:
     """What a `LeanVerifier` session remembers of one context.
 
-    * `context`: the caller's string, kept without a copy; its tail (the
-      context after the seed, without the blank lines around it) is
-      `context[start:end]`;
+    * `tail`: the context after the seed, without the blank lines around
+      it. It is the caller's string itself, kept without a copy, when that
+      is its own tail, as every pipeline context is;
     * `prefixes`: (end, environment id, sorry-free) for environments
-      holding `context[start:end]`, in ascending order of `end`;
+      holding `tail[:end]`, in ascending order of `end`;
     * `checks`: declaration -> (environment id, sorry-free) for clean
       checks against this context;
-    * `newlines`: start -> the newlines in `context[start:end]`, the line
-      offset of a declaration sent after the tail from `start`.
+    * `newlines`: start -> the newlines in `tail[start:]`, the line offset
+      of a declaration sent after the tail from `start`.
     """
 
-    context: str
-    start: int
-    end: int
+    tail: str
     prefixes: list[tuple[int, object, bool]] = field(default_factory=list)
     checks: dict[str, tuple[object, bool]] = field(default_factory=dict)
     newlines: dict[int, int] = field(default_factory=dict)
@@ -481,20 +485,15 @@ class LeanVerifier:
         self._contexts: list[_Remembered] = []
 
     def _advance(self, context: str) -> _Remembered:
-        """Return the record of `context`, first in `_contexts`.
+        """Return the record of `context`'s tail, first in `_contexts`.
 
-        A new context derives its record from the longest remembered
-        context it starts with, else from the last one checked: it keeps
-        each environment whose text the new tail starts with, when a
-        block starts (or the tail ends) right after it. The new record
-        takes the place of the one it derives from when it extends it;
-        otherwise it pushes the older record out.
+        A new tail derives its record from the longest remembered tail it
+        starts with, else from the last one checked: it keeps each
+        environment whose text the new tail starts with, when a block
+        starts (or the tail ends) right after it. The new record takes the
+        place of the one it derives from when it extends it; otherwise it
+        pushes the older record out.
         """
-        for record in self._contexts:
-            if record.context is context:
-                self._contexts.remove(record)
-                self._contexts.insert(0, record)
-                return record
         # The tail: after the seed, without the blank lines around it.
         start = len(self.seed_source) if context.startswith(self.seed_source) else 0
         end = len(context)
@@ -502,9 +501,15 @@ class LeanVerifier:
             start += 1
         while end > start and context[end - 1] == "\n":
             end -= 1
-        current = _Remembered(context, start, end)
-        extended = [r for r in self._contexts if context.startswith(r.context)]
-        base = max(extended, key=lambda r: len(r.context), default=None)
+        tail = context[start:end]  # `context` itself when it is its own tail
+        for record in self._contexts:
+            if record.tail is tail:
+                self._contexts.remove(record)
+                self._contexts.insert(0, record)
+                return record
+        current = _Remembered(tail)
+        extended = [r for r in self._contexts if tail.startswith(r.tail)]
+        base = max(extended, key=lambda r: len(r.tail), default=None)
         if base is not None:
             self._contexts.remove(base)
         elif self._contexts:
@@ -513,44 +518,32 @@ class LeanVerifier:
         self._contexts.insert(0, current)
         if base is None:
             return current
-        old, old_start, old_end = base.context, base.start, base.end
-        if context == old:
+        old = base.tail
+        if tail == old:
             current.prefixes, current.checks = base.prefixes, base.checks
             current.newlines = base.newlines
             return current
 
         def block_starts(at: int) -> bool:
-            return at == end or (
-                context.startswith("\n\n", at)
-                and _DECLARATION.match(context, at + 2, end) is not None
+            return at == len(tail) or (
+                tail.startswith("\n\n", at) and _DECLARATION.match(tail, at + 2) is not None
             )
 
-        # Positions carry over when both tails start at the same place.
-        aligned = start == old_start
+        shared = _common_prefix(old, tail)  # the tails agree on `[:shared]`
         kept = current.prefixes
-        shared = 0  # `context` and `old` agree on `[:shared]`
-        for held, env, sorry_free in reversed(base.prefixes if aligned else []):
-            if held <= shared or (held <= end and context.startswith(old[:held])):
-                shared = max(shared, held)
-                if block_starts(held):
-                    kept.append((held, env, sorry_free))
-        kept.reverse()
+        kept += [item for item in base.prefixes if item[0] <= shared and block_starts(item[0])]
         # A check against `old` holds its tail, a blank line and the
         # declaration (just the declaration when the tail is empty).
-        if old_end == old_start:
-            at = start
-        elif (
-            aligned
-            and context.startswith(old[:old_end])
-            and context.startswith("\n\n", old_end)
-        ):
-            at = old_end + 2
+        if not old:
+            at = 0
+        elif shared == len(old) and tail.startswith("\n\n", shared):
+            at = shared + 2
         else:
             at = None
         if at is not None:
             for decl, (env, sorry_free) in base.checks.items():
                 held = at + len(decl)
-                if held <= end and context.startswith(decl, at) and block_starts(held):
+                if tail.startswith(decl, at) and block_starts(held):
                     kept.append((held, env, sorry_free))
             kept.sort(key=lambda item: item[0])
         return current
@@ -561,19 +554,19 @@ class LeanVerifier:
         """Elaborate `decl_text` after `context`; returns (rebased
         diagnostics, sorry count, elapsed seconds, environment id)."""
         current = self._advance(context)
-        start, end = current.start, current.end
-        rest, env = start, self.base_environment
+        tail = current.tail
+        rest, env = 0, self.base_environment
         for held, candidate, sorry_free in reversed(current.prefixes):
             if (sorry_free or not proof) and (
-                held < end or _DECLARATION.match(decl_text)
+                held < len(tail) or _DECLARATION.match(decl_text)
             ):
                 rest, env = held + 2, candidate
                 break
-        if rest < end:
-            snippet = "".join((context[rest:end], "\n\n", decl_text))
+        if rest < len(tail):
+            snippet = "".join((tail[rest:], "\n\n", decl_text))
             lines = current.newlines.get(rest)
             if lines is None:
-                lines = current.newlines[rest] = context.count("\n", rest, end)
+                lines = current.newlines[rest] = tail.count("\n", rest)
             offset = lines + 2
         else:
             snippet = decl_text

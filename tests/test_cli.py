@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import shutil
 from pathlib import Path
 
@@ -10,7 +9,6 @@ import pytest
 
 from cpl import cli, evalharness
 from cpl.core import (
-    JsonLinesLog,
     Library,
     ProofScript,
     TheoremStatement,
@@ -90,6 +88,19 @@ def test_run_demo_and_analyze(tmp_path, capsys):
     # the run's own keys survive the analysis
     assert report["config"] == run_report["config"]
     assert report["gateway_calls"] == run_report["gateway_calls"]
+
+
+@pytest.mark.parametrize("flag", [["--max-trials", "0"], ["--budget", "0"], ["--loops", "-2"]])
+def test_a_run_flag_no_run_can_use_exits_2_and_leaves_the_run_directory_as_it_was(
+    tmp_path, capsys, flag
+):
+    out = tmp_path / "run"
+    assert cli.main(["run", "--config", str(DEMO_CONFIG), "--out", str(out)]) == 0
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    capsys.readouterr()
+    assert cli.main(["run", "--config", str(DEMO_CONFIG), "--out", str(out), *flag]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
 
 def test_run_loops_flag_overrides_config(tmp_path):
@@ -451,7 +462,7 @@ def test_an_eval_command_after_a_kill_cuts_torn_lines_and_continues(tmp_path):
 
 @pytest.mark.parametrize("command", ["reprove-all", "reprove-focused"])
 def test_an_eval_command_fsyncs_its_transcript_before_it_writes_its_report(
-    tmp_path, monkeypatch, command
+    tmp_path, writes, command
 ):
     library_path = tmp_path / "library.lean"
     small_library(library_path)
@@ -464,30 +475,12 @@ def test_an_eval_command_fsyncs_its_transcript_before_it_writes_its_report(
         statement = tmp_path / "statement.lean"
         statement.write_text("theorem focus : 9 = 9 := sorry\n", encoding="utf-8")
         args += ["--statement", str(statement), "--n", "2"]
-    writes = []
-    real_fsync, real_replace, real_append = os.fsync, os.replace, JsonLinesLog.append
-
-    def fsync(fd):
-        writes.append(("fsync", os.fstat(fd).st_ino))
-        real_fsync(fd)
-
-    def replace(source, target):
-        real_replace(source, target)
-        writes.append(("replace", Path(target).name))
-
-    def append(log, record):
-        real_append(log, record)
-        writes.append((log.path.name, log.path.stat().st_ino))
-
-    monkeypatch.setattr(os, "fsync", fsync)
-    monkeypatch.setattr(os, "replace", replace)
-    monkeypatch.setattr(JsonLinesLog, "append", append)
     assert cli.main(args) == 0
-    transcript = (out / "transcript.jsonl").stat().st_ino
+    transcript = out / "transcript.jsonl"
     name = "reprove_focused.json" if command == "reprove-focused" else "reprove_with_context.json"
-    report = writes.index(("replace", name))
-    lines = [n for n, write in enumerate(writes) if write == ("transcript.jsonl", transcript)]
-    synced = [n for n, write in enumerate(writes) if write == ("fsync", transcript)]
+    report = next(n for n, write in enumerate(writes) if write.name == name)
+    lines = [n for n, write in enumerate(writes) if write.path == transcript and write.data]
+    synced = [n for n, write in enumerate(writes) if write.path == transcript and write.fsync]
     # The last transcript line, then its fsync, then the report.
     assert len(lines) == 2 and synced and lines[-1] < synced[-1] < report
 
@@ -630,37 +623,24 @@ def test_nl_grade_of_an_unknown_id_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out" / "grades.jsonl").exists()
 
 
-def test_nl_run_and_grade_fsync_what_each_index_line_names_before_it(tmp_path, monkeypatch):
+def test_nl_run_and_grade_fsync_what_each_index_line_names_before_it(tmp_path, writes):
     write_replay(tmp_path / "replay", "nl_prover", ["False", "a sketch"])
-    out, writes = tmp_path / "out", []
-    real_fsync, real_append = os.fsync, JsonLinesLog.append
-
-    def fsync(fd):
-        writes.append(("fsync", os.fstat(fd).st_ino))
-        real_fsync(fd)
-
-    def append(log, record):
-        real_append(log, record)
-        writes.append((log.path.name, log.path.stat().st_ino))
-
-    monkeypatch.setattr(os, "fsync", fsync)
-    monkeypatch.setattr(JsonLinesLog, "append", append)
+    out = tmp_path / "out"
+    writes.clear()
     cpl("nl", "run", "--n", 2, "--replay", tmp_path / "replay", "--out", out)
-    nl = out / "nl_responses"
-    transcript, index, grades = (
-        path.stat().st_ino for path in (out / "transcript.jsonl", nl / "index.jsonl", out / "grades.jsonl")
-    )
     expected = []
     for n in range(2):
         # The response file and the transcript line, then the index line.
-        expected += [("transcript.jsonl", transcript), ("fsync", (nl / f"response_00{n}.txt").stat().st_ino)]
-        expected += [("fsync", transcript), ("index.jsonl", index)]
+        response = f"response_00{n}.txt"
+        expected += [("transcript.jsonl", "append"), (response, "append"), (response, "fsync")]
+        expected += [("transcript.jsonl", "fsync"), ("index.jsonl", "append")]
         if n == 0:  # a literal False is graded at once
-            expected.append(("grades.jsonl", grades))
-    assert writes == expected + [("fsync", index), ("fsync", grades)]
+            expected.append(("grades.jsonl", "append"))
+    assert writes.steps() == expected + [("index.jsonl", "fsync"), ("grades.jsonl", "fsync")]
+    assert {write.path.parent for write in writes} == {out, out / "nl_responses"}
     writes.clear()
     cpl("nl", "grade", "--run-dir", out, "--id", "response_001", "--category", "gap", "--grader", "r")
-    assert writes == [("grades.jsonl", grades), ("fsync", grades)]
+    assert writes.steps() == [("grades.jsonl", "append"), ("grades.jsonl", "fsync")]
 
 
 def test_reprove_focused_asks_with_the_falsity_prompt_whatever_the_config_holds(tmp_path):
@@ -725,6 +705,8 @@ def test_the_checker_finds_nothing_in_any_directory_the_commands_write(runs):
          ["transcript.jsonl: differs from record 12 on"]),
         ("a report whose library_entries disagrees", ["report.json: library_entries is 5, 4 logged"],
          ["report.json: differs in library_entries"]),
+        ("a repeated event sequence", ["events.jsonl: record 5 has sequence 4"], []),
+        ("a repeated transcript sequence", ["transcript.jsonl: record 5 has sequence 4"], []),
         ("a replay whose requests differ", [], [
             "events.jsonl: differs from record 18 on",
             "report.json: differs in config",
@@ -746,6 +728,11 @@ def test_the_checker_finds_a_corrupted_copy_of_the_demo_run(
         report = json.loads((reference / "report.json").read_text(encoding="utf-8"))
         report["library_entries"] += 1
         (out / "report.json").write_text(json.dumps(report), encoding="utf-8")
+    elif how.startswith("a repeated"):
+        name = "events.jsonl" if "event" in how else "transcript.jsonl"
+        lines = (reference / name).read_bytes().splitlines(keepends=True)
+        lines[5] = json.dumps({**json.loads(lines[5]), "sequence": 4}).encode() + b"\n"
+        (out / name).write_bytes(b"".join(lines))
     else:  # past a 700-char budget, contexts are cut
         cpl("run", "--config", DEMO_CONFIG, "--budget", 700, "--replay", reference, "--out", out)
     assert check_run(out) == check_findings

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import errno
 import json
-import os
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -619,67 +618,25 @@ def test_emit_reports_includes_reprove_sections(tmp_path):
     assert "9/10 (90%)" in text
 
 
-class _TornHandle:
-    """A file handle whose `writelines` writes half of its bytes, then
-    fails as a full disk does."""
-
-    def __init__(self, handle):
-        self._handle = handle
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        self._handle.close()
-
-    def writelines(self, chunks):
-        data = b"".join(chunks)
-        self._handle.write(data[: len(data) // 2])
-        self._handle.flush()
-        raise OSError(errno.ENOSPC, "No space left on device")
-
-
-def tear_writes_of(monkeypatch, name: str) -> None:
-    """Make every write through `core.write_atomically` to a file named
-    `name` fail halfway through its bytes."""
-    real_open, real_fdopen = os.open, os.fdopen
-    opened: dict[int, str] = {}
-
-    def open_(path, flags, *args, **kwargs):
-        fd = real_open(path, flags, *args, **kwargs)
-        opened[fd] = Path(path).name
-        return fd
-
-    def fdopen(fd, *args, **kwargs):
-        handle = real_fdopen(fd, *args, **kwargs)
-        # `write_atomically` writes to `<name>.<random hex>.tmp` beside `name`.
-        if opened.pop(fd, "").startswith(f"{name}."):
-            return _TornHandle(handle)
-        return handle
-
-    monkeypatch.setattr(os, "open", open_)
-    monkeypatch.setattr(os, "fdopen", fdopen)
-
-
 @pytest.mark.parametrize("name", ["histogram.csv", "report.txt"])
-def test_a_report_write_that_fails_partway_leaves_the_previous_file(tmp_path, monkeypatch, name):
+def test_a_report_write_that_fails_partway_leaves_the_previous_file(tmp_path, writes, name):
     run_dir = run_demo(tmp_path)
     emit_reports(run_dir)
     before = (run_dir / name).read_bytes()
-    tear_writes_of(monkeypatch, name)
+    writes.tear(OSError(errno.ENOSPC, "No space left on device"), name=name)
     with pytest.raises(OSError, match="No space left"):
         emit_reports(run_dir, bin_width=3)  # would rewrite both files
     assert (run_dir / name).read_bytes() == before
     assert not list(run_dir.glob("*.tmp"))
-    monkeypatch.undo()
+    writes.tear()
     emit_reports(run_dir, bin_width=3)
     assert (run_dir / name).read_bytes() != before
 
 
-def test_an_nl_response_write_that_fails_partway_leaves_no_response_file(tmp_path, monkeypatch):
+def test_an_nl_response_write_that_fails_partway_leaves_no_response_file(tmp_path, writes):
     gateway = Gateway(ReplayProvider({"nl_prover": ["A proof.", "Another proof."]}))
     assert nl_session(gateway, n=1, out_dir=tmp_path) == ["response_000"]
-    tear_writes_of(monkeypatch, "response_001.txt")
+    writes.tear(OSError(errno.ENOSPC, "No space left on device"), name="response_001.txt")
     with pytest.raises(OSError, match="No space left"):
         nl_session(gateway, n=1, out_dir=tmp_path)
     nl_dir = tmp_path / "nl_responses"

@@ -5,7 +5,6 @@ import hashlib
 import io
 import json
 import logging
-import os
 import random
 import sys
 import threading
@@ -339,20 +338,15 @@ def test_cut_lines_are_read_back_at_the_first_call_and_asked_again_if_they_do_no
     assert "recorded exchanges not reused: transcript line 0: user_content_ref" in caplog.text
 
 
-def test_a_resumes_cut_of_the_transcript_is_fsynced(tmp_path, monkeypatch):
+def test_a_resumes_cut_of_the_transcript_is_fsynced(tmp_path, writes):
     path = tmp_path / "transcript.jsonl"
     gateway = Gateway(echo_provider([]), transcript_path=path, sleep=lambda s: None)
     for text in ("first", "second"):
         gateway.complete(request(user=text))
-    synced, real_fsync = [], os.fsync
-
-    def fsync(fd):
-        synced.append(os.fstat(fd).st_ino)
-        real_fsync(fd)
-
-    monkeypatch.setattr(os, "fsync", fsync)
+    writes.clear()
     assert gateway.fast_forward({"prover": 1}) == 1
-    assert synced == [path.stat().st_ino]
+    assert writes.steps() == [("transcript.jsonl", "cut"), ("transcript.jsonl", "fsync")]
+    assert [write.path for write in writes] == [path]
     assert [line["sequence"] for line in read_json_lines(path)] == [0]
 
 

@@ -14,11 +14,9 @@ import pytest
 
 from cpl import orchestrator
 from cpl.core import (
-    JsonLinesLog,
     Library,
     ProofScript,
     TheoremStatement,
-    dump_library,
     dump_tail,
     load_library,
     read_json_lines,
@@ -472,35 +470,24 @@ def test_library_file_is_the_dump_of_the_logged_library_at_every_append(tmp_path
 @pytest.mark.parametrize("kill_at_append", [1, 4])  # loop 1, loop 3
 @pytest.mark.parametrize("written", ["all", "half", "mid-character"])
 def test_a_kill_in_or_after_an_append_resumes_to_the_uninterrupted_bytes(
-    tmp_path, monkeypatch, kill_at_append, written
+    tmp_path, writes, kill_at_append, written
 ):
     reference = tmp_path / "ref"
     run_demo_uninterrupted(reference)
+    appends = [n for n, write in enumerate(writes) if write.path == reference / "library.lean"]
+    keep = {
+        "all": len,
+        "half": lambda data: len(data) // 2,
+        # inside a multi-byte character
+        "mid-character": lambda data: next(i for i, byte in enumerate(data) if 0x80 <= byte < 0xC0),
+    }[written]
+    writes.clear()
     crash_dir = tmp_path / "crash"
-    save_library = orchestrator.save_library
-    appends = {"n": 0}
-
-    def save(library, path, on_disk=None):
-        if on_disk is None:
-            return save_library(library, path)
-        appends["n"] += 1
-        if appends["n"] != kill_at_append:
-            return save_library(library, path, on_disk=on_disk)
-        tail = dump_library(library).encode("utf-8")[Path(path).stat().st_size :]
-        if written == "all":
-            cut = len(tail)
-        elif written == "half":
-            cut = len(tail) // 2
-        else:  # inside a multi-byte character
-            cut = next(i for i, byte in enumerate(tail) if 0x80 <= byte < 0xC0)
-        with open(path, "ab") as handle:
-            handle.write(tail[:cut])
-        raise SimulatedCrash("killed before the append's event")
-
-    monkeypatch.setattr(orchestrator, "save_library", save)
+    crash = SimulatedCrash("killed before the append's event")
+    writes.tear(crash, index=appends[kill_at_append - 1], keep=keep)
     with pytest.raises(SimulatedCrash):
         run(demo_config(crash_dir))
-    monkeypatch.undo()
+    writes.tear()
     resume_demo(crash_dir, reference)
 
 
@@ -780,6 +767,35 @@ def test_config_rejects_modes_run_does_not_handle():
         RunConfig(mode="analyze")
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("max_trials", 0),
+        ("retry_cap", 0),
+        ("conjecture_iterations", 0),
+        ("context_budget", 0),
+        ("loops", -2),
+        ("max_trials", None),
+        ("rate_limit_rps", -1.0),
+        ("rate_limit_rps", 0),
+        ("command_timeout", 0.0),
+        ("novelty_timeout", -5),
+    ],
+)
+def test_config_rejects_a_setting_no_run_can_use(field, value):
+    with pytest.raises(ValueError, match=f"^{field} is "):
+        RunConfig(**{field: value})
+
+
+def test_config_takes_the_least_settings_a_run_can_use():
+    least = RunConfig(
+        loops=0, max_trials=1, retry_cap=1, conjecture_iterations=1, context_budget=1,
+        rate_limit_rps=0.01, command_timeout=0.5, novelty_timeout=1,
+    )
+    assert least.resolved_loops() == 0
+    assert RunConfig(loops=None, rate_limit_rps=None).rate_limit_rps is None
+
+
 def test_config_from_file_resolves_relative_paths(tmp_path):
     (tmp_path / "seed.lean").write_text(SEED, encoding="utf-8")
     config_path = tmp_path / "config.json"
@@ -806,7 +822,7 @@ def test_replay_defaults_to_fixed_clock():
 
 
 # ---------------------------------------------------------------------------
-# A kill at every event, for both drivers
+# A kill at every write, for both drivers
 # ---------------------------------------------------------------------------
 
 
@@ -835,48 +851,65 @@ def resume_notes(out: Path) -> list[str]:
     ]
 
 
-def assert_kills_resume_to(reference: Path, tmp_path: Path, start) -> list[str]:
-    """Kill `start(out, listener, resume, replay_dir)` at each event of the
-    reference run, resume it, and compare the ends; then replay the
-    resumed directory into a fresh one and compare again. Returns the
-    resume notes."""
-    count = len(read_events(reference / "events.jsonl"))
+def torn(size: int) -> tuple[int, ...]:
+    """How many of a write's `size` bytes a kill leaves on disk: none, one,
+    half or all but one."""
+    return (0, 1, size // 2, size - 1)
+
+
+def assert_kills_resume_to(
+    reference: Path, tmp_path: Path, start, writes, keeps=torn
+) -> tuple[list[str], int]:
+    """Kill `start(out, resume, replay_dir)` in each write of the reference
+    run, which `writes` holds, once for each count of its bytes on disk that
+    `keeps(size)` gives. Resume it, or run it again when the kill came
+    before `events.jsonl` was written, and compare the ends; then replay
+    the resumed directory into a fresh one and compare again. Returns the
+    resume notes and the number of kills."""
+    made = list(writes)
     assert check_run(reference) == []
-    notes = []
-    for k in range(count):
-        out = tmp_path / f"kill-{k}"
-        with pytest.raises(SimulatedCrash):
-            start(out, KillAt(k), False, None)
-        start(out, None, True, None)
-        replayed = tmp_path / f"replay-{k}"
-        start(replayed, None, False, out)
-        for ended in (out, replayed):
-            assert check_run(ended) == same_run(reference, ended) == [], (k, ended)
-        sequences = transcript_sequences(out)
-        assert sequences == list(range(len(sequences))), k
-        notes += resume_notes(out)
-    return notes
+    notes, kills = [], 0
+    for n, write in enumerate(made):
+        for keep in keeps(len(write.data)) if write.data else ():
+            out, replayed = tmp_path / "killed", tmp_path / "replayed"
+            writes.clear()
+            writes.tear(SimulatedCrash(f"killed in write {n}"), index=n, keep=lambda data: keep)
+            with pytest.raises(SimulatedCrash):
+                start(out, False, None)
+            writes.tear()
+            start(out, (out / "events.jsonl").exists(), None)
+            start(replayed, False, out)
+            for ended in (out, replayed):
+                assert check_run(ended) == same_run(reference, ended) == [], (n, keep, ended)
+            notes += resume_notes(out)
+            shutil.rmtree(out)
+            shutil.rmtree(replayed)
+            kills += 1
+    return notes, kills
 
 
-def test_a_kill_at_any_event_of_the_demo_run_resumes_to_the_uninterrupted_run(
-    tmp_path,
+def test_a_kill_in_any_write_of_the_demo_run_resumes_to_the_uninterrupted_run(
+    tmp_path, writes
 ):
     reference = tmp_path / "ref"
     run_demo_uninterrupted(reference)
 
-    def start(out, listener, resume, replay_dir):
+    def start(out, resume, replay_dir):
         config = demo_config(out)
         config.resume = resume
         if replay_dir is not None:
             config.replay_dir = str(replay_dir)
-        run(config, listener=listener)
+        run(config)
 
-    notes = assert_kills_resume_to(reference, tmp_path, start)
+    carrying = sum(1 for write in writes if write.data)
+    notes, kills = assert_kills_resume_to(reference, tmp_path, start, writes)
     assert any("rolled back 1 uncommitted entry" in note for note in notes)
+    print(f"{kills} kills in the demo run")
+    assert kills == 4 * carrying == 4 * 49
 
 
-def test_a_kill_at_any_event_of_a_simple_loop_run_resumes_to_the_uninterrupted_run(
-    tmp_path,
+def test_a_kill_in_any_write_of_a_simple_loop_run_resumes_to_the_uninterrupted_run(
+    tmp_path, writes
 ):
     # loop 1 verifies at once, loop 2 fails both trials, loop 3 verifies
     # at its second trial, loop 4 at once.
@@ -885,7 +918,7 @@ def test_a_kill_at_any_event_of_a_simple_loop_run_resumes_to_the_uninterrupted_r
     responses += [full_decl("s3", 3, "by bad"), full_decl("s3", 3, "by rfl")]
     responses += [full_decl("s4", 4, "by rfl")]
 
-    def start(out, listener, resume, replay_dir):
+    def start(out, resume, replay_dir):
         config = base_config(
             tmp_path, mode="simple_loop", loops=4, max_trials=2, resume=resume
         )
@@ -902,13 +935,16 @@ def test_a_kill_at_any_event_of_a_simple_loop_run_resumes_to_the_uninterrupted_r
                 sleep=lambda s: None,
                 transcript_path=out / "transcript.jsonl",
             )
-        run(config, gateway=gateway, session=session, listener=listener)
+        run(config, gateway=gateway, session=session)
 
     reference = tmp_path / "ref"
-    start(reference, None, False, None)
+    start(reference, False, None)
     assert len(load_library(reference / "library.lean").entries) == 3
-    notes = assert_kills_resume_to(reference, tmp_path, start)
+    carrying = sum(1 for write in writes if write.data)
+    notes, kills = assert_kills_resume_to(reference, tmp_path, start, writes)
     assert any("rolled back 1 uncommitted entry" in note for note in notes)
+    print(f"{kills} kills in the simple loop run")
+    assert kills == 4 * carrying == 4 * 29
 
 
 # ---------------------------------------------------------------------------
@@ -1025,15 +1061,15 @@ def test_campaigns_run_during_the_phase_write_what_a_serial_run_writes(tmp_path)
     assert not session.overlapped
 
 
-def test_a_kill_at_any_event_of_a_run_with_campaigns_in_the_phase_resumes_to_the_uninterrupted_run(
-    tmp_path,
+def test_a_kill_in_any_write_of_a_run_with_campaigns_in_the_phase_resumes_to_the_uninterrupted_run(
+    tmp_path, writes
 ):
     reference = tmp_path / "ref"
     run_demo_uninterrupted(reference)
     threads = threading.active_count()
     providers = []
 
-    def start(out, listener, resume, replay_dir):
+    def start(out, resume, replay_dir):
         config = demo_config(out)
         config.resume = resume
         source = DEMO_RESPONSES
@@ -1043,11 +1079,15 @@ def test_a_kill_at_any_event_of_a_run_with_campaigns_in_the_phase_resumes_to_the
         gateway = slow_gateway(source, out, conjecturer=0.001, prover=0.001)
         providers.append(gateway.provider)
         try:
-            run(config, gateway=gateway, listener=listener)
+            run(config, gateway=gateway)
         finally:
             assert threading.active_count() == threads
 
-    notes = assert_kills_resume_to(reference, tmp_path, start)
+    # Torn bytes are the other sweeps' concern: here a kill leaves none of
+    # the write, so it lands between two whole writes, as an event kill did.
+    carrying = sum(1 for write in writes if write.data)
+    notes, kills = assert_kills_resume_to(reference, tmp_path, start, writes, keeps=lambda size: (0,))
+    assert kills == carrying == 49
     assert any("rolled back 1 uncommitted entry" in note for note in notes)
     assert any(("prover", False) in provider.calls for provider in providers)
 
@@ -1276,6 +1316,21 @@ def test_a_fresh_run_clears_an_earlier_runs_report(tmp_path):
     with pytest.raises(SimulatedCrash):
         run(config, listener=listener)
     assert not (out / "report.json").exists()
+
+
+def test_a_fresh_run_removes_what_derives_from_the_earlier_runs_library(tmp_path):
+    out = tmp_path / "run"
+    run_demo_uninterrupted(out)
+    derived = ["reprove_with_context.json", "reprove_focused.json", "report.txt", "histogram.csv"]
+    kept = ["grades.jsonl", "nl_responses/index.jsonl"]
+    (out / "nl_responses").mkdir()
+    for name in derived + kept:
+        (out / name).write_text("{}\n", encoding="utf-8")
+    config = demo_config(out)
+    config.loops = 1
+    run(config)
+    assert [name for name in derived if (out / name).exists()] == []
+    assert [name for name in kept if (out / name).exists()] == kept
 
 
 def test_a_kill_right_after_run_complete_keeps_the_report(tmp_path):
@@ -1787,20 +1842,7 @@ def test_a_resume_past_the_budget_serves_exchanges_whose_prompts_are_stored(tmp_
 
 
 @pytest.mark.parametrize("mode", ["cpl", "simple_loop"])
-def test_the_transcript_is_fsynced_before_each_loop_complete(tmp_path, monkeypatch, mode):
-    writes = []
-    real_fsync, real_append = os.fsync, JsonLinesLog.append
-
-    def fsync(fd):
-        writes.append(("fsync", os.fstat(fd).st_ino))
-        real_fsync(fd)
-
-    def append(log, record):
-        real_append(log, record)
-        writes.append((log.path.name, record.get("kind"), log.path.stat().st_ino))
-
-    monkeypatch.setattr(os, "fsync", fsync)
-    monkeypatch.setattr(JsonLinesLog, "append", append)
+def test_the_transcript_is_fsynced_before_each_loop_complete(tmp_path, writes, mode):
     if mode == "cpl":
         out = tmp_path / "run"
         run(demo_config(out))
@@ -1815,13 +1857,18 @@ def test_the_transcript_is_fsynced_before_each_loop_complete(tmp_path, monkeypat
             transcript_path=out / "transcript.jsonl",
         )
         run_simple_loop(config, gateway=gateway, session=session)
-    transcript = (out / "transcript.jsonl").stat().st_ino
-    ends = [n for n, write in enumerate(writes) if write[:2] == ("events.jsonl", "loop_complete")]
+    transcript = out / "transcript.jsonl"
+    ends = [
+        n
+        for n, write in enumerate(writes)
+        if write.path == out / "events.jsonl" and write.data
+        and json.loads(write.data)["kind"] == "loop_complete"
+    ]
     assert len(ends) == 3
     start = 0
     for end in ends:
-        lines = [n for n in range(start, end) if writes[n][0] == "transcript.jsonl"]
-        synced = [n for n in range(start, end) if writes[n] == ("fsync", transcript)]
+        lines = [n for n in range(start, end) if writes[n].path == transcript and writes[n].data]
+        synced = [n for n in range(start, end) if writes[n].path == transcript and writes[n].fsync]
         # The loop's last transcript line, then the fsync, then its end.
         assert lines and synced and lines[-1] < synced[-1]
         start = end
