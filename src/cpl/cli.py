@@ -8,13 +8,12 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import json
 import sys
 from pathlib import Path
 
 from . import evalharness
-from .core import TheoremStatement, Library, load_library, write_json
+from .core import TheoremStatement, Library, load_library, replace, write_json
 from .events import EventLog, make_clock
 from .gateway import FatalGatewayError
 from .orchestrator import (
@@ -55,7 +54,7 @@ def _config_from_args(args) -> RunConfig:
     }
     if getattr(args, "resume", False):
         changes["resume"] = True
-    return dataclasses.replace(config, **changes)
+    return replace(config, **changes)
 
 
 def _build_eval_context(config: RunConfig, seed_source: str):

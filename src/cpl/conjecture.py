@@ -8,13 +8,12 @@ later candidates are deduped against earlier ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .core import (
     DEFAULT_CONTEXT_BUDGET,
     ConjectureList,
     Library,
     ParseWarning,
+    Record,
     parse_theorem_declarations,
     render_context,
 )
@@ -33,18 +32,37 @@ from .verifier import KNOWN, VALID, VerifierError
 DEFAULT_ITERATIONS = 16
 
 
-@dataclass
-class ConjecturePhaseReport:
+class ConjecturePhaseReport(Record):
     """One conjecture phase's counts: candidates, each rejection reason,
     and the accepted list."""
 
-    iterations_run: int = 0
-    raw_candidates: int = 0
-    rejected_parse: int = 0
-    rejected_duplicate: int = 0
-    rejected_invalid: int = 0
-    rejected_known: int = 0
-    accepted: ConjectureList = field(default_factory=ConjectureList)
+    _fields = (
+        "iterations_run",
+        "raw_candidates",
+        "rejected_parse",
+        "rejected_duplicate",
+        "rejected_invalid",
+        "rejected_known",
+        "accepted",
+    )
+
+    def __init__(
+        self,
+        iterations_run: int = 0,
+        raw_candidates: int = 0,
+        rejected_parse: int = 0,
+        rejected_duplicate: int = 0,
+        rejected_invalid: int = 0,
+        rejected_known: int = 0,
+        accepted: ConjectureList | None = None,
+    ):
+        self.iterations_run = iterations_run
+        self.raw_candidates = raw_candidates
+        self.rejected_parse = rejected_parse
+        self.rejected_duplicate = rejected_duplicate
+        self.rejected_invalid = rejected_invalid
+        self.rejected_known = rejected_known
+        self.accepted = ConjectureList() if accepted is None else accepted
 
     def counters_consistent(self) -> bool:
         return self.raw_candidates == (

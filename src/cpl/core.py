@@ -12,8 +12,8 @@ import json
 import os
 import re
 from bisect import bisect_left
-from dataclasses import dataclass, replace
 from functools import cached_property
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -38,12 +38,68 @@ _OPEN_BRACKETS = "([{⟨⦃"
 _CLOSE_BRACKETS = ")]}⟩⦄"
 
 
-@dataclass(frozen=True)
-class ParseWarning:
-    """A non-fatal problem found while extracting declarations."""
+class Record:
+    """A value with named fields, `_fields`, in the order its own
+    `__init__` takes them; that `__init__` sets them and runs the record's
+    checks. A record equals another record of its class with equal fields,
+    and its repr names the class and its fields. It has no hash, since its
+    fields may change; a `FrozenRecord` has one.
 
-    kind: str  # "skipped_declaration" | "unterminated_fence"
-    detail: str
+    These methods are written out here, not generated when a class is
+    defined, so importing cpl compiles no code.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if cls._fields:
+            # `_values(record)`: the fields' values, read in one C call; a
+            # lone field's value stands alone, not in a tuple.
+            cls._values = attrgetter(*cls._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == self._values(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class FrozenRecord(Record):
+    """A record whose fields never change once `__init__` has put them in
+    `self.__dict__`: setting or deleting one raises `AttributeError`, and
+    the record hashes by its fields."""
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+def replace(record: Record, **changes) -> Record:
+    """A record of `record`'s class with its fields, except those named in
+    `changes`, which take the values given. It is built through the class's
+    `__init__`, so every check runs again."""
+    values = {name: getattr(record, name) for name in record._fields}
+    values.update(changes)
+    return type(record)(**values)
+
+
+class ParseWarning(FrozenRecord):
+    """A non-fatal problem found while extracting declarations: its
+    `kind`, "skipped_declaration" or "unterminated_fence", and `detail`."""
+
+    _fields = ("kind", "detail")
+
+    def __init__(self, kind: str, detail: str):
+        self.__dict__.update(kind=kind, detail=detail)
 
     def __str__(self) -> str:
         return f"{self.kind}: {self.detail}"
@@ -139,8 +195,7 @@ def _common_prefix(text: str, other: str, start: int = 0, other_start: int = 0) 
     return low
 
 
-@dataclass(frozen=True)
-class TheoremStatement:
+class TheoremStatement(FrozenRecord):
     """A parsed `theorem` declaration with its proof elided as `sorry`.
 
     `body` is the text between the theorem name and `:=` (binders
@@ -148,20 +203,19 @@ class TheoremStatement:
     `source_text` is the full declaration ending in `:= sorry`.
     """
 
-    name: str
-    body: str
-    source_text: str
+    _fields = ("name", "body", "source_text")
 
-    def __post_init__(self) -> None:
-        if not self.name:
+    def __init__(self, name: str, body: str, source_text: str):
+        if not name:
             raise ValueError("theorem name must be nonempty")
-        if not self.body.strip():
-            raise ValueError(f"theorem {self.name!r} has an empty body")
-        src = self.source_text.strip()
+        if not body.strip():
+            raise ValueError(f"theorem {name!r} has an empty body")
+        src = source_text.strip()
         if not src.startswith("theorem"):
-            raise ValueError(f"source of {self.name!r} must start with 'theorem'")
+            raise ValueError(f"source of {name!r} must start with 'theorem'")
         if not src.endswith(":= sorry"):
-            raise ValueError(f"source of {self.name!r} must end with ':= sorry'")
+            raise ValueError(f"source of {name!r} must end with ':= sorry'")
+        self.__dict__.update(name=name, body=body, source_text=source_text)
 
     @classmethod
     def from_source(cls, source: str) -> "TheoremStatement":
@@ -194,42 +248,50 @@ class TheoremStatement:
         return src[: -len("sorry")] + "by exact?"
 
 
-@dataclass(frozen=True)
-class ProofScript:
+class ProofScript(FrozenRecord):
     """The code that directly follows `:=` (a `by` block or a term)."""
 
-    text: str
+    _fields = ("text",)
 
-    def __post_init__(self) -> None:
-        if not self.text.strip():
+    def __init__(self, text: str):
+        if not text.strip():
             raise ValueError("proof script must be nonempty")
-        if contains_sorry(self.text):
+        if contains_sorry(text):
             raise ValueError("proof script contains the 'sorry' token")
+        self.__dict__["text"] = text
 
 
-@dataclass(frozen=True)
-class LibraryEntry:
+class LibraryEntry(FrozenRecord):
     """One verified theorem of a library: its statement, proof, position,
     provenance and creation time."""
 
-    statement: TheoremStatement
-    proof: ProofScript
-    sequence_index: int
-    provenance: str
-    created_at: str
+    _fields = ("statement", "proof", "sequence_index", "provenance", "created_at")
 
-    def __post_init__(self) -> None:
-        if self.sequence_index < 0:
+    def __init__(
+        self,
+        statement: TheoremStatement,
+        proof: ProofScript,
+        sequence_index: int,
+        provenance: str,
+        created_at: str,
+    ):
+        if sequence_index < 0:
             raise ValueError("sequence_index must be nonnegative")
-        if self.provenance not in PROVENANCES:
-            raise ValueError(f"unknown provenance {self.provenance!r}")
+        if provenance not in PROVENANCES:
+            raise ValueError(f"unknown provenance {provenance!r}")
+        self.__dict__.update(
+            statement=statement,
+            proof=proof,
+            sequence_index=sequence_index,
+            provenance=provenance,
+            created_at=created_at,
+        )
 
     def render_source(self) -> str:
         return self.statement.render_with_proof(self.proof)
 
 
-@dataclass(frozen=True)
-class Library:
+class Library(FrozenRecord):
     """Append-only collection of verified (statement, proof) pairs.
 
     `rendered` holds the entries' declarations, rendered once per
@@ -237,16 +299,16 @@ class Library:
     `prefix` from one whose rendering exists starts from that rendering.
     """
 
-    seed_source: str
-    entries: tuple[LibraryEntry, ...] = ()
+    _fields = ("seed_source", "entries")
 
-    def __post_init__(self) -> None:
-        for i, entry in enumerate(self.entries):
+    def __init__(self, seed_source: str, entries: tuple[LibraryEntry, ...] = ()):
+        for i, entry in enumerate(entries):
             if entry.sequence_index != i:
                 raise ValueError(
                     f"entry {entry.statement.name!r} has sequence_index "
                     f"{entry.sequence_index}, expected {i}"
                 )
+        self.__dict__.update(seed_source=seed_source, entries=entries)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -637,6 +699,7 @@ def write_atomically(path: str | Path, data: bytes, fsync: bool = True) -> None:
     """
     path = Path(path)
     # What `secrets.token_hex(8)` gives, without importing `hashlib` with it.
+    # A kill before the rename leaves the file (see `temp_files`).
     tmp_name = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
     os.close(os.open(tmp_name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
     try:
@@ -645,6 +708,22 @@ def write_atomically(path: str | Path, data: bytes, fsync: bool = True) -> None:
     except BaseException:
         tmp_name.unlink(missing_ok=True)
         raise
+
+
+_TEMP_NAME = re.compile(r".+\.[0-9a-f]{16}\.tmp")
+
+
+def temp_files(directory: str | Path) -> list[Path]:
+    """The temp files of `write_atomically` in `directory`, by name:
+    `<name>.<16 lowercase hex digits>.tmp`. A process killed between
+    creating one and renaming it leaves it there for good. A missing
+    directory holds none."""
+    try:
+        # Not `Path.glob`: its first call in a process compiles a pattern.
+        names = os.listdir(directory)
+    except FileNotFoundError:
+        return []
+    return [Path(directory, name) for name in sorted(names) if _TEMP_NAME.fullmatch(name)]
 
 
 def log_warning(logger_name: str, message: str, *args) -> None:

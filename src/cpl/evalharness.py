@@ -9,19 +9,21 @@ percent happens only at the output boundary.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .core import (
+    FrozenRecord,
     JsonLinesLog,
     Library,
+    Record,
     TheoremStatement,
     dump_library,
     library_seed,
     load_library,
     proof_length,
     read_json_lines,
+    temp_files,
     write_atomically,
     write_json,
 )
@@ -56,18 +58,37 @@ class PendingGradesError(RuntimeError):
         self.pending = pending
 
 
-@dataclass
-class ReproveReport:
+class ReproveReport(Record):
     """The outcome of re-proving a library's theorems in one mode: each
     theorem's status and the success rate."""
 
-    mode: str
-    per_theorem: list[tuple[int, str]]
-    success_count: int
-    total: int
-    success_rate: Fraction
-    breakdown: dict = field(default_factory=dict)
-    transport_flagged: list[int] = field(default_factory=list)
+    _fields = (
+        "mode",
+        "per_theorem",
+        "success_count",
+        "total",
+        "success_rate",
+        "breakdown",
+        "transport_flagged",
+    )
+
+    def __init__(
+        self,
+        mode: str,
+        per_theorem: list[tuple[int, str]],
+        success_count: int,
+        total: int,
+        success_rate: Fraction,
+        breakdown: dict | None = None,
+        transport_flagged: list[int] | None = None,
+    ):
+        self.mode = mode
+        self.per_theorem = per_theorem
+        self.success_count = success_count
+        self.total = total
+        self.success_rate = success_rate
+        self.breakdown = {} if breakdown is None else breakdown
+        self.transport_flagged = [] if transport_flagged is None else transport_flagged
 
     @property
     def percent(self) -> str:
@@ -93,18 +114,15 @@ class ReproveReport:
         }
 
 
-@dataclass(frozen=True)
-class NLGrade:
+class NLGrade(FrozenRecord):
     """A grader's category for one natural-language proof response."""
 
-    response_id: str
-    category: str
-    grader: str
-    note: str = ""
+    _fields = ("response_id", "category", "grader", "note")
 
-    def __post_init__(self) -> None:
-        if self.category not in NL_CATEGORIES:
-            raise ValueError(f"unknown grade category {self.category!r}")
+    def __init__(self, response_id: str, category: str, grader: str, note: str = ""):
+        if category not in NL_CATEGORIES:
+            raise ValueError(f"unknown grade category {category!r}")
+        self.__dict__.update(response_id=response_id, category=category, grader=grader, note=note)
 
 
 def render_percent(rate: Fraction) -> str:
@@ -466,7 +484,8 @@ def check_run(run_dir: str | Path) -> list[str]:
     order; a transcript that does not decode, or holds fewer lines of a
     role than the last `loop_complete` or `run_complete` counts (eval
     commands may append more); `report.json`'s `library_entries` and
-    `gateway_calls` against the log's."""
+    `gateway_calls` against the log's; a temp file a killed atomic write
+    left, in the directory or under `nl_responses/`."""
     run_dir = _run_dir(run_dir)
     events_path, library = run_dir / "events.jsonl", run_dir / "library.lean"
     findings, entries = [], []
@@ -495,6 +514,8 @@ def check_run(run_dir: str | Path) -> list[str]:
         for key, value in logged.items():
             if key in report and report[key] != value:
                 findings.append(f"report.json: {key} is {report[key]}, {value} logged")
+    for path in temp_files(run_dir) + temp_files(_nl_dir(run_dir)):
+        findings.append(f"{path.relative_to(run_dir)}: a temp file a killed write left")
     return findings
 
 

@@ -8,11 +8,11 @@ report generator build on.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable
 
 from .core import (
+    FrozenRecord,
     JsonLinesLog,
     Library,
     ProofScript,
@@ -63,14 +63,13 @@ def make_clock(kind: str) -> SystemClock | FixedClock:
     raise ValueError(f"unknown clock kind {kind!r}")
 
 
-@dataclass(frozen=True)
-class RunEvent:
+class RunEvent(FrozenRecord):
     """One line of a run's event log."""
 
-    sequence: int
-    timestamp: str
-    kind: str
-    payload: dict
+    _fields = ("sequence", "timestamp", "kind", "payload")
+
+    def __init__(self, sequence: int, timestamp: str, kind: str, payload: dict):
+        self.__dict__.update(sequence=sequence, timestamp=timestamp, kind=kind, payload=payload)
 
     def to_dict(self) -> dict:
         return {

@@ -54,11 +54,17 @@ import os
 import threading
 import time
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 from itertools import chain, islice
 from pathlib import Path
 
-from .core import JsonLinesLog, _common_prefix, log_warning, parse_json_lines, read_json_lines
+from .core import (
+    FrozenRecord,
+    JsonLinesLog,
+    _common_prefix,
+    log_warning,
+    parse_json_lines,
+    read_json_lines,
+)
 
 ROLE_IDS = ("conjecturer", "prover", "simple_loop", "nl_prover")
 
@@ -80,32 +86,44 @@ class FixtureExhaustedError(FatalGatewayError):
     """The replay fixtures ran out before the pipeline finished."""
 
 
-@dataclass(frozen=True)
-class ChatRequest:
+class ChatRequest(FrozenRecord):
     """One chat call of a role: its system prompt, user content and
     sampling settings."""
 
-    role_id: str
-    system_prompt: str
-    user_content: str
-    temperature: float = DEFAULT_TEMPERATURE
-    max_output: int = DEFAULT_MAX_OUTPUT
+    _fields = ("role_id", "system_prompt", "user_content", "temperature", "max_output")
 
-    def __post_init__(self) -> None:
-        if self.role_id not in ROLE_IDS:
-            raise ValueError(f"unknown role {self.role_id!r}")
+    def __init__(
+        self,
+        role_id: str,
+        system_prompt: str,
+        user_content: str,
+        temperature: float = DEFAULT_TEMPERATURE,
+        max_output: int = DEFAULT_MAX_OUTPUT,
+    ):
+        if role_id not in ROLE_IDS:
+            raise ValueError(f"unknown role {role_id!r}")
+        self.__dict__.update(
+            role_id=role_id,
+            system_prompt=system_prompt,
+            user_content=user_content,
+            temperature=temperature,
+            max_output=max_output,
+        )
 
 
-@dataclass(frozen=True)
-class ChatResponse:
+class ChatResponse(FrozenRecord):
     """The reply to one call, with the provider that gave it, its latency
-    and the attempt that succeeded."""
+    and the attempt that succeeded. A `reused` reply was read from the
+    transcript on a resume, not asked again."""
 
-    text: str
-    provider: str
-    latency: float
-    attempt: int
-    reused: bool = False  # read from the transcript on a resume, not asked again
+    _fields = ("text", "provider", "latency", "attempt", "reused")
+
+    def __init__(
+        self, text: str, provider: str, latency: float, attempt: int, reused: bool = False
+    ):
+        self.__dict__.update(
+            text=text, provider=provider, latency=latency, attempt=attempt, reused=reused
+        )
 
 
 class HttpChatProvider:
@@ -441,16 +459,21 @@ class TokenBucket:
             self._sleep(slot - now)
 
 
-@dataclass(frozen=True)
-class Exchange:
+class Exchange(FrozenRecord):
     """One call's outcome, before its transcript line is written: the
     request, then the response, or no response and the error of its last
     attempt once all `attempts` failed."""
 
-    request: ChatRequest
-    response: ChatResponse | None
-    error: str | None = None
-    attempts: int = 0
+    _fields = ("request", "response", "error", "attempts")
+
+    def __init__(
+        self,
+        request: ChatRequest,
+        response: ChatResponse | None,
+        error: str | None = None,
+        attempts: int = 0,
+    ):
+        self.__dict__.update(request=request, response=response, error=error, attempts=attempts)
 
     def reply(self) -> ChatResponse:
         """The response, or `TransportError` for a call whose retries ran out."""

@@ -32,14 +32,16 @@ each `loop_complete`, and `report.json` (the summary, written before the
 log, the transcript and the report of an earlier run, and the files that
 derive from its library: `reprove_*.json`, `report.txt` and
 `histogram.csv` (`nl_responses/` and `grades.jsonl` grade a statement,
-not the library, and stay). A resume reads the event log, `library.lean`
-and the transcript once each, and cuts all three in place back to the
-last committed loop: the log at the end of that loop's `loop_complete`
-line, the library to the dump of the committed entries, which drops any
-partial block a crash left at its end, and the transcript to that loop's
-calls. Resuming a run whose `run_complete` is logged changes nothing.
-The warnings a resume logs carry `where: "resume"`, so
-`evalharness.same_run` leaves them out.
+not the library, and stay). A fresh run and a resume both first remove
+the temp files of atomic writes that a kill stopped before their rename
+(`<name>.<16 hex digits>.tmp`), and no other file. A resume reads the
+event log, `library.lean` and the transcript once each, and cuts all
+three in place back to the last committed loop: the log at the end of
+that loop's `loop_complete` line, the library to the dump of the
+committed entries, which drops any partial block a crash left at its
+end, and the transcript to that loop's calls. Resuming a run whose
+`run_complete` is logged changes nothing else. The warnings a resume
+logs carry `where: "resume"`, so `evalharness.same_run` leaves them out.
 
 The redone loop is not asked of the model again where the transcript
 already holds it: the gateway serves each role the replies of the lines
@@ -56,12 +58,10 @@ it.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import threading
 from collections import deque
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import core
@@ -71,6 +71,7 @@ from .core import (
     ENTRY_MARKER,
     JsonLinesLog,
     Library,
+    Record,
     dump_library,
     dump_tail,
     library_blocks,
@@ -78,6 +79,7 @@ from .core import (
     read_json_lines,
     render_context,
     save_library,
+    temp_files,
     write_json,
 )
 from .events import EventLog, library_from_additions, make_clock
@@ -129,41 +131,92 @@ class ResumeConsistencyError(RuntimeError):
     pass
 
 
-@dataclass
-class RunConfig:
+class RunConfig(Record):
     """Every setting of a run: its mode and loop sizes, provider, verifier
     and output directory."""
 
-    mode: str = "cpl"
-    seed_path: str | None = None
-    loops: int | None = None  # None → mode default (cpl 30, simple_loop 400)
-    conjecture_iterations: int = DEFAULT_ITERATIONS
-    max_trials: int = DEFAULT_MAX_TRIALS
-    context_budget: int = DEFAULT_CONTEXT_BUDGET
-    output_dir: str = "run_output"
-    resume: bool = False
-    prompt_variant: str = DEFAULT_PROMPT_VARIANT
-    # provider settings
-    endpoint: str = "https://api.openai.com/v1/chat/completions"
-    api_key_env: str = DEFAULT_API_KEY_ENV
-    models: dict = field(default_factory=lambda: dict(DEFAULT_MODELS))
-    temperature: float = DEFAULT_TEMPERATURE
-    max_output: int = DEFAULT_MAX_OUTPUT
-    retry_cap: int = DEFAULT_RETRY_CAP
-    rate_limit_rps: float | None = 1.0
-    # a run directory whose transcript replaces the model
-    replay_dir: str | None = None
-    # verifier settings
-    verifier_backend: str = "scripted"  # scripted | lean
-    verifier_fixtures: str | None = None
-    lean_command: list = field(default_factory=list)
-    lean_cwd: str | None = None
-    command_timeout: float = DEFAULT_COMMAND_TIMEOUT
-    novelty_timeout: float = DEFAULT_NOVELTY_TIMEOUT
-    # determinism
-    clock: str | None = None  # None → "fixed" when replaying, else "system"
+    _fields = (
+        "mode",
+        "seed_path",
+        "loops",
+        "conjecture_iterations",
+        "max_trials",
+        "context_budget",
+        "output_dir",
+        "resume",
+        "prompt_variant",
+        "endpoint",
+        "api_key_env",
+        "models",
+        "temperature",
+        "max_output",
+        "retry_cap",
+        "rate_limit_rps",
+        "replay_dir",
+        "verifier_backend",
+        "verifier_fixtures",
+        "lean_command",
+        "lean_cwd",
+        "command_timeout",
+        "novelty_timeout",
+        "clock",
+    )
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        mode: str = "cpl",
+        seed_path: str | None = None,
+        loops: int | None = None,  # None → mode default (cpl 30, simple_loop 400)
+        conjecture_iterations: int = DEFAULT_ITERATIONS,
+        max_trials: int = DEFAULT_MAX_TRIALS,
+        context_budget: int = DEFAULT_CONTEXT_BUDGET,
+        output_dir: str = "run_output",
+        resume: bool = False,
+        prompt_variant: str = DEFAULT_PROMPT_VARIANT,
+        # provider settings
+        endpoint: str = "https://api.openai.com/v1/chat/completions",
+        api_key_env: str = DEFAULT_API_KEY_ENV,
+        models: dict | None = None,  # None → a copy of DEFAULT_MODELS
+        temperature: float = DEFAULT_TEMPERATURE,
+        max_output: int = DEFAULT_MAX_OUTPUT,
+        retry_cap: int = DEFAULT_RETRY_CAP,
+        rate_limit_rps: float | None = 1.0,
+        # a run directory whose transcript replaces the model
+        replay_dir: str | None = None,
+        # verifier settings
+        verifier_backend: str = "scripted",  # scripted | lean
+        verifier_fixtures: str | None = None,
+        lean_command: list | None = None,  # None → []
+        lean_cwd: str | None = None,
+        command_timeout: float = DEFAULT_COMMAND_TIMEOUT,
+        novelty_timeout: float = DEFAULT_NOVELTY_TIMEOUT,
+        # determinism
+        clock: str | None = None,  # None → "fixed" when replaying, else "system"
+    ):
+        self.mode = mode
+        self.seed_path = seed_path
+        self.loops = loops
+        self.conjecture_iterations = conjecture_iterations
+        self.max_trials = max_trials
+        self.context_budget = context_budget
+        self.output_dir = output_dir
+        self.resume = resume
+        self.prompt_variant = prompt_variant
+        self.endpoint = endpoint
+        self.api_key_env = api_key_env
+        self.models = dict(DEFAULT_MODELS) if models is None else models
+        self.temperature = temperature
+        self.max_output = max_output
+        self.retry_cap = retry_cap
+        self.rate_limit_rps = rate_limit_rps
+        self.replay_dir = replay_dir
+        self.verifier_backend = verifier_backend
+        self.verifier_fixtures = verifier_fixtures
+        self.lean_command = [] if lean_command is None else lean_command
+        self.lean_cwd = lean_cwd
+        self.command_timeout = command_timeout
+        self.novelty_timeout = novelty_timeout
+        self.clock = clock
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
         least = {"max_trials": 1, "retry_cap": 1, "conjecture_iterations": 1, "context_budget": 1}
@@ -195,8 +248,7 @@ class RunConfig:
     def from_file(cls, path: str | Path) -> "RunConfig":
         path = Path(path)
         data = json.loads(path.read_text(encoding="utf-8"))
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
+        unknown = set(data) - set(cls._fields)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         config = cls(**data)
@@ -218,7 +270,11 @@ class RunConfig:
         }
 
     def public_dict(self) -> dict:
-        data = dataclasses.asdict(self)
+        """Every setting, in field order, with loops and clock resolved;
+        the containers are copies."""
+        data = {name: getattr(self, name) for name in self._fields}
+        data["models"] = dict(self.models)
+        data["lean_command"] = list(self.lean_command)
         data["loops"] = self.resolved_loops()
         data["clock"] = self.resolved_clock()
         return data
@@ -350,19 +406,30 @@ def _load_resume_point(seed: str, events_path: Path, library_path: Path):
     return library, at["loop"], boundary["sequence"] + 1, calls, rolled_back
 
 
-@dataclass
-class _OpenRun:
+class _OpenRun(Record):
     """What a loop step writes through. It holds no library: the driver
     passes each loop the current one, so the first library, and its
     rendering, is not kept alive for the whole run."""
 
-    config: RunConfig
-    clock: object
-    gateway: Gateway
-    session: object
-    events: EventLog
-    library_path: Path
-    provenance: str
+    _fields = ("config", "clock", "gateway", "session", "events", "library_path", "provenance")
+
+    def __init__(
+        self,
+        config: RunConfig,
+        clock: object,
+        gateway: Gateway,
+        session: object,
+        events: EventLog,
+        library_path: Path,
+        provenance: str,
+    ):
+        self.config = config
+        self.clock = clock
+        self.gateway = gateway
+        self.session = session
+        self.events = events
+        self.library_path = library_path
+        self.provenance = provenance
 
     def add(self, library: Library, statement, proof, loop: int) -> Library:
         """Append a verified theorem to the library and its file, then
@@ -396,6 +463,8 @@ def _run_loops(
     clock = make_clock(config.resolved_clock())
     events_path = out / "events.jsonl"
     library_path = out / "library.lean"
+    for path in temp_files(out):
+        path.unlink(missing_ok=True)
 
     if config.resume:
         library, completed, sequence, calls, rolled_back = _load_resume_point(

@@ -10,14 +10,14 @@ baseline runs the same loop (`run_trials`) with its own reply parser.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 from .core import (
     DEFAULT_CONTEXT_BUDGET,
+    FrozenRecord,
     Library,
     ProofScript,
     TheoremStatement,
     render_context,
+    replace,
     strip_code_fences,
 )
 from .gateway import (
@@ -43,26 +43,36 @@ GATEWAY_FAULT = "gateway transport failure: "
 VERIFIER_FAULT = "verifier transport error: "
 
 
-@dataclass(frozen=True)
-class ProofAttempt:
-    """One trial of a campaign: the attempt text and its check."""
+class ProofAttempt(FrozenRecord):
+    """One trial of a campaign: the attempt text and its check, which is
+    None exactly for the empty surrender response."""
 
-    proof_text: str
-    result: CheckResult | None  # None exactly for the empty surrender response
+    _fields = ("proof_text", "result")
+
+    def __init__(self, proof_text: str, result: CheckResult | None):
+        self.__dict__.update(proof_text=proof_text, result=result)
 
 
-@dataclass(frozen=True)
-class ProofOutcome:
+class ProofOutcome(FrozenRecord):
     """How a campaign ended, its trials, and the proof that verified."""
 
-    status: str
-    attempts: tuple[ProofAttempt, ...]
-    final_proof: ProofScript | None = None
-    final_statement: TheoremStatement | None = None
+    _fields = ("status", "attempts", "final_proof", "final_statement")
 
-    def __post_init__(self) -> None:
-        if self.status == STATUS_VERIFIED and self.final_proof is None:
+    def __init__(
+        self,
+        status: str,
+        attempts: tuple[ProofAttempt, ...],
+        final_proof: ProofScript | None = None,
+        final_statement: TheoremStatement | None = None,
+    ):
+        if status == STATUS_VERIFIED and final_proof is None:
             raise ValueError("verified outcome requires a final proof")
+        self.__dict__.update(
+            status=status,
+            attempts=attempts,
+            final_proof=final_proof,
+            final_statement=final_statement,
+        )
 
 
 def format_feedback(

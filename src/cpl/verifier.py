@@ -26,11 +26,12 @@ import json
 import os
 import re
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from .core import (
+    FrozenRecord,
     ProofScript,
+    Record,
     TheoremStatement,
     _common_prefix,
     log_warning,
@@ -71,42 +72,53 @@ class VerifierTimeoutError(VerifierError):
     pass
 
 
-@dataclass(frozen=True)
-class Diagnostic:
-    """One Lean message, at a line and column of the checked declaration."""
+class Diagnostic(FrozenRecord):
+    """One Lean message, at a line and column of the checked declaration;
+    its `severity` is "error", "warning" or "info"."""
 
-    severity: str  # "error" | "warning" | "info"
-    line: int
-    column: int
-    message: str
+    _fields = ("severity", "line", "column", "message")
+
+    def __init__(self, severity: str, line: int, column: int, message: str):
+        self.__dict__.update(severity=severity, line=line, column=column, message=message)
 
     def format(self) -> str:
         return f"{self.line}:{self.column} {self.severity} {self.message}"
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    """The verdict of one verifier check and the diagnostics behind it."""
+class CheckResult(FrozenRecord):
+    """The verdict of one verifier check and the diagnostics behind it.
 
-    verdict: str
-    diagnostics: tuple[Diagnostic, ...] = ()
-    closing_term: str | None = None
-    elapsed: float = 0.0
-    # The gateway or verifier error that failed this trial, where Lean gave
-    # no verdict; only `prover` sets it.
-    fault: Exception | None = None
+    `fault` is the gateway or verifier error that failed this trial, where
+    Lean gave no verdict; only `prover` sets it.
+    """
 
-    def __post_init__(self) -> None:
-        if self.verdict not in VERDICTS:
-            raise ValueError(f"unknown verdict {self.verdict!r}")
-        if (self.verdict == KNOWN) != (self.closing_term is not None):
+    _fields = ("verdict", "diagnostics", "closing_term", "elapsed", "fault")
+
+    def __init__(
+        self,
+        verdict: str,
+        diagnostics: tuple[Diagnostic, ...] = (),
+        closing_term: str | None = None,
+        elapsed: float = 0.0,
+        fault: Exception | None = None,
+    ):
+        if verdict not in VERDICTS:
+            raise ValueError(f"unknown verdict {verdict!r}")
+        if (verdict == KNOWN) != (closing_term is not None):
             raise ValueError("closing_term must be present exactly for 'known'")
-        if self.fault is not None and self.verdict != FAILED:
+        if fault is not None and verdict != FAILED:
             raise ValueError("only a failed trial has a fault")
-        if self.verdict in (INVALID, FAILED) and not any(
-            d.severity == "error" for d in self.diagnostics
+        if verdict in (INVALID, FAILED) and not any(
+            d.severity == "error" for d in diagnostics
         ):
-            raise ValueError(f"verdict {self.verdict!r} requires an error diagnostic")
+            raise ValueError(f"verdict {verdict!r} requires an error diagnostic")
+        self.__dict__.update(
+            verdict=verdict,
+            diagnostics=diagnostics,
+            closing_term=closing_term,
+            elapsed=elapsed,
+            fault=fault,
+        )
 
     def errors(self) -> list[Diagnostic]:
         return [d for d in self.diagnostics if d.severity == "error"]
@@ -397,8 +409,7 @@ def _rebase(diags: list[Diagnostic], offset_lines: int) -> tuple[Diagnostic, ...
 _DECLARATION = re.compile(r"theorem\s")
 
 
-@dataclass(eq=False)
-class _Remembered:
+class _Remembered(Record):
     """What a `LeanVerifier` session remembers of one context.
 
     * `tail`: the context after the seed, without the blank lines around
@@ -412,10 +423,22 @@ class _Remembered:
       of a declaration sent after the tail from `start`.
     """
 
-    tail: str
-    prefixes: list[tuple[int, object, bool]] = field(default_factory=list)
-    checks: dict[str, tuple[object, bool]] = field(default_factory=dict)
-    newlines: dict[int, int] = field(default_factory=dict)
+    _fields = ("tail", "prefixes", "checks", "newlines")
+    # `_advance` takes a record out of `_contexts` by identity.
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(
+        self,
+        tail: str,
+        prefixes: list[tuple[int, object, bool]] | None = None,
+        checks: dict[str, tuple[object, bool]] | None = None,
+        newlines: dict[int, int] | None = None,
+    ):
+        self.tail = tail
+        self.prefixes = [] if prefixes is None else prefixes
+        self.checks = {} if checks is None else checks
+        self.newlines = {} if newlines is None else newlines
 
 
 class LeanVerifier:

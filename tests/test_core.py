@@ -659,9 +659,9 @@ def test_importing_cpl_loads_no_module_only_a_real_session_or_report_needs():
     src = str(Path(cpl.__file__).parents[1])
     code = (
         f"import sys; sys.path.insert(0, {src!r}); "
-        "import cpl, cpl.orchestrator, cpl.evalharness; "
+        "import cpl, cpl.orchestrator, cpl.evalharness, cpl.cli; "
         "print([m for m in ('subprocess', 'select', 'selectors', 'signal', 'logging', "
-        "'datetime', 'fractions', 'decimal') if m in sys.modules])"
+        "'datetime', 'fractions', 'decimal', 'dataclasses', 'inspect') if m in sys.modules])"
     )
     done = subprocess.run(
         [sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, check=True

@@ -333,13 +333,13 @@ def test_replay_library_builds_the_library_once(tmp_path, monkeypatch):
             emit_added(log, lib)
     events = read_events(path)
     built: list[int] = []
-    post_init = Library.__post_init__
+    init = Library.__init__
 
-    def counted(self):
+    def counted(self, *args, **kwargs):
+        init(self, *args, **kwargs)
         built.append(len(self.entries))
-        post_init(self)
 
-    monkeypatch.setattr(Library, "__post_init__", counted)
+    monkeypatch.setattr(Library, "__init__", counted)
     assert replay_library(events, seed) == lib
     # the empty starting value, then the replayed library: not one per entry
     assert built == [0, 30]

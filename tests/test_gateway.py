@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import io
 import json
@@ -14,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from cpl.core import read_json_lines, strip_code_fences
+from cpl.core import read_json_lines, replace, strip_code_fences
 from cpl.gateway import (
     INLINE_CONTEXT_CHARS,
     ROLE_IDS,
@@ -513,7 +512,7 @@ def test_http_provider_payload_and_parse(monkeypatch):
     assert captured["payload"]["max_completion_tokens"] == request().max_output
     assert "max_tokens" not in captured["payload"]
     assert captured["auth"] == "Bearer secret-key"
-    provider.complete(dataclasses.replace(request(user="ctx"), max_output=0))
+    provider.complete(replace(request(user="ctx"), max_output=0))
     assert "max_completion_tokens" not in captured["payload"]
     assert "max_tokens" not in captured["payload"]
 
@@ -1024,8 +1023,8 @@ def older_form_requests() -> list[ChatRequest]:
         request(user=campaign),
         request(user=format_feedback(campaign, "by simp", diagnostics)),  # a copy of the base
         conjecture,  # the campaign's target dropped, an entry added: a new base
-        dataclasses.replace(conjecture, user_content=rendered(5, STUBS[2:5], end=91)),  # a splice
-        dataclasses.replace(conjecture, user_content="∀ 𝔽 short\r\n"),
+        replace(conjecture, user_content=rendered(5, STUBS[2:5], end=91)),  # a splice
+        replace(conjecture, user_content="∀ 𝔽 short\r\n"),
         request(user=retarget),  # a splice
         request(user=format_feedback(retarget, "by ring", diagnostics)),
     ]

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import importlib.util
 import json
 import os
@@ -20,6 +19,7 @@ from cpl.core import (
     dump_tail,
     load_library,
     read_json_lines,
+    replace,
     save_library,
 )
 from cpl.evalharness import check_run, same_run
@@ -1293,7 +1293,7 @@ def test_a_run_closes_the_lean_session_it_opened(
         full = tmp_path / "full"
         seed = Path(config.seed_path).read_text(encoding="utf-8")
         reference = FullResend(seed, command=[], client=Repl())
-        run(dataclasses.replace(config, output_dir=str(full)), session=reference)
+        run(replace(config, output_dir=str(full)), session=reference)
         assert check_run(out) == check_run(full) == same_run(full, out) == []
     assert repl_gone(pid_file)
 
@@ -1331,6 +1331,38 @@ def test_a_fresh_run_removes_what_derives_from_the_earlier_runs_library(tmp_path
     run(config)
     assert [name for name in derived if (out / name).exists()] == []
     assert [name for name in kept if (out / name).exists()] == kept
+
+
+def test_a_resume_and_a_fresh_run_remove_the_temp_files_killed_writes_left(tmp_path):
+    # A kill between `write_atomically`'s temp file and its rename leaves
+    # the temp file; only names of that form are removed or reported.
+    reference = tmp_path / "ref"
+    run_demo_uninterrupted(reference)
+    out = tmp_path / "crash"
+    left = ["library.lean.fedcba9876543210.tmp", "report.json.0123456789abcdef.tmp"]
+    kept = ["notes.tmp", "report.json.0123456789ABCDEF.tmp", "report.json.tmp"]
+
+    def place(names):
+        for name in names:
+            (out / name).write_bytes(b'{"partial')
+
+    def listener(event):
+        if event.kind == "loop_complete":
+            raise SimulatedCrash("killed after loop 1")
+
+    with pytest.raises(SimulatedCrash):
+        run(demo_config(out), listener=listener)
+    place(left + kept)
+    assert check_run(out) == [f"{name}: a temp file a killed write left" for name in left]
+    resume_demo(out, reference)
+    assert sorted(path.name for path in out.glob("*.tmp")) == kept
+    place(left)
+    run(demo_config(out))
+    assert check_run(out) == same_run(reference, out) == []
+    assert sorted(path.name for path in out.glob("*.tmp")) == kept
+    (out / "nl_responses").mkdir()
+    (out / "nl_responses" / "r1.txt.0123456789abcdef.tmp").write_bytes(b"partial")
+    assert check_run(out) == ["nl_responses/r1.txt.0123456789abcdef.tmp: a temp file a killed write left"]
 
 
 def test_a_kill_right_after_run_complete_keeps_the_report(tmp_path):
@@ -1652,9 +1684,9 @@ class Reworded:
         if stmt.name != self._name:
             return result
         diagnostics = tuple(
-            dataclasses.replace(d, message=self._message) for d in result.diagnostics
+            replace(d, message=self._message) for d in result.diagnostics
         )
-        return dataclasses.replace(result, diagnostics=diagnostics)
+        return replace(result, diagnostics=diagnostics)
 
 
 def cut_events_after(out: Path, index: int) -> None:
