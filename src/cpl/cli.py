@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from . import evalharness
-from .core import TheoremStatement, Library, load_library, replace, write_json
+from .core import TheoremStatement, Library, load_library, remove_temp_files, replace, write_json
 from .events import EventLog, make_clock
 from .gateway import FatalGatewayError
 from .orchestrator import (
@@ -52,6 +52,8 @@ def _config_from_args(args) -> RunConfig:
         for arg_name, field_name in overrides.items()
         if getattr(args, arg_name, None) is not None
     }
+    if getattr(args, "mode", None) is not None:
+        changes["mode"] = args.mode.replace("-", "_")
     if getattr(args, "resume", False):
         changes["resume"] = True
     return replace(config, **changes)
@@ -60,6 +62,7 @@ def _config_from_args(args) -> RunConfig:
 def _build_eval_context(config: RunConfig, seed_source: str):
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
+    remove_temp_files(out)
     clock = make_clock(config.resolved_clock())
     # `out` may be a run directory: the gateway's transcript and the event
     # log continue its files.
@@ -70,12 +73,10 @@ def _build_eval_context(config: RunConfig, seed_source: str):
 
 
 def _cmd_run(args) -> int:
-    mode = args.mode.replace("-", "_")
     config = _config_from_args(args)
-    config.mode = mode
     library = run(config)
     print(
-        f"{mode} run complete: {len(library.entries)} theorem(s) in "
+        f"{config.mode} run complete: {len(library.entries)} theorem(s) in "
         f"{Path(config.output_dir) / 'library.lean'}"
     )
     return 0
@@ -163,6 +164,7 @@ def _cmd_nl(args) -> int:
             statement_text = Path(args.statement_file).read_text(encoding="utf-8")
         out = Path(config.output_dir)
         out.mkdir(parents=True, exist_ok=True)
+        remove_temp_files(out, out / "nl_responses")
         gateway = build_gateway(config, out, make_clock(config.resolved_clock()))
         ids = evalharness.nl_session(
             gateway,
@@ -264,7 +266,9 @@ def build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser(
         "run", parents=[io, checking], help="run the pipeline or the baseline loop"
     )
-    run_p.add_argument("--mode", choices=["cpl", "simple-loop"], default="cpl")
+    run_p.add_argument(
+        "--mode", choices=["cpl", "simple-loop"], help="the config's mode, else cpl"
+    )
     run_p.add_argument("--seed", help="seed Lean file initializing the library")
     run_p.add_argument("--loops", type=int)
     run_p.add_argument("--iterations", type=int, help="conjecturer calls per phase")

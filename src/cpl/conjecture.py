@@ -36,16 +36,6 @@ class ConjecturePhaseReport(Record):
     """One conjecture phase's counts: candidates, each rejection reason,
     and the accepted list."""
 
-    _fields = (
-        "iterations_run",
-        "raw_candidates",
-        "rejected_parse",
-        "rejected_duplicate",
-        "rejected_invalid",
-        "rejected_known",
-        "accepted",
-    )
-
     def __init__(
         self,
         iterations_run: int = 0,
@@ -72,17 +62,6 @@ class ConjecturePhaseReport(Record):
             + self.rejected_known
             + len(self.accepted)
         )
-
-    def to_payload(self) -> dict:
-        return {
-            "iterations_run": self.iterations_run,
-            "raw_candidates": self.raw_candidates,
-            "rejected_parse": self.rejected_parse,
-            "rejected_duplicate": self.rejected_duplicate,
-            "rejected_invalid": self.rejected_invalid,
-            "rejected_known": self.rejected_known,
-            "accepted": [stmt.name for stmt in self.accepted],
-        }
 
 
 def run_conjecture_phase(

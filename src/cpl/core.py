@@ -39,11 +39,12 @@ _CLOSE_BRACKETS = ")]}⟩⦄"
 
 
 class Record:
-    """A value with named fields, `_fields`, in the order its own
-    `__init__` takes them; that `__init__` sets them and runs the record's
-    checks. A record equals another record of its class with equal fields,
-    and its repr names the class and its fields. It has no hash, since its
-    fields may change; a `FrozenRecord` has one.
+    """A value with named fields, `_fields`: the parameters of the class's
+    own `__init__`, in order, which sets them and runs the record's checks.
+    A subclass without its own `__init__` keeps its parent's fields. A
+    record equals another record of its class with equal fields, and its
+    repr names the class and its fields. It has no hash, since its fields
+    may change; a `FrozenRecord` has one.
 
     These methods are written out here, not generated when a class is
     defined, so importing cpl compiles no code.
@@ -53,7 +54,10 @@ class Record:
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        if cls._fields:
+        init = cls.__dict__.get("__init__")
+        if init is not None:
+            code = init.__code__
+            cls._fields = code.co_varnames[1 : code.co_argcount + code.co_kwonlyargcount]
             # `_values(record)`: the fields' values, read in one C call; a
             # lone field's value stands alone, not in a tuple.
             cls._values = attrgetter(*cls._fields)
@@ -66,6 +70,10 @@ class Record:
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__qualname__}({fields})"
+
+    def as_dict(self) -> dict:
+        """A new dict of the fields, in `_fields` order."""
+        return {name: getattr(self, name) for name in self._fields}
 
 
 class FrozenRecord(Record):
@@ -87,16 +95,12 @@ def replace(record: Record, **changes) -> Record:
     """A record of `record`'s class with its fields, except those named in
     `changes`, which take the values given. It is built through the class's
     `__init__`, so every check runs again."""
-    values = {name: getattr(record, name) for name in record._fields}
-    values.update(changes)
-    return type(record)(**values)
+    return type(record)(**{**record.as_dict(), **changes})
 
 
 class ParseWarning(FrozenRecord):
     """A non-fatal problem found while extracting declarations: its
     `kind`, "skipped_declaration" or "unterminated_fence", and `detail`."""
-
-    _fields = ("kind", "detail")
 
     def __init__(self, kind: str, detail: str):
         self.__dict__.update(kind=kind, detail=detail)
@@ -203,8 +207,6 @@ class TheoremStatement(FrozenRecord):
     `source_text` is the full declaration ending in `:= sorry`.
     """
 
-    _fields = ("name", "body", "source_text")
-
     def __init__(self, name: str, body: str, source_text: str):
         if not name:
             raise ValueError("theorem name must be nonempty")
@@ -251,8 +253,6 @@ class TheoremStatement(FrozenRecord):
 class ProofScript(FrozenRecord):
     """The code that directly follows `:=` (a `by` block or a term)."""
 
-    _fields = ("text",)
-
     def __init__(self, text: str):
         if not text.strip():
             raise ValueError("proof script must be nonempty")
@@ -264,8 +264,6 @@ class ProofScript(FrozenRecord):
 class LibraryEntry(FrozenRecord):
     """One verified theorem of a library: its statement, proof, position,
     provenance and creation time."""
-
-    _fields = ("statement", "proof", "sequence_index", "provenance", "created_at")
 
     def __init__(
         self,
@@ -298,8 +296,6 @@ class Library(FrozenRecord):
     library value when first asked for. A library made by `extend` or
     `prefix` from one whose rendering exists starts from that rendering.
     """
-
-    _fields = ("seed_source", "entries")
 
     def __init__(self, seed_source: str, entries: tuple[LibraryEntry, ...] = ()):
         for i, entry in enumerate(entries):
@@ -724,6 +720,13 @@ def temp_files(directory: str | Path) -> list[Path]:
     except FileNotFoundError:
         return []
     return [Path(directory, name) for name in sorted(names) if _TEMP_NAME.fullmatch(name)]
+
+
+def remove_temp_files(*directories: str | Path) -> None:
+    """Remove the `temp_files` of each of `directories`."""
+    for directory in directories:
+        for path in temp_files(directory):
+            path.unlink(missing_ok=True)
 
 
 def log_warning(logger_name: str, message: str, *args) -> None:

@@ -62,16 +62,6 @@ class ReproveReport(Record):
     """The outcome of re-proving a library's theorems in one mode: each
     theorem's status and the success rate."""
 
-    _fields = (
-        "mode",
-        "per_theorem",
-        "success_count",
-        "total",
-        "success_rate",
-        "breakdown",
-        "transport_flagged",
-    )
-
     def __init__(
         self,
         mode: str,
@@ -116,8 +106,6 @@ class ReproveReport(Record):
 
 class NLGrade(FrozenRecord):
     """A grader's category for one natural-language proof response."""
-
-    _fields = ("response_id", "category", "grader", "note")
 
     def __init__(self, response_id: str, category: str, grader: str, note: str = ""):
         if category not in NL_CATEGORIES:
@@ -303,14 +291,7 @@ def nl_session(
 
 def _append_grade(out_dir: str | Path, grade: NLGrade) -> JsonLinesLog:
     grades = JsonLinesLog.open(_grades_path(out_dir))
-    grades.append(
-        {
-            "response_id": grade.response_id,
-            "category": grade.category,
-            "grader": grade.grader,
-            "note": grade.note,
-        }
-    )
+    grades.append(grade.as_dict())
     return grades
 
 

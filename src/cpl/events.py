@@ -7,7 +7,6 @@ report generator build on.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Callable, Iterable
 
@@ -66,18 +65,8 @@ def make_clock(kind: str) -> SystemClock | FixedClock:
 class RunEvent(FrozenRecord):
     """One line of a run's event log."""
 
-    _fields = ("sequence", "timestamp", "kind", "payload")
-
     def __init__(self, sequence: int, timestamp: str, kind: str, payload: dict):
         self.__dict__.update(sequence=sequence, timestamp=timestamp, kind=kind, payload=payload)
-
-    def to_dict(self) -> dict:
-        return {
-            "sequence": self.sequence,
-            "timestamp": self.timestamp,
-            "kind": self.kind,
-            "payload": self.payload,
-        }
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunEvent":
@@ -122,7 +111,7 @@ class EventLog:
             kind=kind,
             payload=payload,
         )
-        self.log.append(event.to_dict())
+        self.log.append(event.as_dict())
         if self.listener is not None:
             self.listener(event)
         return event
@@ -143,16 +132,6 @@ def read_events(path: str | Path) -> list[RunEvent]:
     last line is skipped, as `truncate_events` cuts it, and any other
     line that does not parse raises."""
     return [RunEvent.from_dict(data) for data in read_json_lines(path)]
-
-
-def normalized_event_lines(path: str | Path) -> list[str]:
-    """Event lines with timestamps nulled, for run-to-run comparison."""
-    lines = []
-    for event in read_events(path):
-        data = event.to_dict()
-        data["timestamp"] = None
-        lines.append(json.dumps(data, ensure_ascii=False, sort_keys=True))
-    return lines
 
 
 def truncate_events(path: str | Path, keep: int) -> None:

@@ -90,8 +90,6 @@ class ChatRequest(FrozenRecord):
     """One chat call of a role: its system prompt, user content and
     sampling settings."""
 
-    _fields = ("role_id", "system_prompt", "user_content", "temperature", "max_output")
-
     def __init__(
         self,
         role_id: str,
@@ -115,8 +113,6 @@ class ChatResponse(FrozenRecord):
     """The reply to one call, with the provider that gave it, its latency
     and the attempt that succeeded. A `reused` reply was read from the
     transcript on a resume, not asked again."""
-
-    _fields = ("text", "provider", "latency", "attempt", "reused")
 
     def __init__(
         self, text: str, provider: str, latency: float, attempt: int, reused: bool = False
@@ -463,8 +459,6 @@ class Exchange(FrozenRecord):
     """One call's outcome, before its transcript line is written: the
     request, then the response, or no response and the error of its last
     attempt once all `attempts` failed."""
-
-    _fields = ("request", "response", "error", "attempts")
 
     def __init__(
         self,

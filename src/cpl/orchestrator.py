@@ -78,8 +78,8 @@ from .core import (
     parse_theorem_with_proof,
     read_json_lines,
     render_context,
+    remove_temp_files,
     save_library,
-    temp_files,
     write_json,
 )
 from .events import EventLog, library_from_additions, make_clock
@@ -134,33 +134,6 @@ class ResumeConsistencyError(RuntimeError):
 class RunConfig(Record):
     """Every setting of a run: its mode and loop sizes, provider, verifier
     and output directory."""
-
-    _fields = (
-        "mode",
-        "seed_path",
-        "loops",
-        "conjecture_iterations",
-        "max_trials",
-        "context_budget",
-        "output_dir",
-        "resume",
-        "prompt_variant",
-        "endpoint",
-        "api_key_env",
-        "models",
-        "temperature",
-        "max_output",
-        "retry_cap",
-        "rate_limit_rps",
-        "replay_dir",
-        "verifier_backend",
-        "verifier_fixtures",
-        "lean_command",
-        "lean_cwd",
-        "command_timeout",
-        "novelty_timeout",
-        "clock",
-    )
 
     def __init__(
         self,
@@ -272,7 +245,7 @@ class RunConfig(Record):
     def public_dict(self) -> dict:
         """Every setting, in field order, with loops and clock resolved;
         the containers are copies."""
-        data = {name: getattr(self, name) for name in self._fields}
+        data = self.as_dict()
         data["models"] = dict(self.models)
         data["lean_command"] = list(self.lean_command)
         data["loops"] = self.resolved_loops()
@@ -411,8 +384,6 @@ class _OpenRun(Record):
     passes each loop the current one, so the first library, and its
     rendering, is not kept alive for the whole run."""
 
-    _fields = ("config", "clock", "gateway", "session", "events", "library_path", "provenance")
-
     def __init__(
         self,
         config: RunConfig,
@@ -463,8 +434,7 @@ def _run_loops(
     clock = make_clock(config.resolved_clock())
     events_path = out / "events.jsonl"
     library_path = out / "library.lean"
-    for path in temp_files(out):
-        path.unlink(missing_ok=True)
+    remove_temp_files(out)
 
     if config.resume:
         library, completed, sequence, calls, rolled_back = _load_resume_point(
@@ -743,7 +713,10 @@ def _cpl_loop(run: _OpenRun, loop: int, library: Library) -> Library:
         campaigns.close(stop=True)
         raise
     campaigns.close()
-    run.events.emit("phase_start", loop=loop, phase="prove", report=report.to_payload())
+    accepted = [stmt.name for stmt in report.accepted]
+    run.events.emit(
+        "phase_start", loop=loop, phase="prove", report={**report.as_dict(), "accepted": accepted}
+    )
     for index, stmt in enumerate(report.accepted):
         if index < len(campaigns.ran):
             outcome = campaigns.ran[index].commit(run)

@@ -47,16 +47,12 @@ class ProofAttempt(FrozenRecord):
     """One trial of a campaign: the attempt text and its check, which is
     None exactly for the empty surrender response."""
 
-    _fields = ("proof_text", "result")
-
     def __init__(self, proof_text: str, result: CheckResult | None):
         self.__dict__.update(proof_text=proof_text, result=result)
 
 
 class ProofOutcome(FrozenRecord):
     """How a campaign ended, its trials, and the proof that verified."""
-
-    _fields = ("status", "attempts", "final_proof", "final_statement")
 
     def __init__(
         self,

@@ -76,8 +76,6 @@ class Diagnostic(FrozenRecord):
     """One Lean message, at a line and column of the checked declaration;
     its `severity` is "error", "warning" or "info"."""
 
-    _fields = ("severity", "line", "column", "message")
-
     def __init__(self, severity: str, line: int, column: int, message: str):
         self.__dict__.update(severity=severity, line=line, column=column, message=message)
 
@@ -91,8 +89,6 @@ class CheckResult(FrozenRecord):
     `fault` is the gateway or verifier error that failed this trial, where
     Lean gave no verdict; only `prover` sets it.
     """
-
-    _fields = ("verdict", "diagnostics", "closing_term", "elapsed", "fault")
 
     def __init__(
         self,
@@ -423,7 +419,6 @@ class _Remembered(Record):
       of a declaration sent after the tail from `start`.
     """
 
-    _fields = ("tail", "prefixes", "checks", "newlines")
     # `_advance` takes a record out of `_contexts` by identity.
     __eq__ = object.__eq__
     __hash__ = object.__hash__

@@ -12,6 +12,7 @@ from cpl.core import (
     Library,
     ProofScript,
     TheoremStatement,
+    load_library,
     read_json_lines,
     save_library,
 )
@@ -167,6 +168,49 @@ def test_simple_loop_via_cli(tmp_path):
     text = (out / "library.lean").read_text(encoding="utf-8")
     assert "theorem s0" in text and "theorem s1" in text
     assert "simple_loop" in text  # provenance marker
+
+
+def test_run_takes_its_mode_from_the_config_unless_mode_is_given(tmp_path):
+    seed_path = tmp_path / "seed.lean"
+    seed_path.write_text(SEED, encoding="utf-8")
+    replay = tmp_path / "replay"
+    write_replay(replay, "simple_loop", ["theorem s0 : 0 = 0 := by rfl"])
+    verifier_fixture = tmp_path / "verifier.json"
+    verifier_fixture.write_text(
+        json.dumps({"defaults": {"verify_proof": "verified"}}), encoding="utf-8"
+    )
+    simple = tmp_path / "simple.json"
+    simple.write_text(
+        json.dumps(
+            {
+                "mode": "simple_loop",
+                "seed_path": str(seed_path),
+                "loops": 1,
+                "replay_dir": str(replay),
+                "verifier_fixtures": str(verifier_fixture),
+                "clock": "fixed",
+            }
+        ),
+        encoding="utf-8",
+    )
+    out = tmp_path / "simple"
+    assert cli.main(["run", "--config", str(simple), "--out", str(out)]) == 0
+    assert json.loads((out / "report.json").read_text(encoding="utf-8"))["mode"] == "simple_loop"
+    assert [e.provenance for e in load_library(out / "library.lean").entries] == ["simple_loop"]
+
+    # An explicit --mode overrides the file's.
+    demo = json.loads(DEMO_CONFIG.read_text(encoding="utf-8"))
+    for name in ("seed_path", "replay_dir", "verifier_fixtures"):
+        demo[name] = str((DEMO_CONFIG.parent / demo[name]).resolve())
+    demo["mode"] = "simple_loop"
+    config = tmp_path / "demo.json"
+    config.write_text(json.dumps(demo), encoding="utf-8")
+    reference, out = tmp_path / "reference", tmp_path / "cpl"
+    assert cli.main(["run", "--config", str(DEMO_CONFIG), "--out", str(reference)]) == 0
+    assert cli.main(["run", "--config", str(config), "--mode", "cpl", "--out", str(out)]) == 0
+    assert json.loads((out / "report.json").read_text(encoding="utf-8"))["mode"] == "cpl"
+    for name in ("library.lean", "events.jsonl"):
+        assert (out / name).read_bytes() == (reference / name).read_bytes(), name
 
 
 def test_reprove_all_via_cli(tmp_path):
@@ -458,6 +502,40 @@ def test_an_eval_command_after_a_kill_cuts_torn_lines_and_continues(tmp_path):
     transcript = [entry["sequence"] for entry in read_transcript(out / "transcript.jsonl")]
     assert events == list(range(len(events)))
     assert transcript == list(range(13 + 4))
+
+
+@pytest.mark.parametrize("command", ["reprove-all", "reprove-focused", "nl"])
+def test_an_eval_command_removes_the_temp_files_killed_writes_left(tmp_path, command):
+    # A kill between `write_atomically`'s temp file and its rename leaves
+    # the temp file; only names of that form are removed.
+    library_path = tmp_path / "library.lean"
+    small_library(library_path)
+    replay = tmp_path / "replay"
+    write_replay(replay, "prover", ["by re0", "by re1"])
+    write_replay(replay, "nl_prover", ["a sketch"])
+    verifier_fixture = tmp_path / "verifier.json"
+    verifier_fixture.write_text(
+        json.dumps({"defaults": {"verify_proof": "verified"}}), encoding="utf-8"
+    )
+    out = tmp_path / "out"
+    (out / "nl_responses").mkdir(parents=True)
+    left = ["reprove_with_context.json.0123456789abcdef.tmp"]
+    kept = ["nl_responses/notes.tmp", "notes.tmp"]
+    if command == "nl":
+        left.append("nl_responses/response_001.txt.fedcba9876543210.tmp")
+        args = ["nl", "run", "--n", "1"]
+    else:
+        args = [command, "--library", str(library_path), "--verifier-fixtures"]
+        args += [str(verifier_fixture), "--max-trials", "1"]
+    if command == "reprove-focused":
+        statement = tmp_path / "statement.lean"
+        statement.write_text("theorem focus : 9 = 9 := sorry\n", encoding="utf-8")
+        args += ["--statement", str(statement), "--n", "1"]
+    for name in left + kept:
+        (out / name).write_bytes(b'{"partial')
+    assert cli.main(args + ["--replay", str(replay), "--out", str(out)]) == 0
+    assert sorted(str(path.relative_to(out)) for path in out.rglob("*.tmp")) == kept
+    assert not [finding for finding in check_run(out) if "temp file" in finding]
 
 
 @pytest.mark.parametrize("command", ["reprove-all", "reprove-focused"])

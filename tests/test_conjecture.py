@@ -212,7 +212,7 @@ def test_counter_identity_over_randomized_fixtures():
             gateway,
             iterations=len(responses),
         )
-        assert report.counters_consistent(), report.to_payload()
+        assert report.counters_consistent(), report
         # the accepted list never contains two items with equal bodies
         keys = [" ".join(s.body.split()) for s in report.accepted]
         assert len(keys) == len(set(keys))

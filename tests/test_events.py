@@ -17,7 +17,6 @@ from cpl.events import (
     FixedClock,
     SystemClock,
     make_clock,
-    normalized_event_lines,
     read_events,
     replay_library,
     truncate_events,
@@ -52,16 +51,6 @@ def test_listener_called_after_write(tmp_path):
         log.emit("warning", message="one")
         log.emit("warning", message="two")
     assert seen == [(0, 1), (1, 2)]
-
-
-def test_normalized_lines_ignore_timestamps(tmp_path):
-    a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-    with EventLog(a, clock=FixedClock("2001-01-01T00:00:00+00:00")) as log:
-        log.emit("warning", message="same")
-    with EventLog(b, clock=FixedClock("2002-02-02T00:00:00+00:00")) as log:
-        log.emit("warning", message="same")
-    assert a.read_text() != b.read_text()
-    assert normalized_event_lines(a) == normalized_event_lines(b)
 
 
 def test_truncate_keeps_prefix_atomically(tmp_path):

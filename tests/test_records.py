@@ -1,6 +1,6 @@
-"""The contract every record class of cpl keeps: construction, equality,
-hashing, frozenness, fresh mutable defaults, and `replace` running the
-class's checks."""
+"""The contract every record class of cpl keeps: fields named by its
+`__init__`, construction, equality, hashing, frozenness, fresh mutable
+defaults, and `replace` running the class's checks."""
 
 from __future__ import annotations
 
@@ -12,10 +12,12 @@ import pytest
 from cpl.conjecture import ConjecturePhaseReport
 from cpl.core import (
     ConjectureList,
+    FrozenRecord,
     Library,
     LibraryEntry,
     ParseWarning,
     ProofScript,
+    Record,
     TheoremStatement,
     replace,
 )
@@ -115,8 +117,11 @@ MUTABLE_DEFAULTS = [
 )
 def test_a_record_keeps_the_record_contract(cls, names, values, frozen):
     names = names.split()
+    assert cls._fields == tuple(names)
     positional = cls(*values)
     keyword = cls(**dict(zip(names, values)))
+    assert positional.as_dict() == dict(zip(names, values))
+    assert list(positional.as_dict()) == names
     assert [getattr(positional, name) for name in names] == values
     assert [getattr(keyword, name) for name in names] == values
     assert repr(positional).startswith(f"{cls.__name__}(")
@@ -156,6 +161,35 @@ def test_two_records_share_no_mutable_default(cls, arguments, fields):
         assert getattr(first, name) is not getattr(second, name)
     if cls is RunConfig:
         assert first.models == second.models and first.models
+
+
+def test_a_records_fields_are_the_parameters_of_its_own_init():
+    class Point(FrozenRecord):
+        def __init__(self, x, y=0, *, label=""):
+            scale = 2  # a local, not a field
+            self.__dict__.update(x=x * scale // 2, y=y, label=label)
+
+    class Tally(Record):
+        def __init__(self, name, *counts, total=0, **notes):
+            self.name, self.total = name, total + sum(counts)
+
+    class LabelledPoint(Point):
+        def label_first(self):
+            return (self.label, self.x, self.y)
+
+    assert Point._fields == LabelledPoint._fields == ("x", "y", "label")
+    assert Tally._fields == ("name", "total")
+    point = LabelledPoint(1, 2, label="a")
+    assert point.as_dict() == {"x": 1, "y": 2, "label": "a"}
+    assert list(point.as_dict()) == ["x", "y", "label"]
+    assert point.as_dict() is not point.as_dict()
+    assert point == LabelledPoint(1, 2, label="a") and point != Point(1, 2, label="a")
+    assert hash(point) == hash(LabelledPoint(1, 2, label="a"))
+    assert repr(point).endswith("LabelledPoint(x=1, y=2, label='a')")
+    tally = Tally("t", 1, 2, total=3, source="test")
+    assert list(tally.as_dict().items()) == [("name", "t"), ("total", 6)]
+    assert replace(tally, total=0).as_dict() == {"name": "t", "total": 0}
+    assert replace(point, y=5) == LabelledPoint(1, 5, label="a")
 
 
 def test_replace_runs_the_checks_of_the_records_class():
