@@ -13,6 +13,7 @@ import os
 import re
 from bisect import bisect_left
 from functools import cached_property
+from json.encoder import c_make_encoder, encode_basestring
 from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -185,11 +186,38 @@ def contains_sorry(text: str) -> bool:
     return bool(_SORRY_TOKEN.search(mask_comments(text, mask_strings=True)))
 
 
+# The first chunk `_common_prefix` compares; each next one is twice as long.
+_FIRST_CHUNK = 256
+
+
 def _common_prefix(text: str, other: str, start: int = 0, other_start: int = 0) -> int:
     """The length of the common prefix of `text[start:]` and
-    `other[other_start:]`, by bisection: each step compares at most half of
-    the range still open, in place, so the search reads O(n) chars."""
-    low, high = 0, min(len(text) - start, len(other) - other_start)
+    `other[other_start:]`.
+
+    When the ranges end with the same char, one `startswith` tries the
+    full match first; it copies neither range when either is a whole
+    string, and one of them otherwise. Else chunks of doubling size are
+    compared from the start and the first that differs is bisected, so the
+    search copies about twice the shared head, not the range."""
+    length = min(len(text) - start, len(other) - other_start)
+    if length <= 0:
+        return 0
+    end = length - 1
+    if text[start + end] == other[other_start + end]:
+        if length == len(other):
+            full = text.startswith(other, start)
+        else:
+            full = other.startswith(text[start : start + length], other_start)
+        if full:
+            return length
+    low, high, size = 0, length, _FIRST_CHUNK
+    # Chunks of doubling size while one is under half of what is left, then
+    # bisection of the range still open.
+    while size < (length - low) // 2:
+        if not other.startswith(text[start + low : start + low + size], other_start + low):
+            high = low + size - 1
+            break
+        low, size = low + size, size * 2
     while low < high:
         middle = (low + high + 1) // 2
         if other.startswith(text[start + low : start + middle], other_start + low):
@@ -671,19 +699,30 @@ def write_file(
     """Write `data` into the file `path` after its first `at` bytes, which
     it keeps, cutting off the rest; with `at` None, after all of its bytes.
     Then fsync it when asked. The file keeps its inode and its mode; with
-    `at` None a missing file is created, as a plain `open` creates one.
+    `at` None a missing file is created with mode 0666 less the umask, as a
+    plain `open` creates one, and a cut of a missing file raises
+    `FileNotFoundError`.
 
     Every write cpl makes to a run file goes through here: appends, cuts,
-    fsyncs and the temp files of `write_atomically`.
+    fsyncs and the temp files of `write_atomically`. Each call opens the
+    file, writes every byte (a short write is continued) and closes it,
+    through bare `os` calls: no `io` buffer is built for one write.
     """
-    with open(path, "ab" if at is None else "r+b") as handle:
+    if at is None:
+        fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+    else:
+        fd = os.open(path, os.O_WRONLY)
+    try:
         if at is not None:
-            handle.truncate(at)
-            handle.seek(at)
-        handle.write(data)
+            os.ftruncate(fd, at)
+            os.lseek(fd, at, os.SEEK_SET)
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view) :]
         if fsync:
-            handle.flush()
-            os.fsync(handle.fileno())
+            os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 def write_atomically(path: str | Path, data: bytes, fsync: bool = True) -> None:
@@ -808,6 +847,80 @@ def keep_lines(path: str | Path, count: int, fsync: bool = True) -> None:
 
 _BLANK_LINE = re.compile(rb"[ \t\r\x0b\x0c]*\n")  # blank, as `bytes.strip` sees it
 
+_ENCODER = json.JSONEncoder(ensure_ascii=False)
+# A string this long is escaped as UTF-8 bytes (`_json_string_bytes`), not
+# by the JSON encoder: base transcript lines hold whole contexts.
+_LONG_STRING_CHARS = 4096
+_CONTROL_BYTES = bytes(range(0x20))
+_OTHER_BYTES = bytes(range(0x20, 0x100))
+_CONTROL_ESCAPES = [json.dumps(chr(byte)).encode("ascii")[1:-1] for byte in _CONTROL_BYTES]
+# How deep `_holds_long_string` looks. A deeper long string, or one in a
+# cycle (which the encoder refuses), is escaped by the encoder.
+_LONG_STRING_DEPTH = 8
+
+
+def json_line(record) -> bytes:
+    """`(json.dumps(record, ensure_ascii=False) + "\n").encode("utf-8")`,
+    with each string of `_LONG_STRING_CHARS` or more escaped at byte level.
+
+    The encoder writes every other part of the line. Its output never holds
+    a raw control char, so it writes a raw NUL where a long string goes, and
+    the escaped bytes of each long string are spliced in there."""
+    if c_make_encoder is None:  # no C encoder to hook: no byte-level escape
+        return (_ENCODER.encode(record) + "\n").encode("utf-8")
+    if not _holds_long_string((record,), _LONG_STRING_DEPTH):
+        return (_encode(record, encode_basestring) + "\n").encode("utf-8")
+    long_strings: list[str] = []
+
+    def encode_string(text: str) -> str:
+        if len(text) < _LONG_STRING_CHARS:
+            return encode_basestring(text)
+        long_strings.append(text)
+        return "\0"
+
+    parts = _encode(record, encode_string).split("\0")
+    pieces = [parts[0].encode("utf-8")]
+    for text, part in zip(long_strings, parts[1:]):
+        pieces += _json_string_bytes(text), part.encode("utf-8")
+    pieces.append(b"\n")
+    return b"".join(pieces)
+
+
+def _encode(record, encode_string) -> str:
+    """`_ENCODER.encode(record)`, with `encode_string` writing each string:
+    the C encoder `JSONEncoder.iterencode` builds, with a fresh cycle check,
+    but not the closures it builds on each call."""
+    encode = c_make_encoder(
+        {}, _ENCODER.default, encode_string, None, _ENCODER.key_separator,
+        _ENCODER.item_separator, False, False, True,
+    )
+    return "".join(encode(record, 0))
+
+
+def _holds_long_string(value, depth: int) -> bool:
+    """Whether the dict, list or tuple `value` holds a string of
+    `_LONG_STRING_CHARS` or more, within `depth` more levels of them."""
+    for item in value.values() if type(value) is dict else value:
+        kind = type(item)
+        if kind is str:
+            if len(item) >= _LONG_STRING_CHARS:
+                return True
+        elif (kind is dict or kind is list or kind is tuple) and depth:
+            if _holds_long_string(item, depth - 1):
+                return True
+    return False
+
+
+def _json_string_bytes(text: str) -> bytes:
+    """`json.dumps(text, ensure_ascii=False).encode("utf-8")`, escaped in
+    the UTF-8 bytes: no byte of a multi-byte character is below 0x80, so
+    the only escapes are of backslashes, quotes and control bytes, and each
+    control byte is replaced only if the text holds it."""
+    data = text.encode("utf-8").replace(b"\\", b"\\\\").replace(b'"', b'\\"')
+    for byte in set(data.translate(None, _OTHER_BYTES)):
+        data = data.replace(_CONTROL_BYTES[byte : byte + 1], _CONTROL_ESCAPES[byte])
+    return b'"' + data + b'"'
+
 
 class JsonLinesLog:
     """An append-only JSON-lines file: one record per line, each line
@@ -871,9 +984,11 @@ class JsonLinesLog:
         return log
 
     def append(self, record: dict) -> None:
-        """Write `record` as one line, `json.dumps(record, ensure_ascii=False)`."""
-        line = json.dumps(record, ensure_ascii=False) + "\n"
-        write_file(self.path, line.encode("utf-8"))
+        """Write `record` as one line: the UTF-8 bytes of
+        `json.dumps(record, ensure_ascii=False)` and a newline (`json_line`).
+        A record that cannot be written so raises as `json.dumps` or the
+        encoding raises, and writes nothing."""
+        write_file(self.path, json_line(record))
         self.next_sequence += 1
 
     def sync(self) -> None:

@@ -40,8 +40,10 @@ three in place back to the last committed loop: the log at the end of
 that loop's `loop_complete` line, the library to the dump of the
 committed entries, which drops any partial block a crash left at its
 end, and the transcript to that loop's calls. Resuming a run whose
-`run_complete` is logged changes nothing else. The warnings a resume
-logs carry `where: "resume"`, so `evalharness.same_run` leaves them out.
+`run_complete` is logged changes nothing else. A resume of a run that
+the other mode wrote (its first `phase_start` names another phase) is
+refused before any file is cut. The warnings a resume logs carry
+`where: "resume"`, so `evalharness.same_run` leaves them out.
 
 The redone loop is not asked of the model again where the transcript
 already holds it: the gateway serves each role the replies of the lines
@@ -305,13 +307,16 @@ def _read_seed(config: RunConfig) -> str:
     return Path(config.seed_path).read_text(encoding="utf-8")
 
 
-def _load_resume_point(seed: str, events_path: Path, library_path: Path):
+def _load_resume_point(seed: str, events_path: Path, library_path: Path, phase: str):
     """Cut the event log and `library.lean` back to the last committed loop.
 
     The log is read once, keeping only what a resume needs: the
     `theorem_added` payloads, the last `loop_complete` and the offset
-    where its line ends, and whether `run_complete` is logged. Both files
-    are cut in place.
+    where its line ends, whether `run_complete` is logged, and the phase of
+    the first `phase_start`. A log whose first loop started another phase
+    than `phase`, the one this mode's loops start with, was written by the
+    other mode: the resume refuses it and changes no file. Otherwise both
+    files are cut in place.
 
     Returns (committed library, loops completed, next event sequence,
     per-role calls, entries rolled back). The calls are None when the run
@@ -322,7 +327,7 @@ def _load_resume_point(seed: str, events_path: Path, library_path: Path):
     if not library_path.exists():
         raise ResumeConsistencyError(f"cannot resume: {library_path} does not exist")
     additions: list[dict] = []
-    boundary, cut, finished = None, 0, False
+    boundary, cut, finished, logged_phase = None, 0, False, None
     for event, end in read_json_lines(events_path, with_ends=True):
         kind = event["kind"]
         if kind == "theorem_added":
@@ -331,6 +336,13 @@ def _load_resume_point(seed: str, events_path: Path, library_path: Path):
             boundary, cut = event, end
         elif kind == "run_complete":
             finished = True
+        elif kind == "phase_start" and logged_phase is None:
+            logged_phase = event["payload"]["phase"]
+    if logged_phase not in (None, phase):
+        raise ResumeConsistencyError(
+            f"cannot resume: {events_path} logs a run whose loops start with the "
+            f"{logged_phase!r} phase, and this mode's start with {phase!r}"
+        )
     if boundary is None:
         boundary = {"sequence": -1, "payload": {"loop": 0, "library_size": 0}}
     at = boundary["payload"]
@@ -438,7 +450,7 @@ def _run_loops(
 
     if config.resume:
         library, completed, sequence, calls, rolled_back = _load_resume_point(
-            seed, events_path, library_path
+            seed, events_path, library_path, phase
         )
         if calls is None:
             return library

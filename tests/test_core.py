@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import cpl
+from cpl import core
 from cpl.core import (
     _SORRY_TOKEN,
     ConjectureList,
@@ -684,3 +685,85 @@ def test_the_demo_run_loads_no_hashing_module(tmp_path, fixtures_dir):
     )
     assert done.stdout.endswith("[]\n")
     assert (tmp_path / "library.lean").exists()
+
+
+# ---------------------------------------------------------------------------
+# Common prefixes and file writes
+# ---------------------------------------------------------------------------
+
+
+def char_by_char_prefix(text: str, other: str, start: int, other_start: int) -> int:
+    """What `_common_prefix` computes, read one char at a time."""
+    length = 0
+    while (
+        start + length < len(text)
+        and other_start + length < len(other)
+        and text[start + length] == other[other_start + length]
+    ):
+        length += 1
+    return length
+
+
+def test_common_prefix_agrees_with_a_char_by_char_reading():
+    rnd = random.Random(33)
+    alphabet = "ab\nℝ⊢\U0001d4d0"  # ASCII, other BMP and astral chars
+    cases = [("", "", 0, 0), ("", "ab", 0, 0), ("ab", "", 0, 0), ("ab", "ab", 2, 0), ("ab", "ab", 1, 2)]
+    # Heads from empty to many times the first chunk `_common_prefix` compares.
+    for size in (0, 1, 7, 255, 256, 257, 511, 553, 1500, 4097, 9000):
+        head = "".join(rnd.choices(alphabet, k=size))
+        for lead in ("", "x", "ℝ\U0001d4d0"):  # what precedes the head in `text`
+            for tail, other_tail in (("", ""), ("", "b"), ("a", ""), ("a", "b"), ("ℝ", "⊢"), ("ab", "ab")):
+                text, other = lead + head + tail, head + other_tail
+                start = len(lead)
+                cases += [(text, other, start, 0), (other, text, 0, start)]
+                # An offset into both strings.
+                cases.append((text, "yy" + other, start, 2))
+                # A range that ends inside its string.
+                cases.append((text[: start + size // 2], other, start, 0))
+        # Ranges past the head, and empty ranges at the end.
+        text = head + "".join(rnd.choices(alphabet, k=20))
+        cases += [(text, text, 0, size // 3), (text, head, len(text), 0), (head, text, len(head), 0)]
+    for text, other, start, other_start in cases:
+        expected = char_by_char_prefix(text, other, start, other_start)
+        assert core._common_prefix(text, other, start, other_start) == expected, (
+            len(text), len(other), start, other_start
+        )
+
+
+def test_write_file_puts_down_every_byte_of_short_writes(tmp_path, monkeypatch):
+    real_write = os.write
+    sizes = []
+
+    def write_three_bytes(fd, data):
+        sizes.append(len(data))
+        return real_write(fd, bytes(data[:3]))
+
+    monkeypatch.setattr(os, "write", write_three_bytes)
+    path = tmp_path / "f.jsonl"
+    data = "ℕ ≤ \"q\"\n".encode() * 40
+    core.write_file(path, data)
+    core.write_file(path, data, fsync=True)
+    assert path.read_bytes() == data * 2
+    core.write_file(path, data, at=7)
+    assert path.read_bytes() == data[:7] + data
+    # Each of the three writes took one call per 3 bytes.
+    assert len(sizes) == 3 * -(-len(data) // 3)
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077])
+def test_a_file_write_file_creates_gets_the_mode_a_plain_open_gives(tmp_path, umask):
+    previous = os.umask(umask)
+    try:
+        core.write_file(tmp_path / "new", b"x\n")
+        with open(tmp_path / "opened", "ab"):
+            pass
+    finally:
+        os.umask(previous)
+    mode = (tmp_path / "new").stat().st_mode & 0o777
+    assert mode == 0o666 & ~umask == (tmp_path / "opened").stat().st_mode & 0o777
+
+
+def test_a_cut_of_a_missing_file_raises_and_creates_nothing(tmp_path):
+    with pytest.raises(FileNotFoundError):
+        core.write_file(tmp_path / "missing", b"x", at=0)
+    assert not (tmp_path / "missing").exists()

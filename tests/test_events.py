@@ -161,6 +161,49 @@ def test_a_log_appends_whole_lines_and_counts_on(tmp_path):
     assert log.next_sequence == 7
 
 
+# Every char JSON escapes, and the chars it writes raw that a line
+# splitter might break a line at, with an astral char.
+SPECIAL = "".join(map(chr, range(0x20))) + '"\\\x7f\x85\u2028\u2029\U0001d4d0'
+
+
+@pytest.mark.parametrize("size", [4095, 4096, 400_000])
+def test_an_append_writes_the_bytes_of_json_dumps(tmp_path, size):
+    text = (SPECIAL * (size // len(SPECIAL) + 1))[:size]
+    records = [
+        {"text": text},
+        {
+            "sequence": 3,
+            "request": {"user_content": text, "user_content_spans": [[0, 5]], "short": SPECIAL},
+            "nested": [text, {"deeper": [text, 1.5, None, True]}, []],
+        },
+        {SPECIAL: [[text]], "after": SPECIAL + text},
+    ]
+    path = tmp_path / "t.jsonl"
+    log = JsonLinesLog(path)
+    expected = b""
+    for record in records:
+        log.append(record)
+        expected += (json.dumps(record, ensure_ascii=False) + "\n").encode("utf-8")
+        assert path.read_bytes() == expected
+    assert log.next_sequence == len(records)
+
+
+@pytest.mark.parametrize("size", [10, 4096])
+def test_an_append_that_cannot_be_written_raises_and_writes_nothing(tmp_path, size):
+    path = tmp_path / "t.jsonl"
+    log = JsonLinesLog(path)
+    long = "x" * size
+    for record in ({"text": long + "\ud800"}, {"text": long, "lone": "\udc00"}):
+        with pytest.raises(UnicodeEncodeError):
+            log.append(record)
+    cyclic = {"text": long, "list": []}
+    cyclic["list"].append(cyclic)
+    with pytest.raises(ValueError, match="Circular reference"):
+        log.append(cyclic)
+    assert not path.exists()
+    assert log.next_sequence == 0
+
+
 def test_read_events_skips_only_a_torn_last_line(tmp_path):
     path = tmp_path / "e.jsonl"
     with EventLog(path, clock=FixedClock()) as log:

@@ -731,6 +731,47 @@ def test_resume_without_logs_refuses(tmp_path):
         run(config)
 
 
+def test_a_resume_refuses_a_run_the_other_mode_wrote_and_changes_no_file(tmp_path):
+    # A 2-loop simple-loop run killed after loop 1, resumed as a cpl run.
+    config = base_config(tmp_path, mode="simple_loop", loops=2, max_trials=1)
+    out = Path(config.output_dir)
+    out.mkdir()
+    session = ScriptedVerifier(SEED)
+    session.script("verify_proof", "1 = 1", CheckResult("verified"), "by rfl")
+    gateway = Gateway(
+        ReplayProvider({"simple_loop": [full_decl("s1", 1, "by rfl")] * 2}),
+        sleep=lambda s: None,
+        transcript_path=out / "transcript.jsonl",
+    )
+
+    def kill_after_loop_1(event) -> None:
+        if event.kind == "loop_complete":
+            raise SimulatedCrash("killed after loop 1")
+
+    with pytest.raises(SimulatedCrash):
+        run(config, gateway=gateway, session=session, listener=kill_after_loop_1)
+    names = ("events.jsonl", "library.lean", "transcript.jsonl")
+    before = {name: (out / name).read_bytes() for name in names}
+    assert [e.payload["phase"] for e in read_events(out / "events.jsonl") if e.kind == "phase_start"] == ["simple"]
+
+    config.mode, config.resume = "cpl", True
+    with pytest.raises(ResumeConsistencyError, match="'simple'.*'conjecture'"):
+        run(config)
+    assert {name: (out / name).read_bytes() for name in names} == before
+
+    from cpl import cli
+
+    config_path = tmp_path / "simple.json"
+    config_path.write_text(
+        json.dumps({"mode": "simple_loop", "seed_path": config.seed_path, "loops": 2,
+                    "max_trials": 1, "verifier_backend": "scripted", "clock": "fixed"}),
+        encoding="utf-8",
+    )
+    args = ["run", "--config", str(config_path), "--out", str(out), "--resume"]
+    assert cli.main(args + ["--mode", "cpl"]) == 1
+    assert {name: (out / name).read_bytes() for name in names} == before
+
+
 def test_prover_calls_match_transcript_and_attempts(tmp_path):
     out = tmp_path / "run"
     run(demo_config(out))
@@ -1420,7 +1461,7 @@ def write_killed_run(out: Path, loops: int, filler: int = 0) -> int:
 
 def resume_files(out: Path):
     return orchestrator._load_resume_point(
-        SEED, out / "events.jsonl", out / "library.lean"
+        SEED, out / "events.jsonl", out / "library.lean", "conjecture"
     )
 
 
